@@ -175,6 +175,16 @@ impl LabelStack {
         &self.0
     }
 
+    /// Removes every entry, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Entries the stack holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
+
     /// Pushes a new outermost entry.
     pub fn push(&mut self, lse: Lse) {
         self.0.insert(0, lse);
@@ -202,6 +212,13 @@ impl LabelStack {
     pub fn label_values(&self) -> Vec<Label> {
         self.0.iter().map(|l| l.label).collect()
     }
+
+    /// Whether two stacks have equal [`LabelStack::label_values`],
+    /// compared without allocating.
+    pub fn same_labels(&self, other: &LabelStack) -> bool {
+        self.0.len() == other.0.len()
+            && self.0.iter().zip(&other.0).all(|(a, b)| a.label == b.label)
+    }
 }
 
 impl fmt::Debug for LabelStack {
@@ -220,6 +237,13 @@ impl fmt::Debug for LabelStack {
 impl FromIterator<Lse> for LabelStack {
     fn from_iter<T: IntoIterator<Item = Lse>>(iter: T) -> Self {
         LabelStack(iter.into_iter().collect())
+    }
+}
+
+/// Appends entries below the current bottom, in iteration order.
+impl Extend<Lse> for LabelStack {
+    fn extend<T: IntoIterator<Item = Lse>>(&mut self, iter: T) {
+        self.0.extend(iter);
     }
 }
 

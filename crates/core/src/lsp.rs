@@ -54,6 +54,13 @@ impl LspHop {
     pub fn labels(&self) -> Vec<Label> {
         self.stack.label_values()
     }
+
+    /// Whether two observations agree on the part LPR compares: the
+    /// address and the label values (what [`LspKey`] holds), compared
+    /// in place.
+    pub(crate) fn same_signature(&self, other: &LspHop) -> bool {
+        self.addr == other.addr && self.stack.same_labels(&other.stack)
+    }
 }
 
 impl fmt::Debug for LspHop {
@@ -168,18 +175,16 @@ impl Iotp {
     /// signature. The LSP must share the IOTP's key.
     pub fn absorb(&mut self, lsp: &Lsp) {
         debug_assert_eq!(lsp.iotp_key(), self.key);
-        let sig: Vec<(Ipv4Addr, Vec<Label>)> =
-            lsp.hops.iter().map(|h| (h.addr, h.labels())).collect();
-        for b in &mut self.branches {
-            let bsig: Vec<(Ipv4Addr, Vec<Label>)> =
-                b.hops.iter().map(|h| (h.addr, h.labels())).collect();
-            if bsig == sig {
-                if let Some(a) = lsp.dst_asn {
-                    b.dst_asns.insert(a);
-                }
-                b.observations += 1;
-                return;
+        let same = |b: &&mut Branch| {
+            b.hops.len() == lsp.hops.len()
+                && b.hops.iter().zip(&lsp.hops).all(|(x, y)| x.same_signature(y))
+        };
+        if let Some(b) = self.branches.iter_mut().find(same) {
+            if let Some(a) = lsp.dst_asn {
+                b.dst_asns.insert(a);
             }
+            b.observations += 1;
+            return;
         }
         let mut dst_asns = BTreeSet::new();
         if let Some(a) = lsp.dst_asn {
@@ -259,6 +264,22 @@ mod tests {
         iotp.absorb(&a);
         iotp.absorb(&b);
         assert_eq!(iotp.width(), 2);
+    }
+
+    #[test]
+    fn ttl_difference_merges_but_stack_depth_splits() {
+        let a = lsp(&[(2, 100), (3, 200)], 1);
+        let mut b = a.clone();
+        b.hops[1].stack = LabelStack::from_entries(&[Lse::new(Label::new(200), 5, false, 7)]);
+        let mut c = a.clone();
+        c.hops[1].stack = LabelStack::from_entries(&[Lse::transit(200, 255), Lse::transit(16, 255)]);
+        let mut iotp = Iotp::new(a.iotp_key());
+        for l in [&a, &b, &c] {
+            iotp.absorb(l);
+        }
+        assert_eq!(iotp.width(), 2);
+        assert_eq!(iotp.branches[0].observations, 2);
+        assert_eq!(iotp.branches[1].hops, c.hops);
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! pipeline's trace ingest ([`lpr_core::Pipeline::run_par_recorded`]'s
 //! front half): it cuts every file's record index into contiguous
 //! [`RangeTask`]s and maps them over [`lpr_par::map_shards`]. Each
-//! task decodes its trace records straight out of the file mapping
-//! (against a preload of the file's full address dictionary), converts
-//! and filters them **one at a time** through a
-//! [`CycleAccumulator`], and hands back an owned [`IngestState`];
-//! merging the states in task order reproduces the sequential ingest
-//! exactly. Peak memory is the surviving LSPs plus one record body per
-//! worker — never the corpus, never the trace list.
+//! task walks its trace records straight out of the file mapping
+//! (against a preload of the file's full address dictionary) in one
+//! pass each, into a single reused [`warts::TraceBuf`], feeds them
+//! **one at a time** through a [`CycleAccumulator`], and hands back an
+//! owned [`IngestState`]; merging the states in task order reproduces
+//! the sequential ingest exactly. The decode matches
+//! [`warts::decode_record_body`] + [`warts::trace_to_core`] record for
+//! record but builds no `TraceRecord`, and once the buffer is warm it
+//! allocates nothing per record. Peak memory is the surviving LSPs plus
+//! one trace per task — never the corpus, never the trace list.
 
 use crate::corpus::{Corpus, DecodeReport};
 use lpr_core::filter::{lsp_keys_of_tunnels, AsMapper};
@@ -23,7 +26,7 @@ use lpr_core::tunnel::RawTunnel;
 use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
-use warts::{decode_record_body, Record, RecordType};
+use warts::{Conversion, RecordType};
 
 /// How the ingest shards its work.
 #[derive(Clone, Copy, Debug)]
@@ -91,6 +94,9 @@ fn decode_task(
     // decode equals sequential decode (embed-form occurrences append
     // duplicates past it, which nothing references).
     let mut addrs = warts::AddrTableReader::from_table(file.index.addr_table.clone());
+    // One scratch trace per task: each record is decoded into it in
+    // place, so a task allocates per record only while it warms up.
+    let mut buf = warts::TraceBuf::default();
     let mut convert_failures = 0u64;
     let mut decode_errors = 0u64;
     for span in &file.index.records[task.start..task.end] {
@@ -99,13 +105,10 @@ fn decode_task(
         }
         let start = span.offset as usize + 8;
         let body = &bytes[start..start + span.body_len as usize];
-        match decode_record_body(span.record_type, body, &mut addrs) {
-            Ok(Record::Trace(rec)) => match warts::trace_to_core(&rec) {
-                Ok(Some(trace)) => push(&trace),
-                Ok(None) => {} // non-IPv4, outside the paper's dataset
-                Err(_) => convert_failures += 1,
-            },
-            Ok(_) => {}
+        match buf.decode(body, &mut addrs) {
+            Ok(Conversion::Ipv4) => push(buf.trace()),
+            Ok(Conversion::NotIpv4) => {} // outside the paper's dataset
+            Ok(Conversion::Failed(_)) => convert_failures += 1,
             // The index only records successful decodes, so this is
             // unreachable in practice; counted, not fatal.
             Err(_) => decode_errors += 1,

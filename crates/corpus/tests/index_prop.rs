@@ -4,15 +4,20 @@
 //! panic, must resynchronize exactly like the sequential lenient
 //! decoder (same per-reason skip tallies, same resync byte count), and
 //! an indexed range decode against the preloaded dictionary must
-//! reproduce the sequential record stream record for record.
+//! reproduce the sequential record stream record for record. The
+//! one-pass decode the ingest uses (`TraceBuf::decode`) must agree with
+//! `decode_record_body` + `trace_to_core` on every indexed trace record
+//! and on mutations of it, and never panic.
 
 use lpr_chaos::corrupt_warts_bytes;
-use lpr_core::label::Lse;
+use lpr_core::label::{LabelStack, Lse};
+use lpr_core::trace::Trace;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use warts::{
-    decode_record_body, AddrTableReader, HopRecord, IcmpExt, Record, SkipReason, TraceRecord,
-    WartsStreamReader, WartsWriter,
+    decode_record_body, trace_to_core, AddrTableReader, Conversion, HopRecord, IcmpExt, Record,
+    RecordType, SkipReason, StopReason, TraceBuf, TraceRecord, WartsError, WartsStreamReader,
+    WartsWriter,
 };
 
 fn a(o: u8) -> warts::Addr {
@@ -22,9 +27,23 @@ fn a(o: u8) -> warts::Addr {
 /// A realistic stream: list, cycle, MPLS-labelled traces sharing
 /// dictionary addresses, cycle stop.
 fn sample_stream() -> Vec<u8> {
+    stream_of(&sample_traces())
+}
+
+/// Writes `traces` as one file: list, cycle, traces, cycle stop.
+fn stream_of(traces: &[TraceRecord]) -> Vec<u8> {
     let mut w = WartsWriter::new();
     let list = w.list(1, "chaos");
     let cycle = w.cycle_start(list, 1, 0);
+    for t in traces {
+        w.trace(t).unwrap();
+    }
+    w.cycle_stop(cycle, traces.len() as u32);
+    w.into_bytes()
+}
+
+fn sample_traces() -> Vec<TraceRecord> {
+    let mut traces = Vec::new();
     for i in 0..8u8 {
         let mut t = TraceRecord::new(a(1), a(200 + i % 8));
         let mut labelled = HopRecord::reply(2, a(20 + i), 900);
@@ -36,10 +55,190 @@ fn sample_stream() -> Vec<u8> {
             labelled,
             HopRecord::reply(3, a(200 + i % 8), 1500),
         ];
-        w.trace(&t).unwrap();
+        traces.push(t);
     }
-    w.cycle_stop(cycle, 8);
-    w.into_bytes()
+    traces
+}
+
+fn mpls(labels: &[u32]) -> IcmpExt {
+    IcmpExt::mpls(&labels.iter().map(|&l| Lse::transit(l, 250)).collect::<LabelStack>())
+}
+
+/// Records for the conversion branches generated corpora never reach,
+/// each after a long labelled trace, so that a hop or label left over
+/// from the previous record would show.
+fn edge_records() -> Vec<TraceRecord> {
+    let v6 = |s: &str| warts::Addr::V6(s.parse().unwrap());
+    let mut long = TraceRecord::new(a(1), a(250));
+    long.stop_reason = StopReason::Completed;
+    long.hops = (1..=12)
+        .map(|ttl| {
+            let mut h = HopRecord::reply(ttl, a(100 + ttl), 100 * ttl as u32);
+            if (3..=10).contains(&ttl) {
+                h.icmp_exts = vec![mpls(&[300_000 + ttl as u32, 16, 17])];
+            }
+            h
+        })
+        .collect();
+
+    let mut bad_mpls = TraceRecord::new(a(1), a(251));
+    bad_mpls.hops = vec![HopRecord::reply(1, a(2), 10), HopRecord::reply(2, a(3), 20)];
+    bad_mpls.hops[1].icmp_exts = vec![IcmpExt { class: 1, kind: 1, data: vec![0, 1, 2, 3, 4] }];
+
+    let v6_trace = TraceRecord::new(v6("2001:db8::1"), a(252));
+
+    let mut v6_hop = TraceRecord::new(a(1), a(253));
+    v6_hop.hops = vec![
+        HopRecord::reply(1, a(2), 10),
+        HopRecord::reply(2, v6("2001:db8::2"), 20),
+        HopRecord::reply(3, a(4), 30),
+    ];
+    v6_hop.hops[1].icmp_exts = vec![IcmpExt { class: 1, kind: 1, data: vec![9] }];
+
+    // Duplicate replies: the first per TTL wins, and a malformed object
+    // on a discarded duplicate does not fail the trace.
+    let mut dup = TraceRecord::new(a(1), a(254));
+    dup.hops = vec![
+        HopRecord::reply(1, a(2), 10),
+        HopRecord::reply(2, a(3), 20),
+        HopRecord::reply(2, a(9), 25),
+        HopRecord::reply(1, a(8), 30),
+        HopRecord::reply(3, a(4), 40),
+    ];
+    dup.hops[1].icmp_exts = vec![mpls(&[500])];
+    dup.hops[2].icmp_exts = vec![IcmpExt { class: 1, kind: 1, data: vec![1, 2] }];
+
+    // first_hop > 1: probing starts at TTL 4; a reply below it stays,
+    // and the gap up to the next reply becomes anonymous hops.
+    let mut late = TraceRecord::new(a(1), a(255));
+    late.first_hop = Some(4);
+    late.hops = vec![HopRecord::reply(2, a(5), 10), HopRecord::reply(7, a(6), 20)];
+
+    // A non-MPLS object ahead of the MPLS one, and a second MPLS object
+    // that must be ignored.
+    let mut mixed = TraceRecord::new(a(1), a(249));
+    mixed.hops = vec![HopRecord::reply(1, a(7), 10)];
+    mixed.hops[0].icmp_exts = vec![
+        IcmpExt { class: 2, kind: 1, data: vec![0xAA, 0xBB, 0xCC] },
+        mpls(&[777, 16]),
+        mpls(&[888]),
+    ];
+
+    let mut out = Vec::new();
+    for rec in [bad_mpls, v6_trace, v6_hop, dup, late, mixed] {
+        out.push(long.clone());
+        out.push(rec);
+    }
+    out
+}
+
+/// The sample traces followed by [`edge_records`], in one file.
+fn equivalence_stream() -> Vec<u8> {
+    stream_of(&[sample_traces(), edge_records()].concat())
+}
+
+/// What a trace record body yields, in either decoder's terms.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    DecodeError(WartsError),
+    ConvertFailed(WartsError),
+    NotIpv4,
+    Converted(Trace),
+}
+
+fn via_record(body: &[u8], addrs: &mut AddrTableReader) -> Outcome {
+    match decode_record_body(RecordType::Trace as u16, body, addrs) {
+        Err(e) => Outcome::DecodeError(e),
+        Ok(Record::Trace(rec)) => match trace_to_core(&rec) {
+            Err(e) => Outcome::ConvertFailed(e),
+            Ok(None) => Outcome::NotIpv4,
+            Ok(Some(trace)) => Outcome::Converted(trace),
+        },
+        Ok(other) => panic!("a trace body decoded as {other:?}"),
+    }
+}
+
+fn one_pass(buf: &mut TraceBuf, body: &[u8], addrs: &mut AddrTableReader) -> Outcome {
+    match buf.decode(body, addrs) {
+        Err(e) => Outcome::DecodeError(e),
+        Ok(Conversion::Failed(e)) => Outcome::ConvertFailed(e),
+        Ok(Conversion::NotIpv4) => Outcome::NotIpv4,
+        Ok(Conversion::Ipv4) => Outcome::Converted(buf.trace().clone()),
+    }
+}
+
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A few seeded mutations of one body: a bit flip, a byte overwrite, a
+/// truncation and a trailing extra byte.
+fn mutations(body: &[u8], seed: u64) -> Vec<Vec<u8>> {
+    let r = |salt: u64| splitmix64(seed ^ splitmix64(salt));
+    let mut out = Vec::new();
+    if !body.is_empty() {
+        let mut flip = body.to_vec();
+        flip[r(1) as usize % body.len()] ^= 1 << (r(2) % 8);
+        out.push(flip);
+        let mut set = body.to_vec();
+        set[r(3) as usize % body.len()] = r(4) as u8;
+        out.push(set);
+        out.push(body[..r(5) as usize % body.len()].to_vec());
+    }
+    let mut longer = body.to_vec();
+    longer.push(r(6) as u8);
+    out.push(longer);
+    out
+}
+
+/// Decodes every indexed trace record of `bytes`, and mutations of it,
+/// both ways; the one-pass side reuses one buffer throughout.
+fn check_one_pass_decode(bytes: &[u8], seed: u64) {
+    let index = lpr_corpus::RecordIndex::build(bytes);
+    let mut buf = TraceBuf::default();
+    let mut reference = AddrTableReader::from_table(index.addr_table.clone());
+    let mut addrs = AddrTableReader::from_table(index.addr_table.clone());
+    for (i, span) in index.records.iter().enumerate() {
+        if span.record_type != RecordType::Trace as u16 {
+            continue;
+        }
+        let start = span.offset as usize + 8;
+        let body = &bytes[start..start + span.body_len as usize];
+        let mut bodies = vec![body.to_vec()];
+        bodies.extend(mutations(body, seed ^ i as u64));
+        for body in &bodies {
+            let expect = via_record(body, &mut reference);
+            prop_assert_eq!(one_pass(&mut buf, body, &mut addrs), expect, "record {}", i);
+        }
+    }
+}
+
+#[test]
+fn one_pass_decode_matches_on_a_pristine_stream() {
+    let bytes = equivalence_stream();
+    let index = lpr_corpus::RecordIndex::build(&bytes);
+    assert_eq!(index.traces, 8 + edge_records().len() as u64);
+    // Every branch is reached: a conversion failure, an IPv6 trace and
+    // converted traces.
+    let mut addrs = AddrTableReader::from_table(index.addr_table.clone());
+    let mut outcomes = Vec::new();
+    for span in index.records.iter().filter(|s| s.record_type == RecordType::Trace as u16) {
+        let start = span.offset as usize + 8;
+        outcomes.push(via_record(&bytes[start..start + span.body_len as usize], &mut addrs));
+    }
+    assert!(outcomes.iter().any(|o| matches!(o, Outcome::ConvertFailed(_))));
+    assert!(outcomes.contains(&Outcome::NotIpv4));
+    let edges = &outcomes[8..];
+    let Outcome::Converted(dup) = &edges[7] else { panic!("{:?}", edges[7]) };
+    assert_eq!(dup.hops.iter().map(|h| h.addr.unwrap().octets()[3]).collect::<Vec<_>>(), [2, 3, 4]);
+    let Outcome::Converted(late) = &edges[9] else { panic!("{:?}", edges[9]) };
+    assert_eq!(late.hops.iter().map(|h| h.probe_ttl).collect::<Vec<_>>(), [2, 3, 4, 5, 6, 7]);
+    let Outcome::Converted(mixed) = &edges[11] else { panic!("{:?}", edges[11]) };
+    assert_eq!(mixed.hops[0].stack.label_values(), [777.into(), 16.into()]);
+    check_one_pass_decode(&bytes, 0);
 }
 
 /// Sequential lenient decode: the records plus the reader's final skip
@@ -102,6 +301,18 @@ proptest! {
                 .expect("indexed records decoded once already");
             prop_assert_eq!(&got, expect);
         }
+    }
+
+    /// Corrupted corpora: the one-pass decode of every indexed trace
+    /// record, and of mutations of each, equals record decode plus
+    /// conversion, through one reused buffer.
+    #[test]
+    fn one_pass_decode_matches_record_decode_and_conversion(
+        seed in any::<u64>(),
+        rate in 0.01f64..0.6,
+    ) {
+        let (bytes, _) = corrupt_warts_bytes(&equivalence_stream(), seed, rate);
+        check_one_pass_decode(&bytes, seed);
     }
 
     /// Serialization survives corruption end-to-end: whatever the scan

@@ -35,6 +35,23 @@ impl<'a> Cursor<'a> {
         self.remaining() == 0
     }
 
+    /// The unread bytes, without consuming them.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.data[self.pos..]
+    }
+
+    /// Checks that a cursor over one record body read all of it.
+    pub(crate) fn expect_consumed(&self, record_type: u16) -> Result<(), WartsError> {
+        if self.is_empty() {
+            return Ok(());
+        }
+        Err(WartsError::LengthMismatch {
+            record_type,
+            declared: self.data.len(),
+            consumed: self.pos,
+        })
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self, context: &'static str) -> Result<u8, WartsError> {
         if self.remaining() < 1 {
@@ -69,7 +86,7 @@ impl<'a> Cursor<'a> {
 
     /// Reads a NUL-terminated string (warts string parameter).
     pub fn cstring(&mut self) -> Result<String, WartsError> {
-        let rest = &self.data[self.pos..];
+        let rest = self.rest();
         let nul = rest
             .iter()
             .position(|&b| b == 0)

@@ -115,14 +115,7 @@ impl<'a> WartsReader<'a> {
                 return Ok(Some(Record::Unsupported { record_type: other, body: body.to_vec() }))
             }
         };
-        if !bcur.is_empty() {
-            self.failed = true;
-            return Err(WartsError::LengthMismatch {
-                record_type,
-                declared: len,
-                consumed: bcur.position(),
-            });
-        }
+        bcur.expect_consumed(record_type).inspect_err(|_| self.failed = true)?;
         Ok(Some(record))
     }
 

@@ -18,7 +18,7 @@ use crate::buf::Cursor;
 use crate::error::WartsError;
 use bytes::{BufMut, BytesMut};
 
-/// A decoded flag set.
+/// A flag set under construction, for writing ([`Flags`] reads one).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlagSet {
     bits: Vec<u8>, // 7 usable bits per element, continuation bit stripped
@@ -61,19 +61,6 @@ impl FlagSet {
         self.bits.clear();
     }
 
-    /// Decodes a flag bitfield (not the parameter length) from a cursor.
-    pub fn read(cur: &mut Cursor<'_>) -> Result<Self, WartsError> {
-        let mut bits = Vec::new();
-        loop {
-            let b = cur.u8("flag byte")?;
-            bits.push(b & 0x7f);
-            if b & 0x80 == 0 {
-                break;
-            }
-        }
-        Ok(FlagSet { bits })
-    }
-
     /// Encodes the flag bitfield into `buf`.
     pub fn write(&self, buf: &mut BytesMut) {
         if self.bits.is_empty() {
@@ -89,19 +76,6 @@ impl FlagSet {
             let cont = if i + 1 < last { 0x80 } else { 0 };
             buf.put_u8(b | cont);
         }
-    }
-
-    /// Iterates over the set flag numbers in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = u16> + '_ {
-        self.bits.iter().enumerate().flat_map(|(byte, &b)| {
-            (0..7u16).filter_map(move |bit| {
-                if b & (1 << bit) != 0 {
-                    Some(byte as u16 * 7 + bit + 1)
-                } else {
-                    None
-                }
-            })
-        })
     }
 }
 
@@ -148,13 +122,48 @@ impl ParamWriter {
     }
 }
 
+/// A flag bitfield borrowed from a record body, continuation bits and
+/// all: reading and iterating it allocates nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct Flags<'a>(&'a [u8]);
+
+impl<'a> Flags<'a> {
+    /// Takes a flag bitfield (not the parameter length) from a cursor.
+    pub fn read(cur: &mut Cursor<'a>) -> Result<Self, WartsError> {
+        let last = cur.rest().iter().position(|b| b & 0x80 == 0);
+        let last = last.ok_or(WartsError::Truncated { context: "flag byte" })?;
+        Ok(Flags(cur.bytes(last + 1, "flag byte")?))
+    }
+
+    /// True when no flag is set.
+    pub fn is_empty(&self) -> bool {
+        self.0.iter().all(|&b| b & 0x7f == 0)
+    }
+
+    /// Iterates over the set flag numbers in increasing order. A number
+    /// past `u16::MAX` reads as `u16::MAX`, which no record defines.
+    pub fn iter(&self) -> impl Iterator<Item = u16> + 'a {
+        self.0.iter().enumerate().flat_map(|(byte, &b)| {
+            let mut bits = b & 0x7f;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(u16::try_from(byte * 7 + bit + 1).unwrap_or(u16::MAX))
+            })
+        })
+    }
+}
+
 /// Reads a flag set and, when non-empty, its parameter block; hands back
 /// the flags and a sub-cursor bounded to exactly the parameter bytes.
 pub fn read_params<'a>(
     cur: &mut Cursor<'a>,
     context: &'static str,
-) -> Result<(FlagSet, Cursor<'a>), WartsError> {
-    let flags = FlagSet::read(cur)?;
+) -> Result<(Flags<'a>, Cursor<'a>), WartsError> {
+    let flags = Flags::read(cur)?;
     if flags.is_empty() {
         return Ok((flags, Cursor::new(&[])));
     }
@@ -196,8 +205,9 @@ mod tests {
         assert_eq!(b[1] & 0x80, 0x80);
         assert_eq!(b[2] & 0x80, 0);
         let mut c = Cursor::new(&b);
-        let g = FlagSet::read(&mut c).unwrap();
-        assert_eq!(g, f);
+        let g = Flags::read(&mut c).unwrap();
+        assert_eq!(g.iter().collect::<Vec<_>>(), [3, 14, 15]);
+        assert!(c.is_empty());
     }
 
     #[test]
@@ -207,7 +217,7 @@ mod tests {
         f.write(&mut b);
         assert_eq!(&b[..], &[0]);
         let mut c = Cursor::new(&b);
-        assert!(FlagSet::read(&mut c).unwrap().is_empty());
+        assert!(Flags::read(&mut c).unwrap().is_empty());
     }
 
     #[test]
@@ -216,7 +226,10 @@ mod tests {
         for n in [9, 2, 17, 1] {
             f.set(n);
         }
-        assert_eq!(f.iter().collect::<Vec<_>>(), vec![1, 2, 9, 17]);
+        let mut b = BytesMut::new();
+        f.write(&mut b);
+        let g = Flags::read(&mut Cursor::new(&b)).unwrap();
+        assert_eq!(g.iter().collect::<Vec<_>>(), vec![1, 2, 9, 17]);
     }
 
     #[test]
@@ -251,7 +264,7 @@ mod tests {
 
         let mut c = Cursor::new(&out);
         let (flags, mut params) = read_params(&mut c, "test").unwrap();
-        assert!(flags.is_set(1));
+        assert_eq!(flags.iter().collect::<Vec<_>>(), [1]);
         assert_eq!(params.u32("v").unwrap(), 42);
         assert!(params.is_empty());
         // Outer cursor sits right after the param block.

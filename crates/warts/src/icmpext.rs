@@ -46,9 +46,14 @@ impl IcmpExt {
         IcmpExt { class: MPLS_EXT_CLASS, kind: MPLS_EXT_TYPE, data }
     }
 
+    /// This object, borrowed.
+    pub(crate) fn object(&self) -> ExtObject<'_> {
+        ExtObject { class: self.class, kind: self.kind, data: &self.data }
+    }
+
     /// Whether this object is an RFC 4950 MPLS label stack.
     pub fn is_mpls(&self) -> bool {
-        self.class == MPLS_EXT_CLASS && self.kind == MPLS_EXT_TYPE
+        self.object().is_mpls()
     }
 
     /// Decodes the MPLS label stack carried by this object, if it is
@@ -58,16 +63,75 @@ impl IcmpExt {
         if !self.is_mpls() {
             return Ok(None);
         }
+        Ok(Some(self.object().mpls_entries()?.collect()))
+    }
+}
+
+impl From<ExtObject<'_>> for IcmpExt {
+    fn from(o: ExtObject<'_>) -> Self {
+        IcmpExt { class: o.class, kind: o.kind, data: o.data.to_vec() }
+    }
+}
+
+/// One extension object borrowed from a record body.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct ExtObject<'a> {
+    /// Extension class number.
+    pub class: u8,
+    /// Extension type number.
+    pub kind: u8,
+    /// Raw object payload.
+    pub data: &'a [u8],
+}
+
+impl<'a> ExtObject<'a> {
+    /// Whether this object is an RFC 4950 MPLS label stack.
+    pub fn is_mpls(&self) -> bool {
+        self.class == MPLS_EXT_CLASS && self.kind == MPLS_EXT_TYPE
+    }
+
+    /// The payload read as label-stack entries, outermost first; an
+    /// error when its length is not a multiple of four.
+    pub fn mpls_entries(&self) -> Result<impl ExactSizeIterator<Item = Lse> + 'a, WartsError> {
         if !self.data.len().is_multiple_of(4) {
             return Err(WartsError::BadIcmpExt { reason: "MPLS data not a multiple of 4 bytes" });
         }
-        let stack = self
-            .data
-            .chunks_exact(4)
-            .map(|c| Lse::from_u32(u32::from_be_bytes([c[0], c[1], c[2], c[3]])))
-            .collect();
-        Ok(Some(stack))
+        let words = self.data.chunks_exact(4);
+        Ok(words.map(|c| Lse::from_u32(u32::from_be_bytes([c[0], c[1], c[2], c[3]]))))
     }
+}
+
+/// The warts ICMP-extension hop parameter, checked and left in the
+/// record body.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ExtBlock<'a>(&'a [u8]);
+
+impl<'a> ExtBlock<'a> {
+    /// Takes the parameter from `cur`, checking that its objects fill
+    /// the declared length exactly.
+    pub fn read(cur: &mut Cursor<'a>) -> Result<Self, WartsError> {
+        let total = cur.u16("icmpext total length")? as usize;
+        let block = cur.bytes(total, "icmpext block")?;
+        let mut inner = Cursor::new(block);
+        while !inner.is_empty() {
+            next_object(&mut inner)?;
+        }
+        Ok(ExtBlock(block))
+    }
+
+    /// The objects, in wire order.
+    pub fn objects(self) -> impl Iterator<Item = ExtObject<'a>> {
+        let mut inner = Cursor::new(self.0);
+        std::iter::from_fn(move || next_object(&mut inner).ok())
+    }
+}
+
+fn next_object<'a>(cur: &mut Cursor<'a>) -> Result<ExtObject<'a>, WartsError> {
+    let dl = cur.u16("icmpext data length")? as usize;
+    let class = cur.u8("icmpext class")?;
+    let kind = cur.u8("icmpext type")?;
+    let data = cur.bytes(dl, "icmpext data")?;
+    Ok(ExtObject { class, kind, data })
 }
 
 /// Encodes a list of extension objects as the warts hop parameter.
@@ -80,22 +144,6 @@ pub fn write_exts(buf: &mut BytesMut, exts: &[IcmpExt]) {
         buf.put_u8(e.kind);
         buf.put_slice(&e.data);
     }
-}
-
-/// Decodes the warts hop parameter into extension objects.
-pub fn read_exts(cur: &mut Cursor<'_>) -> Result<Vec<IcmpExt>, WartsError> {
-    let total = cur.u16("icmpext total length")? as usize;
-    let block = cur.bytes(total, "icmpext block")?;
-    let mut inner = Cursor::new(block);
-    let mut exts = Vec::new();
-    while !inner.is_empty() {
-        let dl = inner.u16("icmpext data length")? as usize;
-        let class = inner.u8("icmpext class")?;
-        let kind = inner.u8("icmpext type")?;
-        let data = inner.bytes(dl, "icmpext data")?.to_vec();
-        exts.push(IcmpExt { class, kind, data });
-    }
-    Ok(exts)
 }
 
 /// Convenience: the first MPLS label stack found among extension
@@ -113,6 +161,10 @@ pub fn mpls_stack_of(exts: &[IcmpExt]) -> Result<Option<LabelStack>, WartsError>
 mod tests {
     use super::*;
     use lpr_core::label::Label;
+
+    fn read_exts(cur: &mut Cursor<'_>) -> Result<Vec<IcmpExt>, WartsError> {
+        Ok(ExtBlock::read(cur)?.objects().map(IcmpExt::from).collect())
+    }
 
     #[test]
     fn mpls_object_roundtrip() {

@@ -573,7 +573,6 @@ impl<R: Read> WartsStreamReader<R> {
             let start = self.offset as u64;
             let result = decode_body(
                 record_type,
-                len,
                 &self.buf[self.buf_pos + 8..self.buf_pos + 8 + len],
                 &mut self.addrs,
                 !self.elide_unsupported,
@@ -613,7 +612,6 @@ impl<R: Read> WartsStreamReader<R> {
 /// nothing is copied at all.
 fn decode_body(
     record_type: u16,
-    len: usize,
     body: &[u8],
     addrs: &mut AddrTableReader,
     keep_unsupported: bool,
@@ -638,13 +636,7 @@ fn decode_body(
             return Ok(Record::Unsupported { record_type: other, body });
         }
     };
-    if !cur.is_empty() {
-        return Err(WartsError::LengthMismatch {
-            record_type,
-            declared: len,
-            consumed: cur.position(),
-        });
-    }
+    cur.expect_consumed(record_type)?;
     Ok(record)
 }
 
@@ -661,7 +653,7 @@ pub fn decode_record_body(
     body: &[u8],
     addrs: &mut AddrTableReader,
 ) -> Result<Record, WartsError> {
-    decode_body(record_type, body.len(), body, addrs, false)
+    decode_body(record_type, body, addrs, false)
 }
 
 impl<R: Read> Iterator for WartsStreamReader<R> {

@@ -6,6 +6,11 @@
 //! file-wide dictionary ([`crate::addr`]); MPLS label stacks ride in
 //! the ICMP-extension hop parameter ([`crate::icmpext`]).
 //!
+//! `walk_trace` is the one reader of the trace and hop parameter
+//! tables. It feeds one of two sinks: [`TraceRecord`] keeps every field, and
+//! [`crate::TraceBuf::decode`] converts each hop into a core trace as it
+//! goes.
+//!
 //! Flag numbers follow scamper's `scamper_file_warts.c`. Deprecated
 //! global-address-id parameters (trace flags 3/4, hop flag 1) are
 //! recognised and rejected with [`WartsError::Unsupported`] rather than
@@ -15,7 +20,7 @@ use crate::addr::{Addr, AddrTableReader, AddrTableWriter};
 use crate::buf::{put_timeval, Cursor};
 use crate::error::WartsError;
 use crate::flags::{read_params, ParamWriter};
-use crate::icmpext::{read_exts, write_exts, IcmpExt};
+use crate::icmpext::{write_exts, ExtBlock, IcmpExt};
 use bytes::{BufMut, BytesMut};
 
 // Trace parameter flags (1-based, scamper order).
@@ -192,9 +197,14 @@ impl HopRecord {
         p.finish_reset(out);
     }
 
-    fn read(cur: &mut Cursor<'_>, addrs: &mut AddrTableReader) -> Result<Self, WartsError> {
+    /// Decodes one hop, leaving its extension objects in the body.
+    fn read<'a>(
+        cur: &mut Cursor<'a>,
+        addrs: &mut AddrTableReader,
+    ) -> Result<(Self, ExtBlock<'a>), WartsError> {
         let (flags, mut params) = read_params(cur, "hop params")?;
         let mut addr = None;
+        let mut exts = ExtBlock::default();
         let mut hop = HopRecord {
             addr: Addr::V4(std::net::Ipv4Addr::UNSPECIFIED),
             probe_ttl: 0,
@@ -239,13 +249,13 @@ impl HopRecord {
                 H_Q_IPTOS => {
                     params.u8("hop quoted tos")?;
                 }
-                H_ICMPEXT => hop.icmp_exts = read_exts(&mut params)?,
+                H_ICMPEXT => exts = ExtBlock::read(&mut params)?,
                 H_ADDR => addr = Some(addrs.read(&mut params)?),
                 _ => return Err(WartsError::Unsupported { feature: "unknown hop flag" }),
             }
         }
         hop.addr = addr.ok_or(WartsError::Unsupported { feature: "hop without address" })?;
-        Ok(hop)
+        Ok((hop, exts))
     }
 }
 
@@ -331,6 +341,18 @@ impl TraceRecord {
 
     /// Decodes a record body, threading the file's address table.
     pub fn read(cur: &mut Cursor<'_>, addrs: &mut AddrTableReader) -> Result<Self, WartsError> {
+        let unspecified = Addr::V4(std::net::Ipv4Addr::UNSPECIFIED);
+        let mut rec = TraceRecord::new(unspecified, unspecified);
+        walk_trace(cur, addrs, &mut rec)?;
+        Ok(rec)
+    }
+
+    /// Decodes the trace parameter block: the record without its hops,
+    /// and the declared hop count.
+    fn read_header(
+        cur: &mut Cursor<'_>,
+        addrs: &mut AddrTableReader,
+    ) -> Result<(Self, u16), WartsError> {
         let (flags, mut params) = read_params(cur, "trace params")?;
         let mut src = None;
         let mut dst = None;
@@ -416,11 +438,46 @@ impl TraceRecord {
         }
         rec.src = src.ok_or(WartsError::Unsupported { feature: "trace without source" })?;
         rec.dst = dst.ok_or(WartsError::Unsupported { feature: "trace without destination" })?;
-        rec.hops.reserve(hop_count as usize);
-        for _ in 0..hop_count {
-            rec.hops.push(HopRecord::read(cur, addrs)?);
-        }
-        Ok(rec)
+        Ok((rec, hop_count))
+    }
+}
+
+/// Receives the parts of a trace record from [`walk_trace`], in wire
+/// order.
+pub(crate) trait TraceSink {
+    /// The trace parameters (with no hops) and the declared hop count,
+    /// before any hop.
+    fn params(&mut self, params: TraceRecord, hop_count: u16);
+    /// One hop. Its extension objects stay in the record body as `exts`;
+    /// `hop.icmp_exts` is empty.
+    fn hop(&mut self, hop: HopRecord, exts: ExtBlock<'_>);
+}
+
+/// Walks one trace record body into `sink`: the parameter block, then
+/// every hop. Its decode errors are the record's, whatever the sink.
+pub(crate) fn walk_trace(
+    cur: &mut Cursor<'_>,
+    addrs: &mut AddrTableReader,
+    sink: &mut impl TraceSink,
+) -> Result<(), WartsError> {
+    let (params, hop_count) = TraceRecord::read_header(cur, addrs)?;
+    sink.params(params, hop_count);
+    for _ in 0..hop_count {
+        let (hop, exts) = HopRecord::read(cur, addrs)?;
+        sink.hop(hop, exts);
+    }
+    Ok(())
+}
+
+impl TraceSink for TraceRecord {
+    fn params(&mut self, params: TraceRecord, hop_count: u16) {
+        *self = params;
+        self.hops.reserve(hop_count as usize);
+    }
+
+    fn hop(&mut self, mut hop: HopRecord, exts: ExtBlock<'_>) {
+        hop.icmp_exts = exts.objects().map(IcmpExt::from).collect();
+        self.hops.push(hop);
     }
 }
 
