@@ -24,7 +24,7 @@
 
 #![deny(unsafe_code)]
 
-use lpr_core::pipeline::Pipeline;
+use lpr_core::pipeline::{IngestState, Pipeline};
 use lpr_core::prelude::*;
 use lpr_obs::json::JsonValue;
 use lpr_obs::Recorder;
@@ -749,7 +749,9 @@ fn pipeline(args: &[String]) -> i32 {
             persistence_window: future.len(),
             ..Default::default()
         });
-        let out = pipeline.run_par_recorded(&decoded, world.rib(), &future, threads, rec);
+        let opts = lpr_par::ShardOptions::new(threads);
+        let ingest = IngestState::from_traces(&decoded, world.rib(), rec, opts);
+        let out = pipeline.finish_stages(ingest, &future, rec, opts);
         (out, sw.elapsed_us().max(1))
     };
 
@@ -1518,7 +1520,7 @@ fn out_of_core_demo(
         persistence_window: future.len(),
         ..Default::default()
     });
-    let reference = pl.run_par_recorded(&ref_traces, world.rib(), &future, 1, None);
+    let reference = pl.run(&ref_traces, world.rib(), &future);
     drop(ref_traces);
 
     // The same future keys, as sorted on-disk spill files.
@@ -2118,10 +2120,12 @@ fn chaos(args: &[String]) -> i32 {
     // `CHAOS_THREADS`, returning the sequential output and whether all
     // counts agreed byte-for-byte.
     let run_all = |input: &[lpr_core::trace::Trace]| {
-        let reference = pipeline.run_par_recorded(input, world.rib(), &future, 1, None);
+        let reference = pipeline.run(input, world.rib(), &future);
         let mut matches_all = true;
         for &threads in &CHAOS_THREADS[1..] {
-            let out = pipeline.run_par_recorded(input, world.rib(), &future, threads, None);
+            let opts = lpr_par::ShardOptions::new(threads);
+            let ingest = IngestState::from_traces(input, world.rib(), None, opts);
+            let out = pipeline.finish_stages(ingest, &future, None, opts);
             if out != reference {
                 matches_all = false;
             }
@@ -2965,7 +2969,7 @@ fn batch_pipeline_render(
     rib: &ip2as::Ip2AsTrie,
     threads: usize,
 ) -> String {
-    let mut window = lpr_core::pipeline::IngestState::default();
+    let mut window = IngestState::default();
     for (cycle, path) in kept {
         let corpus = lpr_corpus::Corpus::open_with(std::slice::from_ref(path), false, None)
             .expect("batch reopen of a kept spool file");

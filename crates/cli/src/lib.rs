@@ -413,7 +413,9 @@ pub fn run_pipeline_recorded(
     if o.alias_rescue {
         pipeline = pipeline.with_alias_rescue();
     }
-    let output = pipeline.run_par_recorded(&traces, &rib, &future, threads, recorder);
+    let opts = lpr_par::ShardOptions::new(threads);
+    let ingest = lpr_core::IngestState::from_traces(&traces, &rib, recorder, opts);
+    let output = pipeline.finish_stages(ingest, &future, recorder, opts);
     tracer.set_default_parent(outer_parent);
     drop(cycle_span);
     let trace_count = traces.len() as u64;

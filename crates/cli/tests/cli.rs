@@ -167,3 +167,20 @@ fn serve_flag_parsing_rejects_bad_input() {
     let e = run(&s(&["serve", "--spool", "x", "--rib", "r", "--bogus"]), &mut buf).unwrap_err();
     assert!(e.to_string().contains("--bogus"), "{e}");
 }
+
+#[test]
+fn metrics_report_the_thread_count_in_memory_and_out_of_core() {
+    let tmp = Tmp::new("metrics-threads");
+    let (warts, rib) = demo_files(&tmp);
+    for (tag, extra) in [("mem", None), ("ooc", Some("--out-of-core"))] {
+        let metrics = tmp.path(&format!("{tag}.json"));
+        let mut args = vec!["classify", "--rib", &rib, &warts, "--threads", "4"];
+        args.extend(extra);
+        args.extend(["--metrics", &metrics]);
+        run(&s(&args), &mut Vec::new()).unwrap();
+        let telemetry =
+            lpr_obs::RunTelemetry::from_json(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        assert_eq!(telemetry.threads, 4, "{tag}: telemetry threads");
+        assert!(!telemetry.worker_stages("Classification").is_empty(), "{tag}: worker rows");
+    }
+}

@@ -4,74 +4,52 @@
 //! extraction + the fused per-LSP filters) and per IOTP
 //! (classification). This module shards that work over
 //! [`lpr_par::map_shards`] while keeping the output **byte-identical**
-//! to the sequential [`Pipeline::run`] for any thread count:
+//! for any thread count:
 //!
-//! - Traces are cut into contiguous shards; each worker runs its own
-//!   [`CycleAccumulator`]-style ingest over its shard and hands back an
-//!   owned [`IngestState`]. Merging shard states *in shard order*
-//!   reproduces the sequential LSP order exactly, and every count is a
-//!   plain sum.
+//! - [`IngestState::from_traces`] cuts traces into contiguous shards;
+//!   each worker runs its own [`CycleAccumulator`] over its shard and
+//!   hands back an owned [`IngestState`]. Merging shard states *in
+//!   shard order* reproduces the sequential LSP order exactly, and
+//!   every count is a plain sum.
 //! - The aggregate stages (TransitDiversity → Persistence →
-//!   classification) then run through the same
-//!   [`Pipeline::finish_stages`] the sequential path uses, which in
-//!   turn shards the per-LSP persistence probe and the per-IOTP
-//!   classification.
+//!   classification) then run through [`Pipeline::finish_stages`],
+//!   which in turn shards the per-LSP persistence probe and the
+//!   per-IOTP classification.
 //!
-//! With `threads <= 1` every shard runs inline on the caller's thread —
-//! the parallel entry points *are* the sequential pipeline then, not an
-//! emulation of it.
+//! With `threads <= 1` every shard runs inline on the caller's thread,
+//! so [`Pipeline::run`] is this same path at one thread, not a separate
+//! sequential implementation.
 
 use crate::filter::{lsp_keys_of_tunnels, AsMapper};
 use crate::lsp::LspKey;
-use crate::pipeline::{IngestState, Pipeline, PipelineOutput};
+use crate::pipeline::{IngestState, Pipeline};
 use crate::quarantine::QuarantineReason;
 use crate::stream::CycleAccumulator;
 use crate::trace::Trace;
 use crate::tunnel::RawTunnel;
 use lpr_par::ShardOptions;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-impl Pipeline {
-    /// Parallel [`Pipeline::run`]: identical output, sharded across
-    /// `threads` workers (`0` means the machine's available
-    /// parallelism).
-    pub fn run_par(
-        &self,
-        traces: &[Trace],
-        mapper: &(dyn AsMapper + Sync),
-        future_keys: &[BTreeSet<LspKey>],
-        threads: usize,
-    ) -> PipelineOutput {
-        self.run_par_recorded(traces, mapper, future_keys, threads, None)
-    }
-
-    /// [`Pipeline::run_par`] with instrumentation.
+impl IngestState {
+    /// The ingest half of the pipeline over a trace slice: validation,
+    /// tunnel extraction and the fused per-LSP filters, sharded across
+    /// `opts` workers and merged in shard order. Feed the result to
+    /// [`Pipeline::finish_stages`].
     ///
-    /// Aggregate stage rows match the sequential telemetry (same names,
-    /// same input/output counts; per-LSP stage times are summed worker
-    /// CPU time in a parallel run). When more than one worker actually
-    /// runs, additional `worker{N}/<stage>` rows record each worker's
-    /// busy time and item counts, and the run's `threads` field is set.
-    pub fn run_par_recorded(
-        &self,
+    /// Shards are caught: a panicking worker poisons only its own
+    /// shard, whose traces are then quarantined wholesale as
+    /// [`QuarantineReason::PoisonedShard`] instead of tearing down the
+    /// run. When more than one worker runs, `recorder` gets one
+    /// `worker{N}/Ingest` row per worker (busy time, traces in, LSPs
+    /// out).
+    pub fn from_traces(
         traces: &[Trace],
         mapper: &(dyn AsMapper + Sync),
-        future_keys: &[BTreeSet<LspKey>],
-        threads: usize,
         recorder: Option<&lpr_obs::Recorder>,
-    ) -> PipelineOutput {
-        let opts = ShardOptions::new(threads);
-        let parallel = opts.effective_threads() > 1;
-        if let Some(rec) = recorder {
-            rec.set_threads(opts.effective_threads() as u64);
-        }
+        opts: ShardOptions,
+    ) -> IngestState {
         let disabled = lpr_obs::Tracer::disabled();
         let tracer = recorder.map_or(&disabled, |r| r.tracer());
-
-        // Shards are caught: a panicking worker closure poisons only its
-        // own shard, whose traces are then quarantined wholesale instead
-        // of tearing down the run (the panic itself is deterministic per
-        // shard, so so is the quarantine).
         let ingest_span = tracer.span("stage:Ingest");
         let run = lpr_par::map_shards_traced(
             traces,
@@ -87,13 +65,14 @@ impl Pipeline {
         );
 
         // Shard-order merge: LSPs concatenate in input order, counts sum.
-        let mut shard_outputs = Vec::with_capacity(run.outputs.len());
         let mut ingest = IngestState::default();
+        let mut surviving: BTreeMap<usize, u64> = BTreeMap::new(); // LSPs per worker
         let mut poisoned = 0u64;
         for (shard, result) in run.outputs.into_iter().enumerate() {
             match result {
                 Ok(state) => {
-                    shard_outputs.push((shard, state.lsps.len() as u64));
+                    let worker = run.shard_workers.get(shard).copied().unwrap_or(0);
+                    *surviving.entry(worker).or_default() += state.lsps.len() as u64;
                     ingest.merge(state);
                 }
                 Err(_poisoned_shard) => {
@@ -102,52 +81,35 @@ impl Pipeline {
                     // lands in the per-cycle provenance like any other.
                     let mut degraded = crate::quarantine::DegradedReport::default();
                     degraded.note_many(QuarantineReason::PoisonedShard, n);
-                    ingest.merge(IngestState {
-                        traces_in: n,
-                        degraded,
-                        ..IngestState::default()
-                    });
+                    ingest.merge(IngestState { traces_in: n, degraded, ..IngestState::default() });
                     poisoned += 1;
-                    shard_outputs.push((shard, 0));
                 }
             }
         }
         drop(ingest_span);
+
         if let Some(rec) = recorder {
             if poisoned > 0 {
                 rec.counter(lpr_obs::names::PAR_POISONED_SHARDS).add(poisoned);
             }
-        }
-
-        if let Some(rec) = recorder {
-            if parallel {
-                let mut per_worker: std::collections::BTreeMap<usize, u64> =
-                    std::collections::BTreeMap::new();
-                for (shard, surviving) in &shard_outputs {
-                    let w = run.shard_workers.get(*shard).copied().unwrap_or(0);
-                    *per_worker.entry(w).or_default() += surviving;
-                }
+            if opts.effective_threads() > 1 {
                 for stat in &run.workers {
-                    let surviving = per_worker.get(&stat.worker).copied().unwrap_or(0);
-                    rec.record_worker_stage(
-                        stat.worker,
-                        "Ingest",
-                        stat.busy_us,
-                        stat.items,
-                        surviving,
-                    );
+                    let out = surviving.get(&stat.worker).copied().unwrap_or(0);
+                    rec.record_worker_stage(stat.worker, "Ingest", stat.busy_us, stat.items, out);
                 }
             }
         }
-
-        self.finish_stages(ingest, future_keys, recorder, opts)
+        ingest
     }
+}
 
-    /// Parallel [`Pipeline::snapshot_keys`]: the per-snapshot LSP key
-    /// sets the Persistence filter matches against, computed by sharding
-    /// traces across workers and unioning the per-shard key sets (a set
-    /// union is order-insensitive, so the result is identical to the
-    /// sequential one).
+impl Pipeline {
+    /// The per-snapshot LSP key set the Persistence filter matches
+    /// against, computed by sharding traces across `threads` workers
+    /// and unioning the per-shard key sets (a set union is
+    /// order-insensitive, so the result is identical at any thread
+    /// count). Quarantined traces contribute no keys, matching what an
+    /// ingest run over the same snapshot would keep.
     pub fn snapshot_keys_par(traces: &[Trace], threads: usize) -> BTreeSet<LspKey> {
         let run = lpr_par::map_shards(traces, ShardOptions::new(threads), |_, shard| {
             let mut tunnels: Vec<RawTunnel> = Vec::new();
@@ -171,6 +133,7 @@ mod tests {
     use super::*;
     use crate::label::Lse;
     use crate::lsp::Asn;
+    use crate::pipeline::PipelineOutput;
     use crate::trace::Hop;
     use std::net::Ipv4Addr;
 
@@ -217,6 +180,21 @@ mod tests {
         traces
     }
 
+    /// The in-memory pipeline at `threads`: `from_traces`, then
+    /// `finish_stages` over one future snapshot.
+    fn run_at(
+        pipeline: &Pipeline,
+        traces: &[Trace],
+        mapper: &(dyn AsMapper + Sync),
+        keys: &BTreeSet<LspKey>,
+        threads: usize,
+        recorder: Option<&lpr_obs::Recorder>,
+    ) -> PipelineOutput {
+        let opts = ShardOptions::new(threads);
+        let ingest = IngestState::from_traces(traces, mapper, recorder, opts);
+        pipeline.finish_stages(ingest, std::slice::from_ref(keys), recorder, opts)
+    }
+
     #[test]
     fn parallel_run_is_byte_identical_to_sequential() {
         let traces = workload();
@@ -224,7 +202,7 @@ mod tests {
         let pipeline = Pipeline::default();
         let seq = pipeline.run(&traces, &mapper, std::slice::from_ref(&keys));
         for threads in [1usize, 2, 3, 4, 8] {
-            let par = pipeline.run_par(&traces, &mapper, std::slice::from_ref(&keys), threads);
+            let par = run_at(&pipeline, &traces, &mapper, &keys, threads, None);
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -245,7 +223,7 @@ mod tests {
         let mut pipeline = Pipeline::default().with_alias_rescue();
         pipeline.skip_transit_diversity = true;
         let seq = pipeline.run(&traces, &mapper, std::slice::from_ref(&keys));
-        let par = pipeline.run_par(&traces, &mapper, std::slice::from_ref(&keys), 4);
+        let par = run_at(&pipeline, &traces, &mapper, &keys, 4, None);
         assert_eq!(par, seq);
     }
 
@@ -256,8 +234,7 @@ mod tests {
         let pipeline = Pipeline::default();
 
         let rec = lpr_obs::Recorder::new("par");
-        let out =
-            pipeline.run_par_recorded(&traces, &mapper, std::slice::from_ref(&keys), 4, Some(&rec));
+        let out = run_at(&pipeline, &traces, &mapper, &keys, 4, Some(&rec));
         let telemetry = rec.finish();
         assert_eq!(telemetry.threads, 4);
 
@@ -318,7 +295,7 @@ mod tests {
         assert_eq!(seq.degraded.quarantined_total(), 3);
         assert_eq!(seq.degraded.ingested(), traces.len() as u64);
         for threads in [1usize, 2, 3, 4, 8] {
-            let par = pipeline.run_par(&traces, &mapper, std::slice::from_ref(&keys), threads);
+            let par = run_at(&pipeline, &traces, &mapper, &keys, threads, None);
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -327,7 +304,8 @@ mod tests {
     fn panicking_worker_quarantines_its_shard() {
         // A mapper that panics on one sentinel address: the shard
         // holding that trace is quarantined as PoisonedShard, every
-        // other shard classifies normally and the run completes.
+        // other shard classifies normally and the run completes — at
+        // one thread (`Pipeline::run`) as at four.
         let bomb = Ipv4Addr::new(10, 66, 0, 1);
         let volatile_mapper = move |addr: Ipv4Addr| -> Option<Asn> {
             assert_ne!(addr, bomb, "mapper hit the poisoned address");
@@ -344,11 +322,12 @@ mod tests {
         t.hops[0] = Hop::responsive(1, bomb);
         traces.insert(traces.len() / 2, t);
 
-        let keys = Pipeline::snapshot_keys_par(&traces, 1);
+        let keys = Pipeline::snapshot_keys(&traces);
         let pipeline = Pipeline::default();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let out = pipeline.run_par(&traces, &volatile_mapper, std::slice::from_ref(&keys), 4);
+        let out = run_at(&pipeline, &traces, &volatile_mapper, &keys, 4, None);
+        let seq = pipeline.run(&traces, &volatile_mapper, std::slice::from_ref(&keys));
         std::panic::set_hook(prev);
 
         use crate::quarantine::QuarantineReason;
@@ -361,6 +340,9 @@ mod tests {
         assert_eq!(out.degraded.ingested(), traces.len() as u64);
         assert_eq!(out.degraded.kept, n_clean as u64 + 1 - poisoned);
         assert!(!out.iotps.is_empty(), "surviving shards still classify");
+        let seq_poisoned = seq.degraded.quarantined[&QuarantineReason::PoisonedShard];
+        assert!(seq_poisoned >= 1 && seq_poisoned < traces.len() as u64);
+        assert_eq!(seq.degraded.ingested(), traces.len() as u64);
     }
 
     #[test]
@@ -368,13 +350,7 @@ mod tests {
         let traces = workload();
         let keys = Pipeline::snapshot_keys(&traces);
         let rec = lpr_obs::Recorder::new("seq");
-        Pipeline::default().run_par_recorded(
-            &traces,
-            &mapper,
-            std::slice::from_ref(&keys),
-            1,
-            Some(&rec),
-        );
+        run_at(&Pipeline::default(), &traces, &mapper, &keys, 1, Some(&rec));
         let telemetry = rec.finish();
         assert_eq!(telemetry.threads, 1);
         assert!(telemetry.worker_stages("Ingest").is_empty());

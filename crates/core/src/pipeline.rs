@@ -1,20 +1,30 @@
 //! End-to-end LPR pipeline: traces in, classified IOTPs out (Fig. 3).
 //!
-//! [`Pipeline::run`] chains tunnel extraction, the five filters and the
-//! classification, and returns both the classified IOTPs and the
-//! bookkeeping needed by the paper's evaluation (Table 1 survival
-//! proportions, dynamic-AS tags, per-class tallies).
+//! The pipeline has two halves. The *ingest* half (tunnel extraction
+//! plus the fused per-LSP filters) produces an [`IngestState`]; three
+//! producers build one, one per input kind:
+//!
+//! - [`IngestState::from_traces`] over an in-memory trace slice,
+//!   sharded across workers;
+//! - [`crate::stream::CycleAccumulator`], fed one trace at a time;
+//! - `lpr_corpus::ingest_cycle`, over an indexed on-disk corpus.
+//!
+//! The *aggregate* half (TransitDiversity, Persistence, classification)
+//! has one implementation, [`Pipeline::finish_stages_windowed`] (with
+//! its in-memory-window wrapper [`Pipeline::finish_stages`]). It
+//! returns the classified IOTPs and the bookkeeping the paper's
+//! evaluation needs (Table 1 survival proportions, dynamic-AS tags,
+//! per-class tallies). [`Pipeline::run`] is `from_traces` plus
+//! `finish_stages` at one thread.
 
 use crate::classify::{classify_iotp, Class, Classification};
 use crate::filter::{
-    attribute_and_filter, build_iotps, iotp_kept, lsp_keys_of_tunnels, partition_by_flags,
-    persistent_flags, reinject_dynamic, transit_diversity_keys, AsMapper, FilterConfig,
-    FilterReport, FilterStage,
+    build_iotps, iotp_kept, partition_by_flags, persistent_flags, reinject_dynamic,
+    transit_diversity_keys, AsMapper, FilterConfig, FilterReport, FilterStage,
 };
 use crate::lsp::{Asn, Iotp, IotpKey, Lsp, LspKey};
-use crate::quarantine::{validate_trace, DegradedReport};
+use crate::quarantine::DegradedReport;
 use crate::trace::Trace;
-use crate::tunnel::{extract_tunnels_into, RawTunnel};
 use std::collections::BTreeSet;
 
 /// The LPR pipeline.
@@ -44,8 +54,7 @@ pub struct PipelineOutput {
     pub report: FilterReport,
     /// ASes tagged dynamic by the Persistence filter (§4.5).
     pub dynamic_ases: BTreeSet<Asn>,
-    /// Kept/quarantined trace accounting from ingest (all-kept when the
-    /// run started from pre-extracted tunnels).
+    /// Kept/quarantined trace accounting from ingest.
     pub degraded: DegradedReport,
 }
 
@@ -226,7 +235,7 @@ impl CycleSegment {
 pub struct IngestState {
     /// LSPs surviving the per-LSP filters, in input order.
     pub lsps: Vec<Lsp>,
-    /// Traces ingested (0 when the caller started from raw tunnels).
+    /// Traces ingested.
     pub traces_in: u64,
     /// Tunnels entering the filter pipeline.
     pub input: usize,
@@ -384,117 +393,34 @@ impl Pipeline {
         self
     }
 
-    /// Runs LPR over one cycle of traces.
+    /// Runs LPR over one cycle of traces at one thread.
     ///
     /// `future_keys` carries, for each of the following snapshots of the
     /// same month (in order), the set of LSP keys observed there; it
     /// feeds the Persistence filter. Pass `&[]` (with
     /// `persistence_window = 0`) to skip persistence, as Fig. 16 does.
+    /// For more threads or telemetry, compose
+    /// [`IngestState::from_traces`] and [`Pipeline::finish_stages`]
+    /// directly.
     pub fn run(
         &self,
         traces: &[Trace],
-        mapper: &dyn AsMapper,
+        mapper: &(dyn AsMapper + Sync),
         future_keys: &[BTreeSet<LspKey>],
     ) -> PipelineOutput {
-        self.run_recorded(traces, mapper, future_keys, None)
-    }
-
-    /// [`Pipeline::run`] with instrumentation: stage wall times and
-    /// input/output tallies land in `recorder` (stage names match
-    /// [`FilterStage::name`], so the telemetry reconciles with the
-    /// returned [`FilterReport`]).
-    pub fn run_recorded(
-        &self,
-        traces: &[Trace],
-        mapper: &dyn AsMapper,
-        future_keys: &[BTreeSet<LspKey>],
-        recorder: Option<&lpr_obs::Recorder>,
-    ) -> PipelineOutput {
-        let sw = lpr_obs::Stopwatch::start();
-        // Quarantine structurally-broken traces before extraction: the
-        // tunnel extractor (and everything after) assumes the
-        // strictly-increasing-TTL ladder `validate_trace` checks.
-        let mut degraded = DegradedReport::default();
-        let mut tunnels: Vec<RawTunnel> = Vec::new();
-        for trace in traces {
-            match validate_trace(trace) {
-                Ok(()) => {
-                    degraded.kept += 1;
-                    extract_tunnels_into(trace, &mut tunnels);
-                }
-                Err(reason) => degraded.note(reason),
-            }
-        }
-        let extraction_us = sw.elapsed_us();
-
-        let sw = lpr_obs::Stopwatch::start();
-        // IncompleteLsp + IntraAs + TargetAs (one fused pass).
-        let attributed = attribute_and_filter(&tunnels, mapper);
-        let ingest = IngestState {
-            lsps: attributed.lsps,
-            traces_in: traces.len() as u64,
-            input: tunnels.len(),
-            after_incomplete: attributed.after_incomplete,
-            after_intra_as: attributed.after_intra_as,
-            extraction_us,
-            attribution_us: sw.elapsed_us(),
-            degraded,
-            segments: Vec::new(),
-        };
-        self.finish_stages(ingest, future_keys, recorder, lpr_par::ShardOptions::new(1))
-    }
-
-    /// Runs LPR over already-extracted tunnels (useful when the caller
-    /// streams warts records and extracts incrementally).
-    pub fn run_on_tunnels(
-        &self,
-        tunnels: &[RawTunnel],
-        mapper: &dyn AsMapper,
-        future_keys: &[BTreeSet<LspKey>],
-    ) -> PipelineOutput {
-        self.run_on_tunnels_recorded(tunnels, mapper, future_keys, None)
-    }
-
-    /// [`Pipeline::run_on_tunnels`] with instrumentation (see
-    /// [`Pipeline::run_recorded`]).
-    ///
-    /// The three per-LSP filters (IncompleteLsp, IntraAS, TargetAS) run
-    /// fused in a single pass; the pass's wall time is reported on the
-    /// first stage and the fused stages report `wall_us = 0`. Counts
-    /// are exact for every stage.
-    pub fn run_on_tunnels_recorded(
-        &self,
-        tunnels: &[RawTunnel],
-        mapper: &dyn AsMapper,
-        future_keys: &[BTreeSet<LspKey>],
-        recorder: Option<&lpr_obs::Recorder>,
-    ) -> PipelineOutput {
-        let sw = lpr_obs::Stopwatch::start();
-        // IncompleteLsp + IntraAs + TargetAs (one fused pass).
-        let attributed = attribute_and_filter(tunnels, mapper);
-        let ingest = IngestState {
-            lsps: attributed.lsps,
-            traces_in: 0,
-            input: tunnels.len(),
-            after_incomplete: attributed.after_incomplete,
-            after_intra_as: attributed.after_intra_as,
-            extraction_us: 0,
-            attribution_us: sw.elapsed_us(),
-            degraded: DegradedReport::default(),
-            segments: Vec::new(),
-        };
-        self.finish_stages(ingest, future_keys, recorder, lpr_par::ShardOptions::new(1))
+        let one = lpr_par::ShardOptions::new(1);
+        let ingest = IngestState::from_traces(traces, mapper, None, one);
+        self.finish_stages(ingest, future_keys, None, one)
     }
 
     /// The aggregate back half of the pipeline — TransitDiversity,
     /// Persistence, classification — over an already-ingested
     /// [`IngestState`].
     ///
-    /// This is the **single** implementation both the sequential and
-    /// parallel front ends funnel into (`opts` with one thread runs
-    /// every shard inline on the caller's thread), so the two paths
-    /// cannot drift: determinism of the parallel pipeline reduces to
-    /// determinism of the shard merges.
+    /// Every ingest producer funnels into this one implementation
+    /// (`opts` with one thread runs every shard inline on the caller's
+    /// thread), so the paths cannot drift: determinism at any thread
+    /// count reduces to determinism of the shard merges.
     pub fn finish_stages(
         &self,
         ingest: IngestState,
@@ -515,6 +441,11 @@ impl Pipeline {
     /// probes sorted on-disk key files (hence the `io::Result`); it
     /// computes flags in one aggregate merge-join pass, so no per-worker
     /// Persistence telemetry rows are emitted on that path.
+    ///
+    /// With a `recorder`, the run's `threads` field is set from `opts`
+    /// and, when more than one worker runs, per-worker
+    /// `worker{N}/<stage>` rows record each worker's busy time and item
+    /// counts.
     pub fn finish_stages_windowed(
         &self,
         ingest: IngestState,
@@ -566,32 +497,21 @@ impl Pipeline {
                     |_, shard| persistent_flags(shard, future_keys, &self.config),
                 )
                 .expect_ok();
-                let mut flag_outputs = Vec::new();
+                // `(input, output)` LSPs per worker.
+                let mut per_worker: std::collections::BTreeMap<usize, (u64, u64)> =
+                    std::collections::BTreeMap::new();
                 let mut flags: Vec<bool> = Vec::with_capacity(lsps.len());
                 for (shard, out) in flags_run.outputs.into_iter().enumerate() {
-                    flag_outputs.push((
-                        shard,
-                        out.iter().filter(|&&f| f).count() as u64,
-                        out.len() as u64,
-                    ));
+                    let w = flags_run.shard_workers.get(shard).copied().unwrap_or(0);
+                    let e = per_worker.entry(w).or_default();
+                    e.0 += out.len() as u64;
+                    e.1 += out.iter().filter(|&&f| f).count() as u64;
                     flags.extend(out);
                 }
                 if parallel {
-                    let mut per_worker: std::collections::BTreeMap<usize, (u64, u64)> =
-                        std::collections::BTreeMap::new();
-                    for (shard, kept_n, len) in &flag_outputs {
-                        let w = flags_run.shard_workers.get(*shard).copied().unwrap_or(0);
-                        let e = per_worker.entry(w).or_default();
-                        e.0 += len;
-                        e.1 += kept_n;
-                    }
-                    for (w, (input, output)) in &per_worker {
-                        let busy = flags_run
-                            .workers
-                            .iter()
-                            .find(|s| s.worker == *w)
-                            .map_or(0, |s| s.busy_us);
-                        persist_rows.push((*w, busy, *input, *output));
+                    for (w, (input, output)) in per_worker {
+                        let busy = flags_run.workers.iter().find(|s| s.worker == w);
+                        persist_rows.push((w, busy.map_or(0, |s| s.busy_us), input, output));
                     }
                 }
                 flags
@@ -646,6 +566,7 @@ impl Pipeline {
             degraded: ingest.degraded,
         };
         if let Some(rec) = recorder {
+            rec.set_threads(opts.effective_threads() as u64);
             if ingest.traces_in > 0 {
                 rec.record_stage(
                     "TunnelExtraction",
@@ -718,18 +639,10 @@ impl Pipeline {
         Ok(output)
     }
 
-    /// Convenience: the per-snapshot LSP key sets used by Persistence,
-    /// computed from raw traces.
+    /// The per-snapshot LSP key set used by Persistence, computed from
+    /// raw traces at one thread (see [`Pipeline::snapshot_keys_par`]).
     pub fn snapshot_keys(traces: &[Trace]) -> BTreeSet<LspKey> {
-        // Quarantined traces contribute no keys, matching what an ingest
-        // run over the same snapshot would keep.
-        let mut tunnels: Vec<RawTunnel> = Vec::new();
-        for trace in traces {
-            if validate_trace(trace).is_ok() {
-                extract_tunnels_into(trace, &mut tunnels);
-            }
-        }
-        lsp_keys_of_tunnels(&tunnels)
+        Self::snapshot_keys_par(traces, 1)
     }
 }
 
@@ -770,6 +683,18 @@ mod tests {
             198 => Some(Asn(101)),
             _ => None,
         }
+    }
+
+    /// [`Pipeline::run`] with a recorder attached.
+    fn run_recorded(
+        pipeline: &Pipeline,
+        traces: &[Trace],
+        future_keys: &[BTreeSet<LspKey>],
+        rec: &lpr_obs::Recorder,
+    ) -> PipelineOutput {
+        let one = lpr_par::ShardOptions::new(1);
+        let ingest = IngestState::from_traces(traces, &mapper, Some(rec), one);
+        pipeline.finish_stages(ingest, future_keys, Some(rec), one)
     }
 
     /// A trace crossing AS1's two-LSR tunnel towards `dst`.
@@ -871,8 +796,7 @@ mod tests {
         ];
         let keys = Pipeline::snapshot_keys(&traces);
         let rec = lpr_obs::Recorder::new("test");
-        let out =
-            Pipeline::default().run_recorded(&traces, &mapper, &[keys.clone(), keys], Some(&rec));
+        let out = run_recorded(&Pipeline::default(), &traces, &[keys.clone(), keys], &rec);
         let telemetry = rec.finish();
 
         // Filter stages chain exactly: input of stage k equals output of
@@ -903,8 +827,7 @@ mod tests {
         let keys = Pipeline::snapshot_keys(&traces);
         let rec = lpr_obs::Recorder::new("test");
         let plain = Pipeline::default().run(&traces, &mapper, std::slice::from_ref(&keys));
-        let recorded =
-            Pipeline::default().run_recorded(&traces, &mapper, &[keys], Some(&rec));
+        let recorded = run_recorded(&Pipeline::default(), &traces, &[keys], &rec);
         assert_eq!(plain.report, recorded.report);
         assert_eq!(plain.class_counts(), recorded.class_counts());
     }
@@ -928,12 +851,7 @@ mod tests {
         assert_eq!(keys, Pipeline::snapshot_keys(&clean), "quarantined traces yield no keys");
 
         let rec = lpr_obs::Recorder::new("degraded");
-        let out = Pipeline::default().run_recorded(
-            &broken,
-            &mapper,
-            std::slice::from_ref(&keys),
-            Some(&rec),
-        );
+        let out = run_recorded(&Pipeline::default(), &broken, std::slice::from_ref(&keys), &rec);
         assert_eq!(out.degraded.kept, 2);
         assert_eq!(out.degraded.quarantined[&QuarantineReason::DuplicateTtl], 1);
         assert_eq!(out.degraded.quarantined[&QuarantineReason::NonMonotonicTtl], 1);

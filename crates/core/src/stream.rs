@@ -4,9 +4,10 @@
 //! raw trace in memory before running [`crate::pipeline::Pipeline`] is
 //! wasteful when the per-LSP filters (IncompleteLsp, IntraAs, TargetAs)
 //! can run trace by trace as a warts file is read. [`CycleAccumulator`]
-//! does exactly that: push traces (or pre-extracted tunnels) one at a
-//! time — only the surviving [`Lsp`]s are retained — then finish with
-//! the aggregate stages (TransitDiversity, Persistence, classification).
+//! does exactly that: push traces one at a time — only the surviving
+//! [`crate::lsp::Lsp`]s are retained — then hand its [`IngestState`] to
+//! [`crate::pipeline::Pipeline::finish_stages`] for the aggregate stages
+//! (TransitDiversity, Persistence, classification).
 //!
 //! ```
 //! use lpr_core::prelude::*;
@@ -22,17 +23,16 @@
 //! for trace in &traces {
 //!     acc.push_trace(trace); // e.g. while streaming a warts file
 //! }
-//! let out = acc.finish(&Pipeline::default(), &[]);
+//! let one_thread = lpr_par::ShardOptions::new(1);
+//! let out = Pipeline::default().finish_stages(acc.into_state(), &[], None, one_thread);
 //! # assert_eq!(out.iotps.len(), 0);
 //! ```
 
 use crate::filter::{attribute_and_filter, AsMapper};
-use crate::lsp::LspKey;
-use crate::pipeline::{IngestState, Pipeline, PipelineOutput};
+use crate::pipeline::IngestState;
 use crate::quarantine::validate_trace;
 use crate::trace::Trace;
 use crate::tunnel::{extract_tunnels_into, RawTunnel};
-use std::collections::BTreeSet;
 
 /// Incremental, bounded-memory front end of the LPR pipeline.
 pub struct CycleAccumulator<'m> {
@@ -53,8 +53,8 @@ impl<'m> CycleAccumulator<'m> {
     /// Ingests one trace: validates it, extracts its explicit tunnels
     /// and runs the per-LSP filters immediately. Structurally broken
     /// traces are quarantined (counted on the eventual
-    /// [`PipelineOutput::degraded`] report) instead of entering the
-    /// pipeline.
+    /// [`crate::pipeline::PipelineOutput::degraded`] report) instead of
+    /// entering the pipeline.
     pub fn push_trace(&mut self, trace: &Trace) {
         let sw = lpr_obs::Stopwatch::start();
         self.state.traces_in += 1;
@@ -73,9 +73,8 @@ impl<'m> CycleAccumulator<'m> {
         self.scratch = scratch;
     }
 
-    /// Ingests pre-extracted tunnels (e.g. from a custom warts reader
-    /// loop).
-    pub fn push_tunnels(&mut self, tunnels: &[RawTunnel]) {
+    /// Runs the per-LSP filters over one trace's extracted tunnels.
+    fn push_tunnels(&mut self, tunnels: &[RawTunnel]) {
         let sw = lpr_obs::Stopwatch::start();
         self.state.input += tunnels.len();
         let out = attribute_and_filter(tunnels, self.mapper);
@@ -91,36 +90,11 @@ impl<'m> CycleAccumulator<'m> {
     }
 
     /// Hands back the accumulated ingest state — an owned, `Send`-able
-    /// value the parallel pipeline's workers return across thread
-    /// boundaries (the accumulator itself borrows its mapper and
-    /// cannot leave the worker).
+    /// value that [`crate::pipeline::Pipeline::finish_stages`] finishes
+    /// (the accumulator itself borrows its mapper and cannot leave the
+    /// thread that built it).
     pub fn into_state(self) -> IngestState {
         self.state
-    }
-
-    /// Runs the aggregate stages and produces the same
-    /// [`PipelineOutput`] a batch [`Pipeline::run`] would.
-    pub fn finish(self, pipeline: &Pipeline, future_keys: &[BTreeSet<LspKey>]) -> PipelineOutput {
-        self.finish_recorded(pipeline, future_keys, None)
-    }
-
-    /// [`CycleAccumulator::finish`] with instrumentation: the
-    /// accumulated per-push extraction/attribution wall time and the
-    /// aggregate stage timings land in `recorder`, with stage names and
-    /// counts reconciling with the returned [`FilterReport`] exactly as
-    /// in [`Pipeline::run_recorded`].
-    pub fn finish_recorded(
-        self,
-        pipeline: &Pipeline,
-        future_keys: &[BTreeSet<LspKey>],
-        recorder: Option<&lpr_obs::Recorder>,
-    ) -> PipelineOutput {
-        pipeline.finish_stages(
-            self.state,
-            future_keys,
-            recorder,
-            lpr_par::ShardOptions::new(1),
-        )
     }
 }
 
@@ -129,8 +103,10 @@ mod tests {
     use super::*;
     use crate::filter::FilterStage;
     use crate::label::Lse;
-    use crate::lsp::Asn;
+    use crate::lsp::{Asn, LspKey};
+    use crate::pipeline::{Pipeline, PipelineOutput};
     use crate::trace::Hop;
+    use std::collections::BTreeSet;
     use std::net::Ipv4Addr;
 
     fn ip(a: u8, o: u8) -> Ipv4Addr {
@@ -158,6 +134,17 @@ mod tests {
         t
     }
 
+    /// Finishes an accumulator's state at one thread.
+    fn finish(
+        acc: CycleAccumulator<'_>,
+        pipeline: &Pipeline,
+        future_keys: &[BTreeSet<LspKey>],
+        recorder: Option<&lpr_obs::Recorder>,
+    ) -> PipelineOutput {
+        let one = lpr_par::ShardOptions::new(1);
+        pipeline.finish_stages(acc.into_state(), future_keys, recorder, one)
+    }
+
     fn sample_traces() -> Vec<Trace> {
         vec![
             mpls_trace(Ipv4Addr::new(192, 0, 2, 7), [100, 200], [2, 3]),
@@ -178,16 +165,8 @@ mod tests {
         for t in &traces {
             acc.push_trace(t);
         }
-        let streamed = acc.finish(&pipeline, std::slice::from_ref(&keys));
-
-        assert_eq!(streamed.report, batch.report);
-        assert_eq!(streamed.class_counts(), batch.class_counts());
-        assert_eq!(streamed.dynamic_ases, batch.dynamic_ases);
-        assert_eq!(streamed.iotps.len(), batch.iotps.len());
-        for ((ia, ca), (ib, cb)) in streamed.iotps.iter().zip(&batch.iotps) {
-            assert_eq!(ia.key, ib.key);
-            assert_eq!(ca, cb);
-        }
+        let streamed = finish(acc, &pipeline, std::slice::from_ref(&keys), None);
+        assert_eq!(streamed, batch);
     }
 
     #[test]
@@ -205,7 +184,7 @@ mod tests {
             acc.push_trace(&t);
         }
         assert_eq!(acc.retained(), 0, "TargetAS-failing LSPs must not accumulate");
-        let out = acc.finish(&Pipeline::default(), &[]);
+        let out = finish(acc, &Pipeline::default(), &[], None);
         assert_eq!(out.report.input, 100);
         assert!(out.iotps.is_empty());
     }
@@ -219,7 +198,7 @@ mod tests {
         for t in &traces {
             acc.push_trace(t);
         }
-        let out = acc.finish_recorded(&Pipeline::default(), &[keys], Some(&rec));
+        let out = finish(acc, &Pipeline::default(), &[keys], Some(&rec));
         let telemetry = rec.finish();
 
         let extraction = telemetry.stage("TunnelExtraction").unwrap();
@@ -244,7 +223,7 @@ mod tests {
             acc.push_trace(t);
         }
         let keys = Pipeline::snapshot_keys(&traces);
-        let out = acc.finish(&pipeline, std::slice::from_ref(&keys));
+        let out = finish(acc, &pipeline, std::slice::from_ref(&keys), None);
         let batch = pipeline.run(&traces, &mapper, &[keys]);
         assert_eq!(out.report, batch.report, "full FilterReport must agree");
         assert_eq!(out, batch, "streaming and batch outputs must be identical");

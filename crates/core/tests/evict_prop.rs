@@ -10,7 +10,6 @@
 use lpr_core::lsp::Asn;
 use lpr_core::pipeline::{IngestState, Pipeline};
 use lpr_core::prelude::*;
-use lpr_core::stream::CycleAccumulator;
 use lpr_core::trace::Hop;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -73,33 +72,10 @@ struct CycleSpec {
 }
 
 /// Ingests one cycle's traces at the given thread count, producing the
-/// tagged [`IngestState`] the reconcile loop would merge. Threads > 1
-/// shard the traces and merge in shard order (the same discipline
-/// `Pipeline::run_par` follows).
+/// tagged [`IngestState`] the reconcile loop would merge.
 fn ingest_cycle(traces: &[Trace], cycle: u64, threads: usize) -> IngestState {
-    let mut state = IngestState::default();
-    if threads <= 1 {
-        let mut acc = CycleAccumulator::new(&mapper);
-        for t in traces {
-            acc.push_trace(t);
-        }
-        state = acc.into_state();
-    } else {
-        let run = lpr_par::map_shards(
-            traces,
-            lpr_par::ShardOptions::new(threads),
-            |_, shard| {
-                let mut acc = CycleAccumulator::new(&mapper);
-                for t in shard {
-                    acc.push_trace(t);
-                }
-                acc.into_state()
-            },
-        );
-        for shard_state in run.outputs {
-            state.merge(shard_state);
-        }
-    }
+    let mut state =
+        IngestState::from_traces(traces, &mapper, None, lpr_par::ShardOptions::new(threads));
     state.tag_cycle(cycle);
     state
 }

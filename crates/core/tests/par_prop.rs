@@ -1,14 +1,16 @@
-//! Property tests for the parallel pipeline front end (`lpr-par`
-//! sharding): for *any* random trace set and *any* thread count the
-//! parallel entry points must be byte-identical to their sequential
-//! counterparts, and the per-worker telemetry rows must sum-reconcile
-//! with the aggregate stage rows.
+//! Property tests for the pipeline's ingest producers: for *any*
+//! random trace set, the sharded producer at *any* thread count and the
+//! streaming [`CycleAccumulator`] fed trace by trace must both finish to
+//! output byte-identical to [`Pipeline::run`], and the per-worker
+//! telemetry rows must sum-reconcile with the aggregate stage rows.
 
 use lpr_core::filter::FilterStage;
 use lpr_core::label::Lse;
 use lpr_core::lsp::Asn;
-use lpr_core::pipeline::Pipeline;
+use lpr_core::pipeline::{IngestState, Pipeline};
+use lpr_core::stream::CycleAccumulator;
 use lpr_core::trace::{Hop, Trace};
+use lpr_par::ShardOptions;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -92,12 +94,23 @@ proptest! {
     ) {
         let keys = Pipeline::snapshot_keys(&future);
         let pipeline = Pipeline::default();
-        let seq = pipeline.run(&primary, &mapper, std::slice::from_ref(&keys));
+        let future = std::slice::from_ref(&keys);
+        let seq = pipeline.run(&primary, &mapper, future);
         for threads in 1usize..=8 {
-            let par =
-                pipeline.run_par(&primary, &mapper, std::slice::from_ref(&keys), threads);
+            let opts = ShardOptions::new(threads);
+            let ingest = IngestState::from_traces(&primary, &mapper, None, opts);
+            let par = pipeline.finish_stages(ingest, future, None, opts);
             prop_assert_eq!(&par, &seq, "threads={}", threads);
         }
+
+        // The streaming producer: one accumulator, fed trace by trace.
+        let mut acc = CycleAccumulator::new(&mapper);
+        for trace in &primary {
+            acc.push_trace(trace);
+        }
+        let one = ShardOptions::new(1);
+        let streamed = pipeline.finish_stages(acc.into_state(), future, None, one);
+        prop_assert_eq!(&streamed, &seq, "streaming accumulator");
     }
 
     #[test]
@@ -122,13 +135,9 @@ proptest! {
         let keys = Pipeline::snapshot_keys(&future);
         let pipeline = Pipeline::default();
         let rec = lpr_obs::Recorder::new("par-prop");
-        let out = pipeline.run_par_recorded(
-            &primary,
-            &mapper,
-            std::slice::from_ref(&keys),
-            threads,
-            Some(&rec),
-        );
+        let opts = ShardOptions::new(threads);
+        let ingest = IngestState::from_traces(&primary, &mapper, Some(&rec), opts);
+        let out = pipeline.finish_stages(ingest, std::slice::from_ref(&keys), Some(&rec), opts);
         let telemetry = rec.finish();
         prop_assert_eq!(telemetry.threads, threads as u64);
 

@@ -1,19 +1,22 @@
 //! Indexed, sharded, bounded-memory ingest.
 //!
-//! [`ingest_cycle`] is the out-of-core counterpart of the in-memory
-//! pipeline's trace ingest ([`lpr_core::Pipeline::run_par_recorded`]'s
-//! front half): it cuts every file's record index into contiguous
-//! [`RangeTask`]s and maps them over [`lpr_par::map_shards`]. Each
-//! task walks its trace records straight out of the file mapping
-//! (against a preload of the file's full address dictionary) in one
-//! pass each, into a single reused [`warts::TraceBuf`], feeds them
-//! **one at a time** through a [`CycleAccumulator`], and hands back an
-//! owned [`IngestState`]; merging the states in task order reproduces
-//! the sequential ingest exactly. The decode matches
-//! [`warts::decode_record_body`] + [`warts::trace_to_core`] record for
-//! record but builds no `TraceRecord`, and once the buffer is warm it
-//! allocates nothing per record. Peak memory is the surviving LSPs plus
-//! one trace per task — never the corpus, never the trace list.
+//! [`ingest_cycle`] is the out-of-core ingest producer. The other two
+//! are [`lpr_core::IngestState::from_traces`] (an in-memory trace
+//! slice) and a hand-fed [`CycleAccumulator`] (streaming); all three
+//! feed the one finish, [`lpr_core::Pipeline::finish_stages_windowed`].
+//!
+//! It cuts every file's record index into contiguous [`RangeTask`]s
+//! and maps them over [`lpr_par::map_shards`]. Each task walks its
+//! trace records straight out of the file mapping (against a preload of
+//! the file's full address dictionary) in one pass each, into a single
+//! reused [`warts::TraceBuf`], feeds them **one at a time** through a
+//! [`CycleAccumulator`], and hands back an owned [`IngestState`];
+//! merging the states in task order reproduces the sequential ingest
+//! exactly. The decode matches [`warts::decode_record_body`] +
+//! [`warts::trace_to_core`] record for record but builds no
+//! `TraceRecord`, and once the buffer is warm it allocates nothing per
+//! record. Peak memory is the surviving LSPs plus one trace per task —
+//! never the corpus, never the trace list.
 
 use crate::corpus::{Corpus, DecodeReport};
 use lpr_core::filter::{lsp_keys_of_tunnels, AsMapper};

@@ -82,7 +82,7 @@ fn out_of_core_output_is_identical_at_every_thread_count() {
     assert_eq!(loaded.len(), traces.len());
     let keys = vec![Pipeline::snapshot_keys(&loaded)];
     let pipeline = Pipeline::default();
-    let reference = pipeline.run_par(&loaded, &mapper, &keys, 1);
+    let reference = pipeline.run(&loaded, &mapper, &keys);
     assert!(!reference.iotps.is_empty(), "workload must classify something");
 
     // Small tasks force intra-file sharding on top of the 3-file split.

@@ -12,7 +12,7 @@ use crate::output::{announce, f3, print_table, write_csv};
 use ark_dataset::campaign::{generate_cycle, CampaignOptions};
 use ark_dataset::World;
 use lpr_core::filter::FilterConfig;
-use lpr_core::pipeline::{ClassCounts, Pipeline};
+use lpr_core::pipeline::{ClassCounts, IngestState, Pipeline};
 
 /// One ablation variant's result.
 #[derive(Clone, Debug)]
@@ -27,19 +27,23 @@ pub struct Variant {
 pub fn run(world: &World, cycle: usize) -> Vec<Variant> {
     let opts = CampaignOptions::default();
     let data = generate_cycle(world, cycle, &opts);
-    // `0` threads = the machine's available parallelism; the parallel
-    // pipeline is output-identical to the sequential one.
+    // `0` threads = the machine's available parallelism; the output is
+    // identical at any thread count.
     let futures: Vec<_> = data.snapshots[1..]
         .iter()
         .map(|t| Pipeline::snapshot_keys_par(t, 0))
         .collect();
-    let traces = &data.snapshots[0];
-    let rib = world.rib();
+    let opts = lpr_par::ShardOptions::new(0);
+    // Every variant differs only in the aggregate stages: ingest once,
+    // finish once per variant.
+    let ingest = IngestState::from_traces(&data.snapshots[0], world.rib(), None, opts);
 
     let base = Pipeline::new(FilterConfig { persistence_window: 2, ..Default::default() });
     let mut variants = Vec::new();
 
-    let run_with = |p: &Pipeline, j: usize| p.run_par(traces, rib, &futures[..j], 0).class_counts();
+    let run_with = |p: &Pipeline, j: usize| {
+        p.finish_stages(ingest.clone(), &futures[..j], None, opts).class_counts()
+    };
 
     variants.push(Variant { name: "baseline (paper settings)", counts: run_with(&base, 2) });
 

@@ -10,7 +10,7 @@ use crate::output::{announce, f3, print_table, write_csv};
 use ark_dataset::{CampaignOptions, World};
 use ark_dataset::campaign::generate_cycle;
 use lpr_core::filter::{FilterConfig, FilterStage};
-use lpr_core::pipeline::Pipeline;
+use lpr_core::pipeline::{IngestState, Pipeline};
 
 /// One row of the sweep.
 #[derive(Clone, Debug)]
@@ -28,17 +28,21 @@ pub struct SweepRow {
 pub fn run(world: &World, snapshots: usize) -> Vec<SweepRow> {
     let opts = CampaignOptions { snapshots, ..Default::default() };
     let data = generate_cycle(world, 60, &opts);
-    // `0` threads = the machine's available parallelism; the parallel
-    // pipeline is output-identical to the sequential one.
+    // `0` threads = the machine's available parallelism; the output is
+    // identical at any thread count.
     let futures: Vec<_> =
         data.snapshots[1..].iter().map(|t| Pipeline::snapshot_keys_par(t, 0)).collect();
+    let opts = lpr_par::ShardOptions::new(0);
+    // The ingest half does not depend on `j`: ingest once, finish once
+    // per window.
+    let ingest = IngestState::from_traces(&data.snapshots[0], world.rib(), None, opts);
 
     let mut rows = Vec::new();
     for j in 0..snapshots {
         let pipeline =
             Pipeline::new(FilterConfig { persistence_window: j, ..Default::default() });
-        let out =
-            pipeline.run_par(&data.snapshots[0], world.rib(), &futures[..j.min(futures.len())], 0);
+        let window = &futures[..j.min(futures.len())];
+        let out = pipeline.finish_stages(ingest.clone(), window, None, opts);
         rows.push(SweepRow {
             j,
             lsps_kept: out.report.remaining[&FilterStage::Persistence],

@@ -2,7 +2,7 @@
 //!
 //! The exhaustive way to see a destination's ECMP diversity is to walk
 //! the TTL ladder under *every* flow identifier in a fixed budget —
-//! what [`Prober::mda_paths`] did and what real campaigns cannot
+//! [`ProbingStrategy::Exhaustive`], which real campaigns cannot
 //! afford. Paris traceroute's Multipath Detection Algorithm (MDA) and
 //! its MDA-Lite successor (*Multilevel MDA-Lite Paris Traceroute*,
 //! arXiv:1809.10070) replace the enumeration with a statistical
@@ -110,7 +110,7 @@ impl Default for MdaOptions {
 #[derive(Clone, Debug)]
 pub struct MdaDiscovery {
     /// Distinct IP paths observed (responsive-hop address sequences,
-    /// sorted) — the same shape `mda_paths` returned.
+    /// sorted).
     pub paths: Vec<Vec<Ipv4Addr>>,
     /// Flow-varied ladder walks traced (excluding re-confirmation).
     pub flows_traced: u64,
@@ -386,11 +386,11 @@ pub(crate) fn prefix_groups(dsts: &[Ipv4Addr]) -> Vec<(usize, usize)> {
 
 impl Prober<'_> {
     /// MDA multipath discovery towards one destination: traces the
-    /// destination under flow identifiers varied per
-    /// [`mda_paths`](Prober::mda_paths)'s derivation, but stops by the
-    /// [`nk_threshold`] rule instead of a fixed count (or sweeps the
-    /// whole budget under [`ProbingStrategy::Exhaustive`] — the
-    /// oracle). Returns the distinct IP paths plus the probe bill.
+    /// destination under up to `max_flows` flow identifiers, each a
+    /// pure function of `(vp, dst, k)`, and stops by the
+    /// [`nk_threshold`] rule (or sweeps the whole budget under
+    /// [`ProbingStrategy::Exhaustive`] — the oracle). Returns the
+    /// distinct IP paths plus the probe bill.
     pub fn mda_discover(
         &self,
         vp: Ipv4Addr,
@@ -494,35 +494,6 @@ mod tests {
                 assert_eq!(flows.len(), n);
                 for (i, flow) in flows.iter().enumerate() {
                     assert_eq!(ecmp_index(*flow, router, n), i, "router {router:?} n {n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mda_paths_shim_matches_exhaustive_mda_discover() {
-        // The deprecation contract: `mda_paths(vp, dst, n)` is exactly
-        // `mda_discover` under the exhaustive strategy with the old
-        // count as `max_flows` — same flow derivation, same path set.
-        let net = ecmp_world();
-        let prober = Prober::new(&net, ProbeOptions::default());
-        let vps: Vec<_> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(1);
-        for &vp in &vps {
-            for &dst in &dsts {
-                for flows in [1usize, 4, 16] {
-                    #[allow(deprecated)]
-                    let old = prober.mda_paths(vp, dst, flows);
-                    let new = prober.mda_discover(
-                        vp,
-                        dst,
-                        &MdaOptions {
-                            strategy: ProbingStrategy::Exhaustive,
-                            max_flows: flows,
-                            ..MdaOptions::default()
-                        },
-                    );
-                    assert_eq!(old, new.paths, "shim diverged at {vp} → {dst}, {flows} flows");
                 }
             }
         }

@@ -250,31 +250,6 @@ impl<'a> Prober<'a> {
         trace
     }
 
-    /// MDA-style multipath enumeration: traces the destination under
-    /// `flows` distinct flow identifiers and returns the distinct IP
-    /// paths observed (responsive-hop address sequences). The §5
-    /// validation campaign compares this IP-level view against the
-    /// label-level LPR classes.
-    #[deprecated(
-        since = "0.9.0",
-        note = "a fixed flow count samples blind; use `mda_discover`, whose \
-                stopping rule spends probes only while undiscovered branches \
-                remain plausible (pass the old count as `max_flows`)"
-    )]
-    pub fn mda_paths(&self, vp: Ipv4Addr, dst: Ipv4Addr, flows: usize) -> Vec<Vec<Ipv4Addr>> {
-        let mut paths = std::collections::BTreeSet::new();
-        for k in 0..flows {
-            let flow = splitmix64(
-                (u32::from(vp) as u64) ^ ((u32::from(dst) as u64) << 32) ^ (k as u64) << 17,
-            );
-            let trace = self.trace_with_flow(vp, dst, flow);
-            let path: Vec<Ipv4Addr> =
-                trace.responsive_hops().map(|h| h.addr.expect("responsive")).collect();
-            paths.insert(path);
-        }
-        paths.into_iter().collect()
-    }
-
     /// Runs a full campaign: every vantage point towards every
     /// destination, in row-major `(vp, dst)` order.
     pub fn campaign(&self, vps: &[Ipv4Addr], dsts: &[Ipv4Addr]) -> Vec<Trace> {
@@ -331,53 +306,40 @@ impl<'a> Prober<'a> {
                     .iter()
                     .flat_map(|&vp| groups.iter().map(move |&(s, e)| (vp, s, e)))
                     .collect();
-                if threads == 1 {
-                    let mut injected = FaultCounts::default();
-                    let mut out = Vec::with_capacity(vps.len() * dsts.len());
-                    for &(vp, s, e) in &work {
-                        let (traces, group) =
-                            mda::probe_group(core, vp, &dsts[s..e], strategy, &mut injected);
-                        budget.merge(&group);
-                        out.extend(traces);
-                    }
-                    self.merge_injected(injected);
-                    out
-                } else {
-                    let run = lpr_par::map_shards_traced(
-                        &work,
-                        lpr_par::ShardOptions::new(threads),
-                        lpr_par::ShardTrace::new(&tracer, span.context()),
-                        |_, shard| {
-                            let mut injected = FaultCounts::default();
-                            let mut tally = ProbeBudget::default();
-                            let traces: Vec<Trace> = shard
-                                .iter()
-                                .flat_map(|&(vp, s, e)| {
-                                    let (traces, group) = mda::probe_group(
-                                        core,
-                                        vp,
-                                        &dsts[s..e],
-                                        strategy,
-                                        &mut injected,
-                                    );
-                                    tally.merge(&group);
-                                    traces
-                                })
-                                .collect();
-                            (traces, injected, tally)
-                        },
-                    )
-                    .expect_ok();
-                    let mut out = Vec::with_capacity(vps.len() * dsts.len());
-                    let mut merged = FaultCounts::default();
-                    for (traces, injected, tally) in run.outputs {
-                        out.extend(traces);
-                        merged.merge(&injected);
-                        budget.merge(&tally);
-                    }
-                    self.merge_injected(merged);
-                    out
+                let run = lpr_par::map_shards_traced(
+                    &work,
+                    lpr_par::ShardOptions::new(threads),
+                    lpr_par::ShardTrace::new(&tracer, span.context()),
+                    |_, shard| {
+                        let mut injected = FaultCounts::default();
+                        let mut tally = ProbeBudget::default();
+                        let traces: Vec<Trace> = shard
+                            .iter()
+                            .flat_map(|&(vp, s, e)| {
+                                let (traces, group) = mda::probe_group(
+                                    core,
+                                    vp,
+                                    &dsts[s..e],
+                                    strategy,
+                                    &mut injected,
+                                );
+                                tally.merge(&group);
+                                traces
+                            })
+                            .collect();
+                        (traces, injected, tally)
+                    },
+                )
+                .expect_ok();
+                let mut out = Vec::with_capacity(vps.len() * dsts.len());
+                let mut merged = FaultCounts::default();
+                for (traces, injected, tally) in run.outputs {
+                    out.extend(traces);
+                    merged.merge(&injected);
+                    budget.merge(&tally);
                 }
+                self.merge_injected(merged);
+                out
             }
         };
         budget.pairs_probed = out.len() as u64;
@@ -431,22 +393,6 @@ impl<'a> Prober<'a> {
         budget: &mut ProbeBudget,
     ) -> Vec<Trace> {
         let core = self.core();
-        if threads == 1 {
-            let mut injected = FaultCounts::default();
-            let mut out = Vec::with_capacity(vps.len() * dsts.len());
-            for &vp in vps {
-                for &dst in dsts {
-                    let flow = core.flow(vp, dst);
-                    let (trace, probes) =
-                        core.trace_with_flow_counted(vp, dst, flow, &mut injected);
-                    budget.probes_sent += probes;
-                    out.push(trace);
-                }
-            }
-            budget.flows_traced = out.len() as u64;
-            self.merge_injected(injected);
-            return out;
-        }
         let pairs: Vec<(Ipv4Addr, Ipv4Addr)> = vps
             .iter()
             .flat_map(|&vp| dsts.iter().map(move |&dst| (vp, dst)))

@@ -253,12 +253,6 @@ pub(crate) fn reveal_from_traces(
         },
         None => probe_candidate(core, cand, flows, injected),
     };
-    if threads == 1 || candidates.len() < 2 {
-        let mut injected = FaultCounts::default();
-        let out = candidates.iter().map(|c| run_one(c, &mut injected)).collect();
-        prober.merge_injected(injected);
-        return out;
-    }
     let run = lpr_par::map_shards_traced(
         &candidates,
         lpr_par::ShardOptions::new(threads),

@@ -65,7 +65,7 @@ fn reveal(net: &Internet) -> (Vec<RevealedTunnel>, Vec<OracleTraversal>) {
 
 /// The property: every oracle-known traversal is covered by evidence,
 /// or its absence is one of the enumerated structural causes.
-fn assert_oracle_accounted(net: &Internet, evidence: &[RevealedTunnel], oracle: &[OracleTraversal]) {
+fn assert_oracle_accounted(evidence: &[RevealedTunnel], oracle: &[OracleTraversal]) {
     let by_pair: BTreeMap<(Ipv4Addr, Ipv4Addr), &RevealedTunnel> =
         evidence.iter().map(|e| ((e.ingress, e.egress), e)).collect();
     assert!(!oracle.is_empty(), "the mix produced no hidden traversals at all");
@@ -144,7 +144,7 @@ fn kind_revealed(evidence: &[RevealedTunnel], kind: lpr_core::reveal::TriggerKin
 fn invisible_tunnels_are_accounted_and_revealed() {
     let net = build(VisibilityMix { explicit: 0.0, implicit: 0.0, invisible: 1.0, opaque: 0.0 });
     let (evidence, oracle) = reveal(&net);
-    assert_oracle_accounted(&net, &evidence, &oracle);
+    assert_oracle_accounted(&evidence, &oracle);
     assert_paths_on_lsp(&net, &evidence);
     assert!(
         kind_revealed(&evidence, lpr_core::reveal::TriggerKind::DupIp) > 0,
@@ -156,7 +156,7 @@ fn invisible_tunnels_are_accounted_and_revealed() {
 fn implicit_tunnels_are_accounted_and_revealed() {
     let net = build(VisibilityMix { explicit: 0.0, implicit: 1.0, invisible: 0.0, opaque: 0.0 });
     let (evidence, oracle) = reveal(&net);
-    assert_oracle_accounted(&net, &evidence, &oracle);
+    assert_oracle_accounted(&evidence, &oracle);
     assert_paths_on_lsp(&net, &evidence);
     assert!(
         kind_revealed(&evidence, lpr_core::reveal::TriggerKind::Uturn) > 0,
@@ -168,7 +168,7 @@ fn implicit_tunnels_are_accounted_and_revealed() {
 fn opaque_tunnels_are_accounted_and_revealed() {
     let net = build(VisibilityMix { explicit: 0.0, implicit: 0.0, invisible: 0.0, opaque: 1.0 });
     let (evidence, oracle) = reveal(&net);
-    assert_oracle_accounted(&net, &evidence, &oracle);
+    assert_oracle_accounted(&evidence, &oracle);
     assert_paths_on_lsp(&net, &evidence);
     assert!(
         kind_revealed(&evidence, lpr_core::reveal::TriggerKind::OpaqueStack) > 0,
@@ -182,7 +182,7 @@ fn mixed_visibility_campaign_is_fully_accounted() {
     // share could absorb every pair and leave the property vacuous.
     let net = build(VisibilityMix { explicit: 0.0, implicit: 0.4, invisible: 0.3, opaque: 0.3 });
     let (evidence, oracle) = reveal(&net);
-    assert_oracle_accounted(&net, &evidence, &oracle);
+    assert_oracle_accounted(&evidence, &oracle);
     assert_paths_on_lsp(&net, &evidence);
 }
 
@@ -279,7 +279,7 @@ fn legacy_ttl_propagate_off_stays_artifact_free() {
     assert!(!oracle.is_empty(), "legacy invisible traversals are still oracle-known");
     assert!(oracle.iter().all(|t| t.visibility == TunnelVisibility::Invisible));
     assert!(
-        net.config(oracle[0].as_id).ttl_propagate == false,
+        !net.config(oracle[0].as_id).ttl_propagate,
         "the enumerated cause: the AS runs the legacy artifact-free knob"
     );
     assert!(evidence.is_empty(), "no artifact, no trigger: {evidence:?}");

@@ -77,23 +77,27 @@ impl<'a> WartsReader<'a> {
         WartsReader { data, pos: 0, addrs: AddrTableReader::new(), failed: false }
     }
 
-    /// Reads the next record, `Ok(None)` at end of file.
+    /// Reads the next record, `Ok(None)` at end of file. After any error
+    /// the reader is poisoned and returns `Ok(None)` from then on.
     pub fn next_record(&mut self) -> Result<Option<Record>, WartsError> {
         if self.failed || self.pos == self.data.len() {
             return Ok(None);
         }
+        let record = self.read_record();
+        self.failed = record.is_err();
+        record.map(Some)
+    }
+
+    fn read_record(&mut self) -> Result<Record, WartsError> {
         let header_offset = self.pos;
         let mut cur = Cursor::new(&self.data[self.pos..]);
         let magic = cur.u16("record magic")?;
         if magic != WARTS_MAGIC {
-            self.failed = true;
             return Err(WartsError::BadMagic { offset: header_offset, found: magic });
         }
         let record_type = cur.u16("record type")?;
         let len = cur.u32("record length")? as usize;
-        let body = cur.bytes(len, "record body").inspect_err(|_| {
-            self.failed = true;
-        })?;
+        let body = cur.bytes(len, "record body")?;
         self.pos += 8 + len;
 
         let mut bcur = Cursor::new(body);
@@ -111,12 +115,10 @@ impl<'a> WartsReader<'a> {
             x if x == RecordType::Ping as u16 => {
                 Record::Ping(PingRecord::read(&mut bcur, &mut self.addrs)?)
             }
-            other => {
-                return Ok(Some(Record::Unsupported { record_type: other, body: body.to_vec() }))
-            }
+            other => return Ok(Record::Unsupported { record_type: other, body: body.to_vec() }),
         };
-        bcur.expect_consumed(record_type).inspect_err(|_| self.failed = true)?;
-        Ok(Some(record))
+        bcur.expect_consumed(record_type)?;
+        Ok(record)
     }
 
     /// Reads every remaining trace record, skipping list/cycle records.
@@ -360,6 +362,41 @@ mod tests {
         let r = WartsReader::new(cut);
         let result: Result<Vec<Record>, WartsError> = r.collect();
         assert!(result.is_err());
+    }
+
+    /// Each broken input yields exactly one `Err`, then `None` (bounded
+    /// with `take`, so a reader that never stops fails instead of
+    /// hanging).
+    fn assert_one_error_then_end(bytes: &[u8], what: &str) {
+        let mut reader = WartsReader::new(bytes);
+        let items: Vec<_> = reader.by_ref().take(8).collect();
+        let errors = items.iter().filter(|r| r.is_err()).count();
+        assert_eq!(errors, 1, "{what}: {items:?}");
+        assert!(items.last().is_some_and(|r| r.is_err()), "{what}: error must be last");
+        assert!(reader.next().is_none(), "{what}: iteration must end after the error");
+    }
+
+    #[test]
+    fn iteration_stops_at_a_truncated_header_or_a_bad_body() {
+        let file = sample_file();
+        // A valid file followed by a 1..=7-byte tail: a header cut
+        // anywhere, magic included.
+        let header = [0x12, 0x05, 0x00, 0x06, 0x00, 0x00, 0x00];
+        for n in 1..=header.len() {
+            let mut bytes = file.clone();
+            bytes.extend_from_slice(&header[..n]);
+            assert_one_error_then_end(&bytes, &format!("{n}-byte tail"));
+            assert_one_error_then_end(&header[..n], &format!("{n}-byte file"));
+        }
+        // A list record whose name never terminates, then a valid file:
+        // the body error ends iteration rather than resuming after it.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&WARTS_MAGIC.to_be_bytes());
+        bytes.extend_from_slice(&(RecordType::List as u16).to_be_bytes());
+        bytes.extend_from_slice(&12u32.to_be_bytes());
+        bytes.extend_from_slice(&[0, 0, 0, 1, 0, 0, 0, 1, b'x', b'y', b'z', b'w']);
+        bytes.extend_from_slice(&file);
+        assert_one_error_then_end(&bytes, "smashed body");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! `WartsStreamReader`, filter trace by trace with `CycleAccumulator`,
 //! classify at the end. This is the shape of a real CAIDA-scale run
 //! (the paper's cycles hold ~14 M LSPs — far too many to buffer as raw
-//! traces).
+//! traces). The example checks that the streamed output equals
+//! `Pipeline::run` over the same campaign held in memory.
 //!
 //! ```sh
 //! cargo run --release -p lpr-examples --bin streaming_analysis
@@ -54,19 +55,20 @@ fn main() {
     let mut writer = warts::WartsWriter::new();
     let list = writer.list(1, "stream-demo");
     let cycle = writer.cycle_start(list, 1, 0);
-    let mut n = 0usize;
+    let mut campaign = Vec::new();
     for &vp in &vps {
         for &dst in &dsts {
             let t = prober.trace(vp, dst);
             writer.trace(&warts::trace_to_record(&t, list, cycle)).unwrap();
-            n += 1;
+            campaign.push(t);
         }
     }
     writer.cycle_stop(cycle, 1);
     let path = std::env::temp_dir().join("lpr-streaming-demo.warts");
     warts::write_path(&path, writer).expect("write warts file");
     println!(
-        "wrote {n} traces to {} ({} bytes)",
+        "wrote {} traces to {} ({} bytes)",
+        campaign.len(),
         path.display(),
         std::fs::metadata(&path).unwrap().len()
     );
@@ -86,7 +88,13 @@ fn main() {
     }
     println!("streamed {seen} traces; retained only {} filtered LSPs in memory", acc.retained());
 
-    let out = acc.finish(&Pipeline::default(), &[]);
+    let one = lpr_par::ShardOptions::new(1);
+    let out = Pipeline::default().finish_stages(acc.into_state(), &[], None, one);
+    assert_eq!(
+        out,
+        Pipeline::default().run(&campaign, &rib, &[]),
+        "streamed output must equal the in-memory run over the same campaign"
+    );
     let c = out.class_counts();
     println!(
         "classified {} IOTPs: {} Mono-LSP | {} Multi-FEC | {} Mono-FEC | {} unclassified",

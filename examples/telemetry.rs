@@ -8,6 +8,7 @@
 //! cargo run -p lpr-examples --bin telemetry
 //! ```
 
+use lpr_core::pipeline::IngestState;
 use lpr_core::prelude::*;
 use netsim::{
     AsSpec, Internet, MplsConfig, Peering, ProbeOptions, Prober, TePathMode, Topology,
@@ -73,7 +74,9 @@ fn main() {
 
     let keys = Pipeline::snapshot_keys(&traces);
     let pipeline = Pipeline::new(FilterConfig { persistence_window: 1, ..Default::default() });
-    let out = pipeline.run_recorded(&traces, &rib, &[keys], Some(&recorder));
+    let opts = lpr_par::ShardOptions::new(1);
+    let ingest = IngestState::from_traces(&traces, &rib, Some(&recorder), opts);
+    let out = pipeline.finish_stages(ingest, &[keys], Some(&recorder), opts);
 
     // Close the root span before snapshotting so every span has an end.
     tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
