@@ -311,7 +311,7 @@ pub fn load_traces_lenient(
     let mut report = LoadReport::default();
     for path in paths {
         let bytes = std::fs::read(path).map_err(|e| err(format!("{path}: {e}")))?;
-        let mut reader = warts::WartsStreamReader::new(bytes.as_slice()).lenient();
+        let mut reader = warts::WartsReader::new(&bytes).lenient();
         if let Some(rec) = recorder {
             reader = reader.with_metrics(warts::StreamMetrics::from_recorder(rec));
         }

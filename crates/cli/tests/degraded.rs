@@ -174,3 +174,51 @@ fn lenient_decode_is_deterministic_across_thread_counts() {
         assert_eq!(out, seq_out, "--threads {threads}");
     }
 }
+
+/// What the `lpr` binary would exit with, and what it printed.
+fn exit_and_stdout(args: &[String]) -> (i32, String) {
+    let mut buf = Vec::new();
+    let code = run(args, &mut buf).map_or(1, RunStatus::exit_code);
+    (code, String::from_utf8(buf).unwrap())
+}
+
+/// `lpr classify <args>` in memory, then with `--out-of-core`.
+fn classify_both_ways(args: &[&str]) -> [(i32, String); 2] {
+    let mut args = s(&[&["classify"], args].concat());
+    let in_memory = exit_and_stdout(&args);
+    args.push("--out-of-core".to_string());
+    [in_memory, exit_and_stdout(&args)]
+}
+
+#[test]
+fn in_memory_and_out_of_core_agree_on_corrupt_input() {
+    for seed in [7, 42, 99, 1234] {
+        let tmp = Tmp::new(&format!("agree-{seed}"));
+        let (_, bad, rib) = corrupted_demo(&tmp, seed, 0.25);
+        let [in_memory, out_of_core] = classify_both_ways(&["--rib", &rib, &bad, "--keep-going"]);
+        assert_eq!(in_memory.0, 3, "seed {seed}: {}", in_memory.1);
+        assert!(in_memory.1.contains("skipped records:"), "seed {seed}: {}", in_memory.1);
+        assert_eq!(out_of_core, in_memory, "seed {seed}");
+    }
+}
+
+#[test]
+fn in_memory_and_out_of_core_agree_on_a_record_over_64_mib() {
+    let tmp = Tmp::new("huge");
+    let (mut bytes, rib) = write_demo_files();
+    // A well-formed record of an unsupported type (tracelb), one byte
+    // over the framer's 64 MiB bound.
+    bytes.extend_from_slice(&warts::WARTS_MAGIC.to_be_bytes());
+    bytes.extend_from_slice(&0x0Au16.to_be_bytes());
+    bytes.extend_from_slice(&(warts::MAX_RECORD_LEN as u32 + 1).to_be_bytes());
+    bytes.resize(bytes.len() + warts::MAX_RECORD_LEN + 1, 0);
+    let (huge, ribf) = (tmp.path("huge.warts"), tmp.path("rib.txt"));
+    std::fs::write(&huge, bytes).unwrap();
+    std::fs::write(&ribf, rib).unwrap();
+
+    let [in_memory, out_of_core] = classify_both_ways(&["--rib", &ribf, &huge]);
+    assert_eq!((in_memory.0, out_of_core.0), (1, 1), "strict refuses it either way");
+    let [in_memory, out_of_core] = classify_both_ways(&["--rib", &ribf, &huge, "--keep-going"]);
+    assert_eq!(in_memory.0, 3, "{}", in_memory.1);
+    assert_eq!(out_of_core, in_memory);
+}

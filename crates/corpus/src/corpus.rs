@@ -114,29 +114,20 @@ impl DecodeReport {
 }
 
 /// Detects a half-written final record: the bytes after the last
-/// indexed span parse as the *start* of a warts record (correct magic)
-/// whose header or declared body runs past EOF. Mid-file garbage does
-/// not match — that is corruption, already tallied as per-record skips
-/// by the index scan — only a well-formed prefix at the very end of the
-/// file reads as "scamper has not finished writing this one yet".
+/// indexed span are a cut-short header, or a header whose declared body
+/// runs past EOF ([`warts::RecordHeader::parse`]). Mid-file garbage or
+/// an insane length does not match — that is corruption, already tallied
+/// as per-record skips by the index scan — only a well-formed prefix at
+/// the very end of the file reads as "scamper has not finished writing
+/// this one yet".
 fn growing_tail(bytes: &[u8], index: &RecordIndex) -> Option<SkipReason> {
-    let end = index
-        .records
-        .last()
-        .map(|span| span.offset as usize + 8 + span.body_len as usize)
-        .unwrap_or(0);
+    let end = index.records.last().map_or(0, |span| (span.offset + span.wire_len()) as usize);
     let tail = &bytes[end.min(bytes.len())..];
-    if tail.len() < 2 || tail[..2] != warts::WARTS_MAGIC.to_be_bytes() {
-        return None;
+    match warts::RecordHeader::parse(tail) {
+        Err(SkipReason::TruncatedHeader) if !tail.is_empty() => Some(SkipReason::TruncatedHeader),
+        Ok(header) if header.wire_len() > tail.len() => Some(SkipReason::TruncatedBody),
+        _ => None,
     }
-    if tail.len() < 8 {
-        return Some(SkipReason::TruncatedHeader);
-    }
-    let body_len = u32::from_be_bytes([tail[4], tail[5], tail[6], tail[7]]) as usize;
-    if 8 + body_len > tail.len() {
-        return Some(SkipReason::TruncatedBody);
-    }
-    None
 }
 
 impl Corpus {

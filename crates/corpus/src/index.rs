@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use warts::{Addr, Record, RecordSpan, SkipReason, WartsStreamReader};
+use warts::{Addr, Record, RecordSpan, SkipReason, WartsReader};
 
 /// Magic prefix of a serialized index.
 pub const INDEX_MAGIC: [u8; 4] = *b"LPRX";
@@ -59,33 +59,20 @@ pub struct RecordIndex {
 }
 
 impl RecordIndex {
-    /// Indexes `bytes` with one sequential lenient scan. Never panics:
-    /// malformed content lands in the skip tallies, exactly as the
-    /// lenient streaming decoder reports it.
+    /// Indexes `bytes` with one sequential lenient scan, framed in place.
+    /// Never panics: malformed content lands in the skip tallies, exactly
+    /// as either lenient warts reader reports it.
     pub fn build(bytes: &[u8]) -> Self {
-        let mut reader = WartsStreamReader::new(bytes).lenient().elide_unsupported_bodies();
+        let mut reader = WartsReader::new(bytes).lenient().elide_unsupported_bodies();
         let mut records = Vec::new();
         let mut traces = 0u64;
-        loop {
-            match reader.next_record() {
-                Ok(Some(rec)) => {
-                    if let Some(span) = reader.last_record_span() {
-                        records.push(span);
-                    }
-                    if matches!(rec, Record::Trace(_)) {
-                        traces += 1;
-                    }
-                }
-                Ok(None) => break,
-                // Lenient over in-memory bytes cannot error; stop
-                // indexing defensively if it ever does.
-                Err(_) => break,
-            }
+        // A lenient framer over a slice cannot fail.
+        while let Ok(Some(rec)) = reader.next_record() {
+            records.extend(reader.last_record_span());
+            traces += matches!(rec, Record::Trace(_)) as u64;
         }
-        let mut skip_counts = [0u64; SkipReason::ALL.len()];
-        for (slot, reason) in skip_counts.iter_mut().zip(SkipReason::ALL) {
-            *slot = reader.skip_counts().get(&reason).copied().unwrap_or(0);
-        }
+        let skips = reader.skip_counts();
+        let skip_counts = SkipReason::ALL.map(|r| skips.get(&r).copied().unwrap_or(0));
         RecordIndex {
             file_len: bytes.len() as u64,
             fingerprint: fingerprint_of(bytes),
@@ -158,7 +145,7 @@ impl RecordIndex {
     }
 
     /// The scan's skip tallies as the decoder reports them (zero
-    /// entries omitted, like [`WartsStreamReader::skip_counts`]).
+    /// entries omitted, like [`warts::Framer::skip_counts`]).
     pub fn skipped(&self) -> BTreeMap<SkipReason, u64> {
         SkipReason::ALL
             .into_iter()
@@ -207,8 +194,8 @@ impl RecordIndex {
     }
 
     /// Deserializes an index; `None` on any structural mismatch (wrong
-    /// magic/version, truncation, trailing garbage), which callers
-    /// treat as a stale cache.
+    /// magic/version, truncation, trailing garbage, spans that overlap
+    /// or run past `file_len`), which callers treat as a stale cache.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut cur = Cur { bytes, pos: 0 };
         if cur.take(4)? != INDEX_MAGIC {
@@ -226,11 +213,20 @@ impl RecordIndex {
             return None;
         }
         let mut records = Vec::with_capacity(n_records as usize);
+        let mut end = 0u64;
         for _ in 0..n_records {
-            let offset = cur.u64()?;
-            let body_len = u32::from_be_bytes(cur.take(4)?.try_into().ok()?);
-            let record_type = u16::from_be_bytes(cur.take(2)?.try_into().ok()?);
-            records.push(RecordSpan { offset, body_len, record_type });
+            let span = RecordSpan {
+                offset: cur.u64()?,
+                body_len: u32::from_be_bytes(cur.take(4)?.try_into().ok()?),
+                record_type: u16::from_be_bytes(cur.take(2)?.try_into().ok()?),
+            };
+            // Decoders slice bodies by these spans: each must lie in
+            // the file, after the previous one.
+            if span.offset < end || span.offset.checked_add(span.wire_len())? > file_len {
+                return None;
+            }
+            end = span.offset + span.wire_len();
+            records.push(span);
         }
         let n_addrs = cur.u64()?;
         if n_addrs > (bytes.len() as u64) / 5 + 1 {

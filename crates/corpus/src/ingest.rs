@@ -91,7 +91,6 @@ fn decode_task(
     mut push: impl FnMut(&Trace),
 ) -> (u64, u64) {
     let file = &corpus.files[task.file];
-    let bytes = file.bytes();
     // Preload the file's complete dictionary: every reference id a
     // record can carry resolves below the preload, so range-local
     // decode equals sequential decode (embed-form occurrences append
@@ -102,13 +101,11 @@ fn decode_task(
     let mut buf = warts::TraceBuf::default();
     let mut convert_failures = 0u64;
     let mut decode_errors = 0u64;
-    for span in &file.index.records[task.start..task.end] {
-        if span.record_type != RecordType::Trace as u16 {
+    for rec in task.start..task.end {
+        if file.index.records[rec].record_type != RecordType::Trace as u16 {
             continue;
         }
-        let start = span.offset as usize + 8;
-        let body = &bytes[start..start + span.body_len as usize];
-        match buf.decode(body, &mut addrs) {
+        match buf.decode(file.body(rec), &mut addrs) {
             Ok(Conversion::Ipv4) => push(buf.trace()),
             Ok(Conversion::NotIpv4) => {} // outside the paper's dataset
             Ok(Conversion::Failed(_)) => convert_failures += 1,

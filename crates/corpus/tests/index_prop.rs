@@ -241,6 +241,48 @@ fn one_pass_decode_matches_on_a_pristine_stream() {
     check_one_pass_decode(&bytes, 0);
 }
 
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// The serialized index of fixed inputs, pinned: pristine corpora,
+/// seeded corruptions, a header cut short and an insane length. Spans,
+/// skip tallies, resync bytes and dictionary all land in `to_bytes`,
+/// so a change to framing or its accounting moves a pin.
+#[test]
+fn index_bytes_are_pinned() {
+    let mut cut = sample_stream();
+    cut.extend_from_slice(&[0x12, 0x05, 0x00]);
+    let mut insane = vec![0x12, 0x05, 0x00, 0x06, 0xFF, 0xFF, 0xFF, 0xFF];
+    insane.extend_from_slice(&sample_stream());
+    let mut cases = vec![
+        ("pristine".to_string(), sample_stream(), 0x080e_a0cb_e2c1_0b70),
+        ("equivalence".to_string(), equivalence_stream(), 0x0320_3e3d_6a39_d931),
+        ("cut header".to_string(), cut, 0xb8cc_de5c_f8e4_cbee),
+        ("insane length".to_string(), insane, 0x5580_721a_676f_faea),
+    ];
+    for (seed, rate, pin) in [
+        (7, 0.25, 0x348b_b34f_1e49_044f),
+        (42, 0.25, 0x02fc_a1dd_0f6b_adf3),
+        (99, 0.5, 0x7205_d505_b5a4_06bf),
+        (1234, 0.1, 0x6262_4fda_1ae4_0064),
+        (2024, 0.9, 0x5c7b_9768_1671_50cd),
+    ] {
+        let (bytes, _) = corrupt_warts_bytes(&sample_stream(), seed, rate);
+        cases.push((format!("seed {seed} rate {rate}"), bytes, pin));
+    }
+    for (name, bytes, pin) in cases {
+        let got = fnv1a(&lpr_corpus::RecordIndex::build(&bytes).to_bytes());
+        assert_eq!(got, pin, "{name}: {got:#018x}");
+    }
+}
+
 /// Sequential lenient decode: the records plus the reader's final skip
 /// and resync accounting.
 fn sequential_decode(bytes: &[u8]) -> (Vec<Record>, Vec<(SkipReason, u64)>, u64) {

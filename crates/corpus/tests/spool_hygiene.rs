@@ -161,3 +161,32 @@ fn killed_mid_write_index_is_rebuilt_silently_and_leftovers_swept() {
     assert_eq!(rec2.finish().counters["corpus.index_hits"], 1);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn tampered_index_spans_are_rebuilt_not_trusted() {
+    let dir = tmp("tampered");
+    let paths = lpr_corpus::write_corpus_files(&dir, "cycle", &workload(), 1).unwrap();
+    let file = paths[0].clone();
+    let (expect, _) =
+        lpr_corpus::ingest::load_traces(&Corpus::open(std::slice::from_ref(&file)).unwrap());
+    assert_eq!(expect.len(), 20);
+    let cache = RecordIndex::cache_path(&file);
+    let clean = RecordIndex::from_bytes(&std::fs::read(&cache).unwrap()).unwrap();
+
+    // A span running past the end of the file, and a span starting
+    // inside its predecessor. Either cache still parses, and the file's
+    // fingerprint still matches it.
+    let mut past_eof = clean.clone();
+    past_eof.records[5].body_len = 1 << 20;
+    let mut overlapping = clean.clone();
+    overlapping.records[5].offset = overlapping.records[4].offset + 1;
+    for (what, tampered) in [("past EOF", past_eof), ("overlapping", overlapping)] {
+        std::fs::write(&cache, tampered.to_bytes()).unwrap();
+        let rec = lpr_obs::Recorder::new("tampered");
+        let corpus = Corpus::open_with(std::slice::from_ref(&file), true, Some(&rec)).unwrap();
+        let telemetry = rec.finish();
+        assert_eq!(telemetry.counters["corpus.index_builds"], 1, "{what}: rebuilt");
+        assert_eq!(lpr_corpus::ingest::load_traces(&corpus).0, expect, "{what}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,15 +1,12 @@
-//! File-level framing: record headers, [`WartsReader`], [`WartsWriter`].
+//! Records, the in-memory [`WartsReader`] and the [`WartsWriter`].
 //!
-//! Every record starts with an 8-byte header, big-endian:
-//!
-//! ```text
-//! u16 magic (0x1205) ‖ u16 type ‖ u32 body length
-//! ```
+//! Record framing (the 8-byte header, its magic and length bound) lives
+//! in [`crate::frame`].
 
-use crate::addr::{AddrTableReader, AddrTableWriter};
-use crate::buf::Cursor;
+use crate::addr::AddrTableWriter;
 use crate::cycle::{CycleRecord, CycleStopRecord};
 use crate::error::WartsError;
+use crate::frame::{Framer, Source};
 use crate::list::ListRecord;
 use crate::ping::PingRecord;
 use crate::trace::{StopReason, TraceRecord};
@@ -59,85 +56,31 @@ pub enum Record {
     },
 }
 
-/// A streaming reader over an in-memory warts file.
-///
-/// Iterate it to obtain [`Record`]s; the file-wide address dictionary is
-/// threaded automatically. Iteration stops at the first structural
-/// error (warts gives no way to resynchronise after one).
-pub struct WartsReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    addrs: AddrTableReader,
-    failed: bool,
-}
+/// The in-memory warts reader: the [`Framer`] over a byte slice, which
+/// decodes bodies in place. Strict unless [`Framer::lenient`].
+pub type WartsReader<'a> = Framer<&'a [u8]>;
 
-impl<'a> WartsReader<'a> {
+impl<'a> Framer<&'a [u8]> {
     /// Wraps a byte slice holding a warts file.
     pub fn new(data: &'a [u8]) -> Self {
-        WartsReader { data, pos: 0, addrs: AddrTableReader::new(), failed: false }
-    }
-
-    /// Reads the next record, `Ok(None)` at end of file. After any error
-    /// the reader is poisoned and returns `Ok(None)` from then on.
-    pub fn next_record(&mut self) -> Result<Option<Record>, WartsError> {
-        if self.failed || self.pos == self.data.len() {
-            return Ok(None);
-        }
-        let record = self.read_record();
-        self.failed = record.is_err();
-        record.map(Some)
-    }
-
-    fn read_record(&mut self) -> Result<Record, WartsError> {
-        let header_offset = self.pos;
-        let mut cur = Cursor::new(&self.data[self.pos..]);
-        let magic = cur.u16("record magic")?;
-        if magic != WARTS_MAGIC {
-            return Err(WartsError::BadMagic { offset: header_offset, found: magic });
-        }
-        let record_type = cur.u16("record type")?;
-        let len = cur.u32("record length")? as usize;
-        let body = cur.bytes(len, "record body")?;
-        self.pos += 8 + len;
-
-        let mut bcur = Cursor::new(body);
-        let record = match record_type {
-            x if x == RecordType::List as u16 => Record::List(ListRecord::read(&mut bcur)?),
-            x if x == RecordType::CycleStart as u16 || x == RecordType::CycleDef as u16 => {
-                Record::CycleStart(CycleRecord::read(&mut bcur)?)
-            }
-            x if x == RecordType::CycleStop as u16 => {
-                Record::CycleStop(CycleStopRecord::read(&mut bcur)?)
-            }
-            x if x == RecordType::Trace as u16 => {
-                Record::Trace(TraceRecord::read(&mut bcur, &mut self.addrs)?)
-            }
-            x if x == RecordType::Ping as u16 => {
-                Record::Ping(PingRecord::read(&mut bcur, &mut self.addrs)?)
-            }
-            other => return Ok(Record::Unsupported { record_type: other, body: body.to_vec() }),
-        };
-        bcur.expect_consumed(record_type)?;
-        Ok(record)
-    }
-
-    /// Reads every remaining trace record, skipping list/cycle records.
-    pub fn traces(&mut self) -> Result<Vec<TraceRecord>, WartsError> {
-        let mut out = Vec::new();
-        while let Some(rec) = self.next_record()? {
-            if let Record::Trace(t) = rec {
-                out.push(t);
-            }
-        }
-        Ok(out)
+        Framer::from_source(data)
     }
 }
 
-impl Iterator for WartsReader<'_> {
-    type Item = Result<Record, WartsError>;
+/// A slice is all of its input at once: it never refills or fails.
+impl Source for &[u8] {
+    type Error = WartsError;
 
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
+    fn window(&self) -> (&[u8], bool) {
+        (self, true)
+    }
+
+    fn fill(&mut self, _n: usize) -> Result<(), WartsError> {
+        Ok(())
+    }
+
+    fn consume(&mut self, n: usize) {
+        *self = &self[n..];
     }
 }
 

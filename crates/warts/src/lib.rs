@@ -31,9 +31,12 @@
 //! ([`addr`]). ICMP extensions (RFC 4884), and in particular the MPLS
 //! label-stack object of RFC 4950, ride on hop records ([`icmpext`]).
 //!
-//! The reader is strict about structure (truncated records, bad magics,
-//! undecodable addresses are typed errors, never panics) but tolerant
-//! about content: unknown *record types* are surfaced as
+//! Both readers, [`WartsReader`] (a byte slice) and [`WartsStreamReader`]
+//! (any `Read`), run one record [`Framer`]. They are strict about
+//! structure (truncated records, bad magics, lengths over 64 MiB and
+//! undecodable addresses are typed errors, never panics) unless made
+//! [`Framer::lenient`], which skips and counts such records instead. They
+//! are tolerant about content: unknown *record types* are surfaced as
 //! [`Record::Unsupported`] so callers can skip them, like scamper tools
 //! do.
 //!
@@ -71,6 +74,7 @@ pub mod cycle;
 pub mod error;
 pub mod file;
 pub mod flags;
+pub mod frame;
 pub mod icmpext;
 pub mod list;
 pub mod ping;
@@ -83,11 +87,13 @@ pub use convert::{trace_to_core, trace_to_record, traces_to_core_par, Conversion
 pub use cycle::{CycleRecord, CycleStopRecord};
 pub use error::WartsError;
 pub use file::{read_path, write_path, Record, RecordType, WartsReader, WartsWriter, WARTS_MAGIC};
+pub use frame::{
+    decode_record_body, Framer, RecordHeader, RecordSpan, SkipReason, Source, StreamMetrics,
+    MAX_RECORD_LEN,
+};
 pub use icmpext::{IcmpExt, MPLS_EXT_CLASS, MPLS_EXT_TYPE};
 pub use list::ListRecord;
 pub use ping::{PingRecord, PingReply};
-pub use stream::{
-    decode_record_body, RecordSpan, SkipReason, StreamError, StreamMetrics, WartsStreamReader,
-};
+pub use stream::{Refill, StreamError, WartsStreamReader};
 pub use text::{ping_to_text, trace_to_text};
 pub use trace::{HopRecord, StopReason, TraceRecord};

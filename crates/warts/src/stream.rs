@@ -19,261 +19,14 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! It is a refill buffer around the [`Framer`] that [`crate::WartsReader`]
+//! runs over a slice, so both readers take [`Framer::lenient`] and both
+//! strict readers refuse records over 64 MiB ([`crate::MAX_RECORD_LEN`]).
 
-use crate::addr::AddrTableReader;
-use crate::buf::Cursor;
-use crate::cycle::{CycleRecord, CycleStopRecord};
 use crate::error::WartsError;
-use crate::file::{Record, RecordType, WARTS_MAGIC};
-use crate::list::ListRecord;
-use crate::ping::PingRecord;
-use crate::trace::TraceRecord;
-use lpr_obs::{Counter, Registry};
-use std::collections::BTreeMap;
+use crate::frame::{Framer, Source};
 use std::io::Read;
-use std::sync::Arc;
-
-/// Largest record body this reader will buffer (64 MiB — far above any
-/// real scamper record; a larger length indicates corruption).
-pub const MAX_RECORD_LEN: usize = 64 << 20;
-
-/// Why a lenient reader skipped (part of) a stream instead of decoding
-/// a record from it.
-///
-/// The taxonomy mirrors the decode failure modes: the first four are
-/// framing-level (the stream had to be resynchronised or ended early),
-/// the rest are body-level (framing was intact, the record content was
-/// not). [`SkipReason::ALL`] lists every variant in counter order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SkipReason {
-    /// Bytes at a record boundary that are not a plausible header; the
-    /// reader scanned forward to the next candidate (one skip per
-    /// contiguous garbage run).
-    BadMagic = 0,
-    /// The stream ended inside a record header.
-    TruncatedHeader = 1,
-    /// A header declared a length beyond [`MAX_RECORD_LEN`].
-    InsaneLength = 2,
-    /// The stream ended before a record's declared body length.
-    TruncatedBody = 3,
-    /// A record body ran out of bytes while decoding.
-    Truncated = 4,
-    /// A body decoded to a different length than its header declared.
-    LengthMismatch = 5,
-    /// A bad address: unknown dictionary reference or malformed entry.
-    BadAddress = 6,
-    /// A malformed flag/parameter block.
-    ParamError = 7,
-    /// A malformed ICMP extension block.
-    BadIcmpExt = 8,
-    /// A record using a feature this crate does not support.
-    Unsupported = 9,
-}
-
-impl SkipReason {
-    /// Every reason, in counter order (`reason as usize` indexes it).
-    pub const ALL: [SkipReason; 10] = [
-        SkipReason::BadMagic,
-        SkipReason::TruncatedHeader,
-        SkipReason::InsaneLength,
-        SkipReason::TruncatedBody,
-        SkipReason::Truncated,
-        SkipReason::LengthMismatch,
-        SkipReason::BadAddress,
-        SkipReason::ParamError,
-        SkipReason::BadIcmpExt,
-        SkipReason::Unsupported,
-    ];
-
-    /// Short machine-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SkipReason::BadMagic => "bad_magic",
-            SkipReason::TruncatedHeader => "truncated_header",
-            SkipReason::InsaneLength => "insane_length",
-            SkipReason::TruncatedBody => "truncated_body",
-            SkipReason::Truncated => "truncated",
-            SkipReason::LengthMismatch => "length_mismatch",
-            SkipReason::BadAddress => "bad_address",
-            SkipReason::ParamError => "param_error",
-            SkipReason::BadIcmpExt => "bad_icmp_ext",
-            SkipReason::Unsupported => "unsupported",
-        }
-    }
-
-    /// The registry counter this reason tallies under (a constant from
-    /// [`lpr_obs::names`], the workspace metric vocabulary).
-    pub fn counter_name(self) -> &'static str {
-        match self {
-            SkipReason::BadMagic => lpr_obs::names::WARTS_SKIP_BAD_MAGIC,
-            SkipReason::TruncatedHeader => lpr_obs::names::WARTS_SKIP_TRUNCATED_HEADER,
-            SkipReason::InsaneLength => lpr_obs::names::WARTS_SKIP_INSANE_LENGTH,
-            SkipReason::TruncatedBody => lpr_obs::names::WARTS_SKIP_TRUNCATED_BODY,
-            SkipReason::Truncated => lpr_obs::names::WARTS_SKIP_TRUNCATED,
-            SkipReason::LengthMismatch => lpr_obs::names::WARTS_SKIP_LENGTH_MISMATCH,
-            SkipReason::BadAddress => lpr_obs::names::WARTS_SKIP_BAD_ADDRESS,
-            SkipReason::ParamError => lpr_obs::names::WARTS_SKIP_PARAM_ERROR,
-            SkipReason::BadIcmpExt => lpr_obs::names::WARTS_SKIP_BAD_ICMP_EXT,
-            SkipReason::Unsupported => lpr_obs::names::WARTS_SKIP_UNSUPPORTED,
-        }
-    }
-
-    /// Classifies a body-decode error.
-    pub fn of(err: &WartsError) -> SkipReason {
-        match err {
-            WartsError::BadMagic { .. } => SkipReason::BadMagic,
-            WartsError::Truncated { .. } => SkipReason::Truncated,
-            WartsError::LengthMismatch { .. } => SkipReason::LengthMismatch,
-            WartsError::UnknownAddrId { .. } | WartsError::BadAddrType { .. } => {
-                SkipReason::BadAddress
-            }
-            WartsError::ParamOverrun { .. } | WartsError::UnterminatedString => {
-                SkipReason::ParamError
-            }
-            WartsError::BadIcmpExt { .. } => SkipReason::BadIcmpExt,
-            WartsError::Unsupported { .. } => SkipReason::Unsupported,
-        }
-    }
-}
-
-/// Ingest counters for a warts stream, registered under `warts.*`.
-///
-/// Hand one to [`WartsStreamReader::with_metrics`] and the reader tallies
-/// what it sees; the same counters can be read back later from the
-/// registry (or a `Recorder`) that created them.
-#[derive(Clone)]
-pub struct StreamMetrics {
-    /// Records decoded successfully (`warts.records`).
-    pub records: Arc<Counter>,
-    /// Bytes consumed, headers included (`warts.bytes`).
-    pub bytes: Arc<Counter>,
-    /// Trace records among them (`warts.traces`).
-    pub traces: Arc<Counter>,
-    /// Total skips in lenient mode, every reason included
-    /// (`warts.malformed_records`). Always equals the sum of the
-    /// per-reason counters in [`StreamMetrics::skips`].
-    pub malformed: Arc<Counter>,
-    /// Records of a type this crate does not parse
-    /// (`warts.unsupported_records`).
-    pub unsupported: Arc<Counter>,
-    /// ICMP extension objects that are not RFC 4950 MPLS stacks
-    /// (`warts.unknown_icmp_ext`).
-    pub unknown_icmp_ext: Arc<Counter>,
-    /// Per-reason skip counters (`warts.skip.<reason>`), indexed in
-    /// [`SkipReason::ALL`] order.
-    pub skips: [Arc<Counter>; SkipReason::ALL.len()],
-    /// Garbage bytes discarded while resynchronising
-    /// (`warts.resync_bytes`).
-    pub resync_bytes: Arc<Counter>,
-    /// Optional event journal: every lenient skip records a
-    /// `warts-skip` warn event alongside its counter (disabled by
-    /// default — counting costs nothing extra).
-    pub tracer: lpr_obs::Tracer,
-}
-
-impl StreamMetrics {
-    /// Binds the `warts.*` counters in `registry` (creating them at
-    /// zero on first use).
-    pub fn from_registry(registry: &Registry) -> Self {
-        StreamMetrics {
-            records: registry.counter(lpr_obs::names::WARTS_RECORDS),
-            bytes: registry.counter(lpr_obs::names::WARTS_BYTES),
-            traces: registry.counter(lpr_obs::names::WARTS_TRACES),
-            malformed: registry.counter(lpr_obs::names::WARTS_MALFORMED_RECORDS),
-            unsupported: registry.counter(lpr_obs::names::WARTS_UNSUPPORTED_RECORDS),
-            unknown_icmp_ext: registry.counter(lpr_obs::names::WARTS_UNKNOWN_ICMP_EXT),
-            skips: SkipReason::ALL.map(|r| registry.counter(r.counter_name())),
-            resync_bytes: registry.counter(lpr_obs::names::WARTS_RESYNC_BYTES),
-            tracer: lpr_obs::Tracer::disabled(),
-        }
-    }
-
-    /// [`StreamMetrics::from_registry`] over a recorder's registry,
-    /// inheriting its tracer so skips journal warn events too.
-    pub fn from_recorder(recorder: &lpr_obs::Recorder) -> Self {
-        Self::from_registry(recorder.registry()).with_tracer(recorder.tracer().clone())
-    }
-
-    /// Attaches an event journal (see the `tracer` field).
-    pub fn with_tracer(mut self, tracer: lpr_obs::Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    fn skip(&self, reason: SkipReason) {
-        self.malformed.inc();
-        self.skips[reason as usize].inc();
-        if self.tracer.would_log(lpr_obs::Level::Warn) {
-            self.tracer.event(
-                self.tracer.default_parent(),
-                lpr_obs::Level::Warn,
-                "warts-skip",
-                vec![("reason".to_string(), lpr_obs::FieldValue::Str(reason.name().to_string()))],
-            );
-        }
-    }
-
-    fn observe(&self, wire_len: usize, record: &Record) {
-        self.records.inc();
-        self.bytes.add(wire_len as u64);
-        match record {
-            Record::Trace(t) => {
-                self.traces.inc();
-                for hop in &t.hops {
-                    for ext in &hop.icmp_exts {
-                        if !ext.is_mpls() {
-                            self.unknown_icmp_ext.inc();
-                        }
-                    }
-                }
-            }
-            Record::Unsupported { .. } => self.unsupported.inc(),
-            _ => {}
-        }
-    }
-}
-
-/// The wire position of one successfully decoded record: where its
-/// 8-byte header starts, how long its body is, and its type code.
-///
-/// Spans are what the out-of-core record index stores per record — an
-/// index-driven re-decode slices `bytes[offset + 8 .. offset + 8 +
-/// body_len]` straight out of a memory-mapped file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecordSpan {
-    /// Byte offset of the record header from the start of the stream.
-    pub offset: u64,
-    /// Declared body length (the header's length field).
-    pub body_len: u32,
-    /// Record type code (e.g. `RecordType::Trace as u16`).
-    pub record_type: u16,
-}
-
-impl RecordSpan {
-    /// Total bytes on the wire, header included.
-    pub fn wire_len(&self) -> u64 {
-        8 + self.body_len as u64
-    }
-}
-
-/// A record-at-a-time reader over any byte source.
-pub struct WartsStreamReader<R: Read> {
-    source: R,
-    addrs: AddrTableReader,
-    offset: usize,
-    failed: bool,
-    metrics: Option<StreamMetrics>,
-    lenient: bool,
-    elide_unsupported: bool,
-    /// Bytes read from `source` but not yet consumed
-    /// (`buf[buf_pos..]`); lenient resynchronisation scans here.
-    buf: Vec<u8>,
-    buf_pos: usize,
-    eof: bool,
-    skips: BTreeMap<SkipReason, u64>,
-    resync_bytes: u64,
-    last_span: Option<RecordSpan>,
-}
 
 /// Errors from streaming reads: IO or decode.
 #[derive(Debug)]
@@ -307,369 +60,72 @@ impl From<WartsError> for StreamError {
     }
 }
 
-impl<R: Read> WartsStreamReader<R> {
-    /// Wraps a byte source (wrap files in a `BufReader`).
+/// The record-at-a-time reader over any byte source (wrap files in a
+/// `BufReader`): the [`Framer`] over a [`Refill`] buffer.
+pub type WartsStreamReader<R> = Framer<Refill<R>>;
+
+impl<R: Read> Framer<Refill<R>> {
+    /// Wraps a byte source.
     pub fn new(source: R) -> Self {
-        WartsStreamReader {
-            source,
-            addrs: AddrTableReader::new(),
-            offset: 0,
-            failed: false,
-            metrics: None,
-            lenient: false,
-            elide_unsupported: false,
-            buf: Vec::new(),
-            buf_pos: 0,
-            eof: false,
-            skips: BTreeMap::new(),
-            resync_bytes: 0,
-            last_span: None,
-        }
+        Framer::from_source(Refill { source, buf: Vec::new(), start: 0, end: 0, eof: false })
+    }
+}
+
+/// The bytes a [`WartsStreamReader`] has read from its source but not
+/// yet framed (`buf[start..end]`).
+pub struct Refill<R> {
+    source: R,
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    eof: bool,
+}
+
+impl<R: Read> Source for Refill<R> {
+    type Error = StreamError;
+
+    fn window(&self) -> (&[u8], bool) {
+        (&self.buf[self.start..self.end], self.eof)
     }
 
-    /// Tallies everything read into `metrics` (see [`StreamMetrics`]).
-    pub fn with_metrics(mut self, metrics: StreamMetrics) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Survives corrupt input instead of aborting the stream, counting
-    /// every skip under its [`SkipReason`]:
-    ///
-    /// * a record whose *body* fails to decode is skipped — the declared
-    ///   header length keeps the reader aligned on the next boundary;
-    /// * header-level corruption (bad magic, insane length, a body cut
-    ///   short of its declared length) triggers *resynchronisation*: the
-    ///   reader scans forward for the next plausible record header and
-    ///   resumes there, counting one skip per corruption event and the
-    ///   discarded bytes in `warts.resync_bytes`;
-    /// * a stream ending mid-header or mid-body ends cleanly after a
-    ///   final counted skip.
-    ///
-    /// Skips tally in [`StreamMetrics`] when attached and always in
-    /// [`WartsStreamReader::skip_counts`]. Note a skipped trace/ping may
-    /// have carried address-dictionary entries; later references to them
-    /// then fail too (and are counted in turn).
-    pub fn lenient(mut self) -> Self {
-        self.lenient = true;
-        self
-    }
-
-    /// Yields [`Record::Unsupported`] with an *empty* body instead of
-    /// copying the bytes out of the stream buffer. The ingest paths use
-    /// this: they only count unsupported records, so the one remaining
-    /// per-record copy in the decoder disappears (`Vec::new()` does not
-    /// allocate). Leave it off when bodies must be preserved (e.g. the
-    /// `lpr dump` byte census).
-    pub fn elide_unsupported_bodies(mut self) -> Self {
-        self.elide_unsupported = true;
-        self
-    }
-
-    /// Per-reason skip tallies so far (empty unless
-    /// [`WartsStreamReader::lenient`]).
-    pub fn skip_counts(&self) -> &BTreeMap<SkipReason, u64> {
-        &self.skips
-    }
-
-    /// Total bytes consumed from the source so far (records plus any
-    /// resynchronisation garbage).
-    pub fn offset(&self) -> u64 {
-        self.offset as u64
-    }
-
-    /// The wire span of the most recent record
-    /// [`WartsStreamReader::next_record`] returned, or `None` before the
-    /// first success. An index builder calls this after every
-    /// `Ok(Some(_))`.
-    pub fn last_record_span(&self) -> Option<RecordSpan> {
-        self.last_span
-    }
-
-    /// The address dictionary accumulated so far, in table-id order
-    /// (including entries added by records whose decode later failed —
-    /// exactly the state a sequential lenient pass carries forward).
-    pub fn addr_snapshot(&self) -> Vec<crate::addr::Addr> {
-        self.addrs.snapshot()
-    }
-
-    /// Total records/runs skipped so far in lenient mode.
-    pub fn skipped_total(&self) -> u64 {
-        self.skips.values().sum()
-    }
-
-    /// Garbage bytes discarded while resynchronising.
-    pub fn resync_bytes(&self) -> u64 {
-        self.resync_bytes
-    }
-
-    fn buffered(&self) -> usize {
-        self.buf.len() - self.buf_pos
-    }
-
-    /// Ensures at least `n` bytes are buffered, or as many as the
-    /// source has before EOF.
+    /// Reads until `n` bytes are buffered or the source ends. An
+    /// `Interrupted` read is retried, as `Read::read_exact` does; any
+    /// other IO error is returned.
     fn fill(&mut self, n: usize) -> Result<(), StreamError> {
-        while self.buffered() < n && !self.eof {
-            if self.buf_pos > 0 {
-                self.buf.drain(..self.buf_pos);
-                self.buf_pos = 0;
+        while self.end - self.start < n && !self.eof {
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
             }
-            let old = self.buf.len();
-            let want = (n - old).max(4096);
-            self.buf.resize(old + want, 0);
-            let got = match self.source.read(&mut self.buf[old..]) {
-                Ok(g) => g,
-                Err(e) => {
-                    self.buf.truncate(old);
-                    return Err(e.into());
-                }
-            };
-            self.buf.truncate(old + got);
-            if got == 0 {
-                self.eof = true;
+            let len = n.max(self.end + 4096);
+            if self.buf.len() < len {
+                self.buf.resize(len, 0);
+            }
+            match self.source.read(&mut self.buf[self.end..]) {
+                Ok(0) => self.eof = true,
+                Ok(got) => self.end += got,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
             }
         }
         Ok(())
     }
 
-    /// Consumes `n` buffered bytes as (part of) a record.
     fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.buffered());
-        self.buf_pos += n;
-        self.offset += n;
-    }
-
-    /// Consumes `n` buffered bytes as resynchronisation garbage.
-    fn discard(&mut self, n: usize) {
-        self.consume(n);
-        self.resync_bytes += n as u64;
-        if let Some(m) = &self.metrics {
-            m.resync_bytes.add(n as u64);
-        }
-    }
-
-    fn skip(&mut self, reason: SkipReason) {
-        *self.skips.entry(reason).or_default() += 1;
-        if let Some(m) = &self.metrics {
-            m.skip(reason);
-        }
-    }
-
-    /// Scans forward to the next plausible record header (magic plus a
-    /// sane declared length), discarding garbage. Stops at EOF with the
-    /// un-frameable tail discarded. Always makes progress when invoked
-    /// after at least one byte of the bad region was consumed.
-    fn resync(&mut self) -> Result<(), StreamError> {
-        loop {
-            self.fill(8)?;
-            let window = &self.buf[self.buf_pos..];
-            if window.len() < 8 {
-                let n = window.len();
-                self.discard(n);
-                return Ok(());
-            }
-            let magic = WARTS_MAGIC.to_be_bytes();
-            let mut found = None;
-            for i in 0..=window.len() - 8 {
-                if window[i] == magic[0] && window[i + 1] == magic[1] {
-                    let len = u32::from_be_bytes([
-                        window[i + 4],
-                        window[i + 5],
-                        window[i + 6],
-                        window[i + 7],
-                    ]) as usize;
-                    if len <= MAX_RECORD_LEN {
-                        found = Some(i);
-                        break;
-                    }
-                }
-            }
-            match found {
-                Some(0) => return Ok(()),
-                Some(i) => {
-                    self.discard(i);
-                    return Ok(());
-                }
-                None => {
-                    // Keep the last 7 bytes: a header may straddle the
-                    // window edge.
-                    let n = window.len() - 7;
-                    self.discard(n);
-                    if self.eof {
-                        let tail = self.buffered();
-                        self.discard(tail);
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Reads the next record; `Ok(None)` at a clean end of stream.
-    pub fn next_record(&mut self) -> Result<Option<Record>, StreamError> {
-        loop {
-            if self.failed {
-                return Ok(None);
-            }
-            // Header: 8 bytes, but EOF exactly at a record boundary is a
-            // clean end.
-            self.fill(8)?;
-            let avail = self.buffered();
-            if avail == 0 {
-                return Ok(None);
-            }
-            if avail < 8 {
-                if self.lenient {
-                    self.skip(SkipReason::TruncatedHeader);
-                    self.discard(avail);
-                    return Ok(None);
-                }
-                self.failed = true;
-                return Err(WartsError::Truncated { context: "record header" }.into());
-            }
-            let header = &self.buf[self.buf_pos..self.buf_pos + 8];
-            let magic = u16::from_be_bytes([header[0], header[1]]);
-            if magic != WARTS_MAGIC {
-                if self.lenient {
-                    self.skip(SkipReason::BadMagic);
-                    self.discard(1);
-                    self.resync()?;
-                    continue;
-                }
-                self.failed = true;
-                return Err(WartsError::BadMagic { offset: self.offset, found: magic }.into());
-            }
-            let record_type = u16::from_be_bytes([header[2], header[3]]);
-            let len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]) as usize;
-            if len > MAX_RECORD_LEN {
-                if self.lenient {
-                    self.skip(SkipReason::InsaneLength);
-                    self.discard(1);
-                    self.resync()?;
-                    continue;
-                }
-                self.failed = true;
-                return Err(WartsError::Truncated { context: "record length sanity" }.into());
-            }
-            self.fill(8 + len)?;
-            if self.buffered() < 8 + len {
-                // The stream ends short of the declared body. In lenient
-                // mode the "header" may be a corrupted length swallowing
-                // real records, so step past it and rescan the tail.
-                if self.lenient {
-                    self.skip(SkipReason::TruncatedBody);
-                    self.discard(1);
-                    self.resync()?;
-                    continue;
-                }
-                self.failed = true;
-                return Err(WartsError::Truncated { context: "record body" }.into());
-            }
-            // Decode borrows the body straight out of the stream buffer
-            // (no per-record copy); the bytes are consumed afterwards,
-            // which both outcomes permit: success owns its fields,
-            // failure leaves the reader positioned on the next header.
-            let start = self.offset as u64;
-            let result = decode_body(
-                record_type,
-                &self.buf[self.buf_pos + 8..self.buf_pos + 8 + len],
-                &mut self.addrs,
-                !self.elide_unsupported,
-            );
-            self.consume(8 + len);
-
-            match result {
-                Ok(record) => {
-                    if let Some(m) = &self.metrics {
-                        m.observe(8 + len, &record);
-                    }
-                    self.last_span = Some(RecordSpan {
-                        offset: start,
-                        body_len: len as u32,
-                        record_type,
-                    });
-                    return Ok(Some(record));
-                }
-                Err(e) => {
-                    if self.lenient {
-                        // The body was fully consumed, so the reader is
-                        // already positioned on the next header.
-                        self.skip(SkipReason::of(&e));
-                        continue;
-                    }
-                    self.failed = true;
-                    return Err(e.into());
-                }
-            }
-        }
-    }
-}
-
-/// Decodes one record body, borrowed from the stream buffer. With
-/// `keep_unsupported` an unsupported record's bytes are copied so they
-/// can be preserved for inspection; without it the body stays empty and
-/// nothing is copied at all.
-fn decode_body(
-    record_type: u16,
-    body: &[u8],
-    addrs: &mut AddrTableReader,
-    keep_unsupported: bool,
-) -> Result<Record, WartsError> {
-    let mut cur = Cursor::new(body);
-    let record = match record_type {
-        x if x == RecordType::List as u16 => Record::List(ListRecord::read(&mut cur)?),
-        x if x == RecordType::CycleStart as u16 || x == RecordType::CycleDef as u16 => {
-            Record::CycleStart(CycleRecord::read(&mut cur)?)
-        }
-        x if x == RecordType::CycleStop as u16 => {
-            Record::CycleStop(CycleStopRecord::read(&mut cur)?)
-        }
-        x if x == RecordType::Trace as u16 => {
-            Record::Trace(TraceRecord::read(&mut cur, addrs)?)
-        }
-        x if x == RecordType::Ping as u16 => {
-            Record::Ping(PingRecord::read(&mut cur, addrs)?)
-        }
-        other => {
-            let body = if keep_unsupported { body.to_vec() } else { Vec::new() };
-            return Ok(Record::Unsupported { record_type: other, body });
-        }
-    };
-    cur.expect_consumed(record_type)?;
-    Ok(record)
-}
-
-/// Decodes one record body against a caller-supplied address table —
-/// the entry point for index-driven shard decoding, where the body is a
-/// slice of a memory-mapped file and `addrs` is the file's full
-/// dictionary preloaded via [`AddrTableReader::from_table`].
-///
-/// Semantics are identical to [`WartsStreamReader::next_record`]'s body
-/// decode (length-mismatch included). Unsupported record bodies are
-/// always elided here: range decoders count them, never re-emit them.
-pub fn decode_record_body(
-    record_type: u16,
-    body: &[u8],
-    addrs: &mut AddrTableReader,
-) -> Result<Record, WartsError> {
-    decode_body(record_type, body, addrs, false)
-}
-
-impl<R: Read> Iterator for WartsStreamReader<R> {
-    type Item = Result<Record, StreamError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
+        self.start += n;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::Addr;
-    use crate::file::WartsWriter;
-    use crate::trace::HopRecord;
+    use crate::addr::{Addr, AddrTableReader};
+    use crate::file::{Record, RecordType, WartsWriter, WARTS_MAGIC};
+    use crate::frame::{decode_record_body, SkipReason, StreamMetrics};
+    use crate::trace::{HopRecord, TraceRecord};
+    use lpr_obs::Registry;
+    use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
 
     fn a(o: u8) -> Addr {
@@ -720,6 +176,52 @@ mod tests {
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(streamed.len(), 5);
+    }
+
+    /// Fails every other read with `Interrupted`; the reads in between
+    /// return one byte each.
+    struct Interrupting<'a> {
+        bytes: &'a [u8],
+        interrupt: bool,
+    }
+
+    impl Read for Interrupting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            Trickle(self.bytes).read(buf).inspect(|&n| self.bytes = &self.bytes[n..])
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let bytes = sample_bytes();
+        let batch: Vec<Record> =
+            crate::file::WartsReader::new(&bytes).collect::<Result<_, _>>().unwrap();
+        let source = Interrupting { bytes: &bytes, interrupt: false };
+        let streamed: Vec<Record> =
+            WartsStreamReader::new(source).collect::<Result<_, _>>().unwrap();
+        assert_eq!(streamed, batch);
+    }
+
+    /// A source whose every read fails.
+    struct Broken;
+
+    impl Read for Broken {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("disk on fire"))
+        }
+    }
+
+    #[test]
+    fn a_failing_source_yields_one_error_then_none() {
+        let mut reader = WartsStreamReader::new(Broken);
+        let items: Vec<_> = reader.by_ref().take(8).collect();
+        assert_eq!(items.len(), 1, "{items:?}");
+        assert!(matches!(items[0], Err(StreamError::Io(_))));
+        assert!(reader.next().is_none());
     }
 
     #[test]
