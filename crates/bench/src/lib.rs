@@ -1,32 +1,42 @@
 //! # lpr-bench — benchmark support
 //!
-//! The interesting code lives in `benches/`:
-//!
-//! * `micro` — substrate micro-benchmarks: warts encode/decode
-//!   throughput, longest-prefix-match lookups, SPF/LDP control-plane
-//!   computation, traceroute simulation, tunnel extraction and IOTP
-//!   classification.
-//! * `paper` — one Criterion entry per table/figure regenerator of the
-//!   paper's evaluation, at reduced scale (the full-scale regeneration
-//!   is `cargo run --release -p experiments -- all`).
-//!
 //! This library holds the pieces of the `lpr-bench` binary that want
-//! unit tests: the shared rate/speedup formatters (one source of truth
-//! for the stdout table and the JSON report) and the [`compare`]
-//! engine behind `lpr-bench compare`.
+//! unit tests: the golden campaign fingerprint every `lpr-bench
+//! pipeline` run checks, the shared rate/speedup formatters (one source
+//! of truth for the stdout table and the JSON report) and the
+//! [`compare`] engine behind `lpr-bench compare`.
 
 #![forbid(unsafe_code)]
 
 use lpr_obs::json::JsonValue;
 
-/// Builds the standard fixture shared by the benches: one cycle of the
-/// longitudinal world plus its RIB.
-pub fn bench_cycle() -> (ark_dataset::World, Vec<lpr_core::trace::Trace>) {
-    let world = ark_dataset::standard_world();
-    let opts = ark_dataset::CampaignOptions { snapshots: 1, ..Default::default() };
-    let data = ark_dataset::generate_cycle(&world, 40, &opts);
-    let traces = data.snapshots.into_iter().next().expect("one snapshot");
-    (world, traces)
+/// FNV-1a fingerprint of the default-shape campaign's warts encoding,
+/// captured before the dense-SPF / probe-ladder / parallel-probing
+/// rewrite. Byte-for-byte equality with the old implementation is the
+/// contract those optimisations must keep.
+pub const GOLDEN_CAMPAIGN_FNV: u64 = 0x814958413857ec30;
+
+/// Combines the per-snapshot warts encodings into one order-sensitive
+/// FNV-1a fingerprint (each snapshot's hash is rotated by its index so
+/// snapshot swaps change the result).
+pub fn campaign_fingerprint(snapshots: &[Vec<lpr_core::trace::Trace>]) -> u64 {
+    let mut combined = 0u64;
+    for (snap, traces) in snapshots.iter().enumerate() {
+        let mut w = warts::WartsWriter::new();
+        let list = w.list(1, "bench");
+        let cyc = w.cycle_start(list, 1, 0);
+        for t in traces {
+            w.trace(&warts::trace_to_record(t, list, cyc)).expect("encode");
+        }
+        w.cycle_stop(cyc, 1);
+        let mut h: u64 = 0xcbf29ce484222325;
+        for &b in w.into_bytes().iter() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        combined ^= h.rotate_left(snap as u32 * 21);
+    }
+    combined
 }
 
 /// Items/second over a wall time, or `None` when the wall rounded to
@@ -596,6 +606,20 @@ pub mod compare {
 mod tests {
     use super::*;
     use lpr_obs::json;
+
+    #[test]
+    fn default_campaign_matches_the_golden_fingerprint() {
+        let world = ark_dataset::standard_world();
+        for threads in [1usize, 3] {
+            let opts = ark_dataset::CampaignOptions { threads, ..Default::default() };
+            let data = ark_dataset::generate_cycle(&world, 40, &opts);
+            assert_eq!(
+                campaign_fingerprint(&data.snapshots),
+                GOLDEN_CAMPAIGN_FNV,
+                "threads = {threads}"
+            );
+        }
+    }
 
     #[test]
     fn throughput_cells_agree_across_renderings() {

@@ -24,6 +24,7 @@
 
 #![deny(unsafe_code)]
 
+use lpr_bench::{campaign_fingerprint, GOLDEN_CAMPAIGN_FNV};
 use lpr_core::pipeline::{IngestState, Pipeline};
 use lpr_core::prelude::*;
 use lpr_obs::json::JsonValue;
@@ -786,7 +787,7 @@ fn pipeline(args: &[String]) -> i32 {
     }
 
     // Campaign thread-sweep: regenerate the cycle at each probing
-    // thread count. The shard-order merge in `campaign_par` makes the
+    // thread count. The shard-order merge in `Prober::campaign` makes the
     // traces byte-identical for any count — verified here against the
     // sequential campaign generated above.
     let mut campaign_rows: Vec<(usize, u64, bool)> = Vec::new();
@@ -1924,35 +1925,6 @@ fn pipeline_scaled(p: ScaledParams) -> i32 {
 /// byte-identity across all of them is part of the acceptance bar.
 const CAMPAIGN_THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// FNV-1a fingerprint of the default-shape campaign's warts encoding,
-/// captured before the dense-SPF / probe-ladder / parallel-probing
-/// rewrite. Byte-for-byte equality with the old implementation is the
-/// contract those optimisations must keep.
-const GOLDEN_CAMPAIGN_FNV: u64 = 0x814958413857ec30;
-
-/// Combines the per-snapshot warts encodings into one order-sensitive
-/// FNV-1a fingerprint (each snapshot's hash is rotated by its index so
-/// snapshot swaps change the result).
-fn campaign_fingerprint(snapshots: &[Vec<lpr_core::trace::Trace>]) -> u64 {
-    let mut combined = 0u64;
-    for (snap, traces) in snapshots.iter().enumerate() {
-        let mut w = warts::WartsWriter::new();
-        let list = w.list(1, "bench");
-        let cyc = w.cycle_start(list, 1, 0);
-        for t in traces {
-            w.trace(&warts::trace_to_record(t, list, cyc)).expect("encode");
-        }
-        w.cycle_stop(cyc, 1);
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in w.into_bytes().iter() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        combined ^= h.rotate_left(snap as u32 * 21);
-    }
-    combined
-}
-
 /// Parses a comma-separated fault-rate list; the rate-0 baseline is
 /// always swept first so every row has a drift reference.
 fn parse_rates(spec: &str) -> Result<Vec<f64>, String> {
@@ -2404,25 +2376,14 @@ fn chaos(args: &[String]) -> i32 {
             p.dpr_rate_limit = (rate * 5.0).min(1.0);
             p
         };
+        let prober = netsim::Prober::new(&reveal_net, netsim::ProbeOptions::default())
+            .with_faults(plan);
         let run_at = |threads: usize| {
-            let prober = netsim::Prober::new(&reveal_net, netsim::ProbeOptions::default())
-                .with_faults(plan);
-            let out = prober.campaign_with_revelation(
-                &reveal_vps,
-                &reveal_dsts,
-                threads,
-                &reveal_opts,
-            );
-            (out, prober.injected_faults())
+            prober.campaign(&reveal_vps, &reveal_dsts, threads, Some(&reveal_opts))
         };
-        let ((traces, budget, evidence), injected) = run_at(1);
-        let mut reveal_matches = true;
-        for &threads in &CHAOS_THREADS[1..] {
-            let ((t, b, e), _) = run_at(threads);
-            if t != traces || b != budget || e != evidence {
-                reveal_matches = false;
-            }
-        }
+        let campaign = run_at(1);
+        let reveal_matches = CHAOS_THREADS[1..].iter().all(|&threads| run_at(threads) == campaign);
+        let netsim::CampaignOutput { traces, budget, evidence, faults: injected } = campaign;
         let keys = Pipeline::snapshot_keys(&traces);
         let reveal_rib = reveal_net.topo.rib();
         let mut out =

@@ -447,7 +447,7 @@ pub mod demo {
         let vps: Vec<Ipv4Addr> =
             net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
         let dsts = net.topo.destinations(1);
-        let traces = prober.campaign(&vps, &dsts);
+        let traces = prober.campaign(&vps, &dsts, 1, None).traces;
 
         let mut writer = warts::WartsWriter::new();
         let list = writer.list(1, "demo");

@@ -100,6 +100,10 @@ pub struct LoadReport {
     pub resync_bytes: u64,
     /// Records that decoded but failed trace conversion (dropped).
     pub convert_failures: u64,
+    /// Input files `--out-of-core` set aside unread because they end in
+    /// a half-written record, with the reason. Empty inputs contribute
+    /// nothing and are not listed.
+    pub set_aside: Vec<(std::path::PathBuf, lpr_corpus::FileSkipReason)>,
 }
 
 impl LoadReport {
@@ -108,9 +112,9 @@ impl LoadReport {
         self.skipped.values().sum()
     }
 
-    /// Whether nothing was skipped or dropped.
+    /// Whether nothing was skipped, dropped or set aside.
     pub fn is_clean(&self) -> bool {
-        self.skipped.is_empty() && self.convert_failures == 0
+        self.skipped.is_empty() && self.convert_failures == 0 && self.set_aside.is_empty()
     }
 }
 
@@ -443,14 +447,18 @@ pub fn run_pipeline_recorded(
 /// The indexed decode is inherently lenient (the index records what a
 /// lenient scan salvaged); without `--keep-going`, any skipped record
 /// or failed conversion is promoted to a fatal error, mirroring the
-/// strict loader.
+/// strict loader. An empty input contributes nothing and is clean, as
+/// in memory. An input ending in a half-written record is set aside
+/// unread: fatal without `--keep-going`, degradation with it.
 fn run_pipeline_out_of_core(
     o: &Options,
     rib: &ip2as::Ip2AsTrie,
     threads: usize,
     recorder: Option<&lpr_obs::Recorder>,
 ) -> Result<PipelineArtifacts, CliError> {
-    use lpr_corpus::{ingest_cycle, snapshot_keys, spill_snapshot_keys, Corpus, IngestOptions};
+    use lpr_corpus::{
+        ingest_cycle, snapshot_keys, spill_snapshot_keys, Corpus, FileSkipReason, IngestOptions,
+    };
     let disabled = lpr_obs::Tracer::disabled();
     let tracer = recorder.map_or(&disabled, |r| r.tracer());
     let outer_parent = tracer.default_parent();
@@ -484,6 +492,12 @@ fn run_pipeline_out_of_core(
         skipped: report.skipped.clone(),
         resync_bytes: report.resync_bytes,
         convert_failures: report.convert_failures,
+        set_aside: corpus
+            .skipped_files
+            .iter()
+            .filter(|f| f.reason != FileSkipReason::Empty)
+            .map(|f| (f.path.clone(), f.reason.clone()))
+            .collect(),
     };
     if let Some(rec) = recorder {
         rec.record_stage("CorpusIngest", sw.elapsed_us(), o.inputs.len() as u64, ingest.traces_in);
@@ -498,13 +512,11 @@ fn run_pipeline_out_of_core(
             load.convert_failures,
         )));
     }
-    if !o.keep_going && !corpus.skipped_files.is_empty() {
-        let first = &corpus.skipped_files[0];
+    if let (false, Some((path, reason))) = (o.keep_going, load.set_aside.first()) {
         return Err(err(format!(
-            "{} input file(s) set aside ({}: {}); use --keep-going to accept",
-            corpus.skipped_files.len(),
-            first.path.display(),
-            first.reason,
+            "{} input file(s) set aside ({}: {reason}); use --keep-going to accept",
+            load.set_aside.len(),
+            path.display(),
         )));
     }
 
@@ -592,6 +604,9 @@ pub fn write_degradation_summary(
     }
     if artifacts.load.convert_failures > 0 {
         writeln!(w, "  failed conversions: {}", artifacts.load.convert_failures)?;
+    }
+    for (path, reason) in &artifacts.load.set_aside {
+        writeln!(w, "  set aside unread: {} ({reason})", path.display())?;
     }
     let degraded = &artifacts.output.degraded;
     if degraded.quarantined_total() > 0 {

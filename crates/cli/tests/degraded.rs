@@ -222,3 +222,35 @@ fn in_memory_and_out_of_core_agree_on_a_record_over_64_mib() {
     assert_eq!(in_memory.0, 3, "{}", in_memory.1);
     assert_eq!(out_of_core, in_memory);
 }
+
+#[test]
+fn set_aside_inputs_get_one_batch_verdict() {
+    let tmp = Tmp::new("set-aside");
+    let (bytes, rib) = write_demo_files();
+    let (demo, cut, empty, ribf) =
+        (tmp.path("demo.warts"), tmp.path("cut.warts"), tmp.path("empty.warts"), tmp.path("rib.txt"));
+    std::fs::write(&demo, &bytes).unwrap();
+    // A 3-byte cut record header: the tail of a file still being written.
+    std::fs::write(&cut, [&bytes[..], &[0x12, 0x05, 0x00]].concat()).unwrap();
+    std::fs::write(&empty, b"").unwrap();
+    std::fs::write(&ribf, rib).unwrap();
+
+    // An empty input contributes nothing and is clean.
+    for mode in [None, Some("--keep-going")] {
+        let args: Vec<&str> = ["--rib", &ribf, &demo, &empty].into_iter().chain(mode).collect();
+        let [in_memory, out_of_core] = classify_both_ways(&args);
+        assert_eq!(in_memory.0, 0, "{mode:?}: {}", in_memory.1);
+        assert_eq!(out_of_core, in_memory, "{mode:?}");
+    }
+
+    // A still-growing tail is degradation: fatal in strict mode, exit 3
+    // under --keep-going. Out of core does not read the set-aside file,
+    // so only the verdicts agree, not the IOTPs.
+    let [in_memory, out_of_core] = classify_both_ways(&["--rib", &ribf, &cut]);
+    assert_eq!((in_memory.0, out_of_core.0), (1, 1));
+    let [in_memory, out_of_core] = classify_both_ways(&["--rib", &ribf, &cut, "--keep-going"]);
+    assert_eq!((in_memory.0, out_of_core.0), (3, 3), "{}\n{}", in_memory.1, out_of_core.1);
+    assert!(in_memory.1.contains("skipped records: 1 [truncated_header=1]"), "{}", in_memory.1);
+    let named = format!("set aside unread: {cut} (still_growing(truncated_header))");
+    assert!(out_of_core.1.contains(&named), "{}", out_of_core.1);
+}

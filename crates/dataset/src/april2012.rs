@@ -94,7 +94,7 @@ pub fn april_day(world: &World, day: usize, opts: &CampaignOptions) -> DayCounts
             ..ProbeOptions::default()
         },
     );
-    let traces = prober.campaign(&vps, &dsts);
+    let traces = prober.campaign(&vps, &dsts, 1, None).traces;
 
     // "Before filtering": every complete intra-AS transit LSP grouped
     // into IOTPs (no TransitDiversity, no Persistence).

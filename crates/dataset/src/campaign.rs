@@ -16,8 +16,8 @@ use lpr_core::trace::Trace;
 use lpr_core::reveal::{apply_revelations, RevealedTunnel};
 use netsim::internet::splitmix64;
 use netsim::{
-    Internet, ProbeBudget, ProbeOptions, Prober, ProbingStrategy, RevelationOptions,
-    VisibilityMix,
+    CampaignOutput, Internet, ProbeBudget, ProbeOptions, Prober, ProbingStrategy,
+    RevelationOptions, VisibilityMix,
 };
 use std::net::Ipv4Addr;
 
@@ -113,15 +113,42 @@ pub fn probing_list(world: &World, cycle: usize, opts: &CampaignOptions) -> (Vec
 /// Persistence filter removes. Dynamic ASes additionally re-signal
 /// their TE LSPs (fresh labels) between snapshots (§4.5).
 pub fn generate_cycle(world: &World, cycle: usize, opts: &CampaignOptions) -> CycleData {
+    render_cycle(world, cycle, opts, None).0
+}
+
+/// [`generate_cycle`] with the revelation phase run over the primary
+/// snapshot: hidden-tunnel triggers detected in its traces are
+/// re-probed with DPR walks against the primary snapshot's network.
+/// Follow-up snapshots render exactly as in [`generate_cycle`], and the
+/// revelation probes are folded into the cycle's budget.
+pub fn generate_cycle_with_revelation(
+    world: &World,
+    cycle: usize,
+    opts: &CampaignOptions,
+    reveal_opts: &RevelationOptions,
+) -> (CycleData, Vec<RevealedTunnel>) {
+    render_cycle(world, cycle, opts, Some(reveal_opts))
+}
+
+/// Renders every snapshot of a cycle; revelation, when asked for, runs
+/// over the primary snapshot only.
+fn render_cycle(
+    world: &World,
+    cycle: usize,
+    opts: &CampaignOptions,
+    reveal: Option<&RevelationOptions>,
+) -> (CycleData, Vec<RevealedTunnel>) {
     let mut budget = ProbeBudget::default();
+    let mut evidence = Vec::new();
     let snapshots = (0..opts.snapshots)
         .map(|snap| {
-            let (traces, b) = generate_snapshot_with_budget(world, cycle, snap, opts);
-            budget.merge(&b);
-            traces
+            let out = render_snapshot(world, cycle, snap, opts, reveal.filter(|_| snap == 0));
+            budget.merge(&out.budget);
+            evidence.extend(out.evidence);
+            out.traces
         })
         .collect();
-    CycleData { cycle, snapshots, budget }
+    (CycleData { cycle, snapshots, budget }, evidence)
 }
 
 /// Renders **one** snapshot of a cycle — the bounded-memory unit. At
@@ -146,10 +173,29 @@ pub fn generate_snapshot_with_budget(
     snap: usize,
     opts: &CampaignOptions,
 ) -> (Vec<Trace>, ProbeBudget) {
+    let out = render_snapshot(world, cycle, snap, opts, None);
+    (out.traces, out.budget)
+}
+
+/// Probes one snapshot of a cycle over the cycle's probing list, with
+/// the revelation phase when `reveal` is `Some`.
+fn render_snapshot(
+    world: &World,
+    cycle: usize,
+    snap: usize,
+    opts: &CampaignOptions,
+    reveal: Option<&RevelationOptions>,
+) -> CampaignOutput {
     let net = snapshot_net(world, cycle, snap, opts);
     let (vps, dsts) = probing_list(world, cycle, opts);
-    let prober = Prober::new(&net, snapshot_probe_opts(cycle, snap, opts));
-    prober.campaign_with_budget(&vps, &dsts, opts.threads)
+    let probe_opts = ProbeOptions {
+        seed: opts.seed,
+        snapshot_salt: (cycle as u64) << 8 | snap as u64,
+        flow_churn_rate: if snap == 0 { 0.0 } else { opts.flow_churn_rate },
+        probing: opts.probing,
+        ..ProbeOptions::default()
+    };
+    Prober::new(&net, probe_opts).campaign(&vps, &dsts, opts.threads, reveal)
 }
 
 /// The simulated Internet a snapshot is probed against, with the
@@ -183,50 +229,6 @@ fn snapshot_net(world: &World, cycle: usize, snap: usize, opts: &CampaignOptions
     net
 }
 
-fn snapshot_probe_opts(cycle: usize, snap: usize, opts: &CampaignOptions) -> ProbeOptions {
-    ProbeOptions {
-        seed: opts.seed,
-        snapshot_salt: (cycle as u64) << 8 | snap as u64,
-        flow_churn_rate: if snap == 0 { 0.0 } else { opts.flow_churn_rate },
-        probing: opts.probing,
-        ..ProbeOptions::default()
-    }
-}
-
-/// [`generate_cycle`] with the revelation phase run over the primary
-/// snapshot: hidden-tunnel triggers detected in its traces are
-/// re-probed with DPR walks against the primary snapshot's network.
-/// Follow-up snapshots render exactly as in [`generate_cycle`], and the
-/// revelation probes are folded into the cycle's budget.
-pub fn generate_cycle_with_revelation(
-    world: &World,
-    cycle: usize,
-    opts: &CampaignOptions,
-    reveal_opts: &RevelationOptions,
-) -> (CycleData, Vec<RevealedTunnel>) {
-    let mut budget = ProbeBudget::default();
-    let mut evidence = Vec::new();
-    let snapshots = (0..opts.snapshots)
-        .map(|snap| {
-            if snap == 0 {
-                let net = snapshot_net(world, cycle, snap, opts);
-                let (vps, dsts) = probing_list(world, cycle, opts);
-                let prober = Prober::new(&net, snapshot_probe_opts(cycle, snap, opts));
-                let (traces, b, ev) =
-                    prober.campaign_with_revelation(&vps, &dsts, opts.threads, reveal_opts);
-                budget.merge(&b);
-                evidence = ev;
-                traces
-            } else {
-                let (traces, b) = generate_snapshot_with_budget(world, cycle, snap, opts);
-                budget.merge(&b);
-                traces
-            }
-        })
-        .collect();
-    (CycleData { cycle, snapshots, budget }, evidence)
-}
-
 /// A cycle's LPR results.
 pub struct CycleAnalysis {
     /// The pipeline output over the primary snapshot.
@@ -238,15 +240,7 @@ pub struct CycleAnalysis {
 /// Runs LPR over a rendered cycle with persistence window `j`
 /// (`j + 1 ≤ snapshots`; extra snapshots are ignored).
 pub fn analyze_cycle(world: &World, data: &CycleData, j: usize) -> CycleAnalysis {
-    let future: Vec<_> = data.snapshots[1..]
-        .iter()
-        .take(j)
-        .map(|traces| Pipeline::snapshot_keys(traces))
-        .collect();
-    let pipeline = Pipeline::new(FilterConfig { persistence_window: j, ..Default::default() });
-    let output = pipeline.run(&data.snapshots[0], world.rib(), &future);
-    let report = CycleReport::build(&data.snapshots[0], &output, world.rib());
-    CycleAnalysis { output, report }
+    analyze_cycle_revealed(world, data, j, &[])
 }
 
 /// [`analyze_cycle`] with the revelation classifier stage applied: the

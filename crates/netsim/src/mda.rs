@@ -30,12 +30,12 @@
 //!
 //! [`ProbingStrategy::Exhaustive`] remains the oracle: consume the
 //! whole candidate budget. Campaign integration lives in
-//! [`Prober::campaign_with_budget`], which applies the same stopping
-//! rule per `(vp, /24)` host group.
+//! [`Prober::campaign`], which applies the same sweep per `(vp, /24)`
+//! host group under every strategy.
 
 use crate::dataplane::{probe_ladder, steering_flows, ProbeReply};
 use crate::internet::splitmix64;
-use crate::probe::{ProbeCore, Prober};
+use crate::probe::{CampaignOutput, Prober};
 use lpr_chaos::FaultCounts;
 use lpr_core::trace::Trace;
 use std::collections::{BTreeMap, BTreeSet};
@@ -250,7 +250,7 @@ impl Sweep {
 /// re-confirms every divergent hop with steered flows, and re-enters
 /// the vertical sweep when confirmation widened a hop.
 fn stopping_sweep(
-    core: ProbeCore<'_>,
+    prober: &Prober<'_>,
     vp: Ipv4Addr,
     candidates: &[(Ipv4Addr, u64)],
     strategy: ProbingStrategy,
@@ -270,7 +270,7 @@ fn stopping_sweep(
                 break;
             }
             let (dst, flow) = candidates[used];
-            let (trace, probes) = core.trace_with_flow_counted(vp, dst, flow, injected);
+            let (trace, probes) = prober.run_ladder(vp, dst, flow, injected);
             sw.probes += probes;
             // The oracle consumes every candidate regardless, so it
             // skips the stopping-rule bookkeeping entirely.
@@ -283,7 +283,7 @@ fn stopping_sweep(
         if strategy != ProbingStrategy::Mda || candidates.is_empty() {
             break;
         }
-        if !confirm_hops(core, vp, candidates[0], &mut sw) {
+        if !confirm_hops(prober, vp, candidates[0], &mut sw) {
             break;
         }
     }
@@ -302,15 +302,15 @@ fn needs_confirmation(sw: &Sweep, ttl: u8, width: usize) -> bool {
 /// hop widened (the caller then re-enters the vertical sweep, because
 /// a wider hop raises the stopping threshold).
 fn confirm_hops(
-    core: ProbeCore<'_>,
+    prober: &Prober<'_>,
     vp: Ipv4Addr,
     base: (Ipv4Addr, u64),
     sw: &mut Sweep,
 ) -> bool {
     let (dst, base_flow) = base;
-    let max = core.opts.max_ttl as usize;
+    let max = prober.opts.max_ttl as usize;
     let mut events = Vec::new();
-    let _ = probe_ladder(core.net, vp, dst, base_flow, max, &mut events, None);
+    let _ = probe_ladder(prober.net, vp, dst, base_flow, max, &mut events, None);
     let mut grew = false;
     for (i, ev) in events.iter().enumerate() {
         let ProbeReply::TimeExceeded { router, .. } = ev else { continue };
@@ -322,7 +322,7 @@ fn confirm_hops(
         sw.confirmed.insert(next_ttl, width);
         for flow in steering_flows(base_flow, *router, width) {
             let mut walk = Vec::new();
-            let _ = probe_ladder(core.net, vp, dst, flow, max, &mut walk, None);
+            let _ = probe_ladder(prober.net, vp, dst, flow, max, &mut walk, None);
             sw.probes += walk.len() as u64;
             sw.confirmations += 1;
             for (j, step) in walk.iter().enumerate() {
@@ -339,34 +339,37 @@ fn confirm_hops(
     grew
 }
 
-/// One `(vp, /24 host group)` unit of a stochastic campaign: hosts are
-/// probed in order under their own Paris flows (within a /24 the hosts
-/// *are* the flow variation — same prefix FEC, different hashes) until
-/// the stopping rule settles or the hosts run out. Returns the emitted
-/// traces — byte-identical to what the exhaustive campaign would emit
-/// for the probed pairs — plus the group's budget tallies.
+/// One `(vp, /24 host group)` unit of a campaign: hosts are probed in
+/// order under their own Paris flows (within a /24 the hosts *are* the
+/// flow variation — same prefix FEC, different hashes) until the
+/// prober's stopping rule settles or the hosts run out; the exhaustive
+/// oracle probes every host. Appends the emitted traces — byte-identical
+/// to what the exhaustive campaign emits for the probed pairs — to
+/// `out`, and folds the group's budget and fault tallies into it.
 pub(crate) fn probe_group(
-    core: ProbeCore<'_>,
+    prober: &Prober<'_>,
     vp: Ipv4Addr,
     hosts: &[Ipv4Addr],
-    strategy: ProbingStrategy,
-    injected: &mut FaultCounts,
-) -> (Vec<Trace>, crate::probe::ProbeBudget) {
+    out: &mut CampaignOutput,
+) {
+    let strategy = prober.opts.probing;
     let candidates: Vec<(Ipv4Addr, u64)> =
-        hosts.iter().map(|&dst| (dst, core.flow(vp, dst))).collect();
-    let sw = stopping_sweep(core, vp, &candidates, strategy, DEFAULT_CONFIDENCE, injected);
-    let mut budget = crate::probe::ProbeBudget {
-        flows_traced: sw.traces.len() as u64,
-        probes_sent: sw.probes,
-        confirmations: sw.confirmations,
-        ..Default::default()
-    };
-    if sw.exhausted {
-        budget.groups_exhausted = 1;
-    } else {
-        budget.groups_stopped = 1;
+        hosts.iter().map(|&dst| (dst, prober.flow(vp, dst))).collect();
+    let sw =
+        stopping_sweep(prober, vp, &candidates, strategy, DEFAULT_CONFIDENCE, &mut out.faults);
+    let budget = &mut out.budget;
+    budget.flows_traced += sw.traces.len() as u64;
+    budget.probes_sent += sw.probes;
+    budget.confirmations += sw.confirmations;
+    // The oracle has no stopping rule to settle or run dry.
+    if strategy != ProbingStrategy::Exhaustive {
+        if sw.exhausted {
+            budget.groups_exhausted += 1;
+        } else {
+            budget.groups_stopped += 1;
+        }
     }
-    (sw.traces, budget)
+    out.traces.extend(sw.traces);
 }
 
 /// Splits a destination list into runs sharing a /24 — the host groups
@@ -397,8 +400,6 @@ impl Prober<'_> {
         dst: Ipv4Addr,
         opts: &MdaOptions,
     ) -> MdaDiscovery {
-        let core = self.core();
-        let mut injected = FaultCounts::default();
         let candidates: Vec<(Ipv4Addr, u64)> = (0..opts.max_flows.max(1))
             .map(|k| {
                 let flow = splitmix64(
@@ -410,14 +411,13 @@ impl Prober<'_> {
             })
             .collect();
         let sw = stopping_sweep(
-            core,
+            self,
             vp,
             &candidates,
             opts.strategy,
             opts.confidence,
-            &mut injected,
+            &mut FaultCounts::default(),
         );
-        self.merge_injected(injected);
         let paths: BTreeSet<Vec<Ipv4Addr>> = sw
             .traces
             .iter()
@@ -559,11 +559,13 @@ mod tests {
                 &net,
                 ProbeOptions { probing: strategy, ..ProbeOptions::default() },
             );
-            prober.campaign_with_budget(&vps, &dsts, threads)
+            let out = prober.campaign(&vps, &dsts, threads, None);
+            (out.traces, out.budget)
         };
         let (ex_traces, ex_budget) = run(ProbingStrategy::Exhaustive, 1);
         assert_eq!(ex_budget.pairs_probed, ex_budget.pairs_total);
         assert_eq!(ex_budget.pairs_pruned, 0);
+        assert_eq!((ex_budget.groups_stopped, ex_budget.groups_exhausted), (0, 0));
         for strategy in [ProbingStrategy::MdaLite, ProbingStrategy::Mda] {
             let (seq, budget) = run(strategy, 1);
             for threads in [2usize, 8] {

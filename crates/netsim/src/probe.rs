@@ -16,11 +16,19 @@
 //!
 //! Everything derives from `(seed, snapshot_salt, vp, dst, ttl)` — no
 //! hidden RNG state — so campaigns replay bit-identically.
+//!
+//! [`Prober::campaign`] is the one way to run a campaign, whatever the
+//! [`ProbingStrategy`], with or without the revelation phase. It returns
+//! a [`CampaignOutput`]: the traces, the probe budget, the revelation
+//! evidence and the tally of faults a [`FaultPlan`] injected. The prober
+//! itself keeps no tally and holds no mutable state.
 
 use crate::dataplane::{probe_ladder, LadderEnd, ProbeReply};
 use crate::internet::{splitmix64, Internet};
 use crate::mda::{self, ProbingStrategy};
+use crate::revelation::RevelationOptions;
 use lpr_chaos::{FaultCounts, FaultPlan};
+use lpr_core::reveal::RevealedTunnel;
 use lpr_core::trace::{Hop, Trace};
 use std::net::Ipv4Addr;
 
@@ -125,6 +133,22 @@ impl ProbeBudget {
     }
 }
 
+/// What one [`Prober::campaign`] produced and spent.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CampaignOutput {
+    /// Emitted traces in row-major `(vp, dst)` order; pairs the stopping
+    /// rule pruned emit nothing.
+    pub traces: Vec<Trace>,
+    /// What the campaign spent and pruned, revelation included.
+    pub budget: ProbeBudget,
+    /// Revelation evidence in detection order (empty without
+    /// revelation).
+    pub evidence: Vec<RevealedTunnel>,
+    /// Faults the prober's [`FaultPlan`] injected, revelation included
+    /// (zero without a plan).
+    pub faults: FaultCounts,
+}
+
 /// Handles to the `probe.*` metrics a [`Prober`] maintains.
 struct ProbeMetrics {
     /// Probes sent (`probe.sent`): one per TTL step.
@@ -150,42 +174,31 @@ struct ProbeMetrics {
     tracer: lpr_obs::Tracer,
 }
 
-/// A traceroute engine bound to one simulated Internet.
+/// A traceroute engine bound to one simulated Internet. It holds no
+/// mutable state, so shard workers share it directly.
 pub struct Prober<'a> {
-    net: &'a Internet,
-    opts: ProbeOptions,
+    pub(crate) net: &'a Internet,
+    pub(crate) opts: ProbeOptions,
     metrics: Option<ProbeMetrics>,
     faults: Option<FaultPlan>,
-    injected: std::cell::Cell<FaultCounts>,
 }
 
 impl<'a> Prober<'a> {
     /// Binds a prober to a network.
     pub fn new(net: &'a Internet, opts: ProbeOptions) -> Self {
-        Prober {
-            net,
-            opts,
-            metrics: None,
-            faults: None,
-            injected: std::cell::Cell::new(FaultCounts::default()),
-        }
+        Prober { net, opts, metrics: None, faults: None }
     }
 
     /// Injects the plan's measurement-layer faults (probe loss, ICMP
     /// rate limiting, PHP silence, truncated label-stack extensions,
     /// duplicated and reordered replies) into every trace this prober
-    /// runs. Fault decisions derive from the plan's own seed, so the
-    /// same plan over the same campaign replays bit-identically — and a
-    /// quiet plan is the identity.
+    /// runs; a campaign reports what fired in [`CampaignOutput::faults`].
+    /// Fault decisions derive from the plan's own seed, so the same plan
+    /// over the same campaign replays bit-identically — and a quiet plan
+    /// is the identity.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
-    }
-
-    /// Tally of faults injected by the [`FaultPlan`] so far (zero
-    /// without one).
-    pub fn injected_faults(&self) -> FaultCounts {
-        self.injected.get()
     }
 
     /// Tallies probing activity into `recorder`'s registry: `probe.sent`,
@@ -212,137 +225,74 @@ impl<'a> Prober<'a> {
         self.metrics.as_ref().map_or_else(lpr_obs::Tracer::disabled, |m| m.tracer.clone())
     }
 
-    /// The [`Sync`] view of this prober that shard workers share; the
-    /// fault tally (a `Cell`) stays behind, accumulated per worker and
-    /// merged back in shard order.
-    pub(crate) fn core(&self) -> ProbeCore<'_> {
-        ProbeCore {
-            net: self.net,
-            opts: &self.opts,
-            metrics: self.metrics.as_ref(),
-            faults: self.faults.as_ref(),
-        }
-    }
-
-    /// Folds a worker-local fault tally into the prober's running total.
-    pub(crate) fn merge_injected(&self, injected: FaultCounts) {
-        if injected.total() > 0 {
-            let mut total = self.injected.get();
-            total.merge(&injected);
-            self.injected.set(total);
-        }
+    /// The fault plan the prober was armed with, if any — the
+    /// revelation phase consults its trigger-loss and DPR
+    /// rate-limiting predicates.
+    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.faults.as_ref()
     }
 
     /// Runs one traceroute (Paris: the flow identifier derives from
     /// `(vp, dst)` and stays constant across the TTL ladder).
     pub fn trace(&self, vp: Ipv4Addr, dst: Ipv4Addr) -> Trace {
-        self.trace_with_flow(vp, dst, self.core().flow(vp, dst))
+        self.run_ladder(vp, dst, self.flow(vp, dst), &mut FaultCounts::default()).0
     }
 
-    /// Runs one traceroute with an explicit flow identifier — the MDA
-    /// (multipath detection) primitive: Paris traceroute enumerates
-    /// ECMP branches by probing the same destination under several
-    /// flow identifiers, each held constant within its own trace.
-    pub fn trace_with_flow(&self, vp: Ipv4Addr, dst: Ipv4Addr, flow: u64) -> Trace {
-        let mut injected = FaultCounts::default();
-        let trace = self.core().trace_with_flow(vp, dst, flow, &mut injected);
-        self.merge_injected(injected);
-        trace
-    }
-
-    /// Runs a full campaign: every vantage point towards every
-    /// destination, in row-major `(vp, dst)` order.
-    pub fn campaign(&self, vps: &[Ipv4Addr], dsts: &[Ipv4Addr]) -> Vec<Trace> {
-        self.campaign_par(vps, dsts, 1)
-    }
-
-    /// [`Prober::campaign`] sharded over `threads` workers (`0` =
-    /// available parallelism) via `lpr-par`, with the deterministic
-    /// shard-order merge discipline: contiguous shards of the row-major
-    /// `(vp, dst)` pair list are concatenated in shard order, so the
-    /// output — traces and injected-fault tallies alike — is
-    /// byte-identical to the sequential campaign for any thread count.
-    /// Fault decisions are pure functions of `(plan, vp, dst, ttl)`, so
-    /// chaos mode shards safely.
-    pub fn campaign_par(
+    /// Runs a campaign: every vantage point towards every destination,
+    /// then, when `reveal` is `Some`, the revelation phase over the
+    /// campaign's traces (see [`crate::revelation`]).
+    ///
+    /// The probe phase shards `(vp, /24 host group)` units over
+    /// `threads` workers (`0` = available parallelism) via `lpr-par`.
+    /// Each group is self-contained: its hosts are probed in order under
+    /// their own Paris flows until the strategy's stopping rule settles
+    /// ([`ProbingStrategy::Exhaustive`] probes every host), so the
+    /// emitted traces are the exhaustive campaign's traces for the
+    /// probed pairs. Shard outputs are concatenated in shard order, so
+    /// traces come out in row-major `(vp, dst)` order and the whole
+    /// [`CampaignOutput`] — traces, budget, evidence and fault tally — is
+    /// byte-identical at any thread count. Fault decisions are pure
+    /// functions of `(plan, vp, dst, ttl)`, so chaos mode shards safely.
+    pub fn campaign(
         &self,
         vps: &[Ipv4Addr],
         dsts: &[Ipv4Addr],
         threads: usize,
-    ) -> Vec<Trace> {
-        self.campaign_with_budget(vps, dsts, threads).0
-    }
-
-    /// [`Prober::campaign_par`] plus the campaign's [`ProbeBudget`].
-    /// Under [`ProbingStrategy::Exhaustive`] the work unit is the
-    /// `(vp, dst)` pair, exactly as before. The stochastic strategies
-    /// shard over `(vp, /24 host group)` units instead: each group is
-    /// self-contained (its stopping rule sees only its own traces), so
-    /// contiguous group shards concatenated in shard order stay
-    /// byte-identical at any thread count — same discipline, coarser
-    /// unit. Emitted traces are the exhaustive campaign's traces for
-    /// the probed pairs; pruned pairs emit nothing.
-    pub fn campaign_with_budget(
-        &self,
-        vps: &[Ipv4Addr],
-        dsts: &[Ipv4Addr],
-        threads: usize,
-    ) -> (Vec<Trace>, ProbeBudget) {
-        let core = self.core();
+        reveal: Option<&RevelationOptions>,
+    ) -> CampaignOutput {
+        let groups = mda::prefix_groups(dsts);
+        let work: Vec<(Ipv4Addr, &[Ipv4Addr])> = vps
+            .iter()
+            .flat_map(|&vp| groups.iter().map(move |&(s, e)| (vp, &dsts[s..e])))
+            .collect();
         let tracer = self.tracer();
         let span = tracer.span("campaign");
-        let strategy = self.opts.probing;
-        let mut budget = ProbeBudget {
-            pairs_total: (vps.len() * dsts.len()) as u64,
-            ..ProbeBudget::default()
-        };
-        let out = match strategy {
-            ProbingStrategy::Exhaustive => {
-                self.exhaustive_campaign(vps, dsts, threads, &tracer, &span, &mut budget)
-            }
-            _ => {
-                let groups = mda::prefix_groups(dsts);
-                let work: Vec<(Ipv4Addr, usize, usize)> = vps
-                    .iter()
-                    .flat_map(|&vp| groups.iter().map(move |&(s, e)| (vp, s, e)))
-                    .collect();
-                let run = lpr_par::map_shards_traced(
-                    &work,
-                    lpr_par::ShardOptions::new(threads),
-                    lpr_par::ShardTrace::new(&tracer, span.context()),
-                    |_, shard| {
-                        let mut injected = FaultCounts::default();
-                        let mut tally = ProbeBudget::default();
-                        let traces: Vec<Trace> = shard
-                            .iter()
-                            .flat_map(|&(vp, s, e)| {
-                                let (traces, group) = mda::probe_group(
-                                    core,
-                                    vp,
-                                    &dsts[s..e],
-                                    strategy,
-                                    &mut injected,
-                                );
-                                tally.merge(&group);
-                                traces
-                            })
-                            .collect();
-                        (traces, injected, tally)
-                    },
-                )
-                .expect_ok();
-                let mut out = Vec::with_capacity(vps.len() * dsts.len());
-                let mut merged = FaultCounts::default();
-                for (traces, injected, tally) in run.outputs {
-                    out.extend(traces);
-                    merged.merge(&injected);
-                    budget.merge(&tally);
+        let run = lpr_par::map_shards_traced(
+            &work,
+            lpr_par::ShardOptions::new(threads),
+            lpr_par::ShardTrace::new(&tracer, span.context()),
+            |_, shard| {
+                let mut part = CampaignOutput::default();
+                for &(vp, hosts) in shard {
+                    mda::probe_group(self, vp, hosts, &mut part);
                 }
-                self.merge_injected(merged);
-                out
-            }
+                part
+            },
+        )
+        .expect_ok();
+        drop(span);
+        let mut out = CampaignOutput {
+            traces: Vec::with_capacity(vps.len() * dsts.len()),
+            ..CampaignOutput::default()
         };
-        budget.pairs_probed = out.len() as u64;
+        for part in run.outputs {
+            out.traces.extend(part.traces);
+            out.budget.merge(&part.budget);
+            out.faults.merge(&part.faults);
+        }
+        let budget = &mut out.budget;
+        budget.pairs_total = (vps.len() * dsts.len()) as u64;
+        budget.pairs_probed = out.traces.len() as u64;
         budget.pairs_pruned = budget.pairs_total - budget.pairs_probed;
         if let Some(m) = &self.metrics {
             m.budget_flows.add(budget.flows_traced);
@@ -350,105 +300,10 @@ impl<'a> Prober<'a> {
             m.budget_stopped.add(budget.groups_stopped);
             m.budget_exhausted.add(budget.groups_exhausted);
         }
-        (out, budget)
-    }
-
-    /// [`Prober::campaign_with_budget`] followed by the revelation
-    /// phase: triggers detected in the campaign's traces are re-probed
-    /// with targeted DPR walks (see [`crate::revelation`]), and the
-    /// evidence is returned alongside the traces. Revelation costs are
-    /// folded into the budget (`revelation_*` fields, and
-    /// `probes_sent` includes the DPR walks). Both the traces and the
-    /// evidence are byte-identical at any thread count.
-    pub fn campaign_with_revelation(
-        &self,
-        vps: &[Ipv4Addr],
-        dsts: &[Ipv4Addr],
-        threads: usize,
-        reveal_opts: &crate::revelation::RevelationOptions,
-    ) -> (Vec<Trace>, ProbeBudget, Vec<lpr_core::reveal::RevealedTunnel>) {
-        let (traces, mut budget) = self.campaign_with_budget(vps, dsts, threads);
-        let evidence =
-            crate::revelation::reveal_from_traces(self, &traces, reveal_opts, threads);
-        budget.revelation_triggers = evidence.len() as u64;
-        for ev in &evidence {
-            budget.revelation_probes += ev.probes;
-            if ev.status == lpr_core::reveal::RevelationStatus::Revealed {
-                budget.revelation_revealed += 1;
-            }
+        if let Some(opts) = reveal {
+            crate::revelation::reveal(self, opts, threads, &mut out);
         }
-        budget.probes_sent += budget.revelation_probes;
-        (traces, budget, evidence)
-    }
-
-    /// The original every-pair campaign (pair-sharded, golden shape),
-    /// with probe counting folded into `budget`.
-    fn exhaustive_campaign(
-        &self,
-        vps: &[Ipv4Addr],
-        dsts: &[Ipv4Addr],
-        threads: usize,
-        tracer: &lpr_obs::Tracer,
-        span: &lpr_obs::Span,
-        budget: &mut ProbeBudget,
-    ) -> Vec<Trace> {
-        let core = self.core();
-        let pairs: Vec<(Ipv4Addr, Ipv4Addr)> = vps
-            .iter()
-            .flat_map(|&vp| dsts.iter().map(move |&dst| (vp, dst)))
-            .collect();
-        let run = lpr_par::map_shards_traced(
-            &pairs,
-            lpr_par::ShardOptions::new(threads),
-            lpr_par::ShardTrace::new(tracer, span.context()),
-            |_, shard| {
-                let mut injected = FaultCounts::default();
-                let mut probes = 0u64;
-                let traces: Vec<Trace> = shard
-                    .iter()
-                    .map(|&(vp, dst)| {
-                        let flow = core.flow(vp, dst);
-                        let (trace, p) =
-                            core.trace_with_flow_counted(vp, dst, flow, &mut injected);
-                        probes += p;
-                        trace
-                    })
-                    .collect();
-                (traces, injected, probes)
-            },
-        )
-        .expect_ok();
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut merged = FaultCounts::default();
-        for (traces, injected, probes) in run.outputs {
-            out.extend(traces);
-            merged.merge(&injected);
-            budget.probes_sent += probes;
-        }
-        budget.flows_traced = out.len() as u64;
-        self.merge_injected(merged);
         out
-    }
-}
-
-/// The shareable probing state: everything [`Prober`] holds except the
-/// interior-mutable fault tally, so shard workers can trace
-/// concurrently while each accumulates faults into its own
-/// [`FaultCounts`].
-#[derive(Clone, Copy)]
-pub(crate) struct ProbeCore<'a> {
-    pub(crate) net: &'a Internet,
-    pub(crate) opts: &'a ProbeOptions,
-    metrics: Option<&'a ProbeMetrics>,
-    faults: Option<&'a FaultPlan>,
-}
-
-impl ProbeCore<'_> {
-    /// The fault plan the prober was armed with, if any — the
-    /// revelation phase consults its trigger-loss and DPR
-    /// rate-limiting predicates.
-    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults
     }
 
     /// The Paris flow identifier for a `(vp, dst)` pair this snapshot.
@@ -486,54 +341,34 @@ impl ProbeCore<'_> {
         ttl as u32 * 1500 + (h % 900) as u32
     }
 
-    /// [`ProbeCore::trace_with_flow`] plus the exact number of probe
-    /// packets the ladder spent — the currency budget accounting is
-    /// denominated in.
-    pub(crate) fn trace_with_flow_counted(
+    /// One traceroute over a single forwarding walk under `flow` — the
+    /// MDA primitive: Paris traceroute enumerates ECMP branches by
+    /// probing under several flow identifiers, each held constant within
+    /// its own trace. The TTL ladder consumes the walk's per-TTL expiry
+    /// events in order, then its terminal (Echo/Unreachable) — O(hops)
+    /// where probing each TTL separately was O(hops²). Returns the trace
+    /// plus the exact number of probe packets the ladder spent (the
+    /// currency budget accounting is denominated in); injected faults
+    /// are tallied into `injected`.
+    pub(crate) fn run_ladder(
         &self,
         vp: Ipv4Addr,
         dst: Ipv4Addr,
         flow: u64,
         injected: &mut FaultCounts,
     ) -> (Trace, u64) {
-        let mut probes = 0u64;
-        let trace = self.run_ladder(vp, dst, flow, injected, &mut probes);
-        (trace, probes)
-    }
-
-    /// One traceroute over a single forwarding walk.
-    pub(crate) fn trace_with_flow(
-        &self,
-        vp: Ipv4Addr,
-        dst: Ipv4Addr,
-        flow: u64,
-        injected: &mut FaultCounts,
-    ) -> Trace {
-        let mut probes = 0u64;
-        self.run_ladder(vp, dst, flow, injected, &mut probes)
-    }
-
-    /// The TTL ladder over a single forwarding walk: consumes the
-    /// walk's per-TTL expiry events in order, then its terminal
-    /// (Echo/Unreachable) — O(hops) where probing each TTL separately
-    /// was O(hops²).
-    fn run_ladder(
-        &self,
-        vp: Ipv4Addr,
-        dst: Ipv4Addr,
-        flow: u64,
-        injected: &mut FaultCounts,
-        probes: &mut u64,
-    ) -> Trace {
         let mut trace = Trace::new(vp, dst);
+        let mut probes = 0u64;
         let mut gap = 0u8;
         let mut events = Vec::new();
         let end =
             probe_ladder(self.net, vp, dst, flow, self.opts.max_ttl as usize, &mut events, None);
         let mut events = events.into_iter();
+        let metrics = self.metrics.as_ref();
+        let faults = self.faults.as_ref();
         for ttl in 1..=self.opts.max_ttl {
-            *probes += 1;
-            if let Some(m) = self.metrics {
+            probes += 1;
+            if let Some(m) = metrics {
                 m.sent.inc();
             }
             match events.next() {
@@ -545,7 +380,7 @@ impl ProbeCore<'_> {
                     // Injected reply faults: loss in transit and router-side
                     // ICMP rate limiting both leave the hop anonymous, like
                     // the modelled anonymity does.
-                    let faulted = match self.faults {
+                    let faulted = match faults {
                         Some(plan) if plan.lose_probe(vp, dst, ttl) => {
                             injected.lost += 1;
                             true
@@ -557,7 +392,7 @@ impl ProbeCore<'_> {
                         _ => false,
                     };
                     if faulted || self.anonymous(vp, dst, ttl, rate) {
-                        if let Some(m) = self.metrics {
+                        if let Some(m) = metrics {
                             m.anonymous.inc();
                         }
                         trace.push_hop(Hop::anonymous(ttl));
@@ -565,7 +400,7 @@ impl ProbeCore<'_> {
                     } else {
                         let mut stack: lpr_core::label::LabelStack =
                             stack.into_iter().collect();
-                        if let Some(plan) = self.faults {
+                        if let Some(plan) = faults {
                             if !stack.is_empty() && plan.php_silent(addr) {
                                 stack = lpr_core::label::LabelStack::empty();
                                 injected.php_silenced += 1;
@@ -575,7 +410,7 @@ impl ProbeCore<'_> {
                                 injected.truncated_exts += 1;
                             }
                         }
-                        if let Some(m) = self.metrics {
+                        if let Some(m) = metrics {
                             m.replies.inc();
                             m.stack_depth.observe(stack.depth());
                         }
@@ -594,7 +429,7 @@ impl ProbeCore<'_> {
                     // Past the last expiry: the walk's terminal answers
                     // (or doesn't) every remaining TTL.
                     if let LadderEnd::Echo { addr } = end {
-                        if let Some(m) = self.metrics {
+                        if let Some(m) = metrics {
                             m.replies.inc();
                         }
                         trace.push_hop(Hop {
@@ -612,12 +447,12 @@ impl ProbeCore<'_> {
                 break;
             }
         }
-        if let Some(plan) = self.faults {
+        if let Some(plan) = faults {
             // Duplicated/reordered replies rebuild the hop list, possibly
             // breaking strict TTL order — downstream quarantine territory.
             plan.degrade_structure(&mut trace, injected);
         }
-        trace
+        (trace, probes)
     }
 }
 
@@ -630,24 +465,31 @@ mod tests {
     use lpr_core::lsp::Asn;
     use std::collections::BTreeMap;
 
-    fn build(anonymous_rate: f64) -> Internet {
+    /// One transit of the given shape between a monitor stub with `vps`
+    /// vantage points and a customer stub announcing `prefixes` /24s.
+    fn build_with(params: TopologyParams, vps: usize, prefixes: usize, cfg: MplsConfig) -> Internet {
         let specs = vec![
-            AsSpec::transit(
-                1,
-                "t",
-                Vendor::Cisco,
-                TopologyParams { core_routers: 5, border_routers: 2, ..Default::default() },
-            ),
-            AsSpec::stub(100, "src", 0, 1),
-            AsSpec::stub(200, "dst", 2, 0),
+            AsSpec::transit(1, "t", Vendor::Cisco, params),
+            AsSpec::stub(100, "src", 0, vps),
+            AsSpec::stub(200, "dst", prefixes, 0),
         ];
         let peerings = vec![(Asn(100), Asn(1), 1), (Asn(1), Asn(200), 1)];
         let topo = Topology::build(&specs, &peerings);
         let mut configs = BTreeMap::new();
-        let mut cfg = MplsConfig::ldp_default();
-        cfg.anonymous_rate = anonymous_rate;
         configs.insert(Asn(1), cfg);
         Internet::new(topo, &configs)
+    }
+
+    fn build(anonymous_rate: f64) -> Internet {
+        let params = TopologyParams { core_routers: 5, border_routers: 2, ..Default::default() };
+        let mut cfg = MplsConfig::ldp_default();
+        cfg.anonymous_rate = anonymous_rate;
+        build_with(params, 1, 2, cfg)
+    }
+
+    fn endpoints(net: &Internet, per_prefix: usize) -> (Vec<Ipv4Addr>, Vec<Ipv4Addr>) {
+        let vps = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
+        (vps, net.topo.destinations(per_prefix))
     }
 
     #[test]
@@ -663,12 +505,18 @@ mod tests {
     fn campaign_covers_all_pairs() {
         let net = build(0.0);
         let prober = Prober::new(&net, ProbeOptions::default());
-        let vps: Vec<_> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(2);
-        let traces = prober.campaign(&vps, &dsts);
-        assert_eq!(traces.len(), vps.len() * dsts.len());
-        assert!(traces.iter().all(|t| t.reached));
-        assert!(traces.iter().any(|t| t.has_mpls()));
+        let (vps, dsts) = endpoints(&net, 2);
+        let out = prober.campaign(&vps, &dsts, 1, None);
+        assert_eq!(out.traces.len(), vps.len() * dsts.len());
+        assert!(out.traces.iter().all(|t| t.reached));
+        assert!(out.traces.iter().any(|t| t.has_mpls()));
+        // The oracle probes every pair and has no stopping rule to
+        // settle or run dry.
+        let b = out.budget;
+        assert_eq!((b.pairs_probed, b.pairs_pruned), (b.pairs_total, 0));
+        assert_eq!(b.flows_traced, b.pairs_total);
+        assert_eq!((b.groups_stopped, b.groups_exhausted), (0, 0));
+        assert!(out.evidence.is_empty());
     }
 
     #[test]
@@ -676,9 +524,8 @@ mod tests {
         let net = build(0.0);
         let rec = lpr_obs::Recorder::new("probe-test");
         let prober = Prober::new(&net, ProbeOptions::default()).with_recorder(&rec);
-        let vps: Vec<_> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(2);
-        let traces = prober.campaign(&vps, &dsts);
+        let (vps, dsts) = endpoints(&net, 2);
+        let traces = prober.campaign(&vps, &dsts, 1, None).traces;
         let telemetry = rec.finish();
 
         let sent = telemetry.counter("probe.sent");
@@ -701,9 +548,8 @@ mod tests {
     fn anonymity_produces_gaps() {
         let net = build(0.5);
         let prober = Prober::new(&net, ProbeOptions::default());
-        let vps: Vec<_> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(2);
-        let traces = prober.campaign(&vps, &dsts);
+        let (vps, dsts) = endpoints(&net, 2);
+        let traces = prober.campaign(&vps, &dsts, 1, None).traces;
         let anonymous: usize = traces
             .iter()
             .flat_map(|t| t.hops.iter())
@@ -735,79 +581,71 @@ mod tests {
     #[test]
     fn quiet_fault_plan_is_identity() {
         let net = build(0.0);
-        let vps: Vec<_> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(4);
-        let plain = Prober::new(&net, ProbeOptions::default()).campaign(&vps, &dsts);
+        let (vps, dsts) = endpoints(&net, 4);
+        let plain = Prober::new(&net, ProbeOptions::default()).campaign(&vps, &dsts, 1, None);
         let quiet = Prober::new(&net, ProbeOptions::default())
             .with_faults(lpr_chaos::FaultPlan::none(9));
-        assert_eq!(quiet.campaign(&vps, &dsts), plain);
-        assert_eq!(quiet.injected_faults(), FaultCounts::default());
+        let out = quiet.campaign(&vps, &dsts, 1, None);
+        assert_eq!(out.faults, FaultCounts::default());
+        assert_eq!(out, plain);
     }
 
     #[test]
     fn fault_injection_is_deterministic() {
         let net = build(0.0);
-        let vps: Vec<_> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(4);
+        let (vps, dsts) = endpoints(&net, 4);
         let run = |seed: u64| {
-            let p = Prober::new(&net, ProbeOptions::default())
-                .with_faults(lpr_chaos::FaultPlan::uniform(seed, 0.3));
-            let traces = p.campaign(&vps, &dsts);
-            (traces, p.injected_faults())
+            Prober::new(&net, ProbeOptions::default())
+                .with_faults(lpr_chaos::FaultPlan::uniform(seed, 0.3))
+                .campaign(&vps, &dsts, 1, None)
         };
-        let (ta, ca) = run(5);
-        let (tb, cb) = run(5);
-        assert_eq!(ta, tb);
-        assert_eq!(ca, cb);
-        assert!(ca.total() > 0, "30% faults must fire somewhere");
-        let (tc, _) = run(6);
-        assert_ne!(ta, tc, "different seeds, different faults");
+        let a = run(5);
+        assert_eq!(a, run(5));
+        assert!(a.faults.total() > 0, "30% faults must fire somewhere");
+        assert_ne!(a.traces, run(6).traces, "different seeds, different faults");
     }
 
     #[test]
     fn probe_loss_faults_leave_anonymous_hops() {
         let net = build(0.0);
-        let vps: Vec<_> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(4);
+        let (vps, dsts) = endpoints(&net, 4);
         let mut plan = lpr_chaos::FaultPlan::none(1);
         plan.probe_loss = 0.5;
         let prober = Prober::new(&net, ProbeOptions::default()).with_faults(plan);
-        let traces = prober.campaign(&vps, &dsts);
-        let anonymous = traces
+        let out = prober.campaign(&vps, &dsts, 1, None);
+        let anonymous = out
+            .traces
             .iter()
             .flat_map(|t| t.hops.iter())
             .filter(|h| !h.is_responsive())
             .count() as u64;
-        let injected = prober.injected_faults();
-        assert!(injected.lost > 0);
-        assert!(anonymous >= injected.lost, "every lost reply is an anonymous hop");
+        assert!(out.faults.lost > 0);
+        assert!(anonymous >= out.faults.lost, "every lost reply is an anonymous hop");
     }
 
     #[test]
     fn php_silence_fault_hides_label_stacks() {
         let net = build(0.0);
-        let vps: Vec<_> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(2);
+        let (vps, dsts) = endpoints(&net, 2);
         let mut plan = lpr_chaos::FaultPlan::none(2);
         plan.php_silence = 1.0;
         let prober = Prober::new(&net, ProbeOptions::default()).with_faults(plan);
-        let traces = prober.campaign(&vps, &dsts);
-        assert!(traces.iter().all(|t| !t.has_mpls()), "every stack is silenced");
-        assert!(prober.injected_faults().php_silenced > 0);
+        let out = prober.campaign(&vps, &dsts, 1, None);
+        assert!(out.traces.iter().all(|t| !t.has_mpls()), "every stack is silenced");
+        assert!(out.faults.php_silenced > 0);
     }
 
     #[test]
     fn structural_faults_reach_the_hop_lists() {
         let net = build(0.0);
-        let vps: Vec<_> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(4);
+        let (vps, dsts) = endpoints(&net, 4);
         let mut plan = lpr_chaos::FaultPlan::none(4);
         plan.duplicate_reply = 1.0;
         let prober = Prober::new(&net, ProbeOptions::default()).with_faults(plan);
-        let traces = prober.campaign(&vps, &dsts);
-        assert!(prober.injected_faults().duplicated > 0);
+        let out = prober.campaign(&vps, &dsts, 1, None);
+        assert!(out.faults.duplicated > 0);
         assert!(
-            traces.iter().any(|t| {
+            out.traces.iter().any(|t| {
                 t.hops.windows(2).any(|w| w[0].probe_ttl >= w[1].probe_ttl)
             }),
             "duplicated replies break strict TTL order somewhere"
@@ -815,35 +653,75 @@ mod tests {
     }
 
     #[test]
-    fn campaign_par_matches_sequential_for_any_thread_count() {
-        let net = build(0.2);
-        let vps: Vec<_> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(64);
+    fn campaign_matches_sequential_for_any_thread_count() {
+        // 7 vantage points × 40 /24s: enough (vp, /24) units that the
+        // probe phase's shard bounds move with the thread count.
+        let params = TopologyParams {
+            core_routers: 6,
+            border_routers: 2,
+            ecmp_diamonds: 2,
+            ..Default::default()
+        };
+        let mut cfg = MplsConfig::ldp_default();
+        cfg.anonymous_rate = 0.2;
+        cfg.visibility = crate::VisibilityMix {
+            explicit: 0.4,
+            implicit: 0.2,
+            invisible: 0.2,
+            opaque: 0.2,
+        };
+        let net = build_with(params, 7, 40, cfg);
+        let (vps, dsts) = endpoints(&net, 8);
+        let units = vps.len() * mda::prefix_groups(&dsts).len();
+        let shards = |threads| lpr_par::ShardOptions::new(threads).shard_count(units);
+        assert_ne!(shards(1), shards(2), "shard bounds must differ between thread counts");
         let plan = lpr_chaos::FaultPlan::uniform(3, 0.2);
-        let seq_prober = Prober::new(&net, ProbeOptions::default()).with_faults(plan);
-        let seq = seq_prober.campaign(&vps, &dsts);
-        assert!(vps.len() * dsts.len() > 64, "needs to span several shards");
-        for threads in [2usize, 3, 8] {
-            let p = Prober::new(&net, ProbeOptions::default()).with_faults(plan);
-            assert_eq!(p.campaign_par(&vps, &dsts, threads), seq, "threads = {threads}");
-            assert_eq!(p.injected_faults(), seq_prober.injected_faults());
+        let reveal = RevelationOptions::default();
+        let row_major: Vec<_> = vps.iter().flat_map(|&vp| dsts.iter().map(move |&d| (vp, d))).collect();
+        for probing in [ProbingStrategy::Exhaustive, ProbingStrategy::MdaLite, ProbingStrategy::Mda] {
+            let prober =
+                Prober::new(&net, ProbeOptions { probing, ..Default::default() }).with_faults(plan);
+            let seq = prober.campaign(&vps, &dsts, 1, Some(&reveal));
+            assert!(seq.faults.total() > 0 && !seq.evidence.is_empty(), "{probing:?}");
+            // Emitted pairs are a row-major subsequence of the pair list.
+            let mut pairs = row_major.iter();
+            assert!(seq.traces.iter().all(|t| pairs.any(|&p| p == (t.src, t.dst))), "{probing:?}");
+            for threads in [2usize, 3, 8] {
+                assert_eq!(
+                    prober.campaign(&vps, &dsts, threads, Some(&reveal)),
+                    seq,
+                    "{probing:?} at {threads} threads"
+                );
+            }
         }
     }
 
     #[test]
     fn flow_churn_moves_some_flows() {
-        let net = build(0.0);
-        let vps: Vec<_> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(4);
-        let a = Prober::new(&net, ProbeOptions::default()).campaign(&vps, &dsts);
-        let b = Prober::new(
-            &net,
-            ProbeOptions { snapshot_salt: 7, flow_churn_rate: 1.0, ..Default::default() },
-        )
-        .campaign(&vps, &dsts);
-        // With 100% churn at least one trace must differ (the topology
-        // has no ECMP here only if paths are unique — so compare flows
-        // indirectly: identical campaigns would be suspicious).
-        assert_eq!(a.len(), b.len());
+        let params = TopologyParams {
+            core_routers: 6,
+            border_routers: 2,
+            ecmp_diamonds: 2,
+            ..Default::default()
+        };
+        let net = build_with(params, 1, 4, MplsConfig::ldp_default());
+        let (vps, dsts) = endpoints(&net, 4);
+        let paths = |flow_churn_rate: f64, snapshot_salt: u64| -> Vec<Vec<Ipv4Addr>> {
+            let opts = ProbeOptions { snapshot_salt, flow_churn_rate, ..Default::default() };
+            Prober::new(&net, opts)
+                .campaign(&vps, &dsts, 1, None)
+                .traces
+                .iter()
+                .map(|t| t.responsive_hops().filter_map(|h| h.addr).collect())
+                .collect()
+        };
+        let base = paths(0.0, 0);
+        let churned = paths(1.0, 7);
+        assert_eq!(base.len(), churned.len());
+        assert!(
+            base.iter().zip(&churned).any(|(a, b)| a != b),
+            "full churn over ECMP diamonds moved no flow"
+        );
+        assert_eq!(paths(0.0, 7), base, "a new salt without churn moved a flow");
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::dataplane::{probe_ladder, OracleTraversal};
 use crate::internet::{splitmix64, Internet};
-use crate::probe::Prober;
+use crate::probe::{CampaignOutput, Prober};
 use crate::topology::{AsId, RouterId};
 use lpr_chaos::FaultCounts;
 use lpr_core::reveal::{detect_triggers, RevealedTunnel, RevelationStatus, TriggerKind};
@@ -83,13 +83,12 @@ fn collect_candidates(
     opts: &RevelationOptions,
     injected: &mut FaultCounts,
 ) -> Vec<Candidate> {
-    let core = prober.core();
-    let net = core.net;
+    let net = prober.net;
     let mut seen: BTreeSet<(Ipv4Addr, Ipv4Addr)> = BTreeSet::new();
     let mut out = Vec::new();
     for trace in traces {
         for trigger in detect_triggers(trace) {
-            if let Some(plan) = core.fault_plan() {
+            if let Some(plan) = prober.fault_plan() {
                 if plan.trigger_lost(trigger.ingress, trigger.egress) {
                     injected.trigger_replies_lost += 1;
                     continue;
@@ -130,7 +129,7 @@ fn collect_candidates(
     }
     // Budget cutoff on worst-case cost, decided before any probing so
     // the cutoff is identical at every thread count.
-    let worst_case = (opts.flows as u64) * (core.opts.max_ttl as u64);
+    let worst_case = (opts.flows as u64) * (prober.opts.max_ttl as u64);
     let mut committed = 0u64;
     for cand in &mut out {
         if cand.predecided.is_some() {
@@ -147,19 +146,19 @@ fn collect_candidates(
 
 /// Runs the DPR walks for one probeable candidate.
 fn probe_candidate(
-    core: crate::probe::ProbeCore<'_>,
+    prober: &Prober<'_>,
     cand: &Candidate,
     flows: usize,
     injected: &mut FaultCounts,
 ) -> RevealedTunnel {
-    let net = core.net;
+    let net = prober.net;
     let egress_router = cand.egress_router.expect("probeable candidates resolve their egress");
     let mut paths: BTreeSet<Vec<Ipv4Addr>> = BTreeSet::new();
     let mut probes = 0u64;
     let mut reached_egress = false;
     let mut ingress_on_path = false;
     for k in 0..flows {
-        if let Some(plan) = core.fault_plan() {
+        if let Some(plan) = prober.fault_plan() {
             if plan.dpr_rate_limited(cand.egress, k) {
                 injected.dpr_rate_limited += 1;
                 continue;
@@ -169,10 +168,10 @@ fn probe_candidate(
             (u32::from(cand.ingress) as u64)
                 ^ ((u32::from(cand.egress) as u64) << 32)
                 ^ ((k as u64) << 17)
-                ^ core.opts.seed
+                ^ prober.opts.seed
                 ^ REVEAL_SALT,
         );
-        let (trace, p) = core.trace_with_flow_counted(cand.vp, cand.egress, flow, injected);
+        let (trace, p) = prober.run_ladder(cand.vp, cand.egress, flow, injected);
         probes += p;
         let router_of = |h: &lpr_core::trace::Hop| {
             h.addr.and_then(|a| net.infra_attachment(a)).map(|a| a.router)
@@ -219,25 +218,23 @@ fn probe_candidate(
     }
 }
 
-/// The revelation phase: detect triggers in `traces`, re-probe each
-/// candidate with DPR walks, and return the evidence in detection
-/// order.
+/// The revelation phase of a campaign: detect triggers in `out.traces`,
+/// re-probe each candidate with DPR walks, and record the evidence in
+/// detection order in `out.evidence`. Its costs are folded into
+/// `out.budget` (the `revelation_*` fields; `probes_sent` includes the
+/// DPR walks) and its injected faults into `out.faults`.
 ///
 /// Sharded over `threads` workers with the shard-order merge
 /// discipline: every candidate's walks derive only from the candidate
-/// and the campaign seed, so the output — evidence and injected-fault
-/// tallies alike — is byte-identical to the sequential run for any
-/// thread count.
-pub(crate) fn reveal_from_traces(
+/// and the campaign seed, so the evidence and fault tallies are
+/// byte-identical to the sequential run for any thread count.
+pub(crate) fn reveal(
     prober: &Prober<'_>,
-    traces: &[Trace],
     opts: &RevelationOptions,
     threads: usize,
-) -> Vec<RevealedTunnel> {
-    let mut detect_injected = FaultCounts::default();
-    let candidates = collect_candidates(prober, traces, opts, &mut detect_injected);
-    prober.merge_injected(detect_injected);
-    let core = prober.core();
+    out: &mut CampaignOutput,
+) {
+    let candidates = collect_candidates(prober, &out.traces, opts, &mut out.faults);
     let tracer = prober.tracer();
     let span = tracer.span("revelation");
     let flows = opts.flows;
@@ -251,7 +248,7 @@ pub(crate) fn reveal_from_traces(
             status,
             probes: 0,
         },
-        None => probe_candidate(core, cand, flows, injected),
+        None => probe_candidate(prober, cand, flows, injected),
     };
     let run = lpr_par::map_shards_traced(
         &candidates,
@@ -265,14 +262,20 @@ pub(crate) fn reveal_from_traces(
         },
     )
     .expect_ok();
-    let mut out = Vec::with_capacity(candidates.len());
-    let mut merged = FaultCounts::default();
+    out.evidence.reserve(candidates.len());
     for (evidence, injected) in run.outputs {
-        out.extend(evidence);
-        merged.merge(&injected);
+        out.evidence.extend(evidence);
+        out.faults.merge(&injected);
     }
-    prober.merge_injected(merged);
-    out
+    let budget = &mut out.budget;
+    budget.revelation_triggers = out.evidence.len() as u64;
+    for ev in &out.evidence {
+        budget.revelation_probes += ev.probes;
+        if ev.status == RevelationStatus::Revealed {
+            budget.revelation_revealed += 1;
+        }
+    }
+    budget.probes_sent += budget.revelation_probes;
 }
 
 /// The revelation oracle: replays the campaign's forwarding walks with
@@ -285,18 +288,17 @@ pub fn oracle_traversals(
     vps: &[Ipv4Addr],
     dsts: &[Ipv4Addr],
 ) -> Vec<OracleTraversal> {
-    let core = prober.core();
     let mut out = Vec::new();
     for &vp in vps {
         for &dst in dsts {
-            let flow = core.flow(vp, dst);
+            let flow = prober.flow(vp, dst);
             let mut events = Vec::new();
             probe_ladder(
-                core.net,
+                prober.net,
                 vp,
                 dst,
                 flow,
-                core.opts.max_ttl as usize,
+                prober.opts.max_ttl as usize,
                 &mut events,
                 Some(&mut out),
             );

@@ -39,7 +39,7 @@ fn run_lpr(net: &Internet) -> PipelineOutput {
     let prober = Prober::new(net, ProbeOptions::default());
     let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
     let dsts = net.topo.destinations(1);
-    let traces = prober.campaign(&vps, &dsts);
+    let traces = prober.campaign(&vps, &dsts, 1, None).traces;
     assert!(traces.iter().any(|t| t.has_mpls()), "campaign shows no MPLS at all");
     let rib = net.topo.rib();
     let keys = Pipeline::snapshot_keys(&traces);
@@ -209,7 +209,7 @@ fn internal_destination_tunnels_are_dropped_by_target_as() {
     let prober = Prober::new(&net, ProbeOptions::default());
     let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
     let dsts = net.topo.destinations(1);
-    let traces = prober.campaign(&vps, &dsts);
+    let traces = prober.campaign(&vps, &dsts, 1, None).traces;
     let rib = net.topo.rib();
     let keys = Pipeline::snapshot_keys(&traces);
     let out = Pipeline::default().run(&traces, &rib, &[keys]);
@@ -251,7 +251,7 @@ fn warts_roundtrip_preserves_classification() {
     let prober = Prober::new(&net, ProbeOptions::default());
     let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
     let dsts = net.topo.destinations(1);
-    let traces = prober.campaign(&vps, &dsts);
+    let traces = prober.campaign(&vps, &dsts, 1, None).traces;
 
     let mut writer = warts::WartsWriter::new();
     let list = writer.list(1, "e2e");

@@ -80,8 +80,8 @@ fn run_full(
         prober = prober.with_faults(plan);
     }
     let (vps, dsts) = endpoints(net);
-    let (traces, budget, evidence) =
-        prober.campaign_with_revelation(&vps, &dsts, threads, &RevelationOptions::default());
+    let netsim::CampaignOutput { traces, budget, evidence, .. } =
+        prober.campaign(&vps, &dsts, threads, Some(&RevelationOptions::default()));
     let rib = net.topo.rib();
     let keys = Pipeline::snapshot_keys(&traces);
     let mut out = Pipeline::default().run(&traces, &rib, &[keys.clone(), keys]);
@@ -165,8 +165,8 @@ fn chaos_degrades_unclassified_ward_without_fabrication() {
     // The plan actually bit: its revelation faults fired.
     let prober = Prober::new(&net, ProbeOptions::default()).with_faults(revelation_plan());
     let (vps, dsts) = endpoints(&net);
-    let _ = prober.campaign_with_revelation(&vps, &dsts, 1, &RevelationOptions::default());
-    let injected = prober.injected_faults();
+    let injected =
+        prober.campaign(&vps, &dsts, 1, Some(&RevelationOptions::default())).faults;
     assert!(
         injected.trigger_replies_lost + injected.dpr_rate_limited > 0,
         "the chaos plan's revelation faults never fired: {injected:?}"

@@ -57,8 +57,8 @@ fn campaign_endpoints(net: &Internet) -> (Vec<Ipv4Addr>, Vec<Ipv4Addr>) {
 fn reveal(net: &Internet) -> (Vec<RevealedTunnel>, Vec<OracleTraversal>) {
     let prober = Prober::new(net, ProbeOptions::default());
     let (vps, dsts) = campaign_endpoints(net);
-    let (_, _, evidence) =
-        prober.campaign_with_revelation(&vps, &dsts, 1, &RevelationOptions::default());
+    let evidence =
+        prober.campaign(&vps, &dsts, 1, Some(&RevelationOptions::default())).evidence;
     let oracle = oracle_traversals(&prober, &vps, &dsts);
     (evidence, oracle)
 }
@@ -230,7 +230,7 @@ fn budget_exhaustion_is_attributed_in_order() {
     let prober = Prober::new(&net, ProbeOptions::default());
     let (vps, dsts) = campaign_endpoints(&net);
     let unlimited = RevelationOptions::default();
-    let (_, _, full) = prober.campaign_with_revelation(&vps, &dsts, 1, &unlimited);
+    let full = prober.campaign(&vps, &dsts, 1, Some(&unlimited)).evidence;
     let probeable = full.iter().filter(|e| e.status != RevelationStatus::InfraTunneled).count();
     assert!(probeable > 1, "need at least two candidates to cut between");
     // Budget for exactly one candidate's worst case.
@@ -238,7 +238,8 @@ fn budget_exhaustion_is_attributed_in_order() {
         flows: unlimited.flows,
         max_probes: (unlimited.flows as u64) * (ProbeOptions::default().max_ttl as u64),
     };
-    let (_, budget, capped) = prober.campaign_with_revelation(&vps, &dsts, 1, &one);
+    let out = prober.campaign(&vps, &dsts, 1, Some(&one));
+    let (budget, capped) = (out.budget, out.evidence);
     let exhausted =
         capped.iter().filter(|e| e.status == RevelationStatus::BudgetExhausted).count();
     assert_eq!(exhausted, probeable - 1, "all but the first candidate must be cut: {capped:?}");

@@ -42,7 +42,7 @@ fn campaign(net: &Internet) -> Vec<Trace> {
     let prober = Prober::new(net, ProbeOptions::default());
     let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
     let dsts = net.topo.destinations(1);
-    prober.campaign(&vps, &dsts)
+    prober.campaign(&vps, &dsts, 1, None).traces
 }
 
 #[test]

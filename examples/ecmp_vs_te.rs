@@ -42,7 +42,7 @@ fn classify(net: &Internet) -> lpr_core::pipeline::ClassCounts {
     let prober = Prober::new(net, ProbeOptions::default());
     let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
     let dsts = net.topo.destinations(1);
-    let traces = prober.campaign(&vps, &dsts);
+    let traces = prober.campaign(&vps, &dsts, 1, None).traces;
     let rib = net.topo.rib();
     let keys = Pipeline::snapshot_keys(&traces);
     Pipeline::default().run(&traces, &rib, &[keys]).class_counts()

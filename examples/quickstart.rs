@@ -50,7 +50,7 @@ fn main() {
     let prober = Prober::new(&net, ProbeOptions::default());
     let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
     let dsts = net.topo.destinations(1);
-    let traces = prober.campaign(&vps, &dsts);
+    let traces = prober.campaign(&vps, &dsts, 1, None).traces;
     println!("probed {} traces from {} monitors to {} destinations", traces.len(), vps.len(), dsts.len());
 
     // Show one trace with its RFC 4950 label stacks.

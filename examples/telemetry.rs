@@ -63,7 +63,7 @@ fn main() {
     let dsts = net.topo.destinations(1);
     let traces = {
         let campaign_span = tracer.span("campaign");
-        let traces = prober.campaign(&vps, &dsts);
+        let traces = prober.campaign(&vps, &dsts, 1, None).traces;
         campaign_span.event(
             lpr_obs::Level::Info,
             "campaign-complete",

@@ -49,7 +49,7 @@ fn main() {
     let prober = Prober::new(&net, ProbeOptions::default());
     let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
     let dsts = net.topo.destinations(1);
-    let traces = prober.campaign(&vps, &dsts);
+    let traces = prober.campaign(&vps, &dsts, 1, None).traces;
 
     let mut writer = warts::WartsWriter::new();
     let list = writer.list(1, "team-1");

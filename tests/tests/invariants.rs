@@ -3,16 +3,21 @@
 //! LPR. These encode the paper's core reasoning as executable laws.
 
 use integration::fixtures::{small_internet, TRANSIT};
+use lpr_chaos::FaultPlan;
 use lpr_core::prelude::*;
-use netsim::{MplsConfig, ProbeOptions, Prober, TePathMode, TopologyParams};
+use netsim::{
+    MplsConfig, ProbeOptions, Prober, ProbingStrategy, RevelationOptions, TePathMode,
+    TopologyParams, VisibilityMix,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 fn run_lpr(net: &netsim::Internet) -> PipelineOutput {
     let prober = Prober::new(net, ProbeOptions::default());
     let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
     let dsts = net.topo.destinations(1);
-    let traces = prober.campaign(&vps, &dsts);
+    let traces = prober.campaign(&vps, &dsts, 1, None).traces;
     let rib = net.topo.rib();
     let keys = Pipeline::snapshot_keys(&traces);
     Pipeline::default().run(&traces, &rib, &[keys.clone(), keys])
@@ -68,20 +73,59 @@ proptest! {
         prop_assert_eq!(c.unclassified, 0, "{:?}", c);
     }
 
-    /// Traces are Paris-stable: identical campaigns yield identical
-    /// traces, whatever the topology.
+    /// Campaigns are Paris-stable and thread-invariant: whatever the
+    /// topology, probing strategy, fault rate and revelation setting,
+    /// the whole campaign output at any thread count equals the 1-thread
+    /// run, and a stochastic strategy emits exactly the exhaustive
+    /// campaign's trace for every pair it probes.
     #[test]
-    fn campaigns_are_deterministic(params in arb_params(), te in any::<bool>()) {
-        let cfg = if te {
+    fn campaigns_are_deterministic(
+        params in arb_params(),
+        te in any::<bool>(),
+        strategy in any::<prop::sample::Index>(),
+        rate in 0.0f64..0.3,
+        fault_seed in any::<u64>(),
+        reveal in any::<bool>(),
+        threads in any::<prop::sample::Index>(),
+    ) {
+        let mut cfg = if te {
             MplsConfig::with_te(0.5, 2, TePathMode::SamePath)
         } else {
             MplsConfig::ldp_default()
         };
+        if reveal {
+            // Hide part of the deployment, so revelation has triggers
+            // to chase.
+            cfg.visibility =
+                VisibilityMix { explicit: 0.0, implicit: 0.4, invisible: 0.3, opaque: 0.3 };
+        }
         let net = small_internet(params, cfg);
-        let prober = Prober::new(&net, ProbeOptions::default());
+        let strategies = [ProbingStrategy::Exhaustive, ProbingStrategy::MdaLite, ProbingStrategy::Mda];
+        let probing = strategies[strategy.index(strategies.len())];
+        let threads = [2usize, 3, 8][threads.index(3)];
+        let reveal_opts = RevelationOptions::default();
+        let reveal = reveal.then_some(&reveal_opts);
         let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
-        let dsts = net.topo.destinations(1);
-        prop_assert_eq!(prober.campaign(&vps, &dsts), prober.campaign(&vps, &dsts));
+        let dsts = net.topo.destinations(16);
+        let campaign = |probing, threads, reveal| {
+            Prober::new(&net, ProbeOptions { probing, ..ProbeOptions::default() })
+                .with_faults(FaultPlan::uniform(fault_seed, rate))
+                .campaign(&vps, &dsts, threads, reveal)
+        };
+        let seq = campaign(probing, 1, reveal);
+        let par = campaign(probing, threads, reveal);
+        prop_assert_eq!(&par.traces, &seq.traces, "traces at {} threads", threads);
+        prop_assert_eq!(par.budget, seq.budget, "budget at {} threads", threads);
+        prop_assert_eq!(&par.evidence, &seq.evidence, "evidence at {} threads", threads);
+        prop_assert_eq!(par.faults, seq.faults, "faults at {} threads", threads);
+        if probing != ProbingStrategy::Exhaustive {
+            let exhaustive = campaign(ProbingStrategy::Exhaustive, 1, None);
+            let by_pair: BTreeMap<_, _> =
+                exhaustive.traces.iter().map(|t| ((t.src, t.dst), t)).collect();
+            for t in &seq.traces {
+                prop_assert_eq!(by_pair[&(t.src, t.dst)], t, "{:?} trace differs", probing);
+            }
+        }
     }
 
     /// Every trace reaches its destination on a loss-free network, and
@@ -93,7 +137,7 @@ proptest! {
         let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
         let dsts = net.topo.destinations(1);
         let rib = net.topo.rib();
-        for t in prober.campaign(&vps, &dsts) {
+        for t in prober.campaign(&vps, &dsts, 1, None).traces {
             prop_assert!(t.reached, "{} -> {} did not complete", t.src, t.dst);
             for h in t.responsive_hops() {
                 prop_assert!(rib.lookup(h.addr.unwrap()).is_some());
@@ -108,7 +152,7 @@ proptest! {
         let prober = Prober::new(&net, ProbeOptions::default());
         let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
         let dsts = net.topo.destinations(1);
-        let traces = prober.campaign(&vps, &dsts);
+        let traces = prober.campaign(&vps, &dsts, 1, None).traces;
 
         let mut w = warts::WartsWriter::new();
         let list = w.list(1, "prop");
@@ -149,7 +193,7 @@ proptest! {
         let prober = Prober::new(&net, ProbeOptions::default());
         let vps: Vec<Ipv4Addr> = net.topo.vantage_points().iter().map(|(a, _)| *a).collect();
         let dsts = net.topo.destinations(1);
-        let mut traces = prober.campaign(&vps, &dsts);
+        let mut traces = prober.campaign(&vps, &dsts, 1, None).traces;
         let rib = net.topo.rib();
         let keys = Pipeline::snapshot_keys(&traces);
         let a = Pipeline::default().run(&traces, &rib, std::slice::from_ref(&keys));
