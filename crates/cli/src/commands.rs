@@ -79,9 +79,9 @@ pub mod classify {
         }
 
         if o.trees {
-            run_trees(o, w)?;
+            write_trees(&artifacts.trees, w)?;
         }
-        crate::write_degradation_summary(&artifacts, w)?;
+        crate::write_degradation_summary(&artifacts.load, &out.degraded, w)?;
         drop(run_span);
         crate::emit_telemetry(o, recorder)?;
         Ok(artifacts.status())
@@ -119,17 +119,9 @@ label-inferred alias sets ({}):", sets.len())?;
         Ok(())
     }
 
-    fn run_trees(o: &Options, w: &mut dyn Write) -> Result<(), CliError> {
-        // Recompute the attributed LSPs (tree analysis skips the
-        // TransitDiversity filter on purpose, §5).
-        let rib = crate::load_rib(o.rib.as_ref().expect("checked by run_pipeline"))?;
-        let traces = crate::load_traces(&o.inputs)?;
-        let tunnels: Vec<_> =
-            traces.iter().flat_map(lpr_core::tunnel::extract_tunnels).collect();
-        let lsps = lpr_core::filter::attribute_and_filter(&tunnels, &rib).lsps;
-        let trees = lpr_core::tree::build_fec_trees(&lsps);
+    fn write_trees(trees: &[lpr_core::tree::FecTree], w: &mut dyn Write) -> Result<(), CliError> {
         writeln!(w, "\negress-rooted LSP-trees ({}):", trees.len())?;
-        for tree in &trees {
+        for tree in trees {
             writeln!(
                 w,
                 "  {} egress {}  ingresses={} branches={}  {:?}",
@@ -160,7 +152,7 @@ pub mod stats {
         writeln!(
             w,
             "traces: {} ({} crossing explicit MPLS tunnels)",
-            artifacts.trace_count, artifacts.mpls_traces,
+            artifacts.trace_count, artifacts.load.decode.mpls_traces,
         )?;
         writeln!(w, "extracted LSPs: {}", out.report.input)?;
         for stage in FilterStage::ALL {
@@ -173,7 +165,7 @@ pub mod stats {
             )?;
         }
         writeln!(w, "classified IOTPs: {}", out.iotps.len())?;
-        crate::write_degradation_summary(&artifacts, w)?;
+        crate::write_degradation_summary(&artifacts.load, &out.degraded, w)?;
         drop(run_span);
         crate::emit_telemetry(o, recorder)?;
         Ok(artifacts.status())
@@ -184,14 +176,20 @@ pub mod tunnels {
     //! `lpr tunnels` — dump every explicit tunnel found in the input.
 
     use super::*;
+    use crate::{LoadReport, RunStatus};
     use lpr_core::tunnel::extract_tunnels;
 
-    /// Executes the subcommand.
-    pub fn run(o: &Options, w: &mut dyn Write) -> Result<(), CliError> {
+    /// Executes the subcommand. The inputs go through the same corpus
+    /// and batch verdict as `classify`.
+    pub fn run(o: &Options, w: &mut dyn Write) -> Result<RunStatus, CliError> {
         if o.inputs.is_empty() {
             return Err(CliError("no input warts files".into()));
         }
-        let traces = crate::load_traces(&o.inputs)?;
+        let corpus = crate::open_corpus(&o.inputs, None)?;
+        let (traces, convert_failures) = lpr_corpus::ingest::load_traces(&corpus);
+        let mut load = LoadReport::default();
+        let report = lpr_corpus::DecodeReport { convert_failures, ..corpus.decode_report() };
+        load.admit(o.keep_going, &corpus, report)?;
         let mut total = 0usize;
         for trace in &traces {
             for t in extract_tunnels(trace) {
@@ -215,7 +213,9 @@ pub mod tunnels {
             }
         }
         writeln!(w, "\n{total} explicit tunnels in {} traces", traces.len())?;
-        Ok(())
+        let quarantined = lpr_core::quarantine::DegradedReport::default();
+        crate::write_degradation_summary(&load, &quarantined, w)?;
+        Ok(if load.is_clean() { RunStatus::Clean } else { RunStatus::Degraded })
     }
 }
 

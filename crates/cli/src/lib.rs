@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! lpr classify --rib rib.txt cycleX.warts [--next cycleX+1.warts]...
-//!              [--j N] [--alias-rescue] [--trees] [--per-as]
+//!              [--alias-rescue] [--trees] [--per-as]
 //! lpr stats    --rib rib.txt cycleX.warts [--next ...]   filter survival
 //! lpr tunnels  cycleX.warts                              dump explicit tunnels
 //! lpr dump     file.warts                                scamper-style text dump
@@ -25,9 +25,10 @@
 #![warn(missing_docs)]
 
 use lpr_core::prelude::*;
-use std::collections::BTreeSet;
+use lpr_corpus::{Corpus, DecodeReport, FileSkipReason};
 use std::fmt;
 use std::io::Write;
+use std::path::{Path, PathBuf};
 
 mod commands;
 
@@ -89,54 +90,86 @@ impl RunStatus {
     }
 }
 
-/// What the warts loading stage skipped or dropped.
+/// What loading the inputs skipped, dropped or set aside.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LoadReport {
-    /// Trace records successfully decoded and converted.
-    pub traces: u64,
-    /// Records skipped by the lenient decoder, per reason.
-    pub skipped: std::collections::BTreeMap<warts::SkipReason, u64>,
-    /// Garbage bytes discarded while resynchronising on record magics.
-    pub resync_bytes: u64,
-    /// Records that decoded but failed trace conversion (dropped).
-    pub convert_failures: u64,
-    /// Input files `--out-of-core` set aside unread because they end in
-    /// a half-written record, with the reason. Empty inputs contribute
-    /// nothing and are not listed.
-    pub set_aside: Vec<(std::path::PathBuf, lpr_corpus::FileSkipReason)>,
+    /// Decode accounting of the cycle and every `--next` snapshot:
+    /// records skipped, resync bytes and failed conversions (trace
+    /// counts too, but only the cycle's ingest counts `mpls_traces`).
+    pub decode: DecodeReport,
+    /// Input files set aside unread because they end in a half-written
+    /// record, with the reason. Empty inputs contribute nothing and are
+    /// not listed.
+    pub set_aside: Vec<(PathBuf, FileSkipReason)>,
 }
 
 impl LoadReport {
-    /// Total records skipped by the decoder.
-    pub fn skipped_total(&self) -> u64 {
-        self.skipped.values().sum()
-    }
-
     /// Whether nothing was skipped, dropped or set aside.
     pub fn is_clean(&self) -> bool {
-        self.skipped.is_empty() && self.convert_failures == 0 && self.set_aside.is_empty()
+        self.decode.skipped.is_empty()
+            && self.decode.convert_failures == 0
+            && self.set_aside.is_empty()
+    }
+
+    /// The batch verdict on one opened corpus (the cycle, or a `--next`
+    /// snapshot) and the `report` of decoding it. Without `keep_going`
+    /// a skipped record, a failed conversion or a set-aside file is
+    /// fatal and the error names the file; with it they are tallied
+    /// here.
+    fn admit(
+        &mut self,
+        keep_going: bool,
+        corpus: &Corpus,
+        report: DecodeReport,
+    ) -> Result<(), CliError> {
+        let set_aside = corpus.skipped_files.iter().filter(|f| f.reason != FileSkipReason::Empty);
+        if !keep_going {
+            if let Some(f) = corpus.files.iter().find(|f| f.index.skipped_total() > 0) {
+                return Err(err(format!(
+                    "{}: {} records skipped (use --keep-going to accept)",
+                    f.path.display(),
+                    f.index.skipped_total(),
+                )));
+            }
+            if report.convert_failures > 0 {
+                let paths: Vec<String> =
+                    corpus.files.iter().map(|f| f.path.display().to_string()).collect();
+                return Err(err(format!(
+                    "{}: {} conversions failed (use --keep-going to accept)",
+                    paths.join(", "),
+                    report.convert_failures,
+                )));
+            }
+            if let Some(f) = set_aside.clone().next() {
+                return Err(err(format!(
+                    "{}: set aside ({}); use --keep-going to accept",
+                    f.path.display(),
+                    f.reason,
+                )));
+            }
+        }
+        self.decode.merge(report);
+        self.set_aside.extend(set_aside.map(|f| (f.path.clone(), f.reason.clone())));
+        Ok(())
     }
 }
 
-/// Everything [`run_pipeline`] produced: the loaded traces, the
-/// pipeline output (with its quarantine accounting) and the load-stage
-/// degradation report.
+/// Everything [`run_pipeline`] produced: the pipeline output (with its
+/// quarantine accounting), the load-stage degradation report and the
+/// `--trees` view.
 #[derive(Debug)]
 pub struct PipelineArtifacts {
-    /// Traces loaded from the input files (post conversion). Empty in
-    /// out-of-core mode, where traces stream through the pipeline
-    /// without being materialised.
-    pub traces: Vec<Trace>,
-    /// Traces that entered the pipeline (`traces.len()` when they were
-    /// materialised).
+    /// Traces that entered the pipeline.
     pub trace_count: u64,
-    /// Of those, traces crossing at least one explicit MPLS tunnel.
-    pub mpls_traces: u64,
     /// The classified pipeline output.
     pub output: PipelineOutput,
     /// What loading skipped (empty in strict mode — skips are fatal
     /// there).
     pub load: LoadReport,
+    /// With `--trees`, the egress-rooted LSP-trees over the LSPs that
+    /// survive the per-LSP filters (tree analysis skips
+    /// TransitDiversity on purpose, §5); empty otherwise.
+    pub trees: Vec<lpr_core::tree::FecTree>,
 }
 
 impl PipelineArtifacts {
@@ -160,12 +193,11 @@ impl PipelineArtifacts {
 pub struct Options {
     /// Input warts files (the cycle to classify).
     pub inputs: Vec<String>,
-    /// Follow-up snapshot files for the Persistence filter.
+    /// Follow-up snapshot files for the Persistence filter; their
+    /// number is the persistence window.
     pub next: Vec<String>,
     /// RIB snapshot path.
     pub rib: Option<String>,
-    /// Persistence window (defaults to the number of `--next` files).
-    pub j: Option<usize>,
     /// Enable the §5 alias rescue.
     pub alias_rescue: bool,
     /// Also run the egress-rooted LSP-tree analysis.
@@ -194,22 +226,17 @@ pub struct Options {
     /// available parallelism; `1` forces the sequential path). The
     /// output is byte-identical for every value.
     pub threads: Option<usize>,
-    /// Decode warts input leniently: skip corrupt records (resyncing on
-    /// the magic) and drop traces that fail conversion, instead of
-    /// aborting. The run then reports what was skipped and exits with
-    /// the success-with-quarantine code.
+    /// Accept degraded input: skip corrupt records (resyncing on the
+    /// magic), drop traces that fail conversion and set aside files
+    /// that end in a half-written record, instead of aborting. The run
+    /// then reports what was skipped and exits with the
+    /// success-with-quarantine code.
     pub keep_going: bool,
     /// Treat any degradation — skipped records, failed conversions,
     /// quarantined traces — as fatal instead of quarantining it.
     pub fail_fast: bool,
-    /// Memory-map and index the inputs (`.lpridx` caches next to each
-    /// file) and stream traces through the pipeline without
-    /// materialising them: bounded memory at paper scale, byte-identical
-    /// output.
-    pub out_of_core: bool,
     /// Spill the Persistence window's key sets to sorted files under
-    /// this directory instead of holding them in memory (out-of-core
-    /// mode only).
+    /// this directory instead of holding them in memory.
     pub spill_dir: Option<String>,
 }
 
@@ -222,17 +249,9 @@ impl Options {
             match a.as_str() {
                 "--rib" => o.rib = Some(take(&mut it, "--rib")?),
                 "--next" => o.next.push(take(&mut it, "--next")?),
-                "--j" => {
-                    o.j = Some(
-                        take(&mut it, "--j")?
-                            .parse()
-                            .map_err(|_| err("--j wants an integer"))?,
-                    )
-                }
                 "--alias-rescue" => o.alias_rescue = true,
                 "--keep-going" => o.keep_going = true,
                 "--fail-fast" => o.fail_fast = true,
-                "--out-of-core" => o.out_of_core = true,
                 "--spill-dir" => o.spill_dir = Some(take(&mut it, "--spill-dir")?),
                 "--trees" => o.trees = true,
                 "--per-as" => o.per_as = true,
@@ -265,9 +284,6 @@ impl Options {
         if o.keep_going && o.fail_fast {
             return Err(err("--keep-going and --fail-fast contradict each other"));
         }
-        if o.spill_dir.is_some() && !o.out_of_core {
-            return Err(err("--spill-dir needs --out-of-core"));
-        }
         Ok(o)
     }
 }
@@ -276,79 +292,28 @@ fn take(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, Cli
     it.next().cloned().ok_or_else(|| err(format!("{flag} wants a value")))
 }
 
-/// Loads every trace from a list of warts files.
-pub fn load_traces(paths: &[String]) -> Result<Vec<Trace>, CliError> {
-    load_traces_par(paths, 1)
-}
-
-/// [`load_traces`] with parallel record→trace conversion: the stateful
-/// warts record decode stays sequential (the format carries a file-wide
-/// address dictionary), the per-record conversion shards across
-/// `threads` workers, preserving record order.
-pub fn load_traces_par(paths: &[String], threads: usize) -> Result<Vec<Trace>, CliError> {
-    let mut traces = Vec::new();
-    for path in paths {
-        let bytes = std::fs::read(path)
-            .map_err(|e| err(format!("{path}: {e}")))?;
-        let records = warts::WartsReader::new(&bytes)
-            .traces()
-            .map_err(|e| err(format!("{path}: {e}")))?;
-        traces.extend(
-            warts::traces_to_core_par(&records, threads)
-                .map_err(|e| err(format!("{path}: {e}")))?,
-        );
-    }
-    Ok(traces)
-}
-
-/// Lenient warts loading (`--keep-going`): corrupt records are skipped
-/// (resyncing on the next plausible record header), traces that fail
-/// conversion are dropped, and both are tallied in the returned
-/// [`LoadReport`]. Only IO failures are fatal. When a `recorder` is
-/// given, the decoder's `warts.*` counters (per-[`warts::SkipReason`]
-/// skips included) land in its registry.
-pub fn load_traces_lenient(
-    paths: &[String],
-    recorder: Option<&lpr_obs::Recorder>,
-) -> Result<(Vec<Trace>, LoadReport), CliError> {
-    let mut traces = Vec::new();
-    let mut report = LoadReport::default();
-    for path in paths {
-        let bytes = std::fs::read(path).map_err(|e| err(format!("{path}: {e}")))?;
-        let mut reader = warts::WartsReader::new(&bytes).lenient();
-        if let Some(rec) = recorder {
-            reader = reader.with_metrics(warts::StreamMetrics::from_recorder(rec));
-        }
-        loop {
-            match reader.next_record() {
-                Ok(Some(warts::Record::Trace(t))) => match warts::trace_to_core(&t) {
-                    Ok(Some(trace)) => {
-                        report.traces += 1;
-                        traces.push(trace);
-                    }
-                    Ok(None) => {}
-                    Err(_) => report.convert_failures += 1,
-                },
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => return Err(err(format!("{path}: {e}"))),
-            }
-        }
-        for (reason, n) in reader.skip_counts() {
-            *report.skipped.entry(*reason).or_default() += n;
-        }
-        report.resync_bytes += reader.resync_bytes();
-    }
-    if let Some(rec) = recorder {
-        rec.counter(lpr_obs::names::CLI_CONVERT_FAILURES).add(report.convert_failures);
-    }
-    Ok((traces, report))
-}
-
 /// Loads the RIB snapshot into a longest-prefix-match trie.
 pub fn load_rib(path: &str) -> Result<ip2as::Ip2AsTrie, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| err(format!("{path}: {e}")))?;
     ip2as::parse_rib(&text).map_err(|e| err(format!("{path}: {e}")))
+}
+
+/// Opens `paths` as one indexed corpus, caching each regular file's
+/// `.lpridx` beside it. A killed run can leave an orphaned
+/// `.lpridx.tmp` there; each input's own is removed first, and nothing
+/// else in its directory is touched.
+fn open_corpus(
+    paths: &[String],
+    recorder: Option<&lpr_obs::Recorder>,
+) -> Result<Corpus, CliError> {
+    for path in paths.iter().map(Path::new).filter(|p| p.is_file()) {
+        if std::fs::remove_file(lpr_corpus::RecordIndex::tmp_cache_path(path)).is_ok() {
+            if let Some(rec) = recorder {
+                rec.counter(lpr_obs::names::CORPUS_INDEX_SWEPT).inc();
+            }
+        }
+    }
+    Ok(Corpus::open_with(paths, true, recorder)?)
 }
 
 /// Runs the analysis pipeline an analysis subcommand needs.
@@ -358,18 +323,30 @@ pub fn run_pipeline(o: &Options) -> Result<PipelineArtifacts, CliError> {
 
 /// [`run_pipeline`] with instrumentation: loading and every pipeline
 /// stage land in `recorder` (see `lpr_obs`).
+///
+/// Every input goes through one path: the cycle's files are
+/// memory-mapped and indexed ([`Corpus`]), their trace records decode
+/// sharded straight out of the mappings, and each trace streams through
+/// ingest without a trace list ever being built. Each `--next` snapshot
+/// is opened the same way and becomes an in-memory key set or, with
+/// `--spill-dir`, a sorted spill file. Each corpus gets the batch
+/// verdict of [`LoadReport`]: skipped records, failed conversions and
+/// files ending in a half-written record are fatal without
+/// `--keep-going`. An empty input contributes nothing and is clean.
 pub fn run_pipeline_recorded(
     o: &Options,
     recorder: Option<&lpr_obs::Recorder>,
 ) -> Result<PipelineArtifacts, CliError> {
+    use lpr_core::pipeline::PersistenceWindow;
     if o.inputs.is_empty() {
         return Err(err("no input warts files (see `lpr help`)"));
     }
     let rib_path = o.rib.as_ref().ok_or_else(|| err("--rib <file> is required"))?;
     let rib = load_rib(rib_path)?;
     let threads = o.threads.unwrap_or_else(lpr_par::available_threads);
-    if o.out_of_core {
-        return run_pipeline_out_of_core(o, &rib, threads, recorder);
+    if let Some(dir) = &o.spill_dir {
+        // Spill files a killed run left behind are never valid input.
+        let _ = lpr_corpus::sweep_stale(Path::new(dir), recorder);
     }
     // One classify/stats invocation processes one cycle; its span nests
     // under the subcommand's `run:` root and everything the pipeline
@@ -379,198 +356,68 @@ pub fn run_pipeline_recorded(
     let outer_parent = tracer.default_parent();
     let cycle_span = tracer.span("cycle");
     tracer.set_default_parent(cycle_span.context());
-    let sw = lpr_obs::Stopwatch::start();
-    let load_span = tracer.span("stage:LoadTraces");
-    let (traces, load) = if o.keep_going {
-        load_traces_lenient(&o.inputs, recorder)?
-    } else {
-        (load_traces_par(&o.inputs, threads)?, LoadReport::default())
-    };
-    drop(load_span);
-    if let Some(rec) = recorder {
-        rec.record_stage(
-            "LoadTraces",
-            sw.elapsed_us(),
-            o.inputs.len() as u64,
-            traces.len() as u64,
-        );
-        let bytes: u64 = o
-            .inputs
-            .iter()
-            .filter_map(|p| std::fs::metadata(p).ok())
-            .map(|m| m.len())
-            .sum();
-        rec.counter(lpr_obs::names::CLI_INPUT_BYTES).add(bytes);
-        rec.counter(lpr_obs::names::CLI_INPUT_FILES).add(o.inputs.len() as u64);
-    }
-    let future: Vec<BTreeSet<LspKey>> = o
-        .next
-        .iter()
-        .map(|p| {
-            load_traces_par(std::slice::from_ref(p), threads)
-                .map(|t| Pipeline::snapshot_keys_par(&t, threads))
-        })
-        .collect::<Result<_, _>>()?;
-    let j = o.j.unwrap_or(future.len());
-    let mut pipeline =
-        Pipeline::new(FilterConfig { persistence_window: j, ..Default::default() });
-    if o.alias_rescue {
-        pipeline = pipeline.with_alias_rescue();
-    }
-    let opts = lpr_par::ShardOptions::new(threads);
-    let ingest = lpr_core::IngestState::from_traces(&traces, &rib, recorder, opts);
-    let output = pipeline.finish_stages(ingest, &future, recorder, opts);
-    tracer.set_default_parent(outer_parent);
-    drop(cycle_span);
-    let trace_count = traces.len() as u64;
-    let mpls_traces = traces.iter().filter(|t| t.has_mpls()).count() as u64;
-    let artifacts = PipelineArtifacts { traces, trace_count, mpls_traces, output, load };
-    if o.fail_fast && artifacts.is_degraded() {
-        return Err(err(format!(
-            "--fail-fast: input degraded ({} records skipped, {} conversions failed, {} traces quarantined)",
-            artifacts.load.skipped_total(),
-            artifacts.load.convert_failures,
-            artifacts.output.degraded.quarantined_total(),
-        )));
-    }
-    Ok(artifacts)
-}
-
-/// The `--out-of-core` pipeline: inputs are memory-mapped and indexed
-/// ([`lpr_corpus::Corpus`]), trace records decode sharded straight out
-/// of the mappings, and each trace streams through ingest without ever
-/// being materialised in a list. `--next` snapshots become either
-/// in-memory key sets or (`--spill-dir`) sorted on-disk spill files.
-/// The [`PipelineOutput`] is byte-identical to the in-memory path at
-/// every thread count.
-///
-/// The indexed decode is inherently lenient (the index records what a
-/// lenient scan salvaged); without `--keep-going`, any skipped record
-/// or failed conversion is promoted to a fatal error, mirroring the
-/// strict loader. An empty input contributes nothing and is clean, as
-/// in memory. An input ending in a half-written record is set aside
-/// unread: fatal without `--keep-going`, degradation with it.
-fn run_pipeline_out_of_core(
-    o: &Options,
-    rib: &ip2as::Ip2AsTrie,
-    threads: usize,
-    recorder: Option<&lpr_obs::Recorder>,
-) -> Result<PipelineArtifacts, CliError> {
-    use lpr_corpus::{
-        ingest_cycle, snapshot_keys, spill_snapshot_keys, Corpus, FileSkipReason, IngestOptions,
-    };
-    let disabled = lpr_obs::Tracer::disabled();
-    let tracer = recorder.map_or(&disabled, |r| r.tracer());
-    let outer_parent = tracer.default_parent();
-    let cycle_span = tracer.span("cycle");
-    tracer.set_default_parent(cycle_span.context());
-
-    // Startup hygiene: clear crash leftovers (orphaned `.lpridx.tmp`
-    // writes next to the inputs, stale spill files) before touching
-    // any index cache.
-    let mut sweep_dirs: Vec<std::path::PathBuf> = o
-        .inputs
-        .iter()
-        .filter_map(|p| std::path::Path::new(p).parent().map(|d| d.to_path_buf()))
-        .collect();
-    if let Some(dir) = &o.spill_dir {
-        sweep_dirs.push(std::path::PathBuf::from(dir));
-    }
-    sweep_dirs.sort();
-    sweep_dirs.dedup();
-    for dir in &sweep_dirs {
-        let _ = lpr_corpus::sweep_stale(dir, recorder);
-    }
 
     let sw = lpr_obs::Stopwatch::start();
-    let load_span = tracer.span("stage:CorpusIngest");
-    let corpus = Corpus::open_with(&o.inputs, true, recorder)?;
-    let (ingest, report) = ingest_cycle(&corpus, rib, IngestOptions::new(threads), recorder);
-    drop(load_span);
-    let load = LoadReport {
-        traces: ingest.traces_in,
-        skipped: report.skipped.clone(),
-        resync_bytes: report.resync_bytes,
-        convert_failures: report.convert_failures,
-        set_aside: corpus
-            .skipped_files
-            .iter()
-            .filter(|f| f.reason != FileSkipReason::Empty)
-            .map(|f| (f.path.clone(), f.reason.clone()))
-            .collect(),
-    };
+    let open_span = tracer.span("stage:CorpusOpen");
+    let corpus = open_corpus(&o.inputs, recorder)?;
+    drop(open_span);
+    let (ingest, report) =
+        lpr_corpus::ingest_cycle(&corpus, &rib, lpr_corpus::IngestOptions::new(threads), recorder);
+    let trace_count = ingest.traces_in;
     if let Some(rec) = recorder {
-        rec.record_stage("CorpusIngest", sw.elapsed_us(), o.inputs.len() as u64, ingest.traces_in);
+        rec.record_stage("LoadTraces", sw.elapsed_us(), o.inputs.len() as u64, trace_count);
         rec.counter(lpr_obs::names::CLI_INPUT_BYTES).add(corpus.total_bytes());
         rec.counter(lpr_obs::names::CLI_INPUT_FILES).add(o.inputs.len() as u64);
         rec.counter(lpr_obs::names::CLI_CONVERT_FAILURES).add(report.convert_failures);
+        report.record(rec);
     }
-    if !o.keep_going && (load.skipped_total() > 0 || load.convert_failures > 0) {
-        return Err(err(format!(
-            "corpus degraded: {} records skipped, {} conversions failed (use --keep-going to accept)",
-            load.skipped_total(),
-            load.convert_failures,
-        )));
-    }
-    if let (false, Some((path, reason))) = (o.keep_going, load.set_aside.first()) {
-        return Err(err(format!(
-            "{} input file(s) set aside ({}: {reason}); use --keep-going to accept",
-            load.set_aside.len(),
-            path.display(),
-        )));
-    }
+    let mut load = LoadReport::default();
+    load.admit(o.keep_going, &corpus, report)?;
+    // Unmap the cycle before the window's snapshots are mapped.
+    drop(corpus);
+    let trees =
+        if o.trees { lpr_core::tree::build_fec_trees(&ingest.lsps) } else { Vec::new() };
 
-    let j = o.j.unwrap_or(o.next.len());
     let mut pipeline =
-        Pipeline::new(FilterConfig { persistence_window: j, ..Default::default() });
+        Pipeline::new(FilterConfig { persistence_window: o.next.len(), ..Default::default() });
     if o.alias_rescue {
         pipeline = pipeline.with_alias_rescue();
     }
     let shard = lpr_par::ShardOptions::new(threads);
-    let open_next = |path: &String| -> Result<Corpus, CliError> {
-        Corpus::open_with(std::slice::from_ref(path), true, recorder)
-            .map_err(|e| err(format!("{path}: {e}")))
-    };
-    let (trace_count, mpls_traces) = (ingest.traces_in, report.mpls_traces);
     let output = if let Some(dir) = &o.spill_dir {
         let mut spilled = Vec::with_capacity(o.next.len());
         for (i, path) in o.next.iter().enumerate() {
-            let next = open_next(path)?;
-            spilled.push(spill_snapshot_keys(
+            let next = open_corpus(std::slice::from_ref(path), recorder)?;
+            let (keys, report) = lpr_corpus::spill_snapshot_keys_reported(
                 &next,
-                std::path::Path::new(dir),
+                Path::new(dir),
                 &format!("next{i}"),
                 threads,
                 recorder,
-            )?);
+            )?;
+            load.admit(o.keep_going, &next, report)?;
+            spilled.push(keys);
         }
-        pipeline.finish_stages_windowed(
-            ingest,
-            lpr_core::pipeline::PersistenceWindow::Spilled(&spilled),
-            recorder,
-            shard,
-        )?
+        let window = PersistenceWindow::Spilled(&spilled);
+        pipeline.finish_stages_windowed(ingest, window, recorder, shard)?
     } else {
         let mut keys = Vec::with_capacity(o.next.len());
         for path in &o.next {
-            keys.push(snapshot_keys(&open_next(path)?, threads));
+            let next = open_corpus(std::slice::from_ref(path), recorder)?;
+            let (snapshot, report) = lpr_corpus::snapshot_keys_reported(&next, threads);
+            load.admit(o.keep_going, &next, report)?;
+            keys.push(snapshot);
         }
-        pipeline.finish_stages_windowed(
-            ingest,
-            lpr_core::pipeline::PersistenceWindow::Mem(&keys),
-            recorder,
-            shard,
-        )?
+        pipeline.finish_stages_windowed(ingest, PersistenceWindow::Mem(&keys), recorder, shard)?
     };
     tracer.set_default_parent(outer_parent);
     drop(cycle_span);
-    let artifacts =
-        PipelineArtifacts { traces: Vec::new(), trace_count, mpls_traces, output, load };
+    let artifacts = PipelineArtifacts { trace_count, output, load, trees };
     if o.fail_fast && artifacts.is_degraded() {
         return Err(err(format!(
             "--fail-fast: input degraded ({} records skipped, {} conversions failed, {} traces quarantined)",
-            artifacts.load.skipped_total(),
-            artifacts.load.convert_failures,
+            artifacts.load.decode.skipped_total(),
+            artifacts.load.decode.convert_failures,
             artifacts.output.degraded.quarantined_total(),
         )));
     }
@@ -578,37 +425,35 @@ fn run_pipeline_out_of_core(
 }
 
 /// Writes the human-readable degradation summary an analysis subcommand
-/// prints when a run ends [`RunStatus::Degraded`].
+/// prints when its input was degraded: what `load` skipped, dropped or
+/// set aside, and what `degraded` quarantined. Prints nothing for a
+/// clean run.
 pub fn write_degradation_summary(
-    artifacts: &PipelineArtifacts,
+    load: &LoadReport,
+    degraded: &DegradedReport,
     w: &mut dyn Write,
 ) -> Result<(), CliError> {
-    if !artifacts.is_degraded() {
+    if load.is_clean() && degraded.is_clean() {
         return Ok(());
     }
     writeln!(w, "\ninput degraded (exit code 3):")?;
-    if artifacts.load.skipped_total() > 0 {
-        let detail: Vec<String> = artifacts
-            .load
-            .skipped
-            .iter()
-            .map(|(r, n)| format!("{}={}", r.name(), n))
-            .collect();
+    if load.decode.skipped_total() > 0 {
+        let detail: Vec<String> =
+            load.decode.skipped.iter().map(|(r, n)| format!("{}={}", r.name(), n)).collect();
         writeln!(
             w,
             "  skipped records: {} [{}] ({} resync bytes)",
-            artifacts.load.skipped_total(),
+            load.decode.skipped_total(),
             detail.join(" "),
-            artifacts.load.resync_bytes,
+            load.decode.resync_bytes,
         )?;
     }
-    if artifacts.load.convert_failures > 0 {
-        writeln!(w, "  failed conversions: {}", artifacts.load.convert_failures)?;
+    if load.decode.convert_failures > 0 {
+        writeln!(w, "  failed conversions: {}", load.decode.convert_failures)?;
     }
-    for (path, reason) in &artifacts.load.set_aside {
+    for (path, reason) in &load.set_aside {
         writeln!(w, "  set aside unread: {} ({reason})", path.display())?;
     }
-    let degraded = &artifacts.output.degraded;
     if degraded.quarantined_total() > 0 {
         let detail: Vec<String> =
             degraded.quarantined.iter().map(|(r, n)| format!("{}={}", r.name(), n)).collect();
@@ -724,7 +569,7 @@ pub fn run(args: &[String], w: &mut dyn Write) -> Result<RunStatus, CliError> {
     match cmd {
         "classify" => commands::classify::run(&Options::parse(rest)?, w),
         "stats" => commands::stats::run(&Options::parse(rest)?, w),
-        "tunnels" => commands::tunnels::run(&Options::parse(rest)?, w).map(|()| RunStatus::Clean),
+        "tunnels" => commands::tunnels::run(&Options::parse(rest)?, w),
         "info" => commands::info::run(&Options::parse(rest)?, w).map(|()| RunStatus::Clean),
         "dump" => commands::dump::run(&Options::parse(rest)?, w).map(|()| RunStatus::Clean),
         "demo" => commands::demo::run(rest, w).map(|()| RunStatus::Clean),
@@ -743,17 +588,17 @@ lpr — MPLS transit path diversity classification (IMC'15 LPR algorithm)
 
 USAGE:
   lpr classify --rib <rib.txt> <cycle.warts>... [--next <snap.warts>]...
-               [--j N] [--alias-rescue] [--trees] [--per-as] [--router-level]
+               [--alias-rescue] [--trees] [--per-as] [--router-level]
                [--metrics <out.json>] [--progress] [--threads N]
                [--trace-out <trace.json>] [--trace-level <level>]
                [--prom-out <metrics.prom>] [--keep-going | --fail-fast]
-               [--out-of-core [--spill-dir <dir>]]
+               [--spill-dir <dir>]
   lpr stats    --rib <rib.txt> <cycle.warts>... [--next <snap.warts>]...
                [--metrics <out.json>] [--progress] [--threads N]
                [--trace-out <trace.json>] [--trace-level <level>]
                [--prom-out <metrics.prom>] [--keep-going | --fail-fast]
-               [--out-of-core [--spill-dir <dir>]]
-  lpr tunnels  <cycle.warts>...
+               [--spill-dir <dir>]
+  lpr tunnels  <cycle.warts>... [--keep-going]
   lpr dump     <file.warts>...
   lpr info     <file.warts>...
   lpr demo     --out <demo.warts> --rib-out <rib.txt>
@@ -766,8 +611,8 @@ USAGE:
   lpr help
 
 The RIB file maps prefixes to origin ASes, one `prefix asn` per line
-(Routeviews-style). `--next` snapshots feed the Persistence filter
-(paper default: two, i.e. --j 2).
+(Routeviews-style). `--next` snapshots feed the Persistence filter, and
+their number is its window j (the paper's j = 2 means two --next files).
 
 `--metrics <out.json>` writes machine-readable run telemetry (per-stage
 wall time and LSP counts matching the Table 1 funnel, plus ingest
@@ -784,11 +629,11 @@ counter/gauge/histogram registry as Prometheus-style text.
 machine's available parallelism). Results are byte-identical for every
 thread count; `--threads 1` forces the sequential path.
 
-`--out-of-core` memory-maps the input corpus, builds (and caches, as
-`.lpridx` siblings) a per-file record index, decodes record ranges
-sharded straight out of the mappings and streams every trace through
-the pipeline without materialising the trace list — bounded memory at
-paper scale, byte-identical output. `--spill-dir <dir>` additionally
+Inputs are memory-mapped (pipes and other non-regular files are read
+in), indexed per file (the index of a regular file is cached beside it
+as `<file>.lpridx`), decoded sharded straight out of the mappings and
+streamed through the pipeline without materialising the trace list:
+memory tracks the surviving LSPs, not the corpus. `--spill-dir <dir>`
 spills the Persistence window's key sets to sorted files under <dir>
 instead of holding them in memory.
 
@@ -803,11 +648,13 @@ serving with `degraded: true` and never answers 5xx. SIGTERM/SIGINT
 shut it down gracefully with exit code 0. `--once N` exits after N
 reconcile ticks (smoke tests).
 
-Degraded input (classify/stats): structurally broken traces are
-quarantined rather than fatal, `--keep-going` additionally skips corrupt
-warts records (resyncing on the next record magic) and drops traces
-that fail conversion, and `--fail-fast` turns any degradation into a
-hard error.
+Degraded input (classify/stats/tunnels): structurally broken traces
+are quarantined rather than fatal, `--keep-going` additionally skips
+corrupt warts records (resyncing on the next record magic), drops
+traces that fail conversion and sets aside files ending in a
+half-written record, in the cycle and in every --next snapshot alike,
+and `--fail-fast` turns any degradation into a hard error. An empty
+input file contributes nothing and is clean.
 
 EXIT CODES:
   0  clean success — nothing skipped, nothing quarantined
@@ -815,6 +662,10 @@ EXIT CODES:
      degradation itemised on stdout
   1  fatal error (bad arguments, unreadable input, strict-mode decode
      failure, --fail-fast degradation)";
+
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 
 #[cfg(test)]
 mod tests {
@@ -834,16 +685,13 @@ mod tests {
             "b.warts",
             "--next",
             "c.warts",
-            "--j",
-            "2",
             "--alias-rescue",
             "--per-as",
         ]))
         .unwrap();
         assert_eq!(o.inputs, vec!["a.warts"]);
-        assert_eq!(o.next.len(), 2);
+        assert_eq!(o.next.len(), 2, "two --next files: the paper's j = 2");
         assert_eq!(o.rib.as_deref(), Some("rib.txt"));
-        assert_eq!(o.j, Some(2));
         assert!(o.alias_rescue && o.per_as && !o.trees && !o.router_level);
     }
 
@@ -851,7 +699,8 @@ mod tests {
     fn unknown_flag_is_an_error() {
         assert!(Options::parse(&s(&["--bogus"])).is_err());
         assert!(Options::parse(&s(&["--rib"])).is_err());
-        assert!(Options::parse(&s(&["--j", "x"])).is_err());
+        // The persistence window is the number of --next files.
+        assert!(Options::parse(&s(&["--j", "2"])).is_err());
     }
 
     #[test]
@@ -892,13 +741,10 @@ mod tests {
 
     #[test]
     fn parse_out_of_core_flags() {
-        let o = Options::parse(&s(&["a.warts", "--out-of-core"])).unwrap();
-        assert!(o.out_of_core && o.spill_dir.is_none());
-        let o =
-            Options::parse(&s(&["a.warts", "--out-of-core", "--spill-dir", "/tmp/x"])).unwrap();
+        let o = Options::parse(&s(&["a.warts", "--spill-dir", "/tmp/x"])).unwrap();
         assert_eq!(o.spill_dir.as_deref(), Some("/tmp/x"));
-        assert!(Options::parse(&s(&["a.warts", "--spill-dir", "/tmp/x"])).is_err());
-        assert!(Options::parse(&s(&["a.warts", "--out-of-core", "--spill-dir"])).is_err());
+        assert!(Options::parse(&s(&["a.warts"])).unwrap().spill_dir.is_none());
+        assert!(Options::parse(&s(&["a.warts", "--spill-dir"])).is_err());
     }
 
     #[test]
@@ -911,6 +757,25 @@ mod tests {
         std::fs::write(&warts_path, &bytes).unwrap();
         std::fs::write(&rib_path, rib).unwrap();
         let spill_dir = dir.join("spill").to_string_lossy().into_owned();
+        let inputs = vec![warts_path.clone()];
+        let (reference, _) =
+            crate::common::reference_run(&inputs, &inputs, &rib_path, false).unwrap();
+
+        let options = |spill_dir: Option<&str>| Options {
+            inputs: inputs.clone(),
+            next: inputs.clone(),
+            rib: Some(rib_path.clone()),
+            threads: Some(2),
+            spill_dir: spill_dir.map(str::to_string),
+            ..Default::default()
+        };
+        // Cold (builds the .lpridx), cached, and with a spilled window.
+        for spill in [None, None, Some(spill_dir.as_str())] {
+            let artifacts = run_pipeline(&options(spill)).unwrap();
+            assert_eq!(artifacts.output, reference, "spill dir {spill:?}");
+            assert!(artifacts.load.is_clean());
+        }
+        assert!(dir.join("demo.warts.lpridx").exists());
 
         let render = |cmd: &str, extra: &[&str]| {
             let mut args =
@@ -921,17 +786,12 @@ mod tests {
             (String::from_utf8(out).unwrap(), status)
         };
         for cmd in ["classify", "stats"] {
-            let reference = render(cmd, &[]);
-            assert_eq!(render(cmd, &["--out-of-core"]), reference, "{cmd} --out-of-core");
             assert_eq!(
-                render(cmd, &["--out-of-core", "--spill-dir", &spill_dir]),
-                reference,
+                render(cmd, &["--spill-dir", &spill_dir]),
+                render(cmd, &[]),
                 "{cmd} with spilled persistence window"
             );
         }
-        // The second pass onward reused the .lpridx caches; a cached
-        // open still matches.
-        assert!(dir.join("demo.warts.lpridx").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1144,6 +1004,43 @@ mod tests {
                 assert_ne!(end, u64::MAX, "span {id} ({name}) never ended");
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ingest_shards_trace_under_stage_ingest() {
+        let dir = std::env::temp_dir().join(format!("lpr-span-ingest-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let rib_path = dir.join("rib.txt").to_string_lossy().into_owned();
+        let (bytes, rib) = write_demo_files();
+        std::fs::write(&rib_path, rib).unwrap();
+        let inputs: Vec<String> = ["a.warts", "b.warts"]
+            .iter()
+            .map(|name| {
+                let path = dir.join(name);
+                std::fs::write(&path, &bytes).unwrap();
+                path.to_string_lossy().into_owned()
+            })
+            .collect();
+
+        let (snapshot, _) = traced_classify(2, &inputs, &rib_path);
+        let skeleton: Vec<String> =
+            span_skeleton(&snapshot).into_iter().filter(|p| p.contains("stage:")).collect();
+        let expected: Vec<String> =
+            ["Classification", "CorpusOpen", "Ingest", "Persistence", "TransitDiversity"]
+                .iter()
+                .map(|stage| format!("run:classify/cycle/stage:{stage}"))
+                .collect();
+        assert_eq!(skeleton, expected, "one load path: the corpus open, then its ingest");
+        // One indexed range task per input file, one shard span each.
+        let spans = span_table(&snapshot);
+        let (ingest_id, _) =
+            spans.iter().find(|(_, (name, ..))| name == "stage:Ingest").unwrap();
+        let shards = spans
+            .values()
+            .filter(|(name, parent, ..)| parent == ingest_id && name.starts_with("shard"))
+            .count();
+        assert_eq!(shards, inputs.len());
         std::fs::remove_dir_all(&dir).ok();
     }
 

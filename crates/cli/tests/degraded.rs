@@ -6,7 +6,9 @@
 //! and telemetry that reconciles with the printed summary, and
 //! `--fail-fast` must turn the degradation into a hard error.
 
-use lpr_cli::{run, write_demo_files, RunStatus};
+mod common;
+
+use lpr_cli::{run, run_pipeline, write_demo_files, Options, RunStatus};
 
 struct Tmp(std::path::PathBuf);
 
@@ -182,12 +184,31 @@ fn exit_and_stdout(args: &[String]) -> (i32, String) {
     (code, String::from_utf8(buf).unwrap())
 }
 
-/// `lpr classify <args>` in memory, then with `--out-of-core`.
-fn classify_both_ways(args: &[&str]) -> [(i32, String); 2] {
-    let mut args = s(&[&["classify"], args].concat());
-    let in_memory = exit_and_stdout(&args);
-    args.push("--out-of-core".to_string());
-    [in_memory, exit_and_stdout(&args)]
+/// The batch path's output and skip tallies over `inputs` and `next`
+/// (`lpr classify --keep-going` when `keep_going`), against the
+/// in-memory reference decoding the same files the same way. Returns
+/// the reference.
+fn assert_matches_reference(
+    inputs: &[&str],
+    next: &[&str],
+    rib: &str,
+    keep_going: bool,
+) -> common::Reference {
+    let owned = |paths: &[&str]| paths.iter().map(|p| p.to_string()).collect::<Vec<_>>();
+    let (inputs, next) = (owned(inputs), owned(next));
+    let reference = common::reference_run(&inputs, &next, rib, keep_going).unwrap();
+    let o = Options {
+        inputs,
+        next,
+        rib: Some(rib.to_string()),
+        threads: Some(2),
+        keep_going,
+        ..Default::default()
+    };
+    let artifacts = run_pipeline(&o).unwrap();
+    assert_eq!(artifacts.output, reference.0, "pipeline output");
+    assert_eq!(artifacts.load.decode.skipped, reference.1, "skip tallies");
+    reference
 }
 
 #[test]
@@ -195,10 +216,11 @@ fn in_memory_and_out_of_core_agree_on_corrupt_input() {
     for seed in [7, 42, 99, 1234] {
         let tmp = Tmp::new(&format!("agree-{seed}"));
         let (_, bad, rib) = corrupted_demo(&tmp, seed, 0.25);
-        let [in_memory, out_of_core] = classify_both_ways(&["--rib", &rib, &bad, "--keep-going"]);
-        assert_eq!(in_memory.0, 3, "seed {seed}: {}", in_memory.1);
-        assert!(in_memory.1.contains("skipped records:"), "seed {seed}: {}", in_memory.1);
-        assert_eq!(out_of_core, in_memory, "seed {seed}");
+        let (code, out) = exit_and_stdout(&s(&["classify", "--rib", &rib, &bad, "--keep-going"]));
+        assert_eq!(code, 3, "seed {seed}: {out}");
+        assert!(out.contains("skipped records:"), "seed {seed}: {out}");
+        let (_, skipped) = assert_matches_reference(&[&bad], &[], &rib, true);
+        assert!(!skipped.is_empty(), "seed {seed}");
     }
 }
 
@@ -216,11 +238,12 @@ fn in_memory_and_out_of_core_agree_on_a_record_over_64_mib() {
     std::fs::write(&huge, bytes).unwrap();
     std::fs::write(&ribf, rib).unwrap();
 
-    let [in_memory, out_of_core] = classify_both_ways(&["--rib", &ribf, &huge]);
-    assert_eq!((in_memory.0, out_of_core.0), (1, 1), "strict refuses it either way");
-    let [in_memory, out_of_core] = classify_both_ways(&["--rib", &ribf, &huge, "--keep-going"]);
-    assert_eq!(in_memory.0, 3, "{}", in_memory.1);
-    assert_eq!(out_of_core, in_memory);
+    let (code, _) = exit_and_stdout(&s(&["classify", "--rib", &ribf, &huge]));
+    assert_eq!(code, 1, "strict refuses it");
+    assert!(common::reference_run(std::slice::from_ref(&huge), &[], &ribf, false).is_err());
+    let (code, out) = exit_and_stdout(&s(&["classify", "--rib", &ribf, &huge, "--keep-going"]));
+    assert_eq!(code, 3, "{out}");
+    assert_matches_reference(&[&huge], &[], &ribf, true);
 }
 
 #[test]
@@ -237,20 +260,92 @@ fn set_aside_inputs_get_one_batch_verdict() {
 
     // An empty input contributes nothing and is clean.
     for mode in [None, Some("--keep-going")] {
-        let args: Vec<&str> = ["--rib", &ribf, &demo, &empty].into_iter().chain(mode).collect();
-        let [in_memory, out_of_core] = classify_both_ways(&args);
-        assert_eq!(in_memory.0, 0, "{mode:?}: {}", in_memory.1);
-        assert_eq!(out_of_core, in_memory, "{mode:?}");
+        let args: Vec<&str> =
+            ["classify", "--rib", &ribf, &demo, &empty].into_iter().chain(mode).collect();
+        let (code, out) = exit_and_stdout(&s(&args));
+        assert_eq!(code, 0, "{mode:?}: {out}");
+        assert_matches_reference(&[&demo, &empty], &[], &ribf, mode.is_some());
     }
 
     // A still-growing tail is degradation: fatal in strict mode, exit 3
-    // under --keep-going. Out of core does not read the set-aside file,
-    // so only the verdicts agree, not the IOTPs.
-    let [in_memory, out_of_core] = classify_both_ways(&["--rib", &ribf, &cut]);
-    assert_eq!((in_memory.0, out_of_core.0), (1, 1));
-    let [in_memory, out_of_core] = classify_both_ways(&["--rib", &ribf, &cut, "--keep-going"]);
-    assert_eq!((in_memory.0, out_of_core.0), (3, 3), "{}\n{}", in_memory.1, out_of_core.1);
-    assert!(in_memory.1.contains("skipped records: 1 [truncated_header=1]"), "{}", in_memory.1);
+    // under --keep-going. The set-aside file is not read, so none of
+    // its records are classified.
+    let (code, _) = exit_and_stdout(&s(&["classify", "--rib", &ribf, &cut]));
+    assert_eq!(code, 1);
+    let (code, out) = exit_and_stdout(&s(&["classify", "--rib", &ribf, &cut, "--keep-going"]));
+    assert_eq!(code, 3, "{out}");
     let named = format!("set aside unread: {cut} (still_growing(truncated_header))");
-    assert!(out_of_core.1.contains(&named), "{}", out_of_core.1);
+    assert!(out.contains(&named), "{out}");
+    assert!(out.contains("total 0 IOTPs"), "{out}");
+}
+
+#[test]
+fn a_damaged_next_file_gets_the_batch_verdict() {
+    let tmp = Tmp::new("next");
+    let (clean, bad, rib) = corrupted_demo(&tmp, 42, 0.3);
+    let args = s(&["classify", "--rib", &rib, &clean, "--next", &bad]);
+    let mut buf = Vec::new();
+    let e = run(&args, &mut buf).unwrap_err();
+    assert!(e.to_string().contains("corrupt.warts"), "{e}");
+
+    let (code, out) = exit_and_stdout(&[args, s(&["--keep-going"])].concat());
+    assert_eq!(code, 3, "{out}");
+    assert!(out.contains("skipped records:"), "{out}");
+    let (_, skipped) = assert_matches_reference(&[&clean], &[&bad], &rib, true);
+    assert!(!skipped.is_empty());
+
+    // A set-aside --next file gets the verdict of a set-aside cycle file.
+    let (bytes, _) = write_demo_files();
+    let cut = tmp.path("cut.warts");
+    std::fs::write(&cut, [&bytes[..], &[0x12, 0x05, 0x00]].concat()).unwrap();
+    let args = s(&["classify", "--rib", &rib, &clean, "--next", &cut]);
+    assert_eq!(exit_and_stdout(&args).0, 1);
+    let (code, out) = exit_and_stdout(&[args, s(&["--keep-going"])].concat());
+    assert_eq!(code, 3, "{out}");
+    assert!(out.contains(&format!("set aside unread: {cut}")), "{out}");
+}
+
+#[test]
+fn keep_going_trees_come_from_the_ingested_lsps() {
+    let tmp = Tmp::new("trees");
+    let (_, bad, rib) = corrupted_demo(&tmp, 42, 0.3);
+    let (code, out) =
+        exit_and_stdout(&s(&["classify", "--rib", &rib, &bad, "--keep-going", "--trees"]));
+    assert_eq!(code, 3, "{out}");
+    assert!(out.contains("egress-rooted LSP-trees"), "{out}");
+
+    // The trees are those of the post-TargetAS LSPs the lenient
+    // reference ingests.
+    let trie = ip2as::parse_rib(&std::fs::read_to_string(&rib).unwrap()).unwrap();
+    let traces = common::decode(std::slice::from_ref(&bad), true, &mut Default::default()).unwrap();
+    let one = lpr_par::ShardOptions::new(1);
+    let ingest = lpr_core::IngestState::from_traces(&traces, &trie, None, one);
+    let expected = lpr_core::tree::build_fec_trees(&ingest.lsps);
+    let o = Options {
+        inputs: vec![bad],
+        rib: Some(rib),
+        trees: true,
+        keep_going: true,
+        ..Default::default()
+    };
+    let artifacts = run_pipeline(&o).unwrap();
+    assert!(!expected.is_empty());
+    assert_eq!(format!("{:?}", artifacts.trees), format!("{expected:?}"));
+}
+
+#[test]
+fn tunnels_keep_going_gets_the_batch_verdict() {
+    let tmp = Tmp::new("tunnels");
+    let (_, bad, _) = corrupted_demo(&tmp, 42, 0.3);
+    let mut buf = Vec::new();
+    let e = run(&s(&["tunnels", &bad]), &mut buf).unwrap_err();
+    assert!(e.to_string().contains("corrupt.warts"), "{e}");
+
+    let (code, out) = exit_and_stdout(&s(&["tunnels", &bad, "--keep-going"]));
+    assert_eq!(code, 3, "{out}");
+    assert!(out.contains("skipped records:"), "{out}");
+    let traces = common::decode(&[bad], true, &mut Default::default()).unwrap();
+    let tunnels: usize = traces.iter().map(|t| lpr_core::tunnel::extract_tunnels(t).len()).sum();
+    let summary = format!("{tunnels} explicit tunnels in {} traces", traces.len());
+    assert!(out.contains(&summary), "{summary}\n{out}");
 }

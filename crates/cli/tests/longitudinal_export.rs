@@ -45,8 +45,9 @@ fn cli_classifies_an_exported_cycle() {
     // Vendor fingerprints surface in the per-AS section.
     assert!(text.contains("JuniperLike") || text.contains("CiscoLike"), "{text}");
 
-    // `stats` over the same files shows every filter level.
-    let mut args = vec![
+    // `stats` over the same files shows every filter level; two --next
+    // files are the paper's j = 2.
+    let args = vec![
         "stats".to_string(),
         "--rib".to_string(),
         exported.rib.to_string_lossy().into_owned(),
@@ -56,8 +57,6 @@ fn cli_classifies_an_exported_cycle() {
         "--next".to_string(),
         exported.snapshots[2].to_string_lossy().into_owned(),
     ];
-    args.push("--j".to_string());
-    args.push("2".to_string());
     let mut buf = Vec::new();
     lpr_cli::run(&s(&args), &mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();

@@ -111,6 +111,32 @@ impl DecodeReport {
     pub fn skipped_total(&self) -> u64 {
         self.skipped.values().sum()
     }
+
+    /// Adds another pass's accounting to this one.
+    pub fn merge(&mut self, other: DecodeReport) {
+        self.traces += other.traces;
+        self.mpls_traces += other.mpls_traces;
+        for (reason, n) in other.skipped {
+            *self.skipped.entry(reason).or_default() += n;
+        }
+        self.resync_bytes += other.resync_bytes;
+        self.convert_failures += other.convert_failures;
+    }
+
+    /// Adds the report's decode tallies to `recorder` under the names a
+    /// lenient [`warts::StreamMetrics`] reader counts them:
+    /// `warts.traces`, `warts.malformed_records`, `warts.resync_bytes`
+    /// and every `warts.skip.*` reason (zeros included). They come from
+    /// the index scans, so a cached open reports what a built one does.
+    pub fn record(&self, recorder: &lpr_obs::Recorder) {
+        recorder.counter(lpr_obs::names::WARTS_TRACES).add(self.traces);
+        recorder.counter(lpr_obs::names::WARTS_MALFORMED_RECORDS).add(self.skipped_total());
+        recorder.counter(lpr_obs::names::WARTS_RESYNC_BYTES).add(self.resync_bytes);
+        for reason in SkipReason::ALL {
+            let n = self.skipped.get(&reason).copied().unwrap_or(0);
+            recorder.counter(reason.counter_name()).add(n);
+        }
+    }
 }
 
 /// Detects a half-written final record: the bytes after the last
@@ -139,6 +165,8 @@ impl Corpus {
 
     /// [`Corpus::open`] with cache control and telemetry: counts
     /// files/bytes mapped, index hits vs builds, and records indexed.
+    /// A file that is not a regular file (a pipe, `/dev/stdin`) is
+    /// indexed in memory: no `.lpridx` is read or written for it.
     pub fn open_with<P: AsRef<Path>>(
         paths: &[P],
         cache: bool,
@@ -149,12 +177,18 @@ impl Corpus {
         let (mut bytes, mut hits, mut builds, mut records) = (0u64, 0u64, 0u64, 0u64);
         for path in paths {
             let path = path.as_ref().to_path_buf();
-            let map = MappedFile::open(&path)?;
+            let named =
+                |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+            let map = MappedFile::open(&path).map_err(named)?;
             if map.is_empty() {
                 skipped_files.push(SkippedFile { path, reason: FileSkipReason::Empty });
                 continue;
             }
-            let (index, hit) = RecordIndex::load_or_build(&path, map.bytes(), cache);
+            let (index, hit) = if std::fs::metadata(&path).map_err(named)?.is_file() {
+                RecordIndex::load_or_build(&path, map.bytes(), cache)
+            } else {
+                (RecordIndex::build(map.bytes()), false)
+            };
             if let Some(reason) = growing_tail(map.bytes(), &index) {
                 skipped_files
                     .push(SkippedFile { path, reason: FileSkipReason::StillGrowing(reason) });

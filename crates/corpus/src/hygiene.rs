@@ -5,9 +5,12 @@
 //! [`crate::index::RecordIndex::load_or_build`] guarantees a truncated
 //! `.lpridx` can never be *renamed into place*, but the temp file
 //! itself survives a kill) and stale `.spill`/`.spillrun` files from an
-//! interrupted out-of-core persistence window. Neither is ever valid
-//! input to a later run, so `lpr classify --out-of-core` and `lpr
-//! serve` sweep them at startup.
+//! interrupted spilled persistence window. Neither is ever valid input
+//! to a later run. `lpr serve` sweeps its spool directory and `lpr
+//! classify`/`stats` sweep their `--spill-dir` at startup; both own
+//! everything in those directories. A batch input's own directory is
+//! not swept: the batch run removes only each input's
+//! [`crate::index::RecordIndex::tmp_cache_path`].
 
 use std::io;
 use std::path::{Path, PathBuf};

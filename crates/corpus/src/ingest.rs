@@ -122,32 +122,44 @@ fn decode_task(
 /// order merge. The result feeds
 /// [`lpr_core::Pipeline::finish_stages_windowed`] and is byte-identical
 /// to the in-memory ingest over the same traces at any thread count.
+///
+/// The work runs inside a `stage:Ingest` span of `recorder`'s tracer,
+/// with one span per shard. A panicking task panics the caller.
 pub fn ingest_cycle(
     corpus: &Corpus,
     mapper: &(dyn AsMapper + Sync),
     opts: IngestOptions,
     recorder: Option<&lpr_obs::Recorder>,
 ) -> (IngestState, DecodeReport) {
+    let disabled = lpr_obs::Tracer::disabled();
+    let tracer = recorder.map_or(&disabled, |r| r.tracer());
+    let ingest_span = tracer.span("stage:Ingest");
     let tasks = range_tasks(corpus, opts.records_per_task);
-    let run = lpr_par::map_shards(&tasks, shard_opts(opts.threads), |_, shard| {
-        let mut state = IngestState::default();
-        let mut convert_failures = 0u64;
-        let mut decode_errors = 0u64;
-        let mut mpls_traces = 0u64;
-        for task in shard {
-            let mut acc = CycleAccumulator::new(mapper);
-            let (cf, de) = decode_task(corpus, task, |trace| {
-                if trace.has_mpls() {
-                    mpls_traces += 1;
-                }
-                acc.push_trace(trace);
-            });
-            convert_failures += cf;
-            decode_errors += de;
-            state.merge(acc.into_state());
-        }
-        (state, convert_failures, decode_errors, mpls_traces)
-    });
+    let run = lpr_par::map_shards_traced(
+        &tasks,
+        shard_opts(opts.threads),
+        lpr_par::ShardTrace::new(tracer, ingest_span.context()),
+        |_, shard| {
+            let mut state = IngestState::default();
+            let mut convert_failures = 0u64;
+            let mut decode_errors = 0u64;
+            let mut mpls_traces = 0u64;
+            for task in shard {
+                let mut acc = CycleAccumulator::new(mapper);
+                let (cf, de) = decode_task(corpus, task, |trace| {
+                    if trace.has_mpls() {
+                        mpls_traces += 1;
+                    }
+                    acc.push_trace(trace);
+                });
+                convert_failures += cf;
+                decode_errors += de;
+                state.merge(acc.into_state());
+            }
+            (state, convert_failures, decode_errors, mpls_traces)
+        },
+    )
+    .expect_ok();
 
     let mut ingest = IngestState::default();
     let mut report = corpus.decode_report();
@@ -158,6 +170,7 @@ pub fn ingest_cycle(
         decode_errors += de;
         report.mpls_traces += mpls;
     }
+    drop(ingest_span);
     if let Some(rec) = recorder {
         rec.counter(lpr_obs::names::INGEST_SPILLED_TRACES).add(ingest.traces_in);
         if decode_errors > 0 {
@@ -167,34 +180,59 @@ pub fn ingest_cycle(
     (ingest, report)
 }
 
-/// The per-task key extraction shared by both snapshot-key paths.
-fn task_keys(corpus: &Corpus, task: &RangeTask) -> BTreeSet<LspKey> {
+/// The per-task key extraction shared by both snapshot-key paths: the
+/// task's keys and its failed conversions.
+fn task_keys(corpus: &Corpus, task: &RangeTask) -> (BTreeSet<LspKey>, u64) {
     let mut tunnels: Vec<RawTunnel> = Vec::new();
-    decode_task(corpus, task, |trace| {
+    let (convert_failures, _) = decode_task(corpus, task, |trace| {
         if lpr_core::quarantine::validate_trace(trace).is_ok() {
             lpr_core::extract_tunnels_into(trace, &mut tunnels);
         }
     });
-    lsp_keys_of_tunnels(&tunnels)
+    (lsp_keys_of_tunnels(&tunnels), convert_failures)
+}
+
+/// The keys of `tasks`, one set per shard in shard order, each with
+/// the conversions that failed in it.
+fn shard_keys(
+    corpus: &Corpus,
+    tasks: &[RangeTask],
+    threads: usize,
+) -> Vec<(BTreeSet<LspKey>, u64)> {
+    lpr_par::map_shards(tasks, shard_opts(threads), |_, shard| {
+        let mut keys = BTreeSet::new();
+        let mut convert_failures = 0u64;
+        for task in shard {
+            let (task_keys, failed) = task_keys(corpus, task);
+            keys.extend(task_keys);
+            convert_failures += failed;
+        }
+        (keys, convert_failures)
+    })
+    .outputs
 }
 
 /// The corpus's LSP key set (what [`lpr_core::Pipeline::snapshot_keys`]
 /// computes from an in-memory trace list), sharded. Set unions are
 /// order-insensitive, so the result matches the sequential one.
 pub fn snapshot_keys(corpus: &Corpus, threads: usize) -> BTreeSet<LspKey> {
+    snapshot_keys_reported(corpus, threads).0
+}
+
+/// [`snapshot_keys`] with the snapshot's [`DecodeReport`]: the index
+/// tallies plus the conversions that failed while extracting the keys.
+pub fn snapshot_keys_reported(
+    corpus: &Corpus,
+    threads: usize,
+) -> (BTreeSet<LspKey>, DecodeReport) {
     let tasks = range_tasks(corpus, IngestOptions::new(threads).records_per_task);
-    let run = lpr_par::map_shards(&tasks, shard_opts(threads), |_, shard| {
-        let mut keys = BTreeSet::new();
-        for task in shard {
-            keys.extend(task_keys(corpus, task));
-        }
-        keys
-    });
     let mut keys = BTreeSet::new();
-    for shard in run.outputs {
+    let mut convert_failures = 0u64;
+    for (shard, failed) in shard_keys(corpus, &tasks, threads) {
         keys.extend(shard);
+        convert_failures += failed;
     }
-    keys
+    (keys, DecodeReport { convert_failures, ..corpus.decode_report() })
 }
 
 /// Out-of-core [`snapshot_keys`]: the keys go to a sorted spill file
@@ -209,17 +247,25 @@ pub fn spill_snapshot_keys(
     threads: usize,
     recorder: Option<&lpr_obs::Recorder>,
 ) -> io::Result<SpilledKeys> {
+    spill_snapshot_keys_reported(corpus, dir, label, threads, recorder).map(|(keys, _)| keys)
+}
+
+/// [`spill_snapshot_keys`] with the snapshot's [`DecodeReport`], as
+/// [`snapshot_keys_reported`] gives it.
+pub fn spill_snapshot_keys_reported(
+    corpus: &Corpus,
+    dir: &Path,
+    label: &str,
+    threads: usize,
+    recorder: Option<&lpr_obs::Recorder>,
+) -> io::Result<(SpilledKeys, DecodeReport)> {
     let tasks = range_tasks(corpus, IngestOptions::new(threads).records_per_task);
     let mut spiller = KeySpiller::new(dir, label)?;
+    let mut convert_failures = 0u64;
     for batch in tasks.chunks(64) {
-        let run = lpr_par::map_shards(batch, shard_opts(threads), |_, shard| {
-            let mut keys = BTreeSet::new();
-            for task in shard {
-                keys.extend(task_keys(corpus, task));
-            }
-            keys
-        });
-        for keys in run.outputs {
+        // Each shard's set is freed once spilled, as the run buffer grows.
+        for (keys, failed) in shard_keys(corpus, batch, threads) {
+            convert_failures += failed;
             for key in &keys {
                 spiller.push(key)?;
             }
@@ -230,12 +276,13 @@ pub fn spill_snapshot_keys(
         rec.counter(lpr_obs::names::INGEST_SPILLED_KEYS).add(spilled.count);
         rec.counter(lpr_obs::names::INGEST_SPILL_BYTES).add(spilled.bytes);
     }
-    Ok(spilled)
+    Ok((spilled, DecodeReport { convert_failures, ..corpus.decode_report() }))
 }
 
 /// Sequentially loads every trace of the corpus, in cycle order — the
-/// in-memory reference the out-of-core path is checked against.
-/// Returns the traces and the convert-failure count.
+/// trace list `lpr tunnels` prints from, and a reference the sharded
+/// ingest is checked against. Returns the traces and the
+/// convert-failure count.
 pub fn load_traces(corpus: &Corpus) -> (Vec<Trace>, u64) {
     let mut traces = Vec::new();
     let mut convert_failures = 0u64;

@@ -1,13 +1,14 @@
 //! # lpr-corpus — out-of-core warts corpora
 //!
 //! The paper's dataset holds ~14 million LSPs *per cycle*, spread over
-//! many warts files per monitor; the demo-scale path loads a cycle's
-//! traces wholesale before running the pipeline. This crate is the
-//! paper-scale ingest layer that never does that:
+//! many warts files per monitor. This crate is the ingest layer every
+//! batch `lpr classify`/`stats`/`tunnels` run and every `lpr serve`
+//! drop goes through; it never builds a cycle's trace list:
 //!
 //! - [`mmap::MappedFile`] memory-maps each corpus file (read-only,
 //!   private), so raw bytes are paged in on demand and never copied;
-//!   when `mmap` is unavailable it falls back to a plain read.
+//!   a pipe or any other file the kernel will not map is read in
+//!   instead, and is never given an `.lpridx` cache.
 //! - [`index::RecordIndex`] records, for every successfully decoded
 //!   record, its offset, body length and type — built in one sequential
 //!   *lenient* scan (so its skip tallies are, by construction, exactly
@@ -41,6 +42,9 @@ pub mod writer;
 pub use corpus::{Corpus, CorpusFile, DecodeReport, FileSkipReason, SkippedFile};
 pub use hygiene::{sweep_stale, STALE_SUFFIXES};
 pub use index::RecordIndex;
-pub use ingest::{ingest_cycle, snapshot_keys, spill_snapshot_keys, IngestOptions};
+pub use ingest::{
+    ingest_cycle, snapshot_keys, snapshot_keys_reported, spill_snapshot_keys,
+    spill_snapshot_keys_reported, IngestOptions,
+};
 pub use mmap::MappedFile;
 pub use writer::write_corpus_files;

@@ -30,20 +30,25 @@ enum Inner {
 }
 
 impl MappedFile {
-    /// Opens `path` read-only, preferring a private read-only map.
-    /// Empty files yield an empty owned buffer (zero-length `mmap` is
-    /// an error by spec).
+    /// Opens `path` read-only, preferring a private read-only map of a
+    /// regular file. Anything else — a pipe, a zero-size `/proc` file,
+    /// a regular file the kernel will not map — is read to the end, so
+    /// a file is empty only when no bytes come back (zero-length `mmap`
+    /// is an error by spec).
     pub fn open(path: &Path) -> io::Result<Self> {
-        let file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        if len == 0 {
-            return Ok(MappedFile { inner: Inner::Owned(Vec::new()) });
-        }
+        let mut file = std::fs::File::open(path)?;
         #[cfg(unix)]
-        if let Some(mapping) = sys::Mapping::map(&file, len as usize) {
-            return Ok(MappedFile { inner: Inner::Mapped(mapping) });
+        {
+            let meta = file.metadata()?;
+            if meta.is_file() && meta.len() > 0 {
+                if let Some(mapping) = sys::Mapping::map(&file, meta.len() as usize) {
+                    return Ok(MappedFile { inner: Inner::Mapped(mapping) });
+                }
+            }
         }
-        Ok(MappedFile { inner: Inner::Owned(std::fs::read(path)?) })
+        let mut bytes = Vec::new();
+        io::Read::read_to_end(&mut file, &mut bytes)?;
+        Ok(MappedFile { inner: Inner::Owned(bytes) })
     }
 
     /// The file's bytes.
@@ -178,6 +183,25 @@ mod tests {
         let map = MappedFile::open(&path).unwrap();
         assert!(map.is_empty());
         assert!(!map.is_mapped(), "zero-length files use the owned path");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_pipe_is_read_to_the_end() {
+        let path = tmp("fifo");
+        std::fs::remove_file(&path).ok();
+        let made = std::process::Command::new("mkfifo").arg(&path).status().unwrap();
+        assert!(made.success(), "mkfifo failed");
+        let payload: Vec<u8> = (0..=255u8).cycle().take(100_000).collect();
+        let writer = {
+            let (path, payload) = (path.clone(), payload.clone());
+            std::thread::spawn(move || std::fs::write(&path, payload))
+        };
+        let map = MappedFile::open(&path).unwrap();
+        writer.join().unwrap().unwrap();
+        assert!(!map.is_mapped());
+        assert_eq!(map.bytes(), payload.as_slice(), "a pipe reports length 0 but is not empty");
         std::fs::remove_file(&path).ok();
     }
 

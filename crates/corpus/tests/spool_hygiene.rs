@@ -190,3 +190,30 @@ fn tampered_index_spans_are_rebuilt_not_trusted() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[cfg(unix)]
+#[test]
+fn a_pipe_is_indexed_in_memory_and_never_cached() {
+    let dir = tmp("fifo");
+    let file = lpr_corpus::write_corpus_files(&dir, "cycle", &workload(), 1).unwrap().remove(0);
+    let bytes = std::fs::read(&file).unwrap();
+    let fifo = dir.join("pipe.warts");
+    let made = std::process::Command::new("mkfifo").arg(&fifo).status().unwrap();
+    assert!(made.success(), "mkfifo failed");
+    let writer = {
+        let (fifo, bytes) = (fifo.clone(), bytes.clone());
+        std::thread::spawn(move || std::fs::write(fifo, bytes))
+    };
+    let piped = Corpus::open_with(std::slice::from_ref(&fifo), true, None).unwrap();
+    writer.join().unwrap().unwrap();
+    let regular = Corpus::open(std::slice::from_ref(&file)).unwrap();
+    assert!(piped.skipped_files.is_empty(), "a pipe reports length 0 but is not empty");
+    assert_eq!(piped.files[0].index.records, regular.files[0].index.records);
+    assert_eq!(
+        lpr_corpus::ingest::load_traces(&piped).0,
+        lpr_corpus::ingest::load_traces(&regular).0
+    );
+    assert!(!RecordIndex::cache_path(&fifo).exists(), "no .lpridx for a pipe");
+    assert!(!RecordIndex::tmp_cache_path(&fifo).exists());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -203,38 +203,6 @@ pub fn trace_to_core(rec: &TraceRecord) -> Result<Option<Trace>, WartsError> {
     }
 }
 
-/// Converts a batch of warts trace records to the core model in
-/// parallel (`threads == 0` means the machine's available parallelism).
-///
-/// Record *decode* is inherently sequential — a warts file carries a
-/// stateful address dictionary — but the conversion of decoded records
-/// is stateless per record, so it shards cleanly. Results keep input
-/// order: IPv6 traces are dropped, decode errors are returned (the
-/// first one in input order wins, matching a sequential loop).
-pub fn traces_to_core_par(
-    records: &[TraceRecord],
-    threads: usize,
-) -> Result<Vec<Trace>, WartsError> {
-    let run = lpr_par::map_shards(
-        records,
-        lpr_par::ShardOptions::new(threads),
-        |_, shard| -> Result<Vec<Trace>, WartsError> {
-            let mut traces = Vec::with_capacity(shard.len());
-            for rec in shard {
-                if let Some(t) = trace_to_core(rec)? {
-                    traces.push(t);
-                }
-            }
-            Ok(traces)
-        },
-    );
-    let mut traces = Vec::with_capacity(records.len());
-    for shard in run.outputs {
-        traces.extend(shard?);
-    }
-    Ok(traces)
-}
-
 /// Converts a core trace into a warts record (the writer-side inverse
 /// of [`trace_to_core`]). Anonymous hops are dropped — warts records
 /// replies only. `list_id`/`cycle_id` are the file-local ids the trace
@@ -335,27 +303,6 @@ mod tests {
         let labelled = rec.hops.iter().find(|h| !h.icmp_exts.is_empty()).unwrap();
         let stack = mpls_stack_of(&labelled.icmp_exts).unwrap().unwrap();
         assert_eq!(stack.top().unwrap().label.value(), 300_000);
-    }
-
-    #[test]
-    fn parallel_conversion_matches_sequential() {
-        let mut records = Vec::new();
-        for i in 0..500u32 {
-            let mut t = sample_core_trace();
-            t.dst = Ipv4Addr::new(192, 0, (i >> 8) as u8, i as u8);
-            records.push(trace_to_record(&t, 1, 1));
-        }
-        // An IPv6 record interleaved: skipped by both paths.
-        records.insert(
-            250,
-            TraceRecord::new(Addr::V6("2001:db8::1".parse().unwrap()), Addr::V4(ip(200))),
-        );
-        let seq: Vec<Trace> =
-            records.iter().filter_map(|r| trace_to_core(r).unwrap()).collect();
-        for threads in [1usize, 2, 4] {
-            let par = traces_to_core_par(&records, threads).unwrap();
-            assert_eq!(par, seq, "threads={threads}");
-        }
     }
 
     #[test]
