@@ -1,47 +1,40 @@
-//! `lpr-bench` — the workspace benchmark harness.
+//! `lpr-bench` — deterministic checks of the LPR pipeline.
 //!
-//! A plain binary (no `cargo bench`/Criterion dependency): it drives
-//! the demo-scale pipeline through the `lpr-obs` instrumentation and
-//! writes the telemetry as `BENCH_pipeline.json`, so CI and the paper's
-//! Table 1 timing notes come from the same machinery as `lpr classify
-//! --metrics`.
+//! A plain binary (no `cargo bench`/Criterion dependency). Each
+//! subcommand runs one end-to-end scenario and exits 1 when a check
+//! fails: output identity across thread counts, the pinned golden
+//! campaign fingerprint, the chaos, mda, revelation and serve
+//! acceptance bars, and the CI tripwires. `lpr-bench pipeline` writes
+//! a report holding only values every run of the same command repeats,
+//! and `lpr-bench compare` holds it to exact equality with a committed
+//! baseline. Wall-time measurement lives in `perfbench/`.
 //!
-//! ```text
-//! lpr-bench pipeline [--out BENCH_pipeline.json] [--snapshots N] [--cycle N]
-//!                    [--threads N] [--threads-sweep [1,2,4,...]] [--alloc]
-//!                    [--max-campaign-share F]
-//! lpr-bench help
-//! ```
-//!
-//! `--threads-sweep` benchmarks the parallel pipeline across thread
-//! counts, sweeps campaign generation across probing threads 1–8,
-//! writes both speedup curves into the JSON report, and
-//! **self-checks determinism**: the run fails (exit 1) if any thread
-//! count produces output differing from the sequential run, or if the
-//! default-shape campaign drifts from its pinned golden fingerprint.
-//! `--alloc` attributes allocation counts to stages;
-//! `--max-campaign-share` is the CI perf-regression tripwire.
+//! Every subcommand parses its flags from one table
+//! ([`lpr_bench::cli::COMMANDS`]); `lpr-bench help` prints it. A flag
+//! error exits 2.
 
 #![deny(unsafe_code)]
 
+use lpr_bench::cli::{self, Args};
 use lpr_bench::{campaign_fingerprint, GOLDEN_CAMPAIGN_FNV};
-use lpr_core::pipeline::{IngestState, Pipeline};
+use lpr_core::pipeline::{IngestState, PersistenceWindow, Pipeline};
 use lpr_core::prelude::*;
+use lpr_core::spill::{KeySpiller, SpilledKeys};
 use lpr_obs::json::JsonValue;
 use lpr_obs::Recorder;
+use std::collections::BTreeSet;
 use std::io::Write;
+use std::path::{Path, PathBuf};
 
-/// A counting wrapper around the system allocator: two relaxed atomics
-/// per allocation, read by `--alloc` to attribute allocation counts and
-/// bytes to pipeline stages. Counting is always on (the overhead is
-/// noise next to a malloc), reporting is opt-in.
+/// A counting wrapper around the system allocator: relaxed atomics
+/// tracking requested and live heap bytes, read by the unsupported-body
+/// elide check and the ingest phase's live-heap peak.
 mod counting_alloc {
     #![allow(unsafe_code)]
 
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
     static BYTES: AtomicU64 = AtomicU64::new(0);
     /// Live heap bytes (allocated minus freed); signed because a
     /// relaxed race can transiently observe a free before its alloc.
@@ -54,14 +47,13 @@ mod counting_alloc {
         PEAK.fetch_max(live, Ordering::Relaxed);
     }
 
-    /// Forwards to [`System`], tallying calls and requested bytes.
+    /// Forwards to [`System`], tallying requested bytes.
     pub struct CountingAlloc;
 
     // SAFETY: defers every allocation verbatim to `System`; the only
     // additions are relaxed counter increments, which allocate nothing.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             grow(layout.size() as i64);
             unsafe { System.alloc(layout) }
@@ -73,16 +65,15 @@ mod counting_alloc {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
             grow(new_size as i64 - layout.size() as i64);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
 
-    /// Running totals `(allocations, bytes)` since process start.
-    pub fn snapshot() -> (u64, u64) {
-        (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
+    /// Bytes requested since process start.
+    pub fn bytes_allocated() -> u64 {
+        BYTES.load(Ordering::Relaxed)
     }
 
     /// Live-heap high-water mark, bytes, since [`heap_reset_peak`] (or
@@ -111,214 +102,57 @@ macro_rules! say {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(|s| s.as_str()) {
-        Some("pipeline") => pipeline(&args[1..]),
-        Some("mda") => mda_cmd(&args[1..]),
-        Some("revelation") => revelation_cmd(&args[1..]),
-        Some("chaos") => chaos(&args[1..]),
-        Some("serve") => serve_soak(&args[1..]),
-        Some("corrupt") => corrupt_cmd(&args[1..]),
-        Some("compare") => compare_cmd(&args[1..]),
-        Some("baseline") => baseline_cmd(&args[1..]),
+    let code = match args.first().map(String::as_str) {
         Some("help") | Some("--help") | Some("-h") | None => {
-            say!("{USAGE}");
+            say!("{}", cli::usage());
             0
         }
-        Some(other) => {
-            eprintln!("unknown subcommand `{other}`\n{USAGE}");
-            2
-        }
+        Some(name) => match cli::command(name).map(|c| cli::parse(c, &args[1..])) {
+            None => usage_error(&format!("unknown subcommand `{name}`")),
+            Some(Err(e)) => usage_error(&e),
+            Some(Ok(args)) => match name {
+                "pipeline" => pipeline(&args),
+                "mda" => mda_cmd(&args),
+                "revelation" => revelation_cmd(&args),
+                "chaos" => chaos(&args),
+                "serve" => serve_soak(&args),
+                "corrupt" => corrupt_cmd(&args),
+                "compare" => compare_cmd(&args),
+                other => unreachable!("`{other}` is in the flag table but has no runner"),
+            },
+        },
     };
     std::process::exit(code);
 }
 
-const USAGE: &str = "\
-lpr-bench — LPR pipeline benchmark harness
-
-USAGE:
-  lpr-bench pipeline [--out BENCH_pipeline.json] [--snapshots N] [--cycle N]
-                     [--threads N] [--threads-sweep [1,2,4,...]] [--alloc]
-                     [--max-campaign-share F] [--scale N]
-                     [--probing exhaustive|mda|mda-lite]
-                     [--max-probes-per-dst F]
-                     [--mem-ceiling-bytes N] [--trace-out trace.json]
-                     [--trace-level debug|info|warn|error]
-  lpr-bench mda      [--out BENCH_mda.json] [--cycle N] [--hosts N]
-                     [--max-probes-per-dst F]
-  lpr-bench revelation [--out BENCH_revelation.json] [--cycle N]
-                     [--mix explicit:F,implicit:F,invisible:F,opaque:F]
-  lpr-bench chaos    [--out BENCH_chaos.json] [--seed N]
-                     [--rates 0,0.02,0.05,0.1] [--snapshots N] [--cycle N]
-                     [--drift-bound F] [--trace-out trace.json]
-                     [--trace-level debug|info|warn|error]
-  lpr-bench serve    [--cycles N] [--chaos-rate F] [--seed N] [--threads N]
-                     [--out BENCH_serve.json] [--keep-spool]
-  lpr-bench corrupt  <in.warts> --out <out.warts> [--rate F] [--seed N]
-  lpr-bench compare  <current.json> --against <baseline.json>
-                     [--threshold F] [--diff-out DIFF.json]
-  lpr-bench baseline <BENCH_pipeline.json> [--out results/BENCH_baseline.json]
-  lpr-bench help
-
-`pipeline` generates the standard demo-scale campaign, round-trips it
-through the warts codec, runs the full LPR pipeline under lpr-obs
-instrumentation, and writes per-stage wall time plus records/sec
-throughput as JSON.
-
-`--threads N` runs the pipeline on N worker threads (default 1, the
-sequential path). `--threads-sweep` runs every thread count in the
-given comma-separated list (default: powers of two up to the machine's
-available parallelism), records the speedup curve under
-\"thread_sweep\" in the JSON report, and exits non-zero if any thread
-count's output diverges from the sequential run. The sweep also
-re-generates the campaign at probing thread counts 1, 2, 4 and 8
-(\"campaign_sweep\"); every regeneration must be byte-identical to the
-sequential campaign, and at the default --cycle/--snapshots shape the
-encoded bytes must additionally match a pinned golden fingerprint
-captured before the perf rewrite.
-
-`--alloc` attributes allocation counts (calls and requested bytes,
-tallied by a counting global allocator) to each stage, written under
-\"allocations\" in the report.
-
-`--max-campaign-share F` exits non-zero when GenerateCampaign takes
-more than fraction F of the total stage wall time — the CI smoke
-signal that campaign generation has not regressed back to dominating
-the run.
-
-`--scale N` grows the campaign towards paper scale (N=1 is the default
-demo shape; larger N multiplies destinations via a wider transit core
-and denser prefixes). At scale 1 the run additionally writes the cycle
-as a multi-file warts corpus, builds/loads the per-file record indexes,
-and re-runs the pipeline through the out-of-core mmap ingest at thread
-counts 1/2/4/8, failing (exit 1) unless every run's PipelineOutput is
-byte-identical to the in-memory pipeline over the same corpus (both
-with the in-memory and the spilled persistence window). Past scale 1
-the run never holds the cycle in memory: each snapshot is generated,
-written to the corpus (snapshot 0) or spilled to sorted key files
-(later snapshots), and dropped; the pipeline then runs purely
-out-of-core, with the same 1/2/4/8 thread identity check against the
-single-threaded out-of-core run. Either way the report gains an
-\"ingest\" section with traces/sec, bytes/sec, peak resident bytes
-(Linux VmHWM, reset before the ingest phase) and the live-heap
-high-water mark.
-
-`--probing` selects the campaign's probing strategy: `exhaustive`
-(default — every `(vp, dst)` pair, the golden campaign shape), `mda`
-or `mda-lite` (the statistical stopping rules, which prune each
-`(vp, /24)` host group once further path diversity is ruled out at 95%
-confidence). Every run writes a \"probing\" report section with the
-strategy and probe-budget tallies (pairs probed/pruned, flows traced,
-probe packets sent, probes per destination); `lpr-bench compare` holds
-those tallies to strict equality. The golden-fingerprint check only
-runs under the exhaustive default. `--max-probes-per-dst F` exits
-non-zero when the campaign spends more than F probe packets per
-requested destination — the CI tripwire that the stopping rules keep
-paying for themselves.
-
-`mda` benchmarks the stopping rules themselves: first the
-probes-vs-recall curve (MDA-Lite under a sweep of flow caps against
-the exhaustive oracle, per `(vp, dst)` pair — the `fig_mda_recall.csv`
-series), then a full-campaign comparison at `--hosts` hosts per
-destination /24: exhaustive vs MDA-Lite wall time and probe budgets,
-byte-identity of the MDA-Lite campaign across probing thread counts
-1/2/4/8, and the IOTP recall of the pruned campaign against the
-exhaustive cycle's classified IOTP set. The report lands in `--out`
-(default BENCH_mda.json) with a top-level \"passed\": IOTP recall must
-reach 0.95, every thread count must agree byte-for-byte, the stopping
-rule must actually save probes, and `--max-probes-per-dst` (when
-given) must hold.
-
-`revelation` gates the TNT-style tunnel-revelation phase: one cycle is
-rendered under `--mix` (a tunnel-visibility mix hiding part of the
-MPLS deployment; default explicit:0.4,implicit:0.2,invisible:0.2,\
-opaque:0.2), the campaign runs with revelation at probing thread
-counts 1/2/4/8 — traces, probe budget and revealed evidence must all
-be byte-identical to the sequential run — and the cycle is analysed
-twice, plain LPR vs LPR with the revealed evidence applied. The report
-lands in `--out` (default BENCH_revelation.json) with a top-level
-\"passed\": the IOTP count must rise, the Unclassified share must not
-grow, at least one tunnel must actually be revealed, the DPR probe
-overhead must be accounted, and every thread count must agree.
-
-`--mem-ceiling-bytes N` exits non-zero when the ingest phase's peak
-resident bytes exceed N — the CI guard that out-of-core stays
-out-of-core. Skipped (with a warning) when the kernel does not expose
-a resettable RSS high-water mark.
-
-`chaos` sweeps seeded fault-injection rates over the same golden
-campaign: each rate degrades the traces with an `lpr-chaos`
-`FaultPlan`, byte-corrupts the encoded warts stream, decodes it with
-the lenient reader, and runs the pipeline with quarantine enabled. The
-report records, per rate, the injected faults, skipped/quarantined
-tallies, class counts and the class-share drift against the rate-0
-baseline. Everything derives from `--seed`, so the JSON is
-byte-identical across runs and thread counts — no wall times are
-recorded. Exit is non-zero if any thread count 1..8 diverges, the
-kept/quarantined tallies fail to reconcile with the decoded traces, or
-drift exceeds `--drift-bound` (default 0.5).
-
-`--trace-out` (both subcommands) writes a hierarchical span trace of
-the run as Chrome trace_event JSON — load it in chrome://tracing or
-Perfetto, or validate it with `lpr trace-check`.
-
-`serve` soaks the `lpr serve` daemon: it starts the daemon against a
-temp spool, then drops N cycles of clean campaign files interleaved
-with `--chaos-rate` byte-corrupted copies, polling the live endpoint
-throughout. Exit is non-zero unless (a) the final snapshot's pipeline
-section is byte-identical to the batch pipeline over the clean subset,
-(b) every corrupted file lands in `spool/quarantine/` with a structured
-reason file, (c) the kept/quarantined tallies reconcile exactly with
-the files dropped, and (d) no request ever got a 5xx. The report goes
-to `--out` (default BENCH_serve.json); `--keep-spool` leaves the spool
-on disk for inspection.
-
-`corrupt` byte-corrupts a warts file with the seeded `lpr-chaos`
-corruption walk (the CI smoke helper for exercising the daemon's
-quarantine path): `--rate` is the per-record corruption probability
-(default 0.1), `--seed` the deterministic seed (default 1).
-
-`compare` diffs two BENCH_pipeline.json reports: per-stage wall time
-and allocations must stay under `1 + --threshold` (default 0.5) times
-the baseline, and IOTP/LSP/counter tallies must match exactly. Stages
-whose baseline wall is 0 (a committed wall-free baseline) skip the
-timing check. Exit is non-zero on any regression or count mismatch;
-`--diff-out` writes the machine-readable diff.
-
-`baseline` strips the nondeterministic measurements (wall times,
-throughput, sweeps, allocations, campaign share) out of a report,
-producing the committable form under results/BENCH_baseline.json that
-CI compares every run against.";
-
-/// Default sweep: powers of two from 1 up to the machine's available
-/// parallelism, always reaching at least 4 so the speedup curve has a
-/// multi-threaded point even on small runners.
-fn default_sweep() -> Vec<usize> {
-    let max = lpr_par::available_threads().max(4);
-    let mut ns = vec![1usize];
-    while *ns.last().expect("non-empty") * 2 <= max {
-        let next = ns.last().expect("non-empty") * 2;
-        ns.push(next);
-    }
-    ns
+/// Reports a command-line error with the usage text; exit code 2.
+fn usage_error(message: &str) -> i32 {
+    eprintln!("{message}\n{}", cli::usage());
+    2
 }
 
-fn parse_sweep(spec: &str) -> Result<Vec<usize>, String> {
-    let mut ns: Vec<usize> = Vec::new();
-    for part in spec.split(',') {
-        let n: usize =
-            part.trim().parse().map_err(|e| format!("--threads-sweep `{part}`: {e}"))?;
-        if n == 0 {
-            return Err("--threads-sweep wants thread counts >= 1".to_string());
-        }
-        ns.push(n);
-    }
-    ns.sort_unstable();
-    ns.dedup();
-    if ns.first() != Some(&1) {
-        ns.insert(0, 1); // the sequential reference is always swept
-    }
-    Ok(ns)
+/// The flag table's value of a `Kind::Probing` flag.
+fn strategy(args: &Args) -> netsim::ProbingStrategy {
+    netsim::ProbingStrategy::parse(&args.value::<String>("--probing"))
+        .expect("the flag table checked --probing")
 }
+
+/// The tracer `--trace-out`/`--trace-level` ask for (disabled without
+/// `--trace-out`).
+fn tracer_for(args: &Args) -> lpr_obs::Tracer {
+    match args.get::<String>("--trace-out") {
+        Some(_) => lpr_obs::Tracer::new(
+            lpr_obs::Level::parse(&args.value::<String>("--trace-level"))
+                .expect("the flag table checked --trace-level"),
+        ),
+        None => lpr_obs::Tracer::disabled(),
+    }
+}
+
+/// Thread counts every identity check runs at: the campaign, the
+/// in-memory and out-of-core pipelines, and the chaos, mda and
+/// revelation sweeps must give the same output at each.
+const THREADS_CHECKED: [usize; 4] = [1, 2, 4, 8];
 
 /// This process's peak resident set size in bytes (Linux `VmHWM`), or
 /// `None` off Linux / when the parse fails.
@@ -355,25 +189,19 @@ fn unsupported_elide_check() -> (JsonValue, bool) {
         if elide {
             reader = reader.elide_unsupported_bodies();
         }
-        let before = counting_alloc::snapshot().1;
+        let before = counting_alloc::bytes_allocated();
         while let Ok(Some(_)) = reader.next_record() {}
-        counting_alloc::snapshot().1 - before
+        counting_alloc::bytes_allocated() - before
     };
     let kept = decode(false);
     let elided = decode(true);
     let ok = kept.saturating_sub(elided) >= BODY as u64 / 2;
     let verdict = JsonValue::Object(vec![
         ("body_bytes".to_string(), JsonValue::Int(BODY as i128)),
-        ("kept_alloc_bytes".to_string(), JsonValue::Int(kept as i128)),
-        ("elided_alloc_bytes".to_string(), JsonValue::Int(elided as i128)),
         ("ok".to_string(), JsonValue::Bool(ok)),
     ]);
     (verdict, ok)
 }
-
-/// Thread counts every out-of-core ingest is verified at; byte-identical
-/// `PipelineOutput` across all of them is part of the acceptance bar.
-const INGEST_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// How many files a corpus cycle is split across: one per ~100K traces,
 /// at least 4 so multi-file sharding is always exercised.
@@ -381,311 +209,137 @@ fn corpus_file_count(traces: usize) -> usize {
     (traces / 100_000).clamp(4, 64)
 }
 
-/// The measurements of one out-of-core ingest phase, rendered under
-/// `"ingest"` in the report.
-struct IngestStats {
-    scale: usize,
-    threads: usize,
-    corpus_files: u64,
-    corpus_bytes: u64,
-    corpus_records: u64,
-    traces: u64,
-    lsps_in: u64,
-    wall_us: u64,
-    spilled_window: bool,
-    matches_all: bool,
-    peak_rss: Option<u64>,
-    peak_heap: u64,
+/// Total size of the files at `paths`, bytes.
+fn bytes_on_disk(paths: &[PathBuf]) -> u64 {
+    paths.iter().filter_map(|p| std::fs::metadata(p).ok()).map(|m| m.len()).sum()
 }
 
-impl IngestStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("scale".to_string(), JsonValue::Int(self.scale as i128)),
-            ("threads".to_string(), JsonValue::Int(self.threads as i128)),
-            (
-                "threads_checked".to_string(),
-                JsonValue::Array(
-                    INGEST_THREADS.iter().map(|&n| JsonValue::Int(n as i128)).collect(),
-                ),
-            ),
-            ("corpus_files".to_string(), JsonValue::Int(self.corpus_files as i128)),
-            ("corpus_bytes".to_string(), JsonValue::Int(self.corpus_bytes as i128)),
-            ("corpus_records".to_string(), JsonValue::Int(self.corpus_records as i128)),
-            ("traces".to_string(), JsonValue::Int(self.traces as i128)),
-            ("lsps_in".to_string(), JsonValue::Int(self.lsps_in as i128)),
-            ("wall_us".to_string(), JsonValue::Int(self.wall_us as i128)),
-            (
-                "traces_per_s".to_string(),
-                lpr_bench::throughput_json(self.wall_us, self.traces),
-            ),
-            (
-                "bytes_per_s".to_string(),
-                lpr_bench::throughput_json(self.wall_us, self.corpus_bytes),
-            ),
-            ("spilled_window".to_string(), JsonValue::Bool(self.spilled_window)),
-            ("matches_across_threads".to_string(), JsonValue::Bool(self.matches_all)),
-            (
-                "peak_resident_bytes".to_string(),
-                match self.peak_rss {
-                    Some(b) => JsonValue::Int(b as i128),
-                    None => JsonValue::Null,
-                },
-            ),
-            ("peak_heap_bytes".to_string(), JsonValue::Int(self.peak_heap as i128)),
-        ])
+/// Writes one future snapshot's LSP keys as the sorted spill file
+/// `<dir>/next{index}.spill`.
+fn spill_keys(
+    dir: &Path,
+    index: usize,
+    keys: &BTreeSet<LspKey>,
+) -> std::io::Result<SpilledKeys> {
+    let mut spiller = KeySpiller::new(dir, &format!("next{index}"))?;
+    for key in keys {
+        spiller.push(key)?;
     }
-
-    fn say(&self) {
-        say!(
-            "out-of-core ingest: {} traces over {} files ({} bytes), {} LSPs in, \
-             {} us, {} traces/s, {} bytes/s",
-            self.traces,
-            self.corpus_files,
-            self.corpus_bytes,
-            self.lsps_in,
-            self.wall_us,
-            lpr_bench::throughput_text(self.wall_us, self.traces),
-            lpr_bench::throughput_text(self.wall_us, self.corpus_bytes),
-        );
-        match self.peak_rss {
-            Some(b) => {
-                say!(
-                    "  ingest-phase peak: {b} resident bytes, {} live-heap bytes",
-                    self.peak_heap
-                );
-            }
-            None => {
-                say!(
-                    "  ingest-phase peak: resident bytes unavailable, {} live-heap bytes",
-                    self.peak_heap
-                );
-            }
-        }
-        say!(
-            "  thread identity {:?}: {}",
-            INGEST_THREADS,
-            if self.matches_all { "output identical" } else { "OUTPUT DIVERGED" },
-        );
-    }
+    spiller.finish()
 }
 
-/// Applies `--mem-ceiling-bytes` to an ingest phase's peak RSS.
-/// Returns `true` when the ceiling was breached (the run must fail).
-fn ceiling_breached(stats: &IngestStats, ceiling: Option<u64>) -> bool {
-    let Some(ceiling) = ceiling else { return false };
-    match stats.peak_rss {
-        Some(peak) if peak > ceiling => {
-            eprintln!(
-                "FAIL: ingest-phase peak resident bytes {peak} exceed the \
-                 --mem-ceiling-bytes {ceiling}"
-            );
-            true
-        }
-        Some(_) => false,
-        None => {
-            eprintln!(
-                "warning: --mem-ceiling-bytes skipped: no resettable RSS \
-                 high-water mark on this kernel"
-            );
-            false
-        }
-    }
+/// What a pipeline head hands the shared tail: the cycle as corpus
+/// files, its persistence window as spill files, and the verdicts of
+/// the checks the head ran.
+struct Head {
+    world: ark_dataset::World,
+    paths: Vec<PathBuf>,
+    spilled: Vec<SpilledKeys>,
+    budget: netsim::ProbeBudget,
+    /// Golden-fingerprint verdict; `None` off the default campaign shape.
+    golden: Option<bool>,
+    /// Scale 1 only: the in-memory persistence window and the in-memory
+    /// pipeline's output, which every out-of-core run must reproduce.
+    in_memory: Option<(Vec<BTreeSet<LspKey>>, PipelineOutput)>,
+    /// Whether a head check already failed.
+    diverged: bool,
 }
 
-fn pipeline(args: &[String]) -> i32 {
-    let mut out_path = "BENCH_pipeline.json".to_string();
-    let mut snapshots = 3usize;
-    let mut cycle = 40usize;
-    let mut threads = 1usize;
-    let mut sweep: Option<Vec<usize>> = None;
-    let mut alloc = false;
-    let mut max_campaign_share: Option<f64> = None;
-    let mut scale = 1usize;
-    let mut mem_ceiling: Option<u64> = None;
-    let mut probing = netsim::ProbingStrategy::Exhaustive;
-    let mut max_probes_per_dst: Option<f64> = None;
-    let mut trace_out: Option<String> = None;
-    let mut trace_level = lpr_obs::Level::Info;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--out" => want(&mut it, "--out").map(|v| out_path = v),
-            "--snapshots" => want(&mut it, "--snapshots").and_then(|v| {
-                v.parse().map(|n| snapshots = n).map_err(|e| format!("--snapshots: {e}"))
-            }),
-            "--cycle" => want(&mut it, "--cycle").and_then(|v| {
-                v.parse().map(|n| cycle = n).map_err(|e| format!("--cycle: {e}"))
-            }),
-            "--threads" => want(&mut it, "--threads").and_then(|v| {
-                v.parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))
-                    .and_then(|n| {
-                        if n == 0 {
-                            Err("--threads wants at least 1".to_string())
-                        } else {
-                            threads = n;
-                            Ok(())
-                        }
-                    })
-            }),
-            "--threads-sweep" => {
-                // Optional value: a comma-separated thread-count list.
-                let explicit = it
-                    .clone()
-                    .next()
-                    .filter(|v| v.chars().next().is_some_and(|c| c.is_ascii_digit()));
-                if explicit.is_some() {
-                    it.next();
-                }
-                match explicit {
-                    Some(spec) => parse_sweep(spec).map(|ns| sweep = Some(ns)),
-                    None => {
-                        sweep = Some(default_sweep());
-                        Ok(())
-                    }
-                }
-            }
-            "--alloc" => {
-                alloc = true;
-                Ok(())
-            }
-            "--max-campaign-share" => {
-                want(&mut it, "--max-campaign-share").and_then(|v| {
-                    v.parse::<f64>()
-                        .map_err(|e| format!("--max-campaign-share: {e}"))
-                        .and_then(|f| {
-                            if f > 0.0 && f <= 1.0 {
-                                max_campaign_share = Some(f);
-                                Ok(())
-                            } else {
-                                Err("--max-campaign-share wants a fraction in (0, 1]".to_string())
-                            }
-                        })
-                })
-            }
-            "--scale" => want(&mut it, "--scale").and_then(|v| {
-                v.parse::<usize>().map_err(|e| format!("--scale: {e}")).and_then(|n| {
-                    if n == 0 {
-                        Err("--scale wants at least 1".to_string())
-                    } else {
-                        scale = n;
-                        Ok(())
-                    }
-                })
-            }),
-            "--mem-ceiling-bytes" => want(&mut it, "--mem-ceiling-bytes").and_then(|v| {
-                v.parse::<u64>()
-                    .map_err(|e| format!("--mem-ceiling-bytes: {e}"))
-                    .map(|n| mem_ceiling = Some(n))
-            }),
-            "--probing" => want(&mut it, "--probing").and_then(|v| {
-                netsim::ProbingStrategy::parse(&v).map(|s| probing = s).ok_or_else(|| {
-                    format!("--probing `{v}` is not a strategy (exhaustive|mda|mda-lite)")
-                })
-            }),
-            "--max-probes-per-dst" => want(&mut it, "--max-probes-per-dst").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|e| format!("--max-probes-per-dst: {e}"))
-                    .and_then(|f| {
-                        if f > 0.0 {
-                            max_probes_per_dst = Some(f);
-                            Ok(())
-                        } else {
-                            Err("--max-probes-per-dst wants a positive number".to_string())
-                        }
-                    })
-            }),
-            "--trace-out" => want(&mut it, "--trace-out").map(|v| trace_out = Some(v)),
-            "--trace-level" => want(&mut it, "--trace-level").and_then(|v| {
-                lpr_obs::Level::parse(&v)
-                    .map(|l| trace_level = l)
-                    .ok_or_else(|| format!("--trace-level `{v}` is not a level"))
-            }),
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
-        }
-    }
-    if snapshots == 0 {
-        eprintln!("--snapshots must be at least 1");
-        return 2;
-    }
-    if scale > 1 {
-        if sweep.is_some() {
-            eprintln!("--threads-sweep is demo-scale only; drop it or use --scale 1");
-            return 2;
-        }
-        return pipeline_scaled(ScaledParams {
-            out_path,
-            snapshots,
-            cycle,
-            threads,
-            scale,
-            mem_ceiling,
-            max_campaign_share,
-            probing,
-            max_probes_per_dst,
-            trace_out,
-            trace_level,
-        });
-    }
-
-    let tracer = match &trace_out {
-        Some(_) => lpr_obs::Tracer::new(trace_level),
-        None => lpr_obs::Tracer::disabled(),
-    };
+/// `lpr-bench pipeline`. A head generates the campaign and persists
+/// it — [`demo_head`] at scale 1, [`scaled_head`] past it — and one
+/// tail ([`pipeline_tail`]) runs everything after: the out-of-core
+/// identity sweep, the elide check, the tripwires, the report and the
+/// summary. The tracer's journal is written last either way.
+fn pipeline(args: &Args) -> i32 {
+    let tracer = tracer_for(args);
     let recorder = Recorder::new("lpr-bench pipeline").with_tracer(tracer.clone());
     let run_span = tracer.span("run:bench-pipeline");
     tracer.set_default_parent(run_span.context());
-    let mut diverged = false;
-    // Per-stage allocation deltas: (stage, allocations, bytes).
-    let mut alloc_rows: Vec<(&'static str, u64, u64)> = Vec::new();
     netsim::igp::spf_cache_reset();
+    let tmp = std::env::temp_dir().join(format!("lpr-bench-pipeline-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
 
-    // Demo-scale campaign: the longitudinal world at one cycle, with
-    // enough extra snapshots to feed the Persistence filter.
-    let alloc0 = counting_alloc::snapshot();
-    let campaign_span = tracer.span("stage:GenerateCampaign");
+    let head = if args.value::<usize>("--scale") == 1 {
+        demo_head(args, &recorder, &tracer, &tmp)
+    } else {
+        scaled_head(args, &recorder, &tracer, &tmp)
+    };
+    let result = head.and_then(|head| pipeline_tail(args, head, recorder, &tracer));
+    let _ = std::fs::remove_dir_all(&tmp);
+    tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
+    drop(run_span);
+    if let Some(path) = args.get::<String>("--trace-out") {
+        if !write_trace(&tracer, &path) {
+            return 1;
+        }
+    }
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        1
+    })
+}
+
+/// The scale-1 head, which holds the whole cycle in memory. It
+/// generates the campaign (matching the golden fingerprint at the
+/// default shape, and itself at every probing thread count),
+/// round-trips it through the warts codec, runs the in-memory pipeline
+/// (instrumented at `--threads`, identical at every thread count), and
+/// writes the cycle as corpus files and its persistence window as
+/// spill files.
+fn demo_head(
+    args: &Args,
+    recorder: &Recorder,
+    tracer: &lpr_obs::Tracer,
+    tmp: &Path,
+) -> Result<Head, String> {
+    let snapshots: usize = args.value("--snapshots");
+    let cycle: usize = args.value("--cycle");
+    let threads: usize = args.value("--threads");
+    let probing = strategy(args);
+    let mut diverged = false;
+
+    let span = tracer.span("stage:GenerateCampaign");
     let sw = lpr_obs::Stopwatch::start();
     let world = ark_dataset::standard_world();
-    let opts = ark_dataset::CampaignOptions { snapshots, probing, ..Default::default() };
-    let data = ark_dataset::generate_cycle(&world, cycle, &opts);
+    let campaign = |n: usize| {
+        let opts = ark_dataset::CampaignOptions {
+            snapshots,
+            probing,
+            threads: n,
+            ..Default::default()
+        };
+        ark_dataset::generate_cycle(&world, cycle, &opts)
+    };
+    let data = campaign(1);
     let traces = &data.snapshots[0];
-    drop(campaign_span);
+    drop(span);
     recorder.record_stage("GenerateCampaign", sw.elapsed_us(), 0, traces.len() as u64);
-    let alloc1 = counting_alloc::snapshot();
-    alloc_rows.push(("GenerateCampaign", alloc1.0 - alloc0.0, alloc1.1 - alloc0.1));
 
-    // Golden self-check: at the default campaign shape, the encoded
-    // bytes must match the fingerprint captured before the dense-SPF /
-    // probe-ladder / parallel-probing rewrite. Any drift means the
-    // optimisations changed observable output and the run fails.
-    let golden_checked = cycle == 40
-        && snapshots == 3
-        && sweep.is_some()
-        && probing == netsim::ProbingStrategy::Exhaustive;
-    let mut golden_matches = true;
-    if golden_checked {
-        let fp = campaign_fingerprint(&data.snapshots);
-        golden_matches = fp == GOLDEN_CAMPAIGN_FNV;
-        if !golden_matches {
+    // At the default shape the encoded campaign must match the
+    // fingerprint captured before the dense-SPF / probe-ladder /
+    // parallel-probing rewrite: drift means those optimisations
+    // changed observable output.
+    let default_shape =
+        cycle == 40 && snapshots == 3 && probing == netsim::ProbingStrategy::Exhaustive;
+    let golden = default_shape.then(|| campaign_fingerprint(&data.snapshots));
+    if let Some(fp) = golden.filter(|&fp| fp != GOLDEN_CAMPAIGN_FNV) {
+        eprintln!(
+            "FAIL: campaign fingerprint {fp:#018x} != pinned golden {GOLDEN_CAMPAIGN_FNV:#018x}"
+        );
+        diverged = true;
+    }
+    // The shard-order merge in `Prober::campaign` makes the traces
+    // byte-identical at any probing thread count.
+    for n in &THREADS_CHECKED[1..] {
+        if campaign(*n).snapshots != data.snapshots {
             eprintln!(
-                "FAIL: campaign fingerprint {fp:#018x} != pinned golden \
-                 {GOLDEN_CAMPAIGN_FNV:#018x}"
+                "FAIL: campaign at {n} probing threads diverges from the sequential campaign"
             );
             diverged = true;
         }
     }
 
-    // Round-trip through the warts codec so ingest throughput reflects
-    // real record decoding, tallied by the stream reader itself.
-    let alloc0 = counting_alloc::snapshot();
+    // Round-trip through the warts codec, tallied by the stream reader.
     let encode_span = tracer.span("stage:WartsEncode");
     let sw = lpr_obs::Stopwatch::start();
     let mut writer = warts::WartsWriter::new();
@@ -697,19 +351,11 @@ fn pipeline(args: &[String]) -> i32 {
     writer.cycle_stop(cyc, 1);
     let bytes = writer.into_bytes();
     drop(encode_span);
-    recorder.record_stage(
-        "WartsEncode",
-        sw.elapsed_us(),
-        traces.len() as u64,
-        bytes.len() as u64,
-    );
-    let alloc1 = counting_alloc::snapshot();
-    alloc_rows.push(("WartsEncode", alloc1.0 - alloc0.0, alloc1.1 - alloc0.1));
+    recorder.record_stage("WartsEncode", sw.elapsed_us(), traces.len() as u64, bytes.len() as u64);
 
-    let alloc0 = counting_alloc::snapshot();
     let decode_span = tracer.span("stage:WartsDecode");
     let sw = lpr_obs::Stopwatch::start();
-    let metrics = warts::StreamMetrics::from_recorder(&recorder);
+    let metrics = warts::StreamMetrics::from_recorder(recorder);
     let mut decoded = Vec::new();
     let mut reader = warts::WartsStreamReader::new(bytes.as_slice()).with_metrics(metrics);
     loop {
@@ -721,365 +367,309 @@ fn pipeline(args: &[String]) -> i32 {
             }
             Ok(Some(_)) => {}
             Ok(None) => break,
-            Err(e) => {
-                eprintln!("warts decode failed: {e}");
-                return 1;
-            }
+            Err(e) => return Err(format!("warts decode failed: {e}")),
         }
     }
     drop(decode_span);
-    recorder.record_stage(
-        "WartsDecode",
-        sw.elapsed_us(),
-        bytes.len() as u64,
-        decoded.len() as u64,
-    );
-    let alloc1 = counting_alloc::snapshot();
-    alloc_rows.push(("WartsDecode", alloc1.0 - alloc0.0, alloc1.1 - alloc0.1));
+    recorder.record_stage("WartsDecode", sw.elapsed_us(), bytes.len() as u64, decoded.len() as u64);
 
-    // The pipeline proper: the timed region covers the Persistence
-    // future-key computation plus the full filter/classify run — every
-    // stage the `--threads` knob shards.
-    let run_with = |threads: usize, rec: Option<&Recorder>| {
-        let sw = lpr_obs::Stopwatch::start();
-        let future: Vec<_> = data.snapshots[1..]
-            .iter()
-            .map(|t| Pipeline::snapshot_keys_par(t, threads))
-            .collect();
-        let pipeline = Pipeline::new(FilterConfig {
-            persistence_window: future.len(),
-            ..Default::default()
-        });
-        let opts = lpr_par::ShardOptions::new(threads);
+    // The in-memory pipeline: instrumented at `--threads`, then the
+    // same output at every thread count.
+    let future: Vec<_> =
+        data.snapshots[1..].iter().map(|t| Pipeline::snapshot_keys_par(t, threads)).collect();
+    let pl = Pipeline::new(FilterConfig { persistence_window: future.len(), ..Default::default() });
+    let run = |n: usize, rec: Option<&Recorder>| {
+        let opts = lpr_par::ShardOptions::new(n);
         let ingest = IngestState::from_traces(&decoded, world.rib(), rec, opts);
-        let out = pipeline.finish_stages(ingest, &future, rec, opts);
-        (out, sw.elapsed_us().max(1))
+        pl.finish_stages(ingest, &future, rec, opts)
     };
-
-    // Sweep mode: time every thread count (best of SWEEP_REPS), verify
-    // each output is byte-identical to the sequential run's.
-    const SWEEP_REPS: usize = 3;
-    let mut sweep_rows: Vec<(usize, u64, bool)> = Vec::new();
-    let mut seq_out = None;
-    if let Some(ns) = &sweep {
-        let (reference, mut seq_wall) = run_with(1, None);
-        for _ in 1..SWEEP_REPS {
-            seq_wall = seq_wall.min(run_with(1, None).1);
-        }
-        for &n in ns {
-            if n == 1 {
-                sweep_rows.push((1, seq_wall, true));
-                continue;
-            }
-            let (out, mut wall) = run_with(n, None);
-            for _ in 1..SWEEP_REPS {
-                wall = wall.min(run_with(n, None).1);
-            }
-            let matches = out == reference;
-            if !matches {
-                eprintln!("FAIL: --threads {n} output diverges from the sequential run");
-                diverged = true;
-            }
-            sweep_rows.push((n, wall, matches));
-        }
-        threads = ns.last().copied().unwrap_or(1);
-        seq_out = Some(reference);
-    }
-
-    // Campaign thread-sweep: regenerate the cycle at each probing
-    // thread count. The shard-order merge in `Prober::campaign` makes the
-    // traces byte-identical for any count — verified here against the
-    // sequential campaign generated above.
-    let mut campaign_rows: Vec<(usize, u64, bool)> = Vec::new();
-    if sweep.is_some() {
-        for n in CAMPAIGN_THREADS {
-            let copts = ark_dataset::CampaignOptions {
-                snapshots,
-                threads: n,
-                probing,
-                ..Default::default()
-            };
-            let sw = lpr_obs::Stopwatch::start();
-            let d = ark_dataset::generate_cycle(&world, cycle, &copts);
-            let wall = sw.elapsed_us().max(1);
-            let matches = d.snapshots == data.snapshots;
-            if !matches {
-                eprintln!(
-                    "FAIL: campaign at {n} probing thread(s) diverges from the \
-                     sequential campaign"
-                );
-                diverged = true;
-            }
-            campaign_rows.push((n, wall, matches));
-        }
-    }
-
-    // The instrumented run (at the sweep's top thread count, or
-    // `--threads`): its telemetry is what lands in the report.
-    let alloc0 = counting_alloc::snapshot();
-    let (out, _) = run_with(threads, Some(&recorder));
-    let alloc1 = counting_alloc::snapshot();
-    alloc_rows.push(("Pipeline", alloc1.0 - alloc0.0, alloc1.1 - alloc0.1));
-    if let Some(reference) = &seq_out {
-        if out != *reference {
-            eprintln!("FAIL: instrumented --threads {threads} output diverges");
+    let out = run(threads, Some(recorder));
+    for n in THREADS_CHECKED {
+        if run(n, None) != out {
+            eprintln!(
+                "FAIL: in-memory pipeline at {n} threads diverges from the --threads {threads} run"
+            );
             diverged = true;
         }
     }
 
-    // Out-of-core corpus stages + byte-identity self-check: the same
-    // cycle through mmap'd multi-file ingest must reproduce the
-    // in-memory pipeline exactly, at every thread count, with both
-    // persistence-window representations.
-    let (ooc_stats, ooc_diverged) = match out_of_core_demo(
-        &recorder,
-        &tracer,
-        &world,
-        &data.snapshots,
-        &decoded,
+    let span = tracer.span("stage:CorpusWrite");
+    let sw = lpr_obs::Stopwatch::start();
+    let paths =
+        lpr_corpus::write_corpus_files(tmp, "bench", &decoded, corpus_file_count(decoded.len()))
+            .map_err(|e| format!("corpus write: {e}"))?;
+    drop(span);
+    let written = bytes_on_disk(&paths);
+    recorder.record_stage("CorpusWrite", sw.elapsed_us(), decoded.len() as u64, written);
+    let spilled = future
+        .iter()
+        .enumerate()
+        .map(|(i, keys)| spill_keys(&tmp.join("spill"), i, keys))
+        .collect::<std::io::Result<Vec<_>>>()
+        .map_err(|e| format!("key spill: {e}"))?;
+    Ok(Head {
+        golden: golden.map(|fp| fp == GOLDEN_CAMPAIGN_FNV),
+        budget: data.budget,
+        world,
+        paths,
+        spilled,
+        in_memory: Some((future, out)),
+        diverged,
+    })
+}
+
+/// The head past scale 1, where the cycle never sits in memory whole:
+/// each snapshot is generated, persisted — snapshot 0 as corpus files,
+/// later ones as spilled key files — and dropped.
+fn scaled_head(
+    args: &Args,
+    recorder: &Recorder,
+    tracer: &lpr_obs::Tracer,
+    tmp: &Path,
+) -> Result<Head, String> {
+    let snapshots: usize = args.value("--snapshots");
+    let cycle: usize = args.value("--cycle");
+    let scale: usize = args.value("--scale");
+    let threads: usize = args.value("--threads");
+    let world = ark_dataset::scaled_world(scale);
+    let copts = ark_dataset::CampaignOptions {
+        snapshots,
+        hosts_per_prefix: ark_dataset::scale_hosts_per_prefix(scale),
         threads,
-        &mut alloc_rows,
-    ) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
+        probing: strategy(args),
+        ..Default::default()
     };
-    if ooc_diverged {
+    let (mut campaign_wall, mut write_wall, mut spill_wall) = (0u64, 0u64, 0u64);
+    let (mut total_traces, mut cycle_traces, mut spilled_keys) = (0u64, 0u64, 0u64);
+    let mut paths = Vec::new();
+    let mut spilled = Vec::new();
+    let mut budget = netsim::ProbeBudget::default();
+    for snap in 0..snapshots {
+        let span = tracer.span(format!("snapshot:{snap}"));
+        let sw = lpr_obs::Stopwatch::start();
+        let (traces, snap_budget) =
+            ark_dataset::generate_snapshot_with_budget(&world, cycle, snap, &copts);
+        budget.merge(&snap_budget);
+        campaign_wall += sw.elapsed_us();
+        total_traces += traces.len() as u64;
+        let sw = lpr_obs::Stopwatch::start();
+        if snap == 0 {
+            cycle_traces = traces.len() as u64;
+            paths = lpr_corpus::write_corpus_files(
+                tmp,
+                "cycle",
+                &traces,
+                corpus_file_count(traces.len()),
+            )
+            .map_err(|e| format!("corpus write: {e}"))?;
+            write_wall += sw.elapsed_us();
+        } else {
+            let keys = Pipeline::snapshot_keys_par(&traces, threads);
+            let sp = spill_keys(&tmp.join("spill"), snap - 1, &keys)
+                .map_err(|e| format!("key spill: {e}"))?;
+            spilled_keys += sp.count;
+            spilled.push(sp);
+            spill_wall += sw.elapsed_us();
+        }
+        drop(span);
+    }
+    recorder.record_stage("GenerateCampaign", campaign_wall, 0, total_traces);
+    recorder.record_stage("CorpusWrite", write_wall, cycle_traces, bytes_on_disk(&paths));
+    recorder.record_stage("SpillFutureKeys", spill_wall, total_traces - cycle_traces, spilled_keys);
+    Ok(Head { world, paths, spilled, budget, golden: None, in_memory: None, diverged: false })
+}
+
+/// The shared tail of `lpr-bench pipeline`: index the corpus (cold,
+/// then cached), run the instrumented out-of-core pipeline, check every
+/// out-of-core run against the reference at every thread count, run
+/// the elide check and the tripwires, and write the report. Returns the
+/// exit code.
+fn pipeline_tail(
+    args: &Args,
+    head: Head,
+    recorder: Recorder,
+    tracer: &lpr_obs::Tracer,
+) -> Result<i32, String> {
+    let threads: usize = args.value("--threads");
+    let Head { world, paths, spilled, budget, golden, in_memory, mut diverged } = head;
+
+    // The ingest phase starts here: both peak readings cover only what
+    // follows.
+    counting_alloc::heap_reset_peak();
+    let rss_reset = reset_peak_rss();
+
+    // Open twice: the first open builds and caches every `.lpridx`, the
+    // second must hit all of them — both land in the corpus.* counters,
+    // so a cache-staleness regression shows up as an index_hits drift.
+    let span = tracer.span("stage:IndexBuild");
+    let sw = lpr_obs::Stopwatch::start();
+    lpr_corpus::Corpus::open_with(&paths, true, Some(&recorder))
+        .map_err(|e| format!("corpus index build: {e}"))?;
+    let corpus = lpr_corpus::Corpus::open_with(&paths, true, Some(&recorder))
+        .map_err(|e| format!("corpus index reload: {e}"))?;
+    drop(span);
+    let records = corpus.total_records();
+    recorder.record_stage("IndexBuild", sw.elapsed_us(), paths.len() as u64, records);
+
+    let pl =
+        Pipeline::new(FilterConfig { persistence_window: spilled.len(), ..Default::default() });
+    let run = |n: usize, window: PersistenceWindow<'_>, rec: Option<&Recorder>| {
+        let (ingest, _report) =
+            lpr_corpus::ingest_cycle(&corpus, world.rib(), lpr_corpus::IngestOptions::new(n), rec);
+        pl.finish_stages_windowed(ingest, window, None, lpr_par::ShardOptions::new(n))
+            .map_err(|e| format!("out-of-core pipeline at {n} threads: {e}"))
+    };
+
+    // The instrumented run: spilled window, `--threads` workers.
+    let span = tracer.span("stage:OutOfCoreIngest");
+    let sw = lpr_obs::Stopwatch::start();
+    let out = run(threads, PersistenceWindow::Spilled(&spilled), Some(&recorder))?;
+    drop(span);
+    recorder.record_stage(
+        "OutOfCoreIngest",
+        sw.elapsed_us(),
+        corpus.total_traces(),
+        out.report.input as u64,
+    );
+
+    // At scale 1 every out-of-core run, with either persistence window,
+    // must reproduce the in-memory pipeline; past it, the instrumented
+    // run.
+    let (reference, window) = match &in_memory {
+        Some((future, reference)) => (reference, PersistenceWindow::Mem(future)),
+        None => (&out, PersistenceWindow::Spilled(&spilled)),
+    };
+    if out != *reference {
+        eprintln!(
+            "FAIL: out-of-core ingest with the spilled window diverges from the in-memory pipeline"
+        );
         diverged = true;
     }
+    for n in THREADS_CHECKED {
+        if run(n, window, None)? != *reference {
+            eprintln!("FAIL: out-of-core ingest at {n} threads diverges from the reference run");
+            diverged = true;
+        }
+    }
+    let peak_rss = if rss_reset { peak_rss_bytes() } else { None };
+    let peak_heap = counting_alloc::heap_peak();
 
     // Zero-copy Unsupported decode: eliding bodies must remove the
-    // body-sized allocation (measured after the peak readings above so
-    // the check's own buffers stay out of the ingest-phase peaks).
+    // body-sized allocation (run after the peak readings so the check's
+    // own buffers stay out of the ingest phase).
     let (elide_verdict, elide_ok) = unsupported_elide_check();
     if !elide_ok {
         eprintln!(
-            "FAIL: eliding Unsupported bodies did not remove the body-sized \
-             decode allocation"
+            "FAIL: eliding Unsupported bodies did not remove the body-sized decode allocation"
         );
         diverged = true;
     }
 
+    // GenerateCampaign's share of the top-level stage walls; per-worker
+    // rows ("worker0/Ingest", ...) re-count time already in their
+    // parent stage.
     let telemetry = recorder.finish();
+    let top_level = || telemetry.stages.iter().filter(|s| !s.name.contains('/'));
+    let total: u64 = top_level().map(|s| s.wall_us).sum();
+    let campaign = top_level().find(|s| s.name == "GenerateCampaign").map_or(0, |s| s.wall_us);
+    let campaign_share = campaign as f64 / total.max(1) as f64;
 
-    // CI perf tripwire: GenerateCampaign's share of total stage time.
-    // Per-worker rows ("worker0/Ingest", ...) re-count time already in
-    // their parent stage, so only top-level stages enter the sum.
-    let campaign_share = {
-        let total: u64 = telemetry
-            .stages
-            .iter()
-            .filter(|s| !s.name.contains('/'))
-            .map(|s| s.wall_us)
-            .sum();
-        let campaign = telemetry
-            .stages
-            .iter()
-            .find(|s| s.name == "GenerateCampaign")
-            .map_or(0, |s| s.wall_us);
-        campaign as f64 / total.max(1) as f64
-    };
-    let mut share_exceeded = false;
-    if let Some(ceiling) = max_campaign_share {
-        share_exceeded = campaign_share > ceiling;
-        if share_exceeded {
+    let mut breached = probe_ceiling_breached(&budget, args.get("--max-probes-per-dst"));
+    if let Some(ceiling) = args.get::<f64>("--max-campaign-share") {
+        if campaign_share > ceiling {
             eprintln!(
-                "FAIL: GenerateCampaign takes {:.1}% of stage wall time \
-                 (ceiling {:.1}%)",
+                "FAIL: GenerateCampaign takes {:.1}% of stage wall time (ceiling {:.1}%)",
                 campaign_share * 100.0,
                 ceiling * 100.0,
             );
+            breached = true;
         }
     }
-
-    let mem_breached = ceiling_breached(&ooc_stats, mem_ceiling);
-    let probes_exceeded = probe_ceiling_breached(&data.budget, max_probes_per_dst);
-
-    let extras = ReportExtras {
-        sweep_rows: &sweep_rows,
-        campaign_rows: &campaign_rows,
-        campaign_traces: traces.len() as u64,
-        campaign_share,
-        golden: golden_checked.then_some(golden_matches),
-        alloc_rows: alloc.then_some(&alloc_rows[..]),
-        spf_cache: netsim::Internet::spf_cache_stats(),
-        ingest: Some(ooc_stats.to_json()),
-        probing: Some(probing_json(probing, &data.budget)),
-        unsupported_elide: Some(elide_verdict),
-    };
-    let report = render_report(&telemetry, &out, &extras);
-    if let Err(e) = std::fs::write(&out_path, &report) {
-        eprintln!("{out_path}: {e}");
-        return 1;
-    }
-
-    say!(
-        "{} traces, {} LSPs in, {} IOTPs classified, {} us total, {} thread(s)",
-        decoded.len(),
-        out.report.input,
-        out.iotps.len(),
-        telemetry.total_wall_us,
-        telemetry.threads,
-    );
-    for s in &telemetry.stages {
-        let rate = lpr_bench::throughput_text(s.wall_us, s.input);
-        say!(
-            "  {:<18} {:>8} -> {:<8} {:>10} us  {:>12} items/s",
-            s.name,
-            s.input,
-            s.output,
-            s.wall_us,
-            rate,
-        );
-    }
-    say!(
-        "GenerateCampaign share of stage wall time: {:.1}%",
-        campaign_share * 100.0
-    );
-    if alloc {
-        say!("allocations by stage:");
-        for (name, allocs, bytes) in &alloc_rows {
-            say!("  {:<18} {:>12} allocs  {:>14} bytes", name, allocs, bytes);
-        }
-    }
-    let avail = lpr_par::available_threads();
-    if !sweep_rows.is_empty() {
-        let seq_wall = sweep_rows[0].1;
-        say!("thread sweep ({} traces/run, best of {SWEEP_REPS}):", decoded.len());
-        for (n, wall, matches) in &sweep_rows {
-            say!(
-                "  threads={:<3} {:>10} us  {:>12} traces/s  speedup {:>5.2}x  {}",
-                n,
-                wall,
-                lpr_bench::throughput_text(*wall, decoded.len() as u64),
-                lpr_bench::speedup(seq_wall, *wall),
-                if *matches { "output identical" } else { "OUTPUT DIVERGED" },
+    match (args.get::<u64>("--mem-ceiling-bytes"), peak_rss) {
+        (Some(ceiling), Some(peak)) if peak > ceiling => {
+            eprintln!(
+                "FAIL: ingest-phase peak resident bytes {peak} exceed the --mem-ceiling-bytes \
+                 {ceiling}"
             );
+            breached = true;
         }
-        // A regression signal, not an error: parallel slower than
-        // sequential is expected on a 1-core runner, suspicious on a
-        // multi-core one.
-        if avail > 1 {
-            for &(n, wall, _) in &sweep_rows {
-                if n > 1 && n <= avail && wall > seq_wall {
-                    say!(
-                        "warning: pipeline at {n} threads is slower than sequential \
-                         ({wall} us vs {seq_wall} us) on a {avail}-core host"
-                    );
-                }
-            }
+        (Some(_), None) => eprintln!(
+            "warning: --mem-ceiling-bytes skipped: no resettable RSS high-water mark on this kernel"
+        ),
+        _ => {}
+    }
+
+    let int = |n: u64| JsonValue::Int(n as i128);
+    let ingest = JsonValue::Object(vec![
+        ("scale".to_string(), int(args.value("--scale"))),
+        ("corpus_files".to_string(), int(paths.len() as u64)),
+        ("corpus_bytes".to_string(), int(corpus.total_bytes())),
+        ("corpus_records".to_string(), int(corpus.total_records())),
+        ("traces".to_string(), int(corpus.total_traces())),
+        ("lsps_in".to_string(), int(out.report.input as u64)),
+    ]);
+    let stages = top_level()
+        .map(|s| {
+            JsonValue::Object(vec![
+                ("name".to_string(), JsonValue::Str(s.name.clone())),
+                ("input".to_string(), int(s.input)),
+                ("output".to_string(), int(s.output)),
+            ])
+        })
+        .collect();
+    let mut report = vec![
+        ("iotps".to_string(), int(out.iotps.len() as u64)),
+        ("lsps_in".to_string(), int(out.report.input as u64)),
+        (
+            "telemetry".to_string(),
+            JsonValue::Object(vec![
+                ("stages".to_string(), JsonValue::Array(stages)),
+                ("counters".to_string(), JsonValue::from_u64_map(&telemetry.counters)),
+            ]),
+        ),
+    ];
+    if let Some(matches) = golden {
+        report.push((
+            "golden_fingerprint".to_string(),
+            JsonValue::Object(vec![
+                ("expected".to_string(), JsonValue::Str(format!("{GOLDEN_CAMPAIGN_FNV:#018x}"))),
+                ("matches".to_string(), JsonValue::Bool(matches)),
+            ]),
+        ));
+    }
+    report.push(("ingest".to_string(), ingest));
+    report.push(("probing".to_string(), probing_json(strategy(args), &budget)));
+    report.push(("unsupported_elide".to_string(), elide_verdict));
+    let out_path: String = args.value("--out");
+    std::fs::write(&out_path, JsonValue::Object(report).render_pretty())
+        .map_err(|e| format!("{out_path}: {e}"))?;
+
+    say!("GenerateCampaign share of stage wall time: {:.1}%", campaign_share * 100.0);
+    match peak_rss {
+        Some(b) => {
+            say!("ingest-phase peak: {b} resident bytes, {peak_heap} live-heap bytes");
+        }
+        None => {
+            say!("ingest-phase peak: resident bytes unavailable, {peak_heap} live-heap bytes");
         }
     }
-    if !campaign_rows.is_empty() {
-        let seq_wall = campaign_rows[0].1;
-        say!("campaign sweep ({} traces x {snapshots} snapshots):", traces.len());
-        for &(n, wall, matches) in &campaign_rows {
-            say!(
-                "  threads={:<3} {:>10} us  speedup {:>5.2}x  {}",
-                n,
-                wall,
-                lpr_bench::speedup(seq_wall, wall),
-                if matches { "bytes identical" } else { "BYTES DIVERGED" },
-            );
-        }
-        if avail > 1 {
-            for &(n, wall, _) in &campaign_rows {
-                if n > 1 && n <= avail && wall > seq_wall {
-                    say!(
-                        "warning: campaign at {n} probing threads is slower than \
-                         sequential ({wall} us vs {seq_wall} us) on a {avail}-core host"
-                    );
-                }
-            }
-        }
-    }
-    if golden_checked {
-        say!(
-            "golden campaign fingerprint: {}",
-            if golden_matches { "match" } else { "MISMATCH" }
-        );
-    }
-    say_budget(probing, &data.budget);
-    ooc_stats.say();
-    say!(
-        "unsupported-body elide: {}",
-        if elide_ok { "zero-copy (body-sized allocation removed)" } else { "COPY SURVIVED" }
-    );
-    let (hits, misses) = extras.spf_cache;
-    say!(
-        "spf cache: {hits} hits / {misses} misses ({:.0}% hit rate)",
-        100.0 * hits as f64 / (hits + misses).max(1) as f64
-    );
+    say!("probes per destination: {:.2}", budget.probes_per_pair());
     say!("wrote {out_path}");
-    tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
-    drop(run_span);
-    if let Some(path) = &trace_out {
-        if !write_trace(&tracer, path) {
-            return 1;
-        }
-    }
     if diverged {
         eprintln!("determinism self-check failed");
-        return 1;
     }
-    if share_exceeded || mem_breached || probes_exceeded {
-        return 1;
-    }
-    0
+    Ok(if diverged || breached { 1 } else { 0 })
 }
 
 /// The `mda` subcommand: benchmarks the stochastic prober against the
 /// exhaustive oracle — the per-pair probes-vs-recall curve, then a
 /// full-campaign cost/recall comparison with the thread-identity
-/// self-check (see USAGE for the pass bar).
-fn mda_cmd(args: &[String]) -> i32 {
-    use std::collections::BTreeSet;
-
-    let mut out_path = "BENCH_mda.json".to_string();
-    let mut cycle = 40usize;
-    let mut hosts = 24usize;
-    let mut max_probes_per_dst: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--out" => want(&mut it, "--out").map(|v| out_path = v),
-            "--cycle" => want(&mut it, "--cycle").and_then(|v| {
-                v.parse().map(|n| cycle = n).map_err(|e| format!("--cycle: {e}"))
-            }),
-            "--hosts" => want(&mut it, "--hosts").and_then(|v| {
-                v.parse::<usize>().map_err(|e| format!("--hosts: {e}")).and_then(|n| {
-                    if n == 0 {
-                        Err("--hosts wants at least 1".to_string())
-                    } else {
-                        hosts = n;
-                        Ok(())
-                    }
-                })
-            }),
-            "--max-probes-per-dst" => want(&mut it, "--max-probes-per-dst").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|e| format!("--max-probes-per-dst: {e}"))
-                    .and_then(|f| {
-                        if f > 0.0 {
-                            max_probes_per_dst = Some(f);
-                            Ok(())
-                        } else {
-                            Err("--max-probes-per-dst wants a positive number".to_string())
-                        }
-                    })
-            }),
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
-        }
-    }
+/// self-check (see `lpr-bench help` for the pass bar).
+fn mda_cmd(args: &Args) -> i32 {
+    let out_path: String = args.value("--out");
+    let cycle: usize = args.value("--cycle");
+    let hosts: usize = args.value("--hosts");
+    let max_probes_per_dst: Option<f64> = args.get("--max-probes-per-dst");
 
     let world = ark_dataset::standard_world();
 
@@ -1147,7 +737,7 @@ fn mda_cmd(args: &[String]) -> i32 {
     let mut lite_iotps = BTreeSet::new();
     let mut matches_all = true;
     let mut sweep_rows: Vec<(usize, u64, bool)> = Vec::new();
-    for &n in &CAMPAIGN_THREADS {
+    for &n in &THREADS_CHECKED {
         let (d, wall) = generate(netsim::ProbingStrategy::MdaLite, n);
         let fp = campaign_fingerprint(&d.snapshots);
         let matches = match lite_ref {
@@ -1174,7 +764,7 @@ fn mda_cmd(args: &[String]) -> i32 {
             lite_ref = Some((fp, d.budget));
         }
     }
-    let (_, lite_budget) = lite_ref.expect("CAMPAIGN_THREADS is non-empty");
+    let (_, lite_budget) = lite_ref.expect("THREADS_CHECKED is non-empty");
     say_budget(netsim::ProbingStrategy::MdaLite, &lite_budget);
 
     // Transit-diversity recall: the classified IOTP set of the pruned
@@ -1246,7 +836,7 @@ fn mda_cmd(args: &[String]) -> i32 {
                         lite_iotps.len(),
                     ),
                 ),
-                ("thread_sweep".to_string(), sweep_json(&sweep_rows, lite_traces as u64)),
+                ("thread_sweep".to_string(), thread_rows_json(&sweep_rows, lite_traces as u64)),
                 ("iotp_recall".to_string(), JsonValue::Float(iotp_recall)),
                 ("probe_reduction".to_string(), JsonValue::Float(probe_reduction)),
                 (
@@ -1298,37 +888,11 @@ fn mda_cmd(args: &[String]) -> i32 {
 /// Unclassified share does not grow), at least one tunnel was actually
 /// revealed, the probe overhead is accounted, and every thread count
 /// reproduced the sequential run byte-for-byte.
-fn revelation_cmd(args: &[String]) -> i32 {
-    let mut out_path = "BENCH_revelation.json".to_string();
-    let mut cycle = 40usize;
-    let mut mix = netsim::VisibilityMix {
-        explicit: 0.4,
-        implicit: 0.2,
-        invisible: 0.2,
-        opaque: 0.2,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--out" => want(&mut it, "--out").map(|v| out_path = v),
-            "--cycle" => want(&mut it, "--cycle").and_then(|v| {
-                v.parse().map(|n| cycle = n).map_err(|e| format!("--cycle: {e}"))
-            }),
-            "--mix" => want(&mut it, "--mix").and_then(|v| {
-                netsim::VisibilityMix::parse(&v)
-                    .map(|m| mix = m)
-                    .ok_or_else(|| format!("--mix: cannot parse `{v}`"))
-            }),
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
-        }
-    }
+fn revelation_cmd(args: &Args) -> i32 {
+    let out_path: String = args.value("--out");
+    let cycle: usize = args.value("--cycle");
+    let mix = netsim::VisibilityMix::parse(&args.value::<String>("--mix"))
+        .expect("the flag table checked --mix");
 
     let world = ark_dataset::standard_world();
     let reveal_opts = netsim::RevelationOptions::default();
@@ -1354,7 +918,7 @@ fn revelation_cmd(args: &[String]) -> i32 {
     // sequential run exactly at every probing thread count.
     let mut matches_all = true;
     let mut sweep_rows: Vec<(usize, u64, bool)> = vec![(1, seq_wall, true)];
-    for &n in &CAMPAIGN_THREADS[1..] {
+    for &n in &THREADS_CHECKED[1..] {
         let ((d, ev), wall) = generate(n);
         let matches = campaign_fingerprint(&d.snapshots) == ref_fp
             && d.budget == data.budget
@@ -1439,7 +1003,7 @@ fn revelation_cmd(args: &[String]) -> i32 {
                 ("probe_overhead".to_string(), JsonValue::Float(overhead)),
             ]),
         ),
-        ("thread_sweep".to_string(), sweep_json(&sweep_rows, traces as u64)),
+        ("thread_sweep".to_string(), thread_rows_json(&sweep_rows, traces as u64)),
         ("matches_across_threads".to_string(), JsonValue::Bool(matches_all)),
         ("diversity_recovered".to_string(), JsonValue::Bool(diversity_recovered)),
         ("passed".to_string(), JsonValue::Bool(passed)),
@@ -1458,484 +1022,16 @@ fn revelation_cmd(args: &[String]) -> i32 {
     }
 }
 
-/// The demo-scale out-of-core leg of `lpr-bench pipeline`: writes the
-/// decoded cycle as a multi-file corpus, indexes it (cold, then cached),
-/// spills the persistence window, and verifies that the out-of-core
-/// pipeline reproduces the in-memory pipeline byte-for-byte at every
-/// [`INGEST_THREADS`] count — with the in-memory window — and at
-/// `threads` with the spilled window (the instrumented, measured run).
-/// Returns the phase's measurements and whether anything diverged.
-#[allow(clippy::too_many_arguments)]
-fn out_of_core_demo(
-    recorder: &Recorder,
-    tracer: &lpr_obs::Tracer,
-    world: &ark_dataset::World,
-    snapshots: &[Vec<lpr_core::trace::Trace>],
-    decoded: &[lpr_core::trace::Trace],
-    threads: usize,
-    alloc_rows: &mut Vec<(&'static str, u64, u64)>,
-) -> Result<(IngestStats, bool), String> {
-    use lpr_core::pipeline::PersistenceWindow;
-    use lpr_core::spill::KeySpiller;
-
-    let tmp = std::env::temp_dir().join(format!("lpr-bench-corpus-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let mut diverged = false;
-
-    let alloc0 = counting_alloc::snapshot();
-    let span = tracer.span("stage:CorpusWrite");
-    let sw = lpr_obs::Stopwatch::start();
-    let paths =
-        lpr_corpus::write_corpus_files(&tmp, "bench", decoded, corpus_file_count(decoded.len()))
-            .map_err(|e| format!("corpus write: {e}"))?;
-    drop(span);
-    let written: u64 =
-        paths.iter().filter_map(|p| std::fs::metadata(p).ok()).map(|m| m.len()).sum();
-    recorder.record_stage("CorpusWrite", sw.elapsed_us(), decoded.len() as u64, written);
-    let alloc1 = counting_alloc::snapshot();
-    alloc_rows.push(("CorpusWrite", alloc1.0 - alloc0.0, alloc1.1 - alloc0.1));
-
-    // Open twice: the first open builds and caches every `.lpridx`, the
-    // second must hit all of them — both land in the corpus.* counters,
-    // so a cache-staleness regression shows up as an index_hits drift.
-    let alloc0 = counting_alloc::snapshot();
-    let span = tracer.span("stage:IndexBuild");
-    let sw = lpr_obs::Stopwatch::start();
-    let cold = lpr_corpus::Corpus::open_with(&paths, true, Some(recorder))
-        .map_err(|e| format!("corpus index build: {e}"))?;
-    drop(cold);
-    let corpus = lpr_corpus::Corpus::open_with(&paths, true, Some(recorder))
-        .map_err(|e| format!("corpus index reload: {e}"))?;
-    drop(span);
-    recorder.record_stage("IndexBuild", sw.elapsed_us(), paths.len() as u64, corpus.total_records());
-    let alloc1 = counting_alloc::snapshot();
-    alloc_rows.push(("IndexBuild", alloc1.0 - alloc0.0, alloc1.1 - alloc0.1));
-
-    // The in-memory reference runs over the traces loaded back from the
-    // corpus itself, so the comparison isolates the ingest machinery
-    // from the (already golden-checked) encode round-trip.
-    let (ref_traces, _cf) = lpr_corpus::ingest::load_traces(&corpus);
-    let future: Vec<_> =
-        snapshots[1..].iter().map(|t| Pipeline::snapshot_keys_par(t, 1)).collect();
-    let pl = Pipeline::new(FilterConfig {
-        persistence_window: future.len(),
-        ..Default::default()
-    });
-    let reference = pl.run(&ref_traces, world.rib(), &future);
-    drop(ref_traces);
-
-    // The same future keys, as sorted on-disk spill files.
-    let spill_dir = tmp.join("spill");
-    let mut spilled = Vec::new();
-    for (i, keys) in future.iter().enumerate() {
-        let mut sp = KeySpiller::new(&spill_dir, &format!("next{i}"))
-            .map_err(|e| format!("key spill: {e}"))?;
-        for key in keys {
-            sp.push(key).map_err(|e| format!("key spill: {e}"))?;
-        }
-        spilled.push(sp.finish().map_err(|e| format!("key spill: {e}"))?);
-    }
-
-    // Identity sweep: out-of-core ingest at every thread count, against
-    // the in-memory persistence window.
-    for &n in &INGEST_THREADS {
-        let (ingest, _rep) = lpr_corpus::ingest_cycle(
-            &corpus,
-            world.rib(),
-            lpr_corpus::IngestOptions::new(n),
-            None,
-        );
-        let o = pl
-            .finish_stages_windowed(
-                ingest,
-                PersistenceWindow::Mem(&future),
-                None,
-                lpr_par::ShardOptions::new(n),
-            )
-            .map_err(|e| format!("out-of-core pipeline: {e}"))?;
-        if o != reference {
-            eprintln!(
-                "FAIL: out-of-core ingest at {n} thread(s) diverges from the \
-                 in-memory pipeline"
-            );
-            diverged = true;
-        }
-    }
-
-    // The measured run: spilled window, `threads` workers, counters on.
-    counting_alloc::heap_reset_peak();
-    let rss_reset = reset_peak_rss();
-    let alloc0 = counting_alloc::snapshot();
-    let span = tracer.span("stage:OutOfCoreIngest");
-    let sw = lpr_obs::Stopwatch::start();
-    let (ingest, _rep) = lpr_corpus::ingest_cycle(
-        &corpus,
-        world.rib(),
-        lpr_corpus::IngestOptions::new(threads),
-        Some(recorder),
-    );
-    let o = pl
-        .finish_stages_windowed(
-            ingest,
-            PersistenceWindow::Spilled(&spilled),
-            None,
-            lpr_par::ShardOptions::new(threads),
-        )
-        .map_err(|e| format!("out-of-core pipeline: {e}"))?;
-    let wall = sw.elapsed_us().max(1);
-    drop(span);
-    recorder.record_stage("OutOfCoreIngest", wall, corpus.total_traces(), o.report.input as u64);
-    let alloc1 = counting_alloc::snapshot();
-    alloc_rows.push(("OutOfCoreIngest", alloc1.0 - alloc0.0, alloc1.1 - alloc0.1));
-    if o != reference {
-        eprintln!(
-            "FAIL: out-of-core ingest with the spilled persistence window \
-             diverges from the in-memory pipeline"
-        );
-        diverged = true;
-    }
-
-    let stats = IngestStats {
-        scale: 1,
-        threads,
-        corpus_files: paths.len() as u64,
-        corpus_bytes: corpus.total_bytes(),
-        corpus_records: corpus.total_records(),
-        traces: corpus.total_traces(),
-        lsps_in: o.report.input as u64,
-        wall_us: wall,
-        spilled_window: true,
-        matches_all: !diverged,
-        peak_rss: if rss_reset { peak_rss_bytes() } else { None },
-        peak_heap: counting_alloc::heap_peak(),
-    };
-    let _ = std::fs::remove_dir_all(&tmp);
-    Ok((stats, diverged))
-}
-
-/// Everything `pipeline_scaled` needs from the flag parser.
-struct ScaledParams {
-    out_path: String,
-    snapshots: usize,
-    cycle: usize,
-    threads: usize,
-    scale: usize,
-    mem_ceiling: Option<u64>,
-    probing: netsim::ProbingStrategy,
-    max_probes_per_dst: Option<f64>,
-    max_campaign_share: Option<f64>,
-    trace_out: Option<String>,
-    trace_level: lpr_obs::Level,
-}
-
-/// The paper-scale flow (`--scale` > 1): the cycle never exists in
-/// memory as a whole. Each snapshot is generated, persisted (snapshot 0
-/// becomes the multi-file corpus; later snapshots spill their LSP keys
-/// to sorted files) and dropped; the pipeline then runs purely
-/// out-of-core, with the 1/2/4/8 thread identity check against the run
-/// at `--threads` and the ingest-phase peak-memory accounting.
-fn pipeline_scaled(p: ScaledParams) -> i32 {
-    use lpr_core::pipeline::PersistenceWindow;
-    use lpr_core::spill::KeySpiller;
-
-    let tracer = match &p.trace_out {
-        Some(_) => lpr_obs::Tracer::new(p.trace_level),
-        None => lpr_obs::Tracer::disabled(),
-    };
-    let recorder = Recorder::new("lpr-bench pipeline").with_tracer(tracer.clone());
-    let run_span = tracer.span("run:bench-pipeline-scaled");
-    tracer.set_default_parent(run_span.context());
-    netsim::igp::spf_cache_reset();
-    let mut diverged = false;
-
-    let tmp = std::env::temp_dir().join(format!("lpr-bench-scale-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let spill_dir = tmp.join("spill");
-
-    let world = ark_dataset::scaled_world(p.scale);
-    let copts = ark_dataset::CampaignOptions {
-        snapshots: p.snapshots,
-        hosts_per_prefix: ark_dataset::scale_hosts_per_prefix(p.scale),
-        threads: p.threads,
-        probing: p.probing,
-        ..Default::default()
-    };
-    say!(
-        "scaled campaign: scale {}, {} VPs, {} prefixes, {} hosts/prefix",
-        p.scale,
-        world.all_vps().len(),
-        world.all_destinations(1).len(),
-        copts.hosts_per_prefix,
-    );
-
-    // Generate-and-persist, one snapshot resident at a time.
-    let mut campaign_wall = 0u64;
-    let mut write_wall = 0u64;
-    let mut spill_wall = 0u64;
-    let mut total_traces = 0u64;
-    let mut cycle_traces = 0u64;
-    let mut paths = Vec::new();
-    let mut spilled = Vec::new();
-    let mut spilled_keys_total = 0u64;
-    let mut budget = netsim::ProbeBudget::default();
-    for snap in 0..p.snapshots {
-        let span = tracer.span(format!("snapshot:{snap}"));
-        let sw = lpr_obs::Stopwatch::start();
-        let (traces, snap_budget) =
-            ark_dataset::generate_snapshot_with_budget(&world, p.cycle, snap, &copts);
-        budget.merge(&snap_budget);
-        campaign_wall += sw.elapsed_us();
-        total_traces += traces.len() as u64;
-        if snap == 0 {
-            let sw = lpr_obs::Stopwatch::start();
-            cycle_traces = traces.len() as u64;
-            paths = match lpr_corpus::write_corpus_files(
-                &tmp,
-                "cycle",
-                &traces,
-                corpus_file_count(traces.len()),
-            ) {
-                Ok(paths) => paths,
-                Err(e) => {
-                    eprintln!("corpus write: {e}");
-                    return 1;
-                }
-            };
-            write_wall += sw.elapsed_us();
-        } else {
-            let sw = lpr_obs::Stopwatch::start();
-            let keys = Pipeline::snapshot_keys_par(&traces, p.threads);
-            let spill = (|| -> std::io::Result<_> {
-                let mut sp = KeySpiller::new(&spill_dir, &format!("next{}", snap - 1))?;
-                for key in &keys {
-                    sp.push(key)?;
-                }
-                sp.finish()
-            })();
-            match spill {
-                Ok(sp) => {
-                    spilled_keys_total += sp.count;
-                    spilled.push(sp);
-                }
-                Err(e) => {
-                    eprintln!("key spill: {e}");
-                    return 1;
-                }
-            }
-            spill_wall += sw.elapsed_us();
-        }
-        drop(span);
-        say!("  snapshot {snap}: {} traces generated and persisted", traces.len());
-    }
-    let written: u64 =
-        paths.iter().filter_map(|p| std::fs::metadata(p).ok()).map(|m| m.len()).sum();
-    recorder.record_stage("GenerateCampaign", campaign_wall, 0, total_traces);
-    recorder.record_stage("CorpusWrite", write_wall, cycle_traces, written);
-    recorder.record_stage(
-        "SpillFutureKeys",
-        spill_wall,
-        total_traces - cycle_traces,
-        spilled_keys_total,
-    );
-
-    // Ingest phase: everything from here runs out-of-core, and the
-    // peak-memory accounting starts here.
-    counting_alloc::heap_reset_peak();
-    let rss_reset = reset_peak_rss();
-
-    let span = tracer.span("stage:IndexBuild");
-    let sw = lpr_obs::Stopwatch::start();
-    let corpus = match lpr_corpus::Corpus::open_with(&paths, true, Some(&recorder)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("corpus index build: {e}");
-            return 1;
-        }
-    };
-    drop(span);
-    recorder.record_stage("IndexBuild", sw.elapsed_us(), paths.len() as u64, corpus.total_records());
-
-    let pl = Pipeline::new(FilterConfig {
-        persistence_window: spilled.len(),
-        ..Default::default()
-    });
-    let run_ooc = |n: usize, rec: Option<&Recorder>| {
-        let (ingest, _rep) =
-            lpr_corpus::ingest_cycle(&corpus, world.rib(), lpr_corpus::IngestOptions::new(n), rec);
-        pl.finish_stages_windowed(
-            ingest,
-            PersistenceWindow::Spilled(&spilled),
-            None,
-            lpr_par::ShardOptions::new(n),
-        )
-    };
-
-    // The measured run at `--threads`, then the identity sweep against
-    // it at every other INGEST_THREADS count.
-    let span = tracer.span("stage:OutOfCoreIngest");
-    let sw = lpr_obs::Stopwatch::start();
-    let out = match run_ooc(p.threads, Some(&recorder)) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("out-of-core pipeline: {e}");
-            return 1;
-        }
-    };
-    let wall = sw.elapsed_us().max(1);
-    drop(span);
-    recorder.record_stage("OutOfCoreIngest", wall, corpus.total_traces(), out.report.input as u64);
-    for &n in &INGEST_THREADS {
-        if n == p.threads {
-            continue;
-        }
-        match run_ooc(n, None) {
-            Ok(o) => {
-                if o != out {
-                    eprintln!(
-                        "FAIL: out-of-core ingest at {n} thread(s) diverges from the \
-                         --threads {} run",
-                        p.threads
-                    );
-                    diverged = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("out-of-core pipeline at {n} thread(s): {e}");
-                return 1;
-            }
-        }
-    }
-
-    let stats = IngestStats {
-        scale: p.scale,
-        threads: p.threads,
-        corpus_files: paths.len() as u64,
-        corpus_bytes: corpus.total_bytes(),
-        corpus_records: corpus.total_records(),
-        traces: corpus.total_traces(),
-        lsps_in: out.report.input as u64,
-        wall_us: wall,
-        spilled_window: true,
-        matches_all: !diverged,
-        peak_rss: if rss_reset { peak_rss_bytes() } else { None },
-        peak_heap: counting_alloc::heap_peak(),
-    };
-    let mem_breached = ceiling_breached(&stats, p.mem_ceiling);
-
-    let (elide_verdict, elide_ok) = unsupported_elide_check();
-    if !elide_ok {
-        eprintln!(
-            "FAIL: eliding Unsupported bodies did not remove the body-sized \
-             decode allocation"
-        );
-        diverged = true;
-    }
-
-    let telemetry = recorder.finish();
-    let campaign_share = {
-        let total: u64 = telemetry
-            .stages
-            .iter()
-            .filter(|s| !s.name.contains('/'))
-            .map(|s| s.wall_us)
-            .sum();
-        let campaign = telemetry
-            .stages
-            .iter()
-            .find(|s| s.name == "GenerateCampaign")
-            .map_or(0, |s| s.wall_us);
-        campaign as f64 / total.max(1) as f64
-    };
-    let mut share_exceeded = false;
-    if let Some(ceiling) = p.max_campaign_share {
-        share_exceeded = campaign_share > ceiling;
-        if share_exceeded {
-            eprintln!(
-                "FAIL: GenerateCampaign takes {:.1}% of stage wall time (ceiling {:.1}%)",
-                campaign_share * 100.0,
-                ceiling * 100.0,
-            );
-        }
-    }
-
-    let probes_exceeded = probe_ceiling_breached(&budget, p.max_probes_per_dst);
-    let extras = ReportExtras {
-        sweep_rows: &[],
-        campaign_rows: &[],
-        campaign_traces: cycle_traces,
-        campaign_share,
-        golden: None,
-        alloc_rows: None,
-        spf_cache: netsim::Internet::spf_cache_stats(),
-        ingest: Some(stats.to_json()),
-        probing: Some(probing_json(p.probing, &budget)),
-        unsupported_elide: Some(elide_verdict),
-    };
-    let report = render_report(&telemetry, &out, &extras);
-    if let Err(e) = std::fs::write(&p.out_path, &report) {
-        eprintln!("{}: {e}", p.out_path);
-        return 1;
-    }
-
-    say!(
-        "{} traces, {} LSPs in, {} IOTPs classified, {} us total, {} thread(s)",
-        corpus.total_traces(),
-        out.report.input,
-        out.iotps.len(),
-        telemetry.total_wall_us,
-        telemetry.threads,
-    );
-    for s in &telemetry.stages {
-        let rate = lpr_bench::throughput_text(s.wall_us, s.input);
-        say!(
-            "  {:<18} {:>8} -> {:<8} {:>10} us  {:>12} items/s",
-            s.name,
-            s.input,
-            s.output,
-            s.wall_us,
-            rate,
-        );
-    }
-    say_budget(p.probing, &budget);
-    stats.say();
-    say!(
-        "unsupported-body elide: {}",
-        if elide_ok { "zero-copy (body-sized allocation removed)" } else { "COPY SURVIVED" }
-    );
-    say!("wrote {}", p.out_path);
-    let _ = std::fs::remove_dir_all(&tmp);
-    tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
-    drop(run_span);
-    if let Some(path) = &p.trace_out {
-        if !write_trace(&tracer, path) {
-            return 1;
-        }
-    }
-    if diverged {
-        eprintln!("determinism self-check failed");
-        return 1;
-    }
-    if share_exceeded || mem_breached || probes_exceeded {
-        return 1;
-    }
-    0
-}
-
-/// Probing thread counts the campaign sweep regenerates the cycle at;
-/// byte-identity across all of them is part of the acceptance bar.
-const CAMPAIGN_THREADS: [usize; 4] = [1, 2, 4, 8];
-
 /// Parses a comma-separated fault-rate list; the rate-0 baseline is
 /// always swept first so every row has a drift reference.
 fn parse_rates(spec: &str) -> Result<Vec<f64>, String> {
-    let mut rates: Vec<f64> = Vec::new();
-    for part in spec.split(',') {
-        let r: f64 = part.trim().parse().map_err(|e| format!("--rates `{part}`: {e}"))?;
-        if !(0.0..=1.0).contains(&r) {
-            return Err(format!("--rates `{part}`: fault rates live in [0, 1]"));
-        }
-        rates.push(r);
-    }
+    let mut rates = spec
+        .split(',')
+        .map(|part| {
+            let rate = cli::fraction(part);
+            rate.ok_or_else(|| format!("--rates `{part}`: fault rates live in [0, 1]"))
+        })
+        .collect::<Result<Vec<f64>, String>>()?;
     rates.sort_by(|a, b| a.partial_cmp(b).expect("no NaN past the range check"));
     rates.dedup();
     if rates.first() != Some(&0.0) {
@@ -1943,10 +1039,6 @@ fn parse_rates(spec: &str) -> Result<Vec<f64>, String> {
     }
     Ok(rates)
 }
-
-/// Thread counts every chaos rate is verified at: the acceptance bar is
-/// byte-identical `PipelineOutput` from 1 through 8 workers.
-const CHAOS_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// The fixed fixture for the chaos sweep's revelation leg: one Juniper
 /// transit AS whose tunnel-visibility mix hides most of the deployment
@@ -2008,56 +1100,15 @@ fn quarantine_fields(report: &lpr_core::quarantine::DegradedReport) -> Vec<(Stri
         .collect()
 }
 
-fn chaos(args: &[String]) -> i32 {
-    let mut out_path = "BENCH_chaos.json".to_string();
-    let mut seed = 42u64;
-    let mut rates = vec![0.0, 0.02, 0.05, 0.10];
-    let mut snapshots = 3usize;
-    let mut cycle = 40usize;
-    let mut drift_bound = 0.5f64;
-    let mut trace_out: Option<String> = None;
-    let mut trace_level = lpr_obs::Level::Info;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--out" => want(&mut it, "--out").map(|v| out_path = v),
-            "--seed" => want(&mut it, "--seed").and_then(|v| {
-                v.parse().map(|n| seed = n).map_err(|e| format!("--seed: {e}"))
-            }),
-            "--rates" => {
-                want(&mut it, "--rates").and_then(|v| parse_rates(&v).map(|rs| rates = rs))
-            }
-            "--snapshots" => want(&mut it, "--snapshots").and_then(|v| {
-                v.parse().map(|n| snapshots = n).map_err(|e| format!("--snapshots: {e}"))
-            }),
-            "--cycle" => want(&mut it, "--cycle").and_then(|v| {
-                v.parse().map(|n| cycle = n).map_err(|e| format!("--cycle: {e}"))
-            }),
-            "--drift-bound" => want(&mut it, "--drift-bound").and_then(|v| {
-                v.parse()
-                    .map(|b| drift_bound = b)
-                    .map_err(|e| format!("--drift-bound: {e}"))
-            }),
-            "--trace-out" => want(&mut it, "--trace-out").map(|v| trace_out = Some(v)),
-            "--trace-level" => want(&mut it, "--trace-level").and_then(|v| {
-                lpr_obs::Level::parse(&v)
-                    .map(|l| trace_level = l)
-                    .ok_or_else(|| format!("--trace-level `{v}` is not a level"))
-            }),
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
-        }
-    }
-    if snapshots == 0 {
-        eprintln!("--snapshots must be at least 1");
-        return 2;
-    }
+fn chaos(args: &Args) -> i32 {
+    let out_path: String = args.value("--out");
+    let seed: u64 = args.value("--seed");
+    let rates = parse_rates(&args.value::<String>("--rates"))
+        .expect("the flag table checked every --rates entry");
+    let snapshots: usize = args.value("--snapshots");
+    let cycle: usize = args.value("--cycle");
+    let drift_bound: f64 = args.value("--drift-bound");
+    let trace_out: Option<String> = args.get("--trace-out");
 
     // The golden campaign every rate degrades a fresh copy of. Future
     // snapshots stay clean: the Persistence reference is held fixed so a
@@ -2081,20 +1132,17 @@ fn chaos(args: &[String]) -> i32 {
 
     // The trace journal is observational only: the chaos report itself
     // stays byte-reproducible (the trace file carries the wall times).
-    let tracer = match &trace_out {
-        Some(_) => lpr_obs::Tracer::new(trace_level),
-        None => lpr_obs::Tracer::disabled(),
-    };
+    let tracer = tracer_for(args);
     let run_span = tracer.span("run:bench-chaos");
     tracer.set_default_parent(run_span.context());
 
     // Runs the pipeline over `input` at every thread count in
-    // `CHAOS_THREADS`, returning the sequential output and whether all
+    // `THREADS_CHECKED`, returning the sequential output and whether all
     // counts agreed byte-for-byte.
     let run_all = |input: &[lpr_core::trace::Trace]| {
         let reference = pipeline.run(input, world.rib(), &future);
         let mut matches_all = true;
-        for &threads in &CHAOS_THREADS[1..] {
+        for &threads in &THREADS_CHECKED[1..] {
             let opts = lpr_par::ShardOptions::new(threads);
             let ingest = IngestState::from_traces(input, world.rib(), None, opts);
             let out = pipeline.finish_stages(ingest, &future, None, opts);
@@ -2382,7 +1430,8 @@ fn chaos(args: &[String]) -> i32 {
             prober.campaign(&reveal_vps, &reveal_dsts, threads, Some(&reveal_opts))
         };
         let campaign = run_at(1);
-        let reveal_matches = CHAOS_THREADS[1..].iter().all(|&threads| run_at(threads) == campaign);
+        let reveal_matches =
+            THREADS_CHECKED[1..].iter().all(|&threads| run_at(threads) == campaign);
         let netsim::CampaignOutput { traces, budget, evidence, faults: injected } = campaign;
         let keys = Pipeline::snapshot_keys(&traces);
         let reveal_rib = reveal_net.topo.rib();
@@ -2472,7 +1521,7 @@ fn chaos(args: &[String]) -> i32 {
         (
             "threads_checked".to_string(),
             JsonValue::Array(
-                CHAOS_THREADS.iter().map(|&n| JsonValue::Int(n as i128)).collect(),
+                THREADS_CHECKED.iter().map(|&n| JsonValue::Int(n as i128)).collect(),
             ),
         ),
         ("rates".to_string(), JsonValue::Array(rates.iter().map(|&r| JsonValue::Float(r)).collect())),
@@ -2522,183 +1571,39 @@ fn write_trace(tracer: &lpr_obs::Tracer, path: &str) -> bool {
     }
 }
 
-fn compare_cmd(args: &[String]) -> i32 {
-    let mut current_path: Option<String> = None;
-    let mut against: Option<String> = None;
-    let mut threshold = 0.5f64;
-    let mut diff_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--against" => want(&mut it, "--against").map(|v| against = Some(v)),
-            "--threshold" => want(&mut it, "--threshold").and_then(|v| {
-                v.parse::<f64>().map_err(|e| format!("--threshold: {e}")).and_then(|f| {
-                    if f > 0.0 {
-                        threshold = f;
-                        Ok(())
-                    } else {
-                        Err("--threshold wants a positive fraction".to_string())
-                    }
-                })
-            }),
-            "--diff-out" => want(&mut it, "--diff-out").map(|v| diff_out = Some(v)),
-            other if !other.starts_with("--") && current_path.is_none() => {
-                current_path = Some(other.to_string());
-                Ok(())
-            }
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
-        }
-    }
-    let (Some(current_path), Some(against)) = (current_path, against) else {
-        eprintln!("compare wants <current.json> --against <baseline.json>\n{USAGE}");
-        return 2;
+/// `lpr-bench compare`: every path at which the current report and the
+/// baseline differ, on stderr; exit 1 if there is any.
+fn compare_cmd(args: &Args) -> i32 {
+    let current_path = args.positional().expect("compare declares a positional");
+    let Some(against) = args.get::<String>("--against") else {
+        return usage_error("compare wants <current.json> --against <baseline.json>");
     };
-
     let load = |path: &str| -> Result<JsonValue, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         lpr_obs::json::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
-    let (current, baseline) = match (load(&current_path), load(&against)) {
+    let (current, baseline) = match (load(current_path), load(&against)) {
         (Ok(c), Ok(b)) => (c, b),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("{e}");
             return 1;
         }
     };
-
-    let outcome = lpr_bench::compare::run(&current, &baseline, threshold);
-    say!("comparing {current_path} against {against} (threshold {threshold})");
-    for row in &outcome.stages {
-        match (row.baseline_wall_us, row.ratio) {
-            (Some(base), Some(ratio)) => {
-                say!(
-                    "  {:<18} {:>10} us -> {:>10} us  {:>5.2}x  {}",
-                    row.name,
-                    base,
-                    row.current_wall_us,
-                    ratio,
-                    if row.regressed { "REGRESSED" } else { "ok" },
-                );
-            }
-            _ => {
-                say!(
-                    "  {:<18}        n/a -> {:>10} us    n/a  skipped",
-                    row.name,
-                    row.current_wall_us,
-                );
-            }
-        }
-    }
-    for line in &outcome.skipped {
-        say!("  skipped: {line}");
-    }
-    for skip in &outcome.sections_skipped {
-        say!("  section skipped: {} ({})", skip.section, skip.reason);
-    }
-    for line in &outcome.mismatches {
+    let diffs = lpr_bench::compare::diff(&current, &baseline);
+    for line in &diffs {
         eprintln!("FAIL: {line}");
     }
-    for line in &outcome.regressions {
-        eprintln!("FAIL: {line}");
-    }
-    if let Some(path) = diff_out {
-        if let Err(e) = std::fs::write(&path, outcome.to_json(threshold)) {
-            eprintln!("{path}: {e}");
-            return 1;
-        }
-        say!("wrote {path}");
-    }
-    if outcome.passed() {
-        say!("compare: ok");
+    if diffs.is_empty() {
+        say!("compare: {current_path} equals {against}");
         0
     } else {
-        eprintln!("compare: regression past threshold or count mismatch");
+        eprintln!("compare: {current_path} differs from {against} at {} path(s)", diffs.len());
         1
     }
 }
 
-fn baseline_cmd(args: &[String]) -> i32 {
-    let mut in_path: Option<String> = None;
-    let mut out_path = "results/BENCH_baseline.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let parsed = match a.as_str() {
-            "--out" => it
-                .next()
-                .cloned()
-                .map(|v| out_path = v)
-                .ok_or_else(|| "--out wants a value".to_string()),
-            other if !other.starts_with("--") && in_path.is_none() => {
-                in_path = Some(other.to_string());
-                Ok(())
-            }
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
-        }
-    }
-    let Some(in_path) = in_path else {
-        eprintln!("baseline wants <BENCH_pipeline.json>\n{USAGE}");
-        return 2;
-    };
-    let report = match std::fs::read_to_string(&in_path)
-        .map_err(|e| format!("{in_path}: {e}"))
-        .and_then(|text| lpr_obs::json::parse(&text).map_err(|e| format!("{in_path}: {e}")))
-    {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
-    let stripped = lpr_bench::compare::strip_nondeterministic(&report).render_pretty();
-    if let Err(e) = std::fs::write(&out_path, stripped) {
-        eprintln!("{out_path}: {e}");
-        return 1;
-    }
-    say!("wrote {out_path} (wall-time-free baseline of {in_path})");
-    0
-}
-
-/// Everything `render_report` attaches beyond the raw telemetry.
-struct ReportExtras<'a> {
-    /// Pipeline sweep `(threads, wall_us, matches_sequential)` rows.
-    sweep_rows: &'a [(usize, u64, bool)],
-    /// Campaign sweep `(threads, wall_us, matches_sequential)` rows.
-    campaign_rows: &'a [(usize, u64, bool)],
-    /// Traces per campaign snapshot (campaign-sweep throughput basis).
-    campaign_traces: u64,
-    /// GenerateCampaign's fraction of total stage wall time.
-    campaign_share: f64,
-    /// Golden-fingerprint verdict; `None` when the shape was non-default
-    /// and the check did not run.
-    golden: Option<bool>,
-    /// Per-stage `(stage, allocations, bytes)`; `None` without `--alloc`.
-    alloc_rows: Option<&'a [(&'static str, u64, u64)]>,
-    /// Process-wide SPF cache `(hits, misses)` over the whole run.
-    spf_cache: (u64, u64),
-    /// The out-of-core ingest phase's measurements (see
-    /// [`IngestStats::to_json`]); `None` when the phase did not run.
-    ingest: Option<JsonValue>,
-    /// Probing strategy and probe-budget tallies (see [`probing_json`]).
-    probing: Option<JsonValue>,
-    /// The zero-copy Unsupported-body decode verdict.
-    unsupported_elide: Option<JsonValue>,
-}
-
 /// The "probing" report section: the campaign's strategy plus its
-/// probe-budget tallies. `lpr-bench compare` holds every count to
-/// strict equality and `probes_per_dst` to the ratio threshold, so the
-/// field names here are load-bearing.
+/// probe-budget tallies, every one of them compared exactly.
 fn probing_json(strategy: netsim::ProbingStrategy, b: &netsim::ProbeBudget) -> JsonValue {
     JsonValue::Object(vec![
         ("strategy".to_string(), JsonValue::Str(strategy.name().to_string())),
@@ -2740,12 +1645,12 @@ fn probe_ceiling_breached(b: &netsim::ProbeBudget, ceiling: Option<f64>) -> bool
     }
 }
 
-/// A sweep table as JSON rows. `speedup` stays relative to the
-/// sequential row; `speedup_vs_best` is relative to the fastest row, so
-/// a regression at high thread counts is visible even when every point
-/// beats sequential. Each row carries the host's parallelism because a
-/// speedup below 1 is only a signal when cores were actually available.
-fn sweep_json(rows: &[(usize, u64, bool)], items: u64) -> JsonValue {
+/// The mda and revelation reports' per-thread-count rows. `speedup`
+/// stays relative to the sequential row; `speedup_vs_best` is relative
+/// to the fastest row. Each row carries the host's parallelism because
+/// a speedup below 1 is only a signal when cores were actually
+/// available.
+fn thread_rows_json(rows: &[(usize, u64, bool)], items: u64) -> JsonValue {
     let seq_wall = rows[0].1;
     let best_wall = rows.iter().map(|&(_, wall, _)| wall).min().unwrap_or(1);
     let avail = lpr_par::available_threads();
@@ -2773,105 +1678,6 @@ fn sweep_json(rows: &[(usize, u64, bool)], items: u64) -> JsonValue {
             })
             .collect(),
     )
-}
-
-/// Wraps the run telemetry with a derived per-stage throughput table:
-/// the telemetry document under `"telemetry"` (still readable with
-/// `RunTelemetry::from_json`) plus `"throughput_per_s"` mapping each
-/// stage to records/sec (`null` for stages too fast to time — a zero
-/// would read as "stalled"), `"campaign_share"`, the SPF cache tallies,
-/// and — when the matching mode ran — `"thread_sweep"`,
-/// `"campaign_sweep"`, `"golden_fingerprint"` and `"allocations"`.
-fn render_report(
-    telemetry: &lpr_obs::RunTelemetry,
-    out: &lpr_core::pipeline::PipelineOutput,
-    extras: &ReportExtras<'_>,
-) -> String {
-    let inner = lpr_obs::json::parse(&telemetry.to_json()).expect("own JSON parses");
-    let throughput: Vec<(String, JsonValue)> = telemetry
-        .stages
-        .iter()
-        .map(|s| (s.name.clone(), lpr_bench::throughput_json(s.wall_us, s.input)))
-        .collect();
-    let traces = telemetry.counter("pipeline.traces");
-    let (spf_hits, spf_misses) = extras.spf_cache;
-    let mut fields = vec![
-        ("bench".to_string(), JsonValue::Str("pipeline".to_string())),
-        ("iotps".to_string(), JsonValue::Int(out.iotps.len() as i128)),
-        ("lsps_in".to_string(), JsonValue::Int(out.report.input as i128)),
-        ("threads".to_string(), JsonValue::Int(telemetry.threads as i128)),
-        (
-            // Speedup curves saturate here: a sweep point above this
-            // count times-shares cores rather than adding them.
-            "available_parallelism".to_string(),
-            JsonValue::Int(lpr_par::available_threads() as i128),
-        ),
-        ("telemetry".to_string(), inner),
-        ("throughput_per_s".to_string(), JsonValue::Object(throughput)),
-        ("campaign_share".to_string(), JsonValue::Float(extras.campaign_share)),
-        (
-            "spf_cache".to_string(),
-            JsonValue::Object(vec![
-                ("hits".to_string(), JsonValue::Int(spf_hits as i128)),
-                ("misses".to_string(), JsonValue::Int(spf_misses as i128)),
-                (
-                    "hit_rate".to_string(),
-                    JsonValue::Float(
-                        spf_hits as f64 / (spf_hits + spf_misses).max(1) as f64,
-                    ),
-                ),
-            ]),
-        ),
-    ];
-    if !extras.sweep_rows.is_empty() {
-        fields.push(("thread_sweep".to_string(), sweep_json(extras.sweep_rows, traces)));
-    }
-    if !extras.campaign_rows.is_empty() {
-        fields.push((
-            "campaign_sweep".to_string(),
-            sweep_json(extras.campaign_rows, extras.campaign_traces),
-        ));
-    }
-    if let Some(matches) = extras.golden {
-        fields.push((
-            "golden_fingerprint".to_string(),
-            JsonValue::Object(vec![
-                (
-                    "expected".to_string(),
-                    JsonValue::Str(format!("{GOLDEN_CAMPAIGN_FNV:#018x}")),
-                ),
-                ("matches".to_string(), JsonValue::Bool(matches)),
-            ]),
-        ));
-    }
-    if let Some(ingest) = &extras.ingest {
-        fields.push(("ingest".to_string(), ingest.clone()));
-    }
-    if let Some(probing) = &extras.probing {
-        fields.push(("probing".to_string(), probing.clone()));
-    }
-    if let Some(elide) = &extras.unsupported_elide {
-        fields.push(("unsupported_elide".to_string(), elide.clone()));
-    }
-    if let Some(rows) = extras.alloc_rows {
-        fields.push((
-            "allocations".to_string(),
-            JsonValue::Object(
-                rows.iter()
-                    .map(|&(name, allocs, bytes)| {
-                        (
-                            name.to_string(),
-                            JsonValue::Object(vec![
-                                ("allocs".to_string(), JsonValue::Int(allocs as i128)),
-                                ("bytes".to_string(), JsonValue::Int(bytes as i128)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    JsonValue::Object(fields).render_pretty()
 }
 
 /// What the soak expects the daemon to do with one dropped file,
@@ -2952,55 +1758,13 @@ fn batch_pipeline_render(
 /// chaos-corrupted spool drops against a live `lpr serve`, with the
 /// acceptance gate from the robustness contract (clean-subset identity,
 /// complete quarantine, exact reconciliation, never a 5xx).
-fn serve_soak(args: &[String]) -> i32 {
-    let mut cycles = 5usize;
-    let mut chaos_rate = 0.10f64;
-    let mut seed = 1u64;
-    let mut threads = 1usize;
-    let mut out_path = "BENCH_serve.json".to_string();
-    let mut keep_spool = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--cycles" => want(&mut it, "--cycles").and_then(|v| {
-                v.parse().map(|n| cycles = n).map_err(|e| format!("--cycles: {e}"))
-            }),
-            "--chaos-rate" => want(&mut it, "--chaos-rate").and_then(|v| {
-                v.parse()
-                    .map_err(|e| format!("--chaos-rate: {e}"))
-                    .and_then(|f: f64| {
-                        if (0.0..=1.0).contains(&f) {
-                            chaos_rate = f;
-                            Ok(())
-                        } else {
-                            Err("--chaos-rate wants a fraction in [0,1]".to_string())
-                        }
-                    })
-            }),
-            "--seed" => want(&mut it, "--seed")
-                .and_then(|v| v.parse().map(|n| seed = n).map_err(|e| format!("--seed: {e}"))),
-            "--threads" => want(&mut it, "--threads").and_then(|v| {
-                v.parse().map(|n| threads = n).map_err(|e| format!("--threads: {e}"))
-            }),
-            "--out" => want(&mut it, "--out").map(|v| out_path = v),
-            "--keep-spool" => {
-                keep_spool = true;
-                Ok(())
-            }
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
-        }
-    }
-    if cycles == 0 {
-        eprintln!("--cycles wants at least 1\n{USAGE}");
-        return 2;
-    }
+fn serve_soak(args: &Args) -> i32 {
+    let cycles: usize = args.value("--cycles");
+    let chaos_rate: f64 = args.value("--chaos-rate");
+    let seed: u64 = args.value("--seed");
+    let threads: usize = args.value("--threads");
+    let out_path: String = args.value("--out");
+    let keep_spool = args.on("--keep-spool");
 
     let world = ark_dataset::standard_world();
     let rib = world.rib();
@@ -3280,38 +2044,14 @@ fn serve_soak(args: &[String]) -> i32 {
 
 /// `lpr-bench corrupt` — seeded byte corruption of a warts file, the
 /// smoke-test helper for the daemon's quarantine path.
-fn corrupt_cmd(args: &[String]) -> i32 {
-    let mut input: Option<String> = None;
-    let mut output: Option<String> = None;
-    let mut rate = 0.10f64;
-    let mut seed = 1u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--out" => want(&mut it, "--out").map(|v| output = Some(v)),
-            "--rate" => want(&mut it, "--rate")
-                .and_then(|v| v.parse().map(|f| rate = f).map_err(|e| format!("--rate: {e}"))),
-            "--seed" => want(&mut it, "--seed")
-                .and_then(|v| v.parse().map(|n| seed = n).map_err(|e| format!("--seed: {e}"))),
-            other if !other.starts_with("--") && input.is_none() => {
-                input = Some(other.to_string());
-                Ok(())
-            }
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
-        }
-    }
-    let (Some(input), Some(output)) = (input, output) else {
-        eprintln!("corrupt wants <in.warts> --out <out.warts>\n{USAGE}");
-        return 2;
+fn corrupt_cmd(args: &Args) -> i32 {
+    let input = args.positional().expect("corrupt declares a positional");
+    let Some(output) = args.get::<String>("--out") else {
+        return usage_error("corrupt wants <in.warts> --out <out.warts>");
     };
-    let bytes = match std::fs::read(&input) {
+    let rate: f64 = args.value("--rate");
+    let seed: u64 = args.value("--seed");
+    let bytes = match std::fs::read(input) {
         Ok(bytes) => bytes,
         Err(e) => {
             eprintln!("{input}: {e}");
