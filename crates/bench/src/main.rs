@@ -21,7 +21,7 @@ use lpr_core::pipeline::{IngestState, PersistenceWindow, Pipeline};
 use lpr_core::prelude::*;
 use lpr_core::spill::{KeySpiller, SpilledKeys};
 use lpr_obs::json::JsonValue;
-use lpr_obs::Recorder;
+use lpr_obs::{Recorder, StageGuard};
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -260,11 +260,11 @@ fn pipeline(args: &Args) -> i32 {
     let _ = std::fs::remove_dir_all(&tmp);
 
     let head = if args.value::<usize>("--scale") == 1 {
-        demo_head(args, &recorder, &tracer, &tmp)
+        demo_head(args, &recorder, &tmp)
     } else {
-        scaled_head(args, &recorder, &tracer, &tmp)
+        scaled_head(args, &recorder, &tmp)
     };
-    let result = head.and_then(|head| pipeline_tail(args, head, recorder, &tracer));
+    let result = head.and_then(|head| pipeline_tail(args, head, recorder));
     let _ = std::fs::remove_dir_all(&tmp);
     tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
     drop(run_span);
@@ -283,23 +283,17 @@ fn pipeline(args: &Args) -> i32 {
 /// generates the campaign (matching the golden fingerprint at the
 /// default shape, and itself at every probing thread count),
 /// round-trips it through the warts codec, runs the in-memory pipeline
-/// (instrumented at `--threads`, identical at every thread count), and
+/// (the out-of-core reference, identical at every thread count), and
 /// writes the cycle as corpus files and its persistence window as
 /// spill files.
-fn demo_head(
-    args: &Args,
-    recorder: &Recorder,
-    tracer: &lpr_obs::Tracer,
-    tmp: &Path,
-) -> Result<Head, String> {
+fn demo_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, String> {
     let snapshots: usize = args.value("--snapshots");
     let cycle: usize = args.value("--cycle");
     let threads: usize = args.value("--threads");
     let probing = strategy(args);
     let mut diverged = false;
 
-    let span = tracer.span("stage:GenerateCampaign");
-    let sw = lpr_obs::Stopwatch::start();
+    let stage = StageGuard::open(Some(recorder), "GenerateCampaign");
     let world = ark_dataset::standard_world();
     let campaign = |n: usize| {
         let opts = ark_dataset::CampaignOptions {
@@ -312,8 +306,7 @@ fn demo_head(
     };
     let data = campaign(1);
     let traces = &data.snapshots[0];
-    drop(span);
-    recorder.record_stage("GenerateCampaign", sw.elapsed_us(), 0, traces.len() as u64);
+    stage.finish_counts(0, traces.len() as u64);
 
     // At the default shape the encoded campaign must match the
     // fingerprint captured before the dense-SPF / probe-ladder /
@@ -340,8 +333,7 @@ fn demo_head(
     }
 
     // Round-trip through the warts codec, tallied by the stream reader.
-    let encode_span = tracer.span("stage:WartsEncode");
-    let sw = lpr_obs::Stopwatch::start();
+    let stage = StageGuard::open(Some(recorder), "WartsEncode");
     let mut writer = warts::WartsWriter::new();
     let list = writer.list(1, "bench");
     let cyc = writer.cycle_start(list, 1, 0);
@@ -350,11 +342,9 @@ fn demo_head(
     }
     writer.cycle_stop(cyc, 1);
     let bytes = writer.into_bytes();
-    drop(encode_span);
-    recorder.record_stage("WartsEncode", sw.elapsed_us(), traces.len() as u64, bytes.len() as u64);
+    stage.finish_counts(traces.len() as u64, bytes.len() as u64);
 
-    let decode_span = tracer.span("stage:WartsDecode");
-    let sw = lpr_obs::Stopwatch::start();
+    let stage = StageGuard::open(Some(recorder), "WartsDecode");
     let metrics = warts::StreamMetrics::from_recorder(recorder);
     let mut decoded = Vec::new();
     let mut reader = warts::WartsStreamReader::new(bytes.as_slice()).with_metrics(metrics);
@@ -370,22 +360,21 @@ fn demo_head(
             Err(e) => return Err(format!("warts decode failed: {e}")),
         }
     }
-    drop(decode_span);
-    recorder.record_stage("WartsDecode", sw.elapsed_us(), bytes.len() as u64, decoded.len() as u64);
+    stage.finish_counts(bytes.len() as u64, decoded.len() as u64);
 
-    // The in-memory pipeline: instrumented at `--threads`, then the
-    // same output at every thread count.
+    // The in-memory pipeline at `--threads`, then the same output at
+    // every thread count.
     let future: Vec<_> =
         data.snapshots[1..].iter().map(|t| Pipeline::snapshot_keys_par(t, threads)).collect();
     let pl = Pipeline::new(FilterConfig { persistence_window: future.len(), ..Default::default() });
-    let run = |n: usize, rec: Option<&Recorder>| {
+    let run = |n: usize| {
         let opts = lpr_par::ShardOptions::new(n);
-        let ingest = IngestState::from_traces(&decoded, world.rib(), rec, opts);
-        pl.finish_stages(ingest, &future, rec, opts)
+        let ingest = IngestState::from_traces(&decoded, world.rib(), None, opts);
+        pl.finish_stages(ingest, &future, None, opts)
     };
-    let out = run(threads, Some(recorder));
+    let out = run(threads);
     for n in THREADS_CHECKED {
-        if run(n, None) != out {
+        if run(n) != out {
             eprintln!(
                 "FAIL: in-memory pipeline at {n} threads diverges from the --threads {threads} run"
             );
@@ -393,14 +382,11 @@ fn demo_head(
         }
     }
 
-    let span = tracer.span("stage:CorpusWrite");
-    let sw = lpr_obs::Stopwatch::start();
+    let stage = StageGuard::open(Some(recorder), "CorpusWrite");
     let paths =
         lpr_corpus::write_corpus_files(tmp, "bench", &decoded, corpus_file_count(decoded.len()))
             .map_err(|e| format!("corpus write: {e}"))?;
-    drop(span);
-    let written = bytes_on_disk(&paths);
-    recorder.record_stage("CorpusWrite", sw.elapsed_us(), decoded.len() as u64, written);
+    stage.finish_counts(decoded.len() as u64, bytes_on_disk(&paths));
     let spilled = future
         .iter()
         .enumerate()
@@ -420,13 +406,10 @@ fn demo_head(
 
 /// The head past scale 1, where the cycle never sits in memory whole:
 /// each snapshot is generated, persisted — snapshot 0 as corpus files,
-/// later ones as spilled key files — and dropped.
-fn scaled_head(
-    args: &Args,
-    recorder: &Recorder,
-    tracer: &lpr_obs::Tracer,
-    tmp: &Path,
-) -> Result<Head, String> {
+/// later ones as spilled key files — and dropped. Each snapshot records
+/// its own `GenerateCampaign` row, then a `CorpusWrite` or
+/// `SpillFutureKeys` row.
+fn scaled_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, String> {
     let snapshots: usize = args.value("--snapshots");
     let cycle: usize = args.value("--cycle");
     let scale: usize = args.value("--scale");
@@ -439,22 +422,18 @@ fn scaled_head(
         probing: strategy(args),
         ..Default::default()
     };
-    let (mut campaign_wall, mut write_wall, mut spill_wall) = (0u64, 0u64, 0u64);
-    let (mut total_traces, mut cycle_traces, mut spilled_keys) = (0u64, 0u64, 0u64);
     let mut paths = Vec::new();
     let mut spilled = Vec::new();
     let mut budget = netsim::ProbeBudget::default();
     for snap in 0..snapshots {
-        let span = tracer.span(format!("snapshot:{snap}"));
-        let sw = lpr_obs::Stopwatch::start();
+        let stage = StageGuard::open(Some(recorder), "GenerateCampaign");
         let (traces, snap_budget) =
             ark_dataset::generate_snapshot_with_budget(&world, cycle, snap, &copts);
+        stage.finish_counts(0, traces.len() as u64);
         budget.merge(&snap_budget);
-        campaign_wall += sw.elapsed_us();
-        total_traces += traces.len() as u64;
-        let sw = lpr_obs::Stopwatch::start();
+        let n = traces.len() as u64;
         if snap == 0 {
-            cycle_traces = traces.len() as u64;
+            let stage = StageGuard::open(Some(recorder), "CorpusWrite");
             paths = lpr_corpus::write_corpus_files(
                 tmp,
                 "cycle",
@@ -462,20 +441,16 @@ fn scaled_head(
                 corpus_file_count(traces.len()),
             )
             .map_err(|e| format!("corpus write: {e}"))?;
-            write_wall += sw.elapsed_us();
+            stage.finish_counts(n, bytes_on_disk(&paths));
         } else {
+            let stage = StageGuard::open(Some(recorder), "SpillFutureKeys");
             let keys = Pipeline::snapshot_keys_par(&traces, threads);
             let sp = spill_keys(&tmp.join("spill"), snap - 1, &keys)
                 .map_err(|e| format!("key spill: {e}"))?;
-            spilled_keys += sp.count;
+            stage.finish_counts(n, sp.count);
             spilled.push(sp);
-            spill_wall += sw.elapsed_us();
         }
-        drop(span);
     }
-    recorder.record_stage("GenerateCampaign", campaign_wall, 0, total_traces);
-    recorder.record_stage("CorpusWrite", write_wall, cycle_traces, bytes_on_disk(&paths));
-    recorder.record_stage("SpillFutureKeys", spill_wall, total_traces - cycle_traces, spilled_keys);
     Ok(Head { world, paths, spilled, budget, golden: None, in_memory: None, diverged: false })
 }
 
@@ -484,12 +459,7 @@ fn scaled_head(
 /// out-of-core run against the reference at every thread count, run
 /// the elide check and the tripwires, and write the report. Returns the
 /// exit code.
-fn pipeline_tail(
-    args: &Args,
-    head: Head,
-    recorder: Recorder,
-    tracer: &lpr_obs::Tracer,
-) -> Result<i32, String> {
+fn pipeline_tail(args: &Args, head: Head, recorder: Recorder) -> Result<i32, String> {
     let threads: usize = args.value("--threads");
     let Head { world, paths, spilled, budget, golden, in_memory, mut diverged } = head;
 
@@ -501,36 +471,25 @@ fn pipeline_tail(
     // Open twice: the first open builds and caches every `.lpridx`, the
     // second must hit all of them — both land in the corpus.* counters,
     // so a cache-staleness regression shows up as an index_hits drift.
-    let span = tracer.span("stage:IndexBuild");
-    let sw = lpr_obs::Stopwatch::start();
+    let stage = StageGuard::open(Some(&recorder), "IndexBuild");
     lpr_corpus::Corpus::open_with(&paths, true, Some(&recorder))
         .map_err(|e| format!("corpus index build: {e}"))?;
     let corpus = lpr_corpus::Corpus::open_with(&paths, true, Some(&recorder))
         .map_err(|e| format!("corpus index reload: {e}"))?;
-    drop(span);
-    let records = corpus.total_records();
-    recorder.record_stage("IndexBuild", sw.elapsed_us(), paths.len() as u64, records);
+    stage.finish_counts(paths.len() as u64, corpus.total_records());
 
     let pl =
         Pipeline::new(FilterConfig { persistence_window: spilled.len(), ..Default::default() });
     let run = |n: usize, window: PersistenceWindow<'_>, rec: Option<&Recorder>| {
         let (ingest, _report) =
             lpr_corpus::ingest_cycle(&corpus, world.rib(), lpr_corpus::IngestOptions::new(n), rec);
-        pl.finish_stages_windowed(ingest, window, None, lpr_par::ShardOptions::new(n))
+        pl.finish_stages_windowed(ingest, window, rec, lpr_par::ShardOptions::new(n))
             .map_err(|e| format!("out-of-core pipeline at {n} threads: {e}"))
     };
 
-    // The instrumented run: spilled window, `--threads` workers.
-    let span = tracer.span("stage:OutOfCoreIngest");
-    let sw = lpr_obs::Stopwatch::start();
+    // The instrumented run, spilled window and `--threads` workers,
+    // records the `Ingest` stage and every funnel row.
     let out = run(threads, PersistenceWindow::Spilled(&spilled), Some(&recorder))?;
-    drop(span);
-    recorder.record_stage(
-        "OutOfCoreIngest",
-        sw.elapsed_us(),
-        corpus.total_traces(),
-        out.report.input as u64,
-    );
 
     // At scale 1 every out-of-core run, with either persistence window,
     // must reproduce the in-memory pipeline; past it, the instrumented
@@ -565,13 +524,15 @@ fn pipeline_tail(
         diverged = true;
     }
 
-    // GenerateCampaign's share of the top-level stage walls; per-worker
-    // rows ("worker0/Ingest", ...) re-count time already in their
-    // parent stage.
+    // GenerateCampaign's share of the top-level stage walls (summed over
+    // its rows: one per snapshot past scale 1); per-worker rows
+    // ("worker0/Ingest", ...) re-count time already in their parent
+    // stage.
     let telemetry = recorder.finish();
     let top_level = || telemetry.stages.iter().filter(|s| !s.name.contains('/'));
     let total: u64 = top_level().map(|s| s.wall_us).sum();
-    let campaign = top_level().find(|s| s.name == "GenerateCampaign").map_or(0, |s| s.wall_us);
+    let campaign: u64 =
+        top_level().filter(|s| s.name == "GenerateCampaign").map(|s| s.wall_us).sum();
     let campaign_share = campaign as f64 / total.max(1) as f64;
 
     let mut breached = probe_ceiling_breached(&budget, args.get("--max-probes-per-dst"));
@@ -710,9 +671,9 @@ fn mda_cmd(args: &Args) -> i32 {
             threads,
             ..Default::default()
         };
-        let sw = lpr_obs::Stopwatch::start();
+        let started = std::time::Instant::now();
         let data = ark_dataset::generate_cycle(&world, cycle, &opts);
-        (data, sw.elapsed_us().max(1))
+        (data, lpr_obs::time::duration_us(started.elapsed()).max(1))
     };
 
     // The exhaustive oracle is distilled to its IOTP set, budget and
@@ -902,10 +863,10 @@ fn revelation_cmd(args: &Args) -> i32 {
             threads,
             ..Default::default()
         };
-        let sw = lpr_obs::Stopwatch::start();
+        let started = std::time::Instant::now();
         let out =
             ark_dataset::generate_cycle_with_revelation(&world, cycle, &opts, &reveal_opts);
-        (out, sw.elapsed_us().max(1))
+        (out, lpr_obs::time::duration_us(started.elapsed()).max(1))
     };
 
     say!("revelation campaign: cycle {cycle}, mix {} …", mix.render());

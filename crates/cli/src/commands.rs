@@ -13,9 +13,14 @@ pub mod classify {
 
     /// Executes the subcommand.
     pub fn run(o: &Options, w: &mut dyn Write) -> Result<RunStatus, CliError> {
-        let recorder = crate::recorder_for(o, "lpr classify");
-        let run_span = crate::open_run_span(recorder.as_ref(), "classify");
-        let artifacts = crate::run_pipeline_recorded(o, recorder.as_ref())?;
+        crate::analyse(o, "classify", |artifacts| report(o, artifacts, w))
+    }
+
+    fn report(
+        o: &Options,
+        artifacts: &crate::PipelineArtifacts,
+        w: &mut dyn Write,
+    ) -> Result<(), CliError> {
         let out = &artifacts.output;
 
         for (iotp, cls) in &out.iotps {
@@ -81,10 +86,7 @@ pub mod classify {
         if o.trees {
             write_trees(&artifacts.trees, w)?;
         }
-        crate::write_degradation_summary(&artifacts.load, &out.degraded, w)?;
-        drop(run_span);
-        crate::emit_telemetry(o, recorder)?;
-        Ok(artifacts.status())
+        crate::write_degradation_summary(&artifacts.load, &out.degraded, w)
     }
 
     fn run_router_level(
@@ -145,9 +147,10 @@ pub mod stats {
 
     /// Executes the subcommand.
     pub fn run(o: &Options, w: &mut dyn Write) -> Result<RunStatus, CliError> {
-        let recorder = crate::recorder_for(o, "lpr stats");
-        let run_span = crate::open_run_span(recorder.as_ref(), "stats");
-        let artifacts = crate::run_pipeline_recorded(o, recorder.as_ref())?;
+        crate::analyse(o, "stats", |artifacts| report(artifacts, w))
+    }
+
+    fn report(artifacts: &crate::PipelineArtifacts, w: &mut dyn Write) -> Result<(), CliError> {
         let out = &artifacts.output;
         writeln!(
             w,
@@ -165,10 +168,7 @@ pub mod stats {
             )?;
         }
         writeln!(w, "classified IOTPs: {}", out.iotps.len())?;
-        crate::write_degradation_summary(&artifacts.load, &out.degraded, w)?;
-        drop(run_span);
-        crate::emit_telemetry(o, recorder)?;
-        Ok(artifacts.status())
+        crate::write_degradation_summary(&artifacts.load, &out.degraded, w)
     }
 }
 

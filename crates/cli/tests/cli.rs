@@ -332,3 +332,44 @@ fn an_orphaned_index_write_beside_a_relative_input_is_removed() {
     assert!(!orphan.exists(), "the orphaned .lpridx.tmp survived");
     assert!(tmp.0.join("demo.warts.lpridx").exists());
 }
+
+#[test]
+fn a_failed_run_still_writes_the_telemetry_it_was_asked_for() {
+    let tmp = Tmp::new("failed-telemetry");
+    let (bytes, rib) = write_demo_files();
+    let (corrupted, _) = lpr_chaos::corrupt_warts_bytes(&bytes, 42, 0.3);
+    std::fs::write(tmp.path("bad.warts"), corrupted).unwrap();
+    std::fs::write(tmp.path("rib.txt"), rib).unwrap();
+    let (metrics, trace, prom) = (tmp.path("m.json"), tmp.path("t.json"), tmp.path("p.prom"));
+    for cmd in ["classify", "stats"] {
+        let args =
+            [cmd, "--rib", "rib.txt", "bad.warts", "--metrics", &metrics, "--trace-out", &trace];
+        let (code, _) = lpr_in(&tmp.0, &[&args[..], &["--prom-out", &prom]].concat(), None);
+        assert_eq!(code, 1, "{cmd}: strict mode rejects the skipped records");
+
+        let telemetry =
+            lpr_obs::RunTelemetry::from_json(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        assert_eq!(telemetry.counter_sum("warts.skip."), 9, "{cmd}");
+        let exposition = std::fs::read_to_string(&prom).unwrap();
+        let skipped: u64 = exposition
+            .lines()
+            .filter_map(|l| l.strip_prefix("warts_skip_")?.split_once(' ')?.1.parse::<u64>().ok())
+            .sum();
+        assert_eq!(skipped, 9, "{cmd}: {exposition}");
+
+        let (code, out) = lpr_in(&tmp.0, &["trace-check", &trace], None);
+        assert_eq!(code, 0, "{cmd}: {out}");
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let events = lpr_obs::export::ChromeTrace::parse(&text).unwrap().events;
+        let errors: Vec<_> = events.iter().filter(|e| e.ph == "i" && e.name == "error").collect();
+        assert_eq!(errors.len(), 1, "{cmd}: one error event");
+        let message = errors[0].args.iter().find(|(k, _)| k == "message").unwrap();
+        assert!(
+            message.1.as_str().unwrap().contains("bad.warts: 9 records skipped"),
+            "{cmd}: {message:?}"
+        );
+        for path in [&metrics, &trace, &prom] {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+}

@@ -28,7 +28,7 @@ use crate::stream::CycleAccumulator;
 use crate::trace::Trace;
 use crate::tunnel::RawTunnel;
 use lpr_par::ShardOptions;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 impl IngestState {
     /// The ingest half of the pipeline over a trace slice: validation,
@@ -39,22 +39,21 @@ impl IngestState {
     /// Shards are caught: a panicking worker poisons only its own
     /// shard, whose traces are then quarantined wholesale as
     /// [`QuarantineReason::PoisonedShard`] instead of tearing down the
-    /// run. When more than one worker runs, `recorder` gets one
-    /// `worker{N}/Ingest` row per worker (busy time, traces in, LSPs
-    /// out).
+    /// run. The work is `recorder`'s `Ingest` stage (traces in, LSPs
+    /// kept); when more than one worker runs, each worker also gets a
+    /// `worker{N}/Ingest` row (busy time, traces in, LSPs out), and
+    /// those rows sum to the stage's counts.
     pub fn from_traces(
         traces: &[Trace],
         mapper: &(dyn AsMapper + Sync),
         recorder: Option<&lpr_obs::Recorder>,
         opts: ShardOptions,
     ) -> IngestState {
-        let disabled = lpr_obs::Tracer::disabled();
-        let tracer = recorder.map_or(&disabled, |r| r.tracer());
-        let ingest_span = tracer.span("stage:Ingest");
+        let stage = lpr_obs::StageGuard::open(recorder, "Ingest");
         let run = lpr_par::map_shards_traced(
             traces,
             opts,
-            lpr_par::ShardTrace::new(tracer, ingest_span.context()),
+            lpr_par::ShardTrace::new(stage.tracer(), stage.context()),
             |_, shard| {
                 let mut acc = CycleAccumulator::new(mapper);
                 for trace in shard {
@@ -64,17 +63,19 @@ impl IngestState {
             },
         );
 
+        if let Some(rec) = recorder.filter(|_| opts.effective_threads() > 1) {
+            run.record_workers(rec, "Ingest", |shard, out| match out {
+                Ok(state) => (state.traces_in, state.lsps.len() as u64),
+                Err(_) => (run.shard_lens[shard] as u64, 0),
+            });
+        }
+
         // Shard-order merge: LSPs concatenate in input order, counts sum.
         let mut ingest = IngestState::default();
-        let mut surviving: BTreeMap<usize, u64> = BTreeMap::new(); // LSPs per worker
         let mut poisoned = 0u64;
         for (shard, result) in run.outputs.into_iter().enumerate() {
             match result {
-                Ok(state) => {
-                    let worker = run.shard_workers.get(shard).copied().unwrap_or(0);
-                    *surviving.entry(worker).or_default() += state.lsps.len() as u64;
-                    ingest.merge(state);
-                }
+                Ok(state) => ingest.merge(state),
                 Err(_poisoned_shard) => {
                     let n = run.shard_lens.get(shard).copied().unwrap_or(0) as u64;
                     // Merged (not field-poked) so the quarantined shard
@@ -86,18 +87,9 @@ impl IngestState {
                 }
             }
         }
-        drop(ingest_span);
-
-        if let Some(rec) = recorder {
-            if poisoned > 0 {
-                rec.counter(lpr_obs::names::PAR_POISONED_SHARDS).add(poisoned);
-            }
-            if opts.effective_threads() > 1 {
-                for stat in &run.workers {
-                    let out = surviving.get(&stat.worker).copied().unwrap_or(0);
-                    rec.record_worker_stage(stat.worker, "Ingest", stat.busy_us, stat.items, out);
-                }
-            }
+        stage.finish_counts(ingest.traces_in, ingest.lsps.len() as u64);
+        if let (Some(rec), true) = (recorder, poisoned > 0) {
+            rec.counter(lpr_obs::names::PAR_POISONED_SHARDS).add(poisoned);
         }
         ingest
     }

@@ -192,10 +192,6 @@ pub struct CycleSegment {
     pub after_incomplete: usize,
     /// Count after IntraAs.
     pub after_intra_as: usize,
-    /// Tunnel-extraction time, µs.
-    pub extraction_us: u64,
-    /// Attribution/filter time, µs.
-    pub attribution_us: u64,
     /// Kept/quarantined trace accounting for this cycle.
     pub degraded: DegradedReport,
 }
@@ -209,8 +205,6 @@ impl CycleSegment {
         self.input += other.input;
         self.after_incomplete += other.after_incomplete;
         self.after_intra_as += other.after_intra_as;
-        self.extraction_us = self.extraction_us.saturating_add(other.extraction_us);
-        self.attribution_us = self.attribution_us.saturating_add(other.attribution_us);
         self.degraded.merge(&other.degraded);
     }
 }
@@ -243,11 +237,6 @@ pub struct IngestState {
     pub after_incomplete: usize,
     /// Count after IntraAs.
     pub after_intra_as: usize,
-    /// Accumulated tunnel-extraction time, µs (CPU time when summed
-    /// across parallel workers).
-    pub extraction_us: u64,
-    /// Accumulated attribution/filter time, µs (ditto).
-    pub attribution_us: u64,
     /// Kept/quarantined trace accounting for this shard.
     pub degraded: DegradedReport,
     /// Per-cycle provenance, in merge order, tiling `lsps` exactly.
@@ -267,8 +256,6 @@ impl IngestState {
             input: self.input,
             after_incomplete: self.after_incomplete,
             after_intra_as: self.after_intra_as,
-            extraction_us: self.extraction_us,
-            attribution_us: self.attribution_us,
             degraded: self.degraded.clone(),
         }
     }
@@ -281,8 +268,6 @@ impl IngestState {
             && self.input == 0
             && self.after_incomplete == 0
             && self.after_intra_as == 0
-            && self.extraction_us == 0
-            && self.attribution_us == 0
             && self.degraded == DegradedReport::default()
             && self.segments.is_empty()
     }
@@ -329,8 +314,6 @@ impl IngestState {
         self.input += other.input;
         self.after_incomplete += other.after_incomplete;
         self.after_intra_as += other.after_intra_as;
-        self.extraction_us = self.extraction_us.saturating_add(other.extraction_us);
-        self.attribution_us = self.attribution_us.saturating_add(other.attribution_us);
         self.degraded.merge(&other.degraded);
         for seg in other.segments.drain(..) {
             match self.segments.last_mut() {
@@ -365,8 +348,6 @@ impl IngestState {
                     input: seg.input,
                     after_incomplete: seg.after_incomplete,
                     after_intra_as: seg.after_intra_as,
-                    extraction_us: seg.extraction_us,
-                    attribution_us: seg.attribution_us,
                     degraded: seg.degraded.clone(),
                     segments: Vec::new(),
                 };
@@ -442,10 +423,13 @@ impl Pipeline {
     /// computes flags in one aggregate merge-join pass, so no per-worker
     /// Persistence telemetry rows are emitted on that path.
     ///
-    /// With a `recorder`, the run's `threads` field is set from `opts`
-    /// and, when more than one worker runs, per-worker
-    /// `worker{N}/<stage>` rows record each worker's busy time and item
-    /// counts.
+    /// With a `recorder`, the run's `threads` field is set from `opts`;
+    /// the ingest funnel rows (TunnelExtraction and the three per-LSP
+    /// filters, untimed: their work ran in the producer's `Ingest`
+    /// stage) are recorded, then TransitDiversity, Persistence and
+    /// Classification each run as a timed [`lpr_obs::StageGuard`]. When
+    /// more than one worker runs, per-worker `worker{N}/<stage>` rows
+    /// record each worker's busy time and item counts.
     pub fn finish_stages_windowed(
         &self,
         ingest: IngestState,
@@ -453,19 +437,22 @@ impl Pipeline {
         recorder: Option<&lpr_obs::Recorder>,
         opts: lpr_par::ShardOptions,
     ) -> std::io::Result<PipelineOutput> {
-        let parallel = opts.effective_threads() > 1;
-        let disabled = lpr_obs::Tracer::disabled();
-        let tracer = recorder.map_or(&disabled, |r| r.tracer());
+        use lpr_obs::StageGuard;
+        use lpr_par::ShardTrace;
+        let workers = recorder.filter(|_| opts.effective_threads() > 1);
         let mut report = FilterReport { input: ingest.input, ..Default::default() };
         report.remaining.insert(FilterStage::IncompleteLsp, ingest.after_incomplete);
         report.remaining.insert(FilterStage::IntraAs, ingest.after_intra_as);
         report.remaining.insert(FilterStage::TargetAs, ingest.lsps.len());
-        let mut timer = lpr_obs::StageTimer::start();
+        if let Some(rec) = recorder {
+            rec.set_threads(opts.effective_threads() as u64);
+            record_ingest_funnel(rec, ingest.traces_in, &report);
+        }
 
         // TransitDiversity (per IOTP, counted in LSPs). `keep` is a
         // sorted key slice; membership below is a binary search and the
         // IOTP key is computed once per LSP.
-        let td_span = tracer.span("stage:TransitDiversity");
+        let stage = StageGuard::open(recorder, FilterStage::TransitDiversity.name());
         let keep: Vec<IotpKey> = if self.skip_transit_diversity {
             let mut keys: Vec<_> = ingest.lsps.iter().map(|l| l.iotp_key()).collect();
             keys.sort_unstable();
@@ -475,55 +462,39 @@ impl Pipeline {
             transit_diversity_keys(&ingest.lsps)
         };
         let mut lsps = ingest.lsps;
+        let input = lsps.len() as u64;
         lsps.retain(|l| iotp_kept(&keep, l.iotp_key()));
-        drop(td_span);
-        let transit_us = lpr_obs::time::duration_us(timer.lap("transit_diversity"));
+        stage.finish_counts(input, lsps.len() as u64);
         report.remaining.insert(FilterStage::TransitDiversity, lsps.len());
 
         // Persistence. The expensive per-LSP half (LspKey construction +
         // window probes) shards across workers; the order-sensitive
         // partition and the per-AS dynamic reinjection stay sequential.
-        let persist_span = tracer.span("stage:Persistence");
-        // Per-worker Persistence rows `(worker, busy_us, input, output)`
-        // — filled by the sharded in-memory path, empty for the spilled
-        // aggregate pass.
-        let mut persist_rows: Vec<(usize, u64, u64, u64)> = Vec::new();
+        let stage = StageGuard::open(recorder, FilterStage::Persistence.name());
         let flags: Vec<bool> = match window {
             PersistenceWindow::Mem(future_keys) => {
-                let flags_run = lpr_par::map_shards_traced(
+                let run = lpr_par::map_shards_traced(
                     &lsps,
                     opts,
-                    lpr_par::ShardTrace::new(tracer, persist_span.context()),
+                    ShardTrace::new(stage.tracer(), stage.context()),
                     |_, shard| persistent_flags(shard, future_keys, &self.config),
                 )
                 .expect_ok();
-                // `(input, output)` LSPs per worker.
-                let mut per_worker: std::collections::BTreeMap<usize, (u64, u64)> =
-                    std::collections::BTreeMap::new();
-                let mut flags: Vec<bool> = Vec::with_capacity(lsps.len());
-                for (shard, out) in flags_run.outputs.into_iter().enumerate() {
-                    let w = flags_run.shard_workers.get(shard).copied().unwrap_or(0);
-                    let e = per_worker.entry(w).or_default();
-                    e.0 += out.len() as u64;
-                    e.1 += out.iter().filter(|&&f| f).count() as u64;
-                    flags.extend(out);
+                if let Some(rec) = workers {
+                    run.record_workers(rec, FilterStage::Persistence.name(), |_, flags| {
+                        (flags.len() as u64, flags.iter().filter(|&&f| f).count() as u64)
+                    });
                 }
-                if parallel {
-                    for (w, (input, output)) in per_worker {
-                        let busy = flags_run.workers.iter().find(|s| s.worker == w);
-                        persist_rows.push((w, busy.map_or(0, |s| s.busy_us), input, output));
-                    }
-                }
-                flags
+                run.outputs.concat()
             }
             PersistenceWindow::Spilled(snapshots) => {
                 crate::spill::persistent_flags_spilled(&lsps, snapshots, &self.config)?
             }
         };
+        let input = lsps.len() as u64;
         let (kept, dropped) = partition_by_flags(lsps, &flags);
         let persisted = reinject_dynamic(kept, dropped, &self.config);
-        drop(persist_span);
-        let persistence_us = lpr_obs::time::duration_us(timer.lap("persistence"));
+        stage.finish_counts(input, persisted.strictly_persistent as u64);
         report
             .remaining
             .insert(FilterStage::Persistence, persisted.strictly_persistent);
@@ -534,12 +505,12 @@ impl Pipeline {
         // diversity by construction of `keep`). `build_iotps` returns
         // them sorted and key-unique, so shards classify disjoint key
         // ranges and a shard-order concat preserves key order.
+        let stage = StageGuard::open(recorder, "Classification");
         let iotps = build_iotps(&persisted.lsps, &keep);
-        let class_span = tracer.span("stage:Classification");
-        let class_run = lpr_par::map_shards_traced(
+        let run = lpr_par::map_shards_traced(
             &iotps,
             opts,
-            lpr_par::ShardTrace::new(tracer, class_span.context()),
+            ShardTrace::new(stage.tracer(), stage.context()),
             |_, shard| {
                 shard
                     .iter()
@@ -554,10 +525,14 @@ impl Pipeline {
             },
         )
         .expect_ok();
-        let classes: Vec<Classification> = class_run.outputs.into_iter().flatten().collect();
+        if let Some(rec) = workers {
+            run.record_workers(rec, "Classification", |_, classes| {
+                (classes.len() as u64, classes.len() as u64)
+            });
+        }
+        let classes: Vec<Classification> = run.outputs.into_iter().flatten().collect();
         let iotps: Vec<(Iotp, Classification)> = iotps.into_iter().zip(classes).collect();
-        drop(class_span);
-        let classification_us = lpr_obs::time::duration_us(timer.lap("classification"));
+        stage.finish_counts(persisted.strictly_persistent as u64, iotps.len() as u64);
 
         let output = PipelineOutput {
             iotps,
@@ -566,20 +541,14 @@ impl Pipeline {
             degraded: ingest.degraded,
         };
         if let Some(rec) = recorder {
-            rec.set_threads(opts.effective_threads() as u64);
             if ingest.traces_in > 0 {
-                rec.record_stage(
-                    "TunnelExtraction",
-                    ingest.extraction_us,
-                    ingest.traces_in,
-                    output.report.input as u64,
-                );
                 rec.counter(lpr_obs::names::PIPELINE_TRACES).add(ingest.traces_in);
             }
             if output.degraded.ingested() > 0 {
                 rec.counter(lpr_obs::names::PIPELINE_TRACES_KEPT).add(output.degraded.kept);
                 rec.counter(lpr_obs::names::PIPELINE_TRACES_QUARANTINED)
                     .add(output.degraded.quarantined_total());
+                let tracer = rec.tracer();
                 for (reason, n) in &output.degraded.quarantined {
                     rec.counter(reason.counter_name()).add(*n);
                     // One warn event per reason, carrying the count —
@@ -598,40 +567,6 @@ impl Pipeline {
                     );
                 }
             }
-            record_filter_stages(
-                rec,
-                &output.report,
-                [ingest.attribution_us, 0, 0, transit_us, persistence_us],
-            );
-            rec.record_stage(
-                "Classification",
-                classification_us,
-                output.report.remaining.get(&FilterStage::Persistence).copied().unwrap_or(0)
-                    as u64,
-                output.iotps.len() as u64,
-            );
-            if parallel {
-                // Per-worker stage rows (`worker{N}/...`): inputs sum to
-                // the aggregate stage's input, outputs to its output.
-                for (w, busy, input, output) in &persist_rows {
-                    rec.record_worker_stage(
-                        *w,
-                        FilterStage::Persistence.name(),
-                        *busy,
-                        *input,
-                        *output,
-                    );
-                }
-                for stat in &class_run.workers {
-                    rec.record_worker_stage(
-                        stat.worker,
-                        "Classification",
-                        stat.busy_us,
-                        stat.items,
-                        stat.items,
-                    );
-                }
-            }
             rec.counter(lpr_obs::names::PIPELINE_TUNNELS).add(output.report.input as u64);
             rec.counter(lpr_obs::names::PIPELINE_IOTPS_CLASSIFIED).add(output.iotps.len() as u64);
             rec.counter(lpr_obs::names::PIPELINE_DYNAMIC_ASES).add(output.dynamic_ases.len() as u64);
@@ -646,20 +581,18 @@ impl Pipeline {
     }
 }
 
-/// Records one telemetry stage per filter, named after
-/// [`FilterStage::name`] and chained so each stage's input is the
-/// previous stage's output (starting from [`FilterReport::input`]).
-/// `wall_us` gives the per-stage wall time in [`FilterStage::ALL`]
-/// order.
-pub fn record_filter_stages(
-    recorder: &lpr_obs::Recorder,
-    report: &FilterReport,
-    wall_us: [u64; FilterStage::ALL.len()],
-) {
+/// Records the ingest half's funnel rows, chained from `report`:
+/// TunnelExtraction (traces → tunnels) and the three per-LSP filters.
+/// Their `wall_us` is 0: the work ran inside the producer's `Ingest`
+/// stage, as one fused pass per trace.
+fn record_ingest_funnel(recorder: &lpr_obs::Recorder, traces_in: u64, report: &FilterReport) {
+    if traces_in > 0 {
+        recorder.record_stage("TunnelExtraction", 0, traces_in, report.input as u64);
+    }
     let mut input = report.input as u64;
-    for (stage, us) in FilterStage::ALL.iter().zip(wall_us) {
-        let output = report.remaining.get(stage).copied().unwrap_or(0) as u64;
-        recorder.record_stage(stage.name(), us, input, output);
+    for stage in [FilterStage::IncompleteLsp, FilterStage::IntraAs, FilterStage::TargetAs] {
+        let output = report.remaining[&stage] as u64;
+        recorder.record_stage(stage.name(), 0, input, output);
         input = output;
     }
 }

@@ -311,9 +311,7 @@ pub fn apply_revelations(
     evidence: &[RevealedTunnel],
     recorder: Option<&lpr_obs::Recorder>,
 ) -> RevelationSummary {
-    let disabled = lpr_obs::Tracer::disabled();
-    let tracer = recorder.map_or(&disabled, |r| r.tracer());
-    let span = tracer.span("stage:Revelation");
+    let stage = lpr_obs::StageGuard::open(recorder, "Revelation");
     let mut summary = RevelationSummary {
         triggers: evidence.len() as u64,
         ..RevelationSummary::default()
@@ -368,7 +366,7 @@ pub fn apply_revelations(
             }
         }
     }
-    drop(span);
+    stage.finish_counts(summary.triggers, summary.total_upgraded());
     if let Some(rec) = recorder {
         rec.counter(lpr_obs::names::REVELATION_TRIGGERS).add(summary.triggers);
         rec.counter(lpr_obs::names::REVELATION_PROBES).add(summary.probes);

@@ -56,32 +56,20 @@ impl<'m> CycleAccumulator<'m> {
     /// [`crate::pipeline::PipelineOutput::degraded`] report) instead of
     /// entering the pipeline.
     pub fn push_trace(&mut self, trace: &Trace) {
-        let sw = lpr_obs::Stopwatch::start();
         self.state.traces_in += 1;
         if let Err(reason) = validate_trace(trace) {
             self.state.degraded.note(reason);
-            self.state.extraction_us =
-                self.state.extraction_us.saturating_add(sw.elapsed_us());
             return;
         }
         self.state.degraded.kept += 1;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        extract_tunnels_into(trace, &mut scratch);
-        self.state.extraction_us = self.state.extraction_us.saturating_add(sw.elapsed_us());
-        self.push_tunnels(&scratch);
-        self.scratch = scratch;
-    }
-
-    /// Runs the per-LSP filters over one trace's extracted tunnels.
-    fn push_tunnels(&mut self, tunnels: &[RawTunnel]) {
-        let sw = lpr_obs::Stopwatch::start();
-        self.state.input += tunnels.len();
-        let out = attribute_and_filter(tunnels, self.mapper);
+        self.scratch.clear();
+        extract_tunnels_into(trace, &mut self.scratch);
+        // The per-LSP filters, over this trace's tunnels.
+        self.state.input += self.scratch.len();
+        let out = attribute_and_filter(&self.scratch, self.mapper);
         self.state.after_incomplete += out.after_incomplete;
         self.state.after_intra_as += out.after_intra_as;
         self.state.lsps.extend(out.lsps);
-        self.state.attribution_us = self.state.attribution_us.saturating_add(sw.elapsed_us());
     }
 
     /// LSPs retained so far (post per-LSP filters).

@@ -80,20 +80,6 @@ fn ingest_cycle(traces: &[Trace], cycle: u64, threads: usize) -> IngestState {
     state
 }
 
-/// Zeroes the stopwatch fields: extraction/attribution times are wall
-/// measurements and legitimately differ between two ingests of the
-/// same traces; everything else must be byte-identical.
-fn detimed(state: &IngestState) -> IngestState {
-    let mut s = state.clone();
-    s.extraction_us = 0;
-    s.attribution_us = 0;
-    for seg in &mut s.segments {
-        seg.extraction_us = 0;
-        seg.attribution_us = 0;
-    }
-    s
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -134,8 +120,8 @@ proptest! {
                 rebuilt.merge(ingest_cycle(&traces, cycle as u64, threads));
             }
 
-            // Byte-identical state (modulo stopwatch readings)...
-            prop_assert_eq!(detimed(&windowed), detimed(&rebuilt), "threads={}", threads);
+            // Byte-identical state...
+            prop_assert_eq!(&windowed, &rebuilt, "threads={}", threads);
 
             // ...and byte-identical pipeline output downstream.
             let pipeline = Pipeline::default();

@@ -123,22 +123,23 @@ fn decode_task(
 /// [`lpr_core::Pipeline::finish_stages_windowed`] and is byte-identical
 /// to the in-memory ingest over the same traces at any thread count.
 ///
-/// The work runs inside a `stage:Ingest` span of `recorder`'s tracer,
-/// with one span per shard. A panicking task panics the caller.
+/// The work is `recorder`'s `Ingest` stage (traces in, LSPs kept),
+/// with one span per shard and, when more than one worker runs, one
+/// `worker{N}/Ingest` row per worker that together sum to the stage's
+/// counts. A panicking task panics the caller.
 pub fn ingest_cycle(
     corpus: &Corpus,
     mapper: &(dyn AsMapper + Sync),
     opts: IngestOptions,
     recorder: Option<&lpr_obs::Recorder>,
 ) -> (IngestState, DecodeReport) {
-    let disabled = lpr_obs::Tracer::disabled();
-    let tracer = recorder.map_or(&disabled, |r| r.tracer());
-    let ingest_span = tracer.span("stage:Ingest");
+    let stage = lpr_obs::StageGuard::open(recorder, "Ingest");
     let tasks = range_tasks(corpus, opts.records_per_task);
+    let sharding = shard_opts(opts.threads);
     let run = lpr_par::map_shards_traced(
         &tasks,
-        shard_opts(opts.threads),
-        lpr_par::ShardTrace::new(tracer, ingest_span.context()),
+        sharding,
+        lpr_par::ShardTrace::new(stage.tracer(), stage.context()),
         |_, shard| {
             let mut state = IngestState::default();
             let mut convert_failures = 0u64;
@@ -160,6 +161,11 @@ pub fn ingest_cycle(
         },
     )
     .expect_ok();
+    if let Some(rec) = recorder.filter(|_| sharding.effective_threads() > 1) {
+        run.record_workers(rec, "Ingest", |_, (state, ..)| {
+            (state.traces_in, state.lsps.len() as u64)
+        });
+    }
 
     let mut ingest = IngestState::default();
     let mut report = corpus.decode_report();
@@ -170,7 +176,7 @@ pub fn ingest_cycle(
         decode_errors += de;
         report.mpls_traces += mpls;
     }
-    drop(ingest_span);
+    stage.finish_counts(ingest.traces_in, ingest.lsps.len() as u64);
     if let Some(rec) = recorder {
         rec.counter(lpr_obs::names::INGEST_SPILLED_TRACES).add(ingest.traces_in);
         if decode_errors > 0 {

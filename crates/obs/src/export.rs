@@ -7,15 +7,14 @@
 //! * [`folded_stacks`] — folded-stack text (`a;b;c weight` lines) for
 //!   flamegraph tooling;
 //! * [`prometheus_text`] — Prometheus-style text exposition of a
-//!   [`RunTelemetry`]'s counter/gauge/histogram registry.
+//!   counter/gauge/histogram [`Registry`].
 //!
 //! [`ChromeTrace`] is the typed form of the first: `parse` then
 //! [`ChromeTrace::to_json`] round-trips byte-identically, which is how
 //! CI validates a `--trace-out` file without leaving the workspace.
 
 use crate::json::{parse, JsonError, JsonValue};
-use crate::registry::HISTOGRAM_BUCKETS;
-use crate::telemetry::RunTelemetry;
+use crate::registry::{Registry, HISTOGRAM_BUCKETS};
 use crate::tracing::{FieldValue, TraceEvent, TraceSnapshot};
 use std::collections::BTreeMap;
 
@@ -273,11 +272,11 @@ fn metric_name(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
 }
 
-/// Renders a telemetry document's registry as Prometheus-style text
-/// exposition: counters and gauges as single samples, histograms as
-/// cumulative `le` buckets plus a `_count`, names with non-alphanumeric
-/// characters mapped to underscores.
-pub fn prometheus_text(t: &RunTelemetry) -> String {
+/// Renders a metric registry as Prometheus-style text exposition:
+/// counters and gauges as single samples, histograms as cumulative `le`
+/// buckets plus a `_count`, names with non-alphanumeric characters
+/// mapped to underscores.
+pub fn prometheus_text(registry: &Registry) -> String {
     let mut out = String::new();
     let mut sample = |name: &str, kind: &str, value: String| {
         out.push_str("# TYPE ");
@@ -290,14 +289,14 @@ pub fn prometheus_text(t: &RunTelemetry) -> String {
         out.push_str(&value);
         out.push('\n');
     };
-    for (name, value) in &t.counters {
-        sample(&metric_name(name), "counter", value.to_string());
+    for (name, value) in registry.counter_values() {
+        sample(&metric_name(&name), "counter", value.to_string());
     }
-    for (name, value) in &t.gauges {
-        sample(&metric_name(name), "gauge", value.to_string());
+    for (name, value) in registry.gauge_values() {
+        sample(&metric_name(&name), "gauge", value.to_string());
     }
-    for (name, buckets) in &t.histograms {
-        let name = metric_name(name);
+    for (name, buckets) in registry.histogram_values() {
+        let name = metric_name(&name);
         out.push_str("# TYPE ");
         out.push_str(&name);
         out.push_str(" histogram\n");
@@ -403,7 +402,7 @@ mod tests {
         h.observe(2);
         h.observe(2);
         h.observe(99);
-        let text = prometheus_text(&rec.finish());
+        let text = prometheus_text(rec.registry());
         assert!(text.contains("# TYPE warts_records counter\nwarts_records 15\n"));
         assert!(text.contains("# TYPE pipeline_depth gauge\npipeline_depth -2\n"));
         assert!(text.contains("probe_stack_depth_bucket{le=\"0\"} 1\n"));

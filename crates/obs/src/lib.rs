@@ -6,7 +6,8 @@
 //! dependency-free instrumentation layer every other crate threads its
 //! hot paths through.
 //!
-//! * [`Stopwatch`] / [`StageTimer`] — monotonic wall-clock spans;
+//! * [`StageGuard`] — the one stage timer: two clock readings give a
+//!   stage's row and its `stage:<name>` span;
 //! * [`Counter`], [`Gauge`], [`Histogram`] — thread-safe (atomic)
 //!   metrics held in a [`Registry`] keyed by static names;
 //! * [`Recorder`] — one run's worth of stages + metrics, aggregated
@@ -21,15 +22,15 @@
 //!   emits.
 //!
 //! ```
-//! use lpr_obs::Recorder;
+//! use lpr_obs::{Recorder, StageGuard};
 //!
 //! let rec = Recorder::new("demo-run");
 //! let processed = rec.counter("records.processed");
-//! let sw = rec.stage("parse");
+//! let stage = StageGuard::open(Some(&rec), "parse");
 //! for _ in 0..100 {
 //!     processed.inc();
 //! }
-//! sw.finish_counts(100, 97); // input / output
+//! stage.finish_counts(100, 97); // input / output
 //! let telemetry = rec.finish();
 //! assert_eq!(telemetry.stages[0].input, 100);
 //! let json = telemetry.to_json();
@@ -50,5 +51,4 @@ pub mod tracing;
 
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use telemetry::{Recorder, RunTelemetry, StageGuard, StageTelemetry};
-pub use time::{StageTimer, Stopwatch};
 pub use tracing::{FieldValue, Level, Span, SpanContext, TraceEvent, TraceSnapshot, Tracer};

@@ -2,9 +2,11 @@
 
 use crate::json::{parse, JsonError, JsonValue};
 use crate::registry::Registry;
-use crate::time::{duration_us, Stopwatch};
+use crate::time::duration_us;
+use crate::tracing::{Span, SpanContext, Tracer};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Schema version written into every telemetry document.
 pub const TELEMETRY_VERSION: u64 = 1;
@@ -26,14 +28,6 @@ impl StageTelemetry {
     /// Items the stage dropped.
     pub fn dropped(&self) -> u64 {
         self.input.saturating_sub(self.output)
-    }
-
-    /// Items per second through the stage (0 when instantaneous).
-    pub fn throughput_per_s(&self) -> f64 {
-        if self.wall_us == 0 {
-            return 0.0;
-        }
-        self.input as f64 / (self.wall_us as f64 / 1e6)
     }
 }
 
@@ -236,9 +230,9 @@ pub struct Recorder {
     label: String,
     registry: Registry,
     stages: Mutex<Vec<StageTelemetry>>,
-    started: Stopwatch,
+    started: Instant,
     threads: std::sync::atomic::AtomicU64,
-    tracer: crate::Tracer,
+    tracer: Tracer,
 }
 
 impl Recorder {
@@ -249,23 +243,23 @@ impl Recorder {
             label: label.into(),
             registry: Registry::new(),
             stages: Mutex::new(Vec::new()),
-            started: Stopwatch::start(),
+            started: Instant::now(),
             threads: std::sync::atomic::AtomicU64::new(1),
-            tracer: crate::Tracer::disabled(),
+            tracer: Tracer::disabled(),
         }
     }
 
     /// Attaches a span/event journal; everything instrumented against
-    /// this recorder traces into it. Keep a [`Tracer`](crate::Tracer)
-    /// clone to snapshot after the run.
-    pub fn with_tracer(mut self, tracer: crate::Tracer) -> Self {
+    /// this recorder traces into it. Keep a [`Tracer`] clone to
+    /// snapshot after the run.
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
     }
 
     /// The attached tracer (the inert no-op one by default), for
     /// opening spans and journaling events alongside stage recording.
-    pub fn tracer(&self) -> &crate::Tracer {
+    pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
@@ -309,29 +303,19 @@ impl Recorder {
         self.registry.histogram(name)
     }
 
-    /// Starts timing a stage; finish it with
-    /// [`StageGuard::finish_counts`] (or drop it to record timing
-    /// only).
-    pub fn stage(&self, name: &'static str) -> StageGuard<'_> {
-        StageGuard { recorder: self, name, sw: Stopwatch::start(), done: false }
-    }
-
-    /// Records a fully-known stage in one call.
+    /// Records a fully-known stage in one call: an untimed row
+    /// (`wall_us` 0) whose work runs inside another stage, or a
+    /// worker's share. Timed stages go through [`StageGuard`].
     pub fn record_stage(&self, name: &str, wall_us: u64, input: u64, output: u64) {
         let mut stages = self.stages.lock().expect("stage log poisoned");
         stages.push(StageTelemetry { name: name.to_string(), wall_us, input, output });
-    }
-
-    /// Snapshot of the stages recorded so far.
-    pub fn stages_so_far(&self) -> Vec<StageTelemetry> {
-        self.stages.lock().expect("stage log poisoned").clone()
     }
 
     /// Stops the clock and aggregates everything recorded.
     pub fn finish(self) -> RunTelemetry {
         RunTelemetry {
             label: self.label,
-            total_wall_us: self.started.elapsed_us(),
+            total_wall_us: duration_us(self.started.elapsed()),
             threads: self.threads.into_inner(),
             stages: self.stages.into_inner().expect("stage log poisoned"),
             counters: self.registry.counter_values(),
@@ -341,36 +325,71 @@ impl Recorder {
     }
 }
 
-/// An in-flight stage span (see [`Recorder::stage`]).
+/// A timed stage: the one clock behind both a stage's row and its
+/// `stage:<name>` span.
+///
+/// [`StageGuard::open`] reads the clock once and, when the recorder
+/// carries a live tracer, opens the span `stage:<name>` under the
+/// tracer's default parent stamped with that reading.
+/// [`StageGuard::finish_counts`] reads it once more, closes the span
+/// with that second reading and records the row `{name, wall_us,
+/// input, output}` from the same two readings, so a row and its span
+/// differ by at most 1 µs of truncation, however the thread was
+/// scheduled. Dropping an unfinished guard (an error path) records the
+/// row with counts 0. Without a recorder the guard reads no clock and
+/// allocates nothing.
 pub struct StageGuard<'r> {
-    recorder: &'r Recorder,
     name: &'static str,
-    sw: Stopwatch,
-    done: bool,
+    /// The recorder and the opening clock reading; `None` once finished
+    /// or when nothing is recorded.
+    open: Option<(&'r Recorder, Instant)>,
+    span: Span,
 }
 
-impl StageGuard<'_> {
-    /// Ends the span with input/output item counts; returns the wall
-    /// time in microseconds.
-    pub fn finish_counts(mut self, input: u64, output: u64) -> u64 {
-        let wall_us = duration_us(self.sw.elapsed());
-        self.recorder.record_stage(self.name, wall_us, input, output);
-        self.done = true;
-        wall_us
+impl<'r> StageGuard<'r> {
+    /// Starts the stage `name` in `recorder`.
+    pub fn open(recorder: Option<&'r Recorder>, name: &'static str) -> Self {
+        let Some(rec) = recorder else {
+            return StageGuard { name, open: None, span: Span::inert() };
+        };
+        let started = Instant::now();
+        let tracer = rec.tracer();
+        let span = if tracer.is_enabled() {
+            tracer.span_at(tracer.default_parent(), format!("stage:{name}"), 0, started)
+        } else {
+            Span::inert()
+        };
+        StageGuard { name, open: Some((rec, started)), span }
     }
 
-    /// Ends the span with no item accounting.
-    pub fn finish(self) -> u64 {
-        self.finish_counts(0, 0)
+    /// The tracer the stage journals into (the inert one without a
+    /// recorder), for events and shard spans inside the stage.
+    pub fn tracer(&self) -> &'r Tracer {
+        self.open.map_or(&crate::tracing::DISABLED, |(rec, _)| rec.tracer())
+    }
+
+    /// The stage span's context, which shard spans parent under
+    /// ([`SpanContext::ROOT`] when untraced).
+    pub fn context(&self) -> SpanContext {
+        self.span.context()
+    }
+
+    /// Ends the stage with its input/output item counts.
+    pub fn finish_counts(mut self, input: u64, output: u64) {
+        self.close(input, output);
+    }
+
+    fn close(&mut self, input: u64, output: u64) {
+        let Some((rec, started)) = self.open.take() else { return };
+        let now = Instant::now();
+        std::mem::replace(&mut self.span, Span::inert()).end_at(now);
+        rec.record_stage(self.name, duration_us(now - started), input, output);
     }
 }
 
 impl Drop for StageGuard<'_> {
     fn drop(&mut self) {
-        if !self.done {
-            let wall_us = duration_us(self.sw.elapsed());
-            self.recorder.record_stage(self.name, wall_us, 0, 0);
-        }
+        self.close(0, 0);
     }
 }
 
@@ -386,9 +405,8 @@ mod tests {
         h.observe(2);
         h.observe(2);
         h.observe(40);
-        let s = rec.stage("first");
-        s.finish_counts(100, 80);
-        rec.stage("second").finish_counts(80, 80);
+        StageGuard::open(Some(&rec), "first").finish_counts(100, 80);
+        StageGuard::open(Some(&rec), "second").finish_counts(80, 80);
         rec.finish()
     }
 
@@ -448,11 +466,91 @@ mod tests {
     fn dropped_guard_records_timing_only() {
         let rec = Recorder::new("guard");
         {
-            let _g = rec.stage("implicit");
+            let _g = StageGuard::open(Some(&rec), "implicit");
         }
         let t = rec.finish();
         assert_eq!(t.stages.len(), 1);
         assert_eq!(t.stages[0].input, 0);
+    }
+
+    /// `(name, begin, end)` of every closed span of `snapshot`.
+    fn closed_spans(snapshot: &crate::TraceSnapshot) -> Vec<(String, u64, u64)> {
+        let mut open = BTreeMap::new();
+        let mut closed = Vec::new();
+        for e in &snapshot.events {
+            match e {
+                crate::TraceEvent::SpanBegin { id, name, ts_us, .. } => {
+                    open.insert(*id, (name.clone(), *ts_us));
+                }
+                crate::TraceEvent::SpanEnd { id, ts_us } => {
+                    let (name, begin) = open.remove(id).expect("end after begin");
+                    closed.push((name, begin, *ts_us));
+                }
+                crate::TraceEvent::Event { .. } => {}
+            }
+        }
+        closed
+    }
+
+    #[test]
+    fn guard_row_and_span_are_one_measurement() {
+        let tracer = crate::Tracer::new(crate::Level::Info);
+        let rec = Recorder::new("guard").with_tracer(tracer.clone());
+        let run = tracer.span("run");
+        tracer.set_default_parent(run.context());
+        for (i, name) in ["sleeps", "spins", "dropped"].into_iter().enumerate() {
+            let stage = StageGuard::open(Some(&rec), name);
+            assert_ne!(stage.context(), SpanContext::ROOT);
+            assert!(stage.tracer().is_enabled());
+            match i {
+                0 => std::thread::sleep(std::time::Duration::from_millis(3)),
+                1 => {
+                    std::hint::black_box((0..100_000u64).sum::<u64>());
+                }
+                _ => {}
+            }
+            if i < 2 {
+                stage.finish_counts(10, i as u64);
+            }
+        }
+        drop(run);
+        let spans = closed_spans(&tracer.snapshot());
+        let t = rec.finish();
+        assert_eq!(t.stages.len(), 3);
+        for row in &t.stages {
+            let name = format!("stage:{}", row.name);
+            let (_, begin, end) = spans.iter().find(|(n, ..)| *n == name).expect("its span");
+            assert!((end - begin).abs_diff(row.wall_us) <= 1, "{row:?} vs span {begin}..{end}");
+        }
+        assert!(t.stages[0].wall_us >= 3_000);
+        assert_eq!((t.stages[2].input, t.stages[2].output), (0, 0), "a dropped guard counts 0");
+    }
+
+    #[test]
+    fn rows_survive_a_wrapped_journal() {
+        let tracer = crate::Tracer::with_capacity(crate::Level::Info, 1);
+        let rec = Recorder::new("wrapped").with_tracer(tracer.clone());
+        for name in ["a", "b", "c"] {
+            StageGuard::open(Some(&rec), name).finish_counts(1, 1);
+        }
+        assert!(tracer.snapshot().dropped > 0, "the journal wrapped");
+        let names: Vec<String> = rec.finish().stages.into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn unrecorded_guard_is_inert() {
+        let stage = StageGuard::open(None, "nothing");
+        assert_eq!(stage.context(), SpanContext::ROOT);
+        assert!(!stage.tracer().is_enabled());
+        stage.finish_counts(1, 1);
+        // A recorder without a tracer still gets its row, and no span.
+        let rec = Recorder::new("untraced");
+        let stage = StageGuard::open(Some(&rec), "row-only");
+        assert_eq!(stage.context(), SpanContext::ROOT);
+        stage.finish_counts(4, 2);
+        assert_eq!(rec.tracer().snapshot(), crate::TraceSnapshot::default());
+        assert_eq!(rec.finish().stages[0].output, 2);
     }
 
     #[test]
@@ -474,14 +572,6 @@ mod tests {
         let json = legacy.to_json().replace("  \"threads\": 1,\n", "");
         assert!(!json.contains("threads"));
         assert_eq!(RunTelemetry::from_json(&json).unwrap().threads, 1);
-    }
-
-    #[test]
-    fn throughput_math() {
-        let s = StageTelemetry { name: "x".into(), wall_us: 2_000_000, input: 100, output: 50 };
-        assert!((s.throughput_per_s() - 50.0).abs() < 1e-9);
-        let zero = StageTelemetry::default();
-        assert_eq!(zero.throughput_per_s(), 0.0);
     }
 
     #[test]

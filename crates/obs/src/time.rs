@@ -1,117 +1,16 @@
-//! Monotonic wall-clock spans.
+//! The telemetry time unit.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// A started monotonic clock.
-///
-/// ```
-/// let sw = lpr_obs::Stopwatch::start();
-/// let _work: u64 = (0..1000).sum();
-/// assert!(sw.elapsed_us() < 1_000_000);
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct Stopwatch {
-    started: Instant,
-}
-
-impl Stopwatch {
-    /// Starts the clock.
-    pub fn start() -> Self {
-        Stopwatch { started: Instant::now() }
-    }
-
-    /// Elapsed time since start.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Elapsed whole microseconds since start (the unit all telemetry
-    /// uses; u64 microseconds cover half a million years).
-    pub fn elapsed_us(&self) -> u64 {
-        duration_us(self.elapsed())
-    }
-}
-
-/// Clamps a [`Duration`] into u64 microseconds.
+/// Clamps a [`Duration`] into u64 microseconds (the unit all telemetry
+/// uses; u64 microseconds cover half a million years).
 pub fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// A sequence of named, non-overlapping spans — the shape of a staged
-/// pipeline. Finishing one span via [`StageTimer::lap`] starts the
-/// next.
-///
-/// ```
-/// let mut timer = lpr_obs::StageTimer::start();
-/// // ... stage one work ...
-/// timer.lap("extract");
-/// // ... stage two work ...
-/// timer.lap("classify");
-/// let spans = timer.into_spans();
-/// assert_eq!(spans.len(), 2);
-/// assert_eq!(spans[0].0, "extract");
-/// ```
-#[derive(Clone, Debug)]
-pub struct StageTimer {
-    current: Instant,
-    spans: Vec<(&'static str, Duration)>,
-}
-
-impl StageTimer {
-    /// Starts timing the first span.
-    pub fn start() -> Self {
-        StageTimer { current: Instant::now(), spans: Vec::new() }
-    }
-
-    /// Ends the current span under `name` and starts the next; returns
-    /// the span's duration.
-    pub fn lap(&mut self, name: &'static str) -> Duration {
-        let now = Instant::now();
-        let d = now - self.current;
-        self.current = now;
-        self.spans.push((name, d));
-        d
-    }
-
-    /// The finished spans, in order.
-    pub fn spans(&self) -> &[(&'static str, Duration)] {
-        &self.spans
-    }
-
-    /// Consumes the timer, yielding its spans.
-    pub fn into_spans(self) -> Vec<(&'static str, Duration)> {
-        self.spans
-    }
-
-    /// Total time across finished spans.
-    pub fn total(&self) -> Duration {
-        self.spans.iter().map(|(_, d)| *d).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn laps_accumulate_in_order() {
-        let mut t = StageTimer::start();
-        t.lap("a");
-        t.lap("b");
-        let spans = t.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].0, "a");
-        assert_eq!(spans[1].0, "b");
-        assert_eq!(t.total(), spans[0].1 + spans[1].1);
-    }
-
-    #[test]
-    fn stopwatch_is_monotonic() {
-        let sw = Stopwatch::start();
-        let a = sw.elapsed_us();
-        let b = sw.elapsed_us();
-        assert!(b >= a);
-    }
 
     #[test]
     fn duration_us_saturates() {

@@ -193,8 +193,13 @@ struct Inner {
 }
 
 impl Inner {
+    /// `at` in microseconds since the journal epoch.
+    fn ts_us(&self, at: Instant) -> u64 {
+        crate::time::duration_us(at.saturating_duration_since(self.epoch))
+    }
+
     fn now_us(&self) -> u64 {
-        crate::time::duration_us(self.epoch.elapsed())
+        self.ts_us(Instant::now())
     }
 
     fn push(&self, event: TraceEvent) {
@@ -209,6 +214,9 @@ impl Inner {
 
 /// Default journal capacity (entries), plenty for a full classify run.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1 << 16;
+
+/// The shared no-op tracer, for handles that outlive no recorder.
+pub(crate) static DISABLED: Tracer = Tracer { inner: None };
 
 /// Records spans and events into a shared journal.
 ///
@@ -311,17 +319,19 @@ impl Tracer {
     /// — shard/worker spans pass their worker index so timeline
     /// exporters draw them on separate rows.
     pub fn span_on(&self, parent: SpanContext, name: impl Into<String>, tid: u64) -> Span {
-        let Some(inner) = &self.inner else {
-            return Span { tracer: Tracer::disabled(), id: 0 };
-        };
+        match self.inner {
+            None => Span::inert(),
+            Some(_) => self.span_at(parent, name.into(), tid, Instant::now()),
+        }
+    }
+
+    /// Opens a span stamped at `at`, a clock reading the caller also
+    /// uses (see [`crate::StageGuard`]).
+    pub(crate) fn span_at(&self, parent: SpanContext, name: String, tid: u64, at: Instant) -> Span {
+        let Some(inner) = &self.inner else { return Span::inert() };
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        inner.push(TraceEvent::SpanBegin {
-            id,
-            parent: parent.id,
-            name: name.into(),
-            ts_us: inner.now_us(),
-            tid,
-        });
+        let ts_us = inner.ts_us(at);
+        inner.push(TraceEvent::SpanBegin { id, parent: parent.id, name, ts_us, tid });
         Span { tracer: self.clone(), id }
     }
 
@@ -368,6 +378,26 @@ pub struct Span {
 }
 
 impl Span {
+    /// A span of no journal: closing it records nothing.
+    pub(crate) fn inert() -> Span {
+        Span { tracer: Tracer::disabled(), id: 0 }
+    }
+
+    /// Closes the span stamped at `at` rather than at drop time.
+    pub(crate) fn end_at(mut self, at: Instant) {
+        self.end(Some(at));
+    }
+
+    /// Journals the span's end once, at `at` or else now; the clock is
+    /// read only for a live span.
+    fn end(&mut self, at: Option<Instant>) {
+        if let (Some(inner), true) = (&self.tracer.inner, self.id != 0) {
+            let ts_us = inner.ts_us(at.unwrap_or_else(Instant::now));
+            inner.push(TraceEvent::SpanEnd { id: self.id, ts_us });
+            self.id = 0;
+        }
+    }
+
     /// The `Copy` handle other threads parent under.
     pub fn context(&self) -> SpanContext {
         SpanContext { id: self.id }
@@ -381,11 +411,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(inner) = &self.tracer.inner {
-            if self.id != 0 {
-                inner.push(TraceEvent::SpanEnd { id: self.id, ts_us: inner.now_us() });
-            }
-        }
+        self.end(None);
     }
 }
 

@@ -38,7 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use lpr_obs::{FieldValue, Level, SpanContext, Tracer};
+use lpr_obs::{FieldValue, Level, Recorder, SpanContext, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -116,23 +116,36 @@ pub struct ShardRun<R> {
     pub shard_lens: Vec<usize>,
     /// Per-worker accounting, indexed by worker.
     pub workers: Vec<WorkerStat>,
-    /// Wall time of the whole run, spawn and join included,
-    /// microseconds.
-    pub wall_us: u64,
 }
 
 impl<R> ShardRun<R> {
-    /// Discards the scheduling metadata, keeping the ordered outputs.
-    pub fn into_outputs(self) -> Vec<R> {
-        self.outputs
+    /// Records each worker's share of `stage` as a `worker{N}/{stage}`
+    /// row: the worker's busy time, and `counts(shard, output)` as
+    /// `(input, output)` items summed over the shards it ran.
+    pub fn record_workers(
+        &self,
+        recorder: &Recorder,
+        stage: &str,
+        counts: impl Fn(usize, &R) -> (u64, u64),
+    ) {
+        let mut sums = vec![(0u64, 0u64); self.workers.len()];
+        for (shard, out) in self.outputs.iter().enumerate() {
+            let (input, output) = counts(shard, out);
+            let sum = &mut sums[self.shard_workers[shard]];
+            sum.0 += input;
+            sum.1 += output;
+        }
+        for (stat, (input, output)) in self.workers.iter().zip(sums) {
+            recorder.record_worker_stage(stat.worker, stage, stat.busy_us, input, output);
+        }
     }
 }
 
 impl<R> ShardRun<Result<R, PoisonedShard>> {
     /// Unwraps every shard output, panicking with the first poisoned
     /// shard's message (in shard order) — [`map_shards`] semantics for
-    /// the caught/traced engines, for callers whose closures are not
-    /// expected to panic.
+    /// the traced engine, for callers whose closures are not expected
+    /// to panic.
     pub fn expect_ok(self) -> ShardRun<R> {
         let outputs = self
             .outputs
@@ -147,7 +160,6 @@ impl<R> ShardRun<Result<R, PoisonedShard>> {
             shard_workers: self.shard_workers,
             shard_lens: self.shard_lens,
             workers: self.workers,
-            wall_us: self.wall_us,
         }
     }
 }
@@ -219,70 +231,26 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// A panicking shard closure poisons only its own shard; the run
 /// completes and this function then re-panics on the caller's thread
-/// with the first poisoned shard's message (use [`try_map_shards`] or
-/// [`map_shards_caught`] to handle poisoning without unwinding).
+/// with the first poisoned shard's message (use [`map_shards_traced`]
+/// to handle poisoning without unwinding).
 pub fn map_shards<T, R, F>(items: &[T], opts: ShardOptions, f: F) -> ShardRun<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &[T]) -> R + Sync,
 {
-    match try_map_shards(items, opts, f) {
-        Ok(run) => run,
-        Err(poisoned) => panic!("{poisoned}"),
-    }
+    map_shards_engine(items, opts, None, f).expect_ok()
 }
 
-/// [`map_shards`] that surfaces a panicking shard as an error instead
-/// of unwinding: the first poisoned shard (in shard order) wins, as a
-/// sequential loop's first panic would.
-pub fn try_map_shards<T, R, F>(
-    items: &[T],
-    opts: ShardOptions,
-    f: F,
-) -> Result<ShardRun<R>, PoisonedShard>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    let run = map_shards_caught(items, opts, f);
-    let mut outputs = Vec::with_capacity(run.outputs.len());
-    for out in run.outputs {
-        outputs.push(out?);
-    }
-    Ok(ShardRun {
-        outputs,
-        shard_workers: run.shard_workers,
-        shard_lens: run.shard_lens,
-        workers: run.workers,
-        wall_us: run.wall_us,
-    })
-}
-
-/// The raw engine behind [`map_shards`]/[`try_map_shards`]: every shard
-/// runs to completion and each output is `Ok(R)` or the
+/// The engine behind [`map_shards`], with span propagation and caught
+/// panics: every shard runs to completion inside a `shard{N}` span
+/// under `trace.parent`, and each output is `Ok(R)` or the
 /// [`PoisonedShard`] describing its caught panic — callers that can
 /// degrade gracefully (quarantine the shard's items, keep the rest)
-/// consume this directly.
-pub fn map_shards_caught<T, R, F>(
-    items: &[T],
-    opts: ShardOptions,
-    f: F,
-) -> ShardRun<Result<R, PoisonedShard>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    map_shards_engine(items, opts, None, f)
-}
-
-/// [`map_shards_caught`] with span propagation: every shard runs inside
-/// a `shard{N}` span under `trace.parent`, and a caught panic journals
-/// a `poisoned-shard` error event (fields: `shard`, `worker`,
-/// `message`) before the span closes — so a trace shows *which* shard
-/// died, on which worker lane, and when.
+/// consume this directly. A caught panic journals a `poisoned-shard`
+/// error event (fields: `shard`, `worker`, `message`) before the span
+/// closes — so a trace shows *which* shard died, on which worker lane,
+/// and when.
 pub fn map_shards_traced<T, R, F>(
     items: &[T],
     opts: ShardOptions,
@@ -308,7 +276,6 @@ where
     R: Send,
     F: Fn(usize, &[T]) -> R + Sync,
 {
-    let started = Instant::now();
     let nshards = opts.shard_count(items.len());
     let bounds = shard_bounds(items.len(), nshards);
     let threads = opts.effective_threads().max(1).min(nshards.max(1));
@@ -418,7 +385,6 @@ where
         shard_workers,
         shard_lens,
         workers,
-        wall_us: started.elapsed().as_micros() as u64,
     }
 }
 
@@ -521,6 +487,21 @@ mod tests {
     }
 
     #[test]
+    fn worker_rows_sum_to_the_run() {
+        let items: Vec<u32> = (0..1000).collect();
+        let rec = Recorder::new("par");
+        let run = map_shards(&items, ShardOptions::new(4), |_, s| {
+            s.iter().filter(|x| *x % 2 == 0).count()
+        });
+        run.record_workers(&rec, "Even", |shard, &kept| (run.shard_lens[shard] as u64, kept as u64));
+        let t = rec.finish();
+        let rows = t.worker_stages("Even");
+        assert_eq!(rows.len(), run.workers.len());
+        assert_eq!(rows.iter().map(|r| r.input).sum::<u64>(), 1000);
+        assert_eq!(rows.iter().map(|r| r.output).sum::<u64>(), 500);
+    }
+
+    #[test]
     fn tiny_inputs_collapse_to_few_shards() {
         let opts = ShardOptions::new(8);
         assert_eq!(opts.shard_count(0), 0);
@@ -546,6 +527,17 @@ mod tests {
         out
     }
 
+    /// `map_shards_traced` without a journal.
+    fn untraced<R: Send>(
+        items: &[u32],
+        threads: usize,
+        f: impl Fn(usize, &[u32]) -> R + Sync,
+    ) -> ShardRun<Result<R, PoisonedShard>> {
+        let tracer = Tracer::disabled();
+        let trace = ShardTrace::new(&tracer, SpanContext::ROOT);
+        map_shards_traced(items, ShardOptions::new(threads), trace, f)
+    }
+
     /// Regression: a panic inside a shard used to propagate through
     /// `std::thread::scope`'s join and abort the whole run. Now it
     /// poisons only its shard.
@@ -554,7 +546,7 @@ mod tests {
         with_quiet_panics(|| {
             let items: Vec<u32> = (0..1000).collect();
             for threads in [1usize, 2, 4] {
-                let run = map_shards_caught(&items, ShardOptions::new(threads), |shard, s| {
+                let run = untraced(&items, threads, |shard, s| {
                     if shard == 1 {
                         panic!("boom in shard {shard}");
                     }
@@ -583,7 +575,7 @@ mod tests {
         with_quiet_panics(|| {
             let items: Vec<u32> = (0..1000).collect();
             let tracer = Tracer::new(Level::Debug);
-            let stage = tracer.span("stage:Test");
+            let stage = tracer.span("parent");
             let stage_ctx = stage.context();
             let run = map_shards_traced(
                 &items,
@@ -644,21 +636,26 @@ mod tests {
     }
 
     #[test]
-    fn try_map_shards_reports_first_poisoned_shard() {
+    fn first_poisoned_shard_in_shard_order_comes_first() {
         with_quiet_panics(|| {
             let items: Vec<u32> = (0..1000).collect();
-            let err = try_map_shards(&items, ShardOptions::new(4), |shard, _| {
+            let run = untraced(&items, 4, |shard, _| {
                 if shard >= 2 {
                     panic!("shard {shard} down");
                 }
                 shard
-            })
-            .unwrap_err();
+            });
+            let err = run.outputs.iter().find_map(|o| o.as_ref().err()).cloned().unwrap();
             assert_eq!(err.shard, 2, "first poisoned shard in shard order wins");
             assert_eq!(err.message, "shard 2 down");
             assert!(err.to_string().contains("poisoned"));
+            let repanic =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.expect_ok()))
+                    .unwrap_err();
+            let msg = repanic.downcast_ref::<String>().expect("formatted message");
+            assert_eq!(*msg, err.to_string());
 
-            let ok = try_map_shards(&items, ShardOptions::new(4), |shard, _| shard).unwrap();
+            let ok = untraced(&items, 4, |shard, _| shard).expect_ok();
             assert_eq!(ok.outputs, (0..ok.outputs.len()).collect::<Vec<_>>());
         });
     }

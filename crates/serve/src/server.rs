@@ -6,7 +6,7 @@ use crate::ServeConfig;
 use lpr_core::pipeline::{IngestState, Pipeline};
 use lpr_corpus::{ingest_cycle, Corpus, DecodeReport, FileSkipReason, IngestOptions};
 use lpr_obs::json::JsonValue;
-use lpr_obs::{names, Recorder, RunTelemetry};
+use lpr_obs::{names, Recorder};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -173,19 +173,7 @@ fn route(shared: &Shared, path: &str) -> Response {
         "/report/per-as" => {
             Response::json(shared.snapshot.lock().expect("snapshot poisoned").per_as.clone())
         }
-        "/metrics" => {
-            let registry = shared.recorder.registry();
-            let telemetry = RunTelemetry {
-                label: "serve".to_string(),
-                total_wall_us: 0,
-                threads: 1,
-                stages: shared.recorder.stages_so_far(),
-                counters: registry.counter_values(),
-                gauges: registry.gauge_values(),
-                histograms: registry.histogram_values(),
-            };
-            Response::text(lpr_obs::export::prometheus_text(&telemetry))
-        }
+        "/metrics" => Response::text(lpr_obs::export::prometheus_text(shared.recorder.registry())),
         _ => Response::not_found(),
     }
 }

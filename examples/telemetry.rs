@@ -50,8 +50,11 @@ fn main() {
 
     // One Recorder observes everything: the prober tallies `probe.*`
     // counters and the RFC 4950 stack-depth histogram while the
-    // pipeline records one timed stage per filter. The attached Tracer
-    // additionally journals hierarchical spans — everything recorded
+    // pipeline records one row per filter: the ingest's fused per-LSP
+    // filters as counts inside its timed `Ingest` stage, the aggregate
+    // filters as timed stages. The attached Tracer additionally
+    // journals hierarchical spans — each timed stage's `stage:<name>`
+    // span is the same measurement as its row, and everything recorded
     // below the root span nests under `run:telemetry-example`.
     let tracer = lpr_obs::Tracer::new(lpr_obs::Level::Debug);
     let recorder = lpr_obs::Recorder::new("telemetry example").with_tracer(tracer.clone());
