@@ -272,10 +272,11 @@ drift passes the bound, or faults fabricate revelation evidence.",
         Command {
             name: "serve",
             positional: None,
-            about: "Soaks a live `lpr serve` with clean and corrupted spool drops. Exits 1
-unless the served snapshot equals the batch pipeline over the clean
-files, every corrupted file is quarantined with a reason, the tallies
-reconcile and no request gets a 5xx.",
+            about: "Soaks a live `lpr serve` with clean and corrupted spool drops while 4
+trickling connections stay open. Exits 1 unless the served snapshot
+equals the batch pipeline over the clean files, every corrupted file is
+quarantined with a reason, the tallies reconcile, no response is a 5xx
+and every /healthz probe answers within 1 s.",
             flags: &[
                 flag("--cycles", Count { min: 1 }, Some("5"), "campaign cycles dropped"),
                 flag("--chaos-rate", Fraction, Some("0.1"), "per-record corruption rate"),

@@ -23,8 +23,12 @@ use lpr_core::spill::{KeySpiller, SpilledKeys};
 use lpr_obs::json::JsonValue;
 use lpr_obs::{Recorder, StageGuard};
 use std::collections::BTreeSet;
-use std::io::Write;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A counting wrapper around the system allocator: relaxed atomics
 /// tracking requested and live heap bytes, read by the unsupported-body
@@ -1715,10 +1719,78 @@ fn batch_pipeline_render(
     lpr_serve::snapshot_pipeline_json(&out).render()
 }
 
+/// Trickling connections `lpr-bench serve` holds open through its soak.
+const SLOW_CLIENTS: usize = 4;
+/// Longest a `/healthz` probe may take while they are held.
+const HEALTHZ_DEADLINE: Duration = Duration::from_secs(1);
+
+/// [`SLOW_CLIENTS`] connections that send a request head one byte every
+/// 50 ms and never end it; each one the daemon cuts is reopened.
+struct SlowClients {
+    stop: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<u16>,
+}
+
+impl SlowClients {
+    fn start(addr: SocketAddr) -> SlowClients {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = stop.clone();
+        let open = move || -> Option<TcpStream> {
+            let mut stream = TcpStream::connect(addr).ok()?;
+            stream.write_all(b"GET /snapshot HTTP/1.1\r\nX-Pad: ").ok()?;
+            stream.set_nonblocking(true).ok()?;
+            Some(stream)
+        };
+        let thread = std::thread::spawn(move || {
+            let mut clients: Vec<_> = (0..SLOW_CLIENTS).map(|_| open()).collect();
+            let mut worst = 0u16;
+            let mut answer = [0u8; 512];
+            while !stopped.load(Ordering::SeqCst) {
+                for client in &mut clients {
+                    let cut = match client {
+                        None => true,
+                        Some(stream) => match stream.read(&mut answer) {
+                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                                stream.write_all(b"a").is_err()
+                            }
+                            Ok(n) if n > 0 => {
+                                // The daemon answered, a 408 at its
+                                // deadline.
+                                let status = std::str::from_utf8(&answer[..n])
+                                    .ok()
+                                    .and_then(|text| text.split_whitespace().nth(1)?.parse().ok())
+                                    .unwrap_or(599);
+                                worst = worst.max(status);
+                                true
+                            }
+                            _ => true,
+                        },
+                    };
+                    if cut {
+                        *client = open();
+                    }
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            worst
+        });
+        SlowClients { stop, thread }
+    }
+
+    /// Closes the connections; returns the worst status any was sent
+    /// (0 when the soak ended before the daemon's request deadline).
+    fn finish(self) -> u16 {
+        self.stop.store(true, Ordering::SeqCst);
+        self.thread.join().unwrap_or(599)
+    }
+}
+
 /// `lpr-bench serve` — the daemon soak: N cycles of clean +
 /// chaos-corrupted spool drops against a live `lpr serve`, with the
 /// acceptance gate from the robustness contract (clean-subset identity,
-/// complete quarantine, exact reconciliation, never a 5xx).
+/// complete quarantine, exact reconciliation, never a 5xx), while
+/// [`SlowClients`] trickle beside it and every `/healthz` probe answers
+/// within [`HEALTHZ_DEADLINE`].
 fn serve_soak(args: &Args) -> i32 {
     let cycles: usize = args.value("--cycles");
     let chaos_rate: f64 = args.value("--chaos-rate");
@@ -1781,6 +1853,8 @@ fn serve_soak(args: &Args) -> i32 {
         }
     };
 
+    let slow_clients = SlowClients::start(addr);
+    let mut healthz_within_deadline = true;
     let deadline = std::time::Duration::from_secs(60);
     let mut expected_kept: Vec<(u64, std::path::PathBuf)> = Vec::new();
     let mut expected_quarantined: Vec<String> = Vec::new();
@@ -1852,7 +1926,9 @@ fn serve_soak(args: &Args) -> i32 {
             }
             // Liveness probes between drops (the no-5xx clause covers
             // every route, not just /snapshot).
+            let probe = std::time::Instant::now();
             request("/healthz", &mut worst_status);
+            healthz_within_deadline &= probe.elapsed() <= HEALTHZ_DEADLINE;
             request("/readyz", &mut worst_status);
         }
     }
@@ -1862,6 +1938,7 @@ fn serve_soak(args: &Args) -> i32 {
     let metrics_body = request("/metrics", &mut worst_status);
     // An unknown path must 404, never 5xx.
     request("/definitely-not-a-route", &mut worst_status);
+    let slow_worst = slow_clients.finish();
     handle.stop();
 
     let doc = final_snapshot.as_deref().and_then(|b| lpr_obs::json::parse(b).ok());
@@ -1930,10 +2007,14 @@ fn serve_soak(args: &Args) -> i32 {
         eprintln!("FAIL: served snapshot diverges from the batch pipeline over the clean subset");
     }
 
-    // (d) never a 5xx.
-    let no_5xx = worst_status < 500;
+    // (d) never a 5xx, the slow clients' answers included, and
+    // liveness never held up behind them.
+    let no_5xx = worst_status < 500 && slow_worst < 500;
     if !no_5xx {
-        eprintln!("FAIL: observed HTTP status {worst_status}");
+        eprintln!("FAIL: observed HTTP status {}", worst_status.max(slow_worst));
+    }
+    if !healthz_within_deadline {
+        eprintln!("FAIL: a /healthz probe took longer than {HEALTHZ_DEADLINE:?}");
     }
     let metrics_sane = metrics_body
         .as_deref()
@@ -1945,7 +2026,12 @@ fn serve_soak(args: &Args) -> i32 {
             .and_then(|p| Some(p.get("fingerprint")?.as_str()?.to_string()))
             .unwrap_or_default()
     };
-    let passed = identical && quarantine_complete && reconciled && no_5xx && metrics_sane;
+    let passed = identical
+        && quarantine_complete
+        && reconciled
+        && no_5xx
+        && healthz_within_deadline
+        && metrics_sane;
     let report = JsonValue::Object(vec![
         ("bench".to_string(), JsonValue::Str("serve".to_string())),
         ("cycles".to_string(), JsonValue::Int(cycles as i128)),
@@ -1976,6 +2062,8 @@ fn serve_soak(args: &Args) -> i32 {
         ("reconciled".to_string(), JsonValue::Bool(reconciled)),
         ("worst_status".to_string(), JsonValue::Int(worst_status as i128)),
         ("no_5xx".to_string(), JsonValue::Bool(no_5xx)),
+        ("slow_clients".to_string(), JsonValue::Int(SLOW_CLIENTS as i128)),
+        ("healthz_within_deadline".to_string(), JsonValue::Bool(healthz_within_deadline)),
         ("metrics_exposed".to_string(), JsonValue::Bool(metrics_sane)),
         ("passed".to_string(), JsonValue::Bool(passed)),
     ]);

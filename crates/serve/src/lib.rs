@@ -8,14 +8,17 @@
 //! **windowed** [`lpr_core::IngestState`] (old cycles age out via
 //! [`lpr_core::IngestState::evict_before`] — no full recompute), and
 //! serves classification snapshots, per-AS reports, health and
-//! Prometheus metrics over a hand-rolled blocking HTTP/1.1 endpoint
-//! (the workspace is offline — no hyper, no tokio).
+//! Prometheus metrics over a hand-rolled HTTP/1.1 endpoint on
+//! `std::net` threads (the workspace is offline — no hyper, no tokio).
 //!
 //! ## Robustness contract
 //!
 //! - Every per-file ingest runs on a disposable worker thread under a
 //!   **timeout**, with bounded **retries** and exponential backoff plus
 //!   deterministic jitter. A panicking worker poisons only that file.
+//!   A timed-out worker runs on, abandoned; no new attempt on its file
+//!   starts until it exits, and `/healthz` counts those still running
+//!   (`abandoned_ingest_workers`).
 //! - Files that fail decode (corrupt bytes, failed conversions) are
 //!   **quarantined wholesale** — moved to `spool/quarantine/` with a
 //!   structured `*.reason.json` — and nothing from them is merged, so
@@ -27,6 +30,13 @@
 //! - The endpoint **never answers 5xx**: readiness and degradation are
 //!   body-level flags (`ready`, `degraded`), and the snapshot carries
 //!   an exact kept/quarantined reconciliation at all times.
+//! - Each request is served when it arrives. A thread blocks in
+//!   `accept` and hands each connection to a handler thread of its
+//!   own, at most [`http::MAX_IN_FLIGHT`] at once (429 with
+//!   `Retry-After` beyond). One deadline, [`http::REQUEST_DEADLINE`], covers reading
+//!   the head, routing and writing; a head not in by then is answered
+//!   408. A client that trickles bytes holds one handler, never the
+//!   endpoint.
 //!
 //! `lpr serve` is the CLI front end; `lpr-bench serve` soaks a live
 //! daemon against chaos-corrupted spool drops and diffs its snapshots

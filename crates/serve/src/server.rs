@@ -12,9 +12,10 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Everything the HTTP routes read; written by the reconcile loop.
@@ -25,6 +26,8 @@ struct Shared {
     /// At least one spool file is quarantined.
     degraded: AtomicBool,
     ticks: AtomicU64,
+    /// Timed-out ingest workers still running.
+    abandoned_workers: AtomicUsize,
     recorder: Recorder,
     /// Pre-rendered response bodies, swapped atomically per rebuild.
     snapshot: Mutex<Rendered>,
@@ -46,7 +49,7 @@ pub struct Server;
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -74,6 +77,7 @@ impl Server {
             ready: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
             ticks: AtomicU64::new(0),
+            abandoned_workers: AtomicUsize::new(0),
             recorder,
             snapshot: Mutex::new(Rendered {
                 snapshot: "{}".to_string(),
@@ -122,9 +126,12 @@ impl ServerHandle {
         self.shared.ticks.load(Ordering::SeqCst)
     }
 
-    /// Graceful shutdown: stops the loops and joins both threads.
+    /// Graceful shutdown: stops the loops, wakes the blocking accept
+    /// and joins both threads. Requests in flight finish first, each
+    /// within [`http::REQUEST_DEADLINE`].
     pub fn stop(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        http::wake(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -159,6 +166,10 @@ fn route(shared: &Shared, path: &str) -> Response {
                     "ticks".into(),
                     JsonValue::Int(shared.ticks.load(Ordering::SeqCst) as i128),
                 ),
+                (
+                    "abandoned_ingest_workers".into(),
+                    JsonValue::Int(shared.abandoned_workers.load(Ordering::SeqCst) as i128),
+                ),
             ])
             .render(),
         ),
@@ -190,7 +201,8 @@ enum Attempt {
     Io(String),
     /// The ingest worker panicked.
     Panicked(String),
-    /// The worker exceeded the ingest timeout and was abandoned.
+    /// The worker exceeded the ingest timeout. It runs on, abandoned,
+    /// and no new attempt on the file starts until it has exited.
     TimedOut,
 }
 
@@ -215,6 +227,9 @@ struct Reconciler {
     kept: Vec<String>,
     quarantined: Vec<(String, String)>,
     pending: BTreeMap<PathBuf, Pending>,
+    /// Timed-out workers and their files, joined once they exit; any
+    /// still running at shutdown are left to finish detached.
+    abandoned: Vec<(PathBuf, JoinHandle<()>)>,
 }
 
 impl Reconciler {
@@ -228,6 +243,7 @@ impl Reconciler {
             kept: Vec::new(),
             quarantined: Vec::new(),
             pending: BTreeMap::new(),
+            abandoned: Vec::new(),
         }
     }
 
@@ -262,6 +278,7 @@ impl Reconciler {
         if changed || self.shared.ticks.load(Ordering::SeqCst) == 0 {
             self.rebuild_snapshot();
         }
+        self.reap_abandoned();
         self.shared.recorder.counter(names::SERVE_RECONCILE_TICKS).inc();
     }
 
@@ -293,6 +310,10 @@ impl Reconciler {
     fn settle_file(&mut self, path: &Path) -> bool {
         let entry = self.pending.entry(path.to_path_buf()).or_default();
         if entry.not_before.is_some_and(|t| Instant::now() < t) {
+            return false;
+        }
+        // One worker per file: a retry waits for the timed-out one.
+        if self.abandoned.iter().any(|(p, w)| p == path && !w.is_finished()) {
             return false;
         }
 
@@ -378,29 +399,51 @@ impl Reconciler {
 
     /// One ingest attempt on a worker thread, bounded by the configured
     /// timeout. A panicking worker is caught; a timed-out worker is
-    /// abandoned (its result channel is dropped with it).
-    fn attempt_with_timeout(&self, path: &Path) -> Attempt {
+    /// kept in `abandoned` (its result goes nowhere) until it exits.
+    fn attempt_with_timeout(&mut self, path: &Path) -> Attempt {
         let (tx, rx) = mpsc::channel();
-        let path = path.to_path_buf();
+        let owned = path.to_path_buf();
         let rib = self.rib.clone();
         let threads = self.cfg.threads;
         let worker = std::thread::Builder::new()
             .name("lpr-serve-ingest".to_string())
             .spawn(move || {
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    attempt_ingest(&path, &rib, threads)
+                    attempt_ingest(&owned, &rib, threads)
                 }));
                 let _ = tx.send(match outcome {
                     Ok(attempt) => attempt,
                     Err(payload) => Attempt::Panicked(panic_message(&payload)),
                 });
             });
-        match worker {
-            Ok(_detached) => rx
-                .recv_timeout(self.cfg.ingest_timeout)
-                .unwrap_or(Attempt::TimedOut),
-            Err(e) => Attempt::Io(format!("spawn: {e}")),
+        let worker = match worker {
+            Ok(worker) => worker,
+            Err(e) => return Attempt::Io(format!("spawn: {e}")),
+        };
+        match rx.recv_timeout(self.cfg.ingest_timeout) {
+            Ok(attempt) => {
+                // The worker has sent its last word: the join is
+                // immediate, and it caught its own panic.
+                let _ = worker.join();
+                attempt
+            }
+            Err(_) => {
+                self.abandoned.push((path.to_path_buf(), worker));
+                Attempt::TimedOut
+            }
         }
+    }
+
+    /// Joins the abandoned workers that have exited and publishes how
+    /// many still run (once per tick, after every attempt of the tick).
+    fn reap_abandoned(&mut self) {
+        let (exited, running): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.abandoned).into_iter().partition(|(_, w)| w.is_finished());
+        for (_, worker) in exited {
+            let _ = worker.join();
+        }
+        self.abandoned = running;
+        self.shared.abandoned_workers.store(self.abandoned.len(), Ordering::SeqCst);
     }
 
     /// Moves `path` into `spool/quarantine/` with a structured
