@@ -19,7 +19,7 @@ use lpr_bench::cli::{self, Args};
 use lpr_bench::{campaign_fingerprint, GOLDEN_CAMPAIGN_FNV};
 use lpr_core::pipeline::{IngestState, PersistenceWindow, Pipeline};
 use lpr_core::prelude::*;
-use lpr_core::spill::{KeySpiller, SpilledKeys};
+use lpr_core::spill::{spill_keys, SpilledKeys};
 use lpr_obs::json::JsonValue;
 use lpr_obs::{Recorder, StageGuard};
 use std::collections::BTreeSet;
@@ -218,20 +218,6 @@ fn bytes_on_disk(paths: &[PathBuf]) -> u64 {
     paths.iter().filter_map(|p| std::fs::metadata(p).ok()).map(|m| m.len()).sum()
 }
 
-/// Writes one future snapshot's LSP keys as the sorted spill file
-/// `<dir>/next{index}.spill`.
-fn spill_keys(
-    dir: &Path,
-    index: usize,
-    keys: &BTreeSet<LspKey>,
-) -> std::io::Result<SpilledKeys> {
-    let mut spiller = KeySpiller::new(dir, &format!("next{index}"))?;
-    for key in keys {
-        spiller.push(key)?;
-    }
-    spiller.finish()
-}
-
 /// What a pipeline head hands the shared tail: the cycle as corpus
 /// files, its persistence window as spill files, and the verdicts of
 /// the checks the head ran.
@@ -394,7 +380,7 @@ fn demo_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, Strin
     let spilled = future
         .iter()
         .enumerate()
-        .map(|(i, keys)| spill_keys(&tmp.join("spill"), i, keys))
+        .map(|(i, keys)| spill_keys(keys.iter().cloned(), &tmp.join("spill"), &format!("next{i}")))
         .collect::<std::io::Result<Vec<_>>>()
         .map_err(|e| format!("key spill: {e}"))?;
     Ok(Head {
@@ -449,7 +435,7 @@ fn scaled_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, Str
         } else {
             let stage = StageGuard::open(Some(recorder), "SpillFutureKeys");
             let keys = Pipeline::snapshot_keys_par(&traces, threads);
-            let sp = spill_keys(&tmp.join("spill"), snap - 1, &keys)
+            let sp = spill_keys(keys, &tmp.join("spill"), &format!("next{}", snap - 1))
                 .map_err(|e| format!("key spill: {e}"))?;
             stage.finish_counts(n, sp.count);
             spilled.push(sp);

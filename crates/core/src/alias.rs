@@ -80,7 +80,6 @@ mod tests {
                     LspHop::new(ip(o), LabelStack::from_entries(&[Lse::transit(l, 255)]))
                 })
                 .collect(),
-            dst: Ipv4Addr::new(192, 0, 2, 1),
             dst_asn: Some(Asn(dst_asn)),
         }
     }

@@ -138,7 +138,6 @@ pub fn merge_router_level(iotps: &[Iotp], aliases: &AliasSets) -> Vec<(Iotp, usi
                 ingress: key.ingress,
                 egress: key.egress,
                 hops: b.hops.clone(),
-                dst: Ipv4Addr::UNSPECIFIED,
                 dst_asn: b.dst_asns.iter().next().copied(),
             };
             entry.0.absorb(&lsp);
@@ -182,7 +181,6 @@ mod tests {
                     LspHop::new(ip(o), LabelStack::from_entries(&[Lse::transit(l, 255)]))
                 })
                 .collect(),
-            dst: Ipv4Addr::new(192, 0, 2, 1),
             dst_asn: Some(Asn(dst_asn)),
         }
     }

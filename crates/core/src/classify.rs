@@ -206,7 +206,6 @@ mod tests {
                     LspHop::new(ip(o), LabelStack::from_entries(&[Lse::transit(l, 255)]))
                 })
                 .collect(),
-            dst: Ipv4Addr::new(192, 0, 2, 1),
             dst_asn: Some(Asn(dst_asn)),
         }
     }
@@ -319,7 +318,6 @@ mod tests {
                 ip(3),
                 LabelStack::from_entries(&[Lse::transit(100, 255), Lse::transit(inner, 255)]),
             )],
-            dst: Ipv4Addr::new(192, 0, 2, 1),
             dst_asn: Some(Asn(dst)),
         };
         let iotp = iotp_of(&[mk(7, 1), mk(8, 2)]);

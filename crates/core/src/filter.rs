@@ -21,7 +21,9 @@
 //!    the set is reinjected and the AS tagged *dynamic* (§4.5).
 
 use crate::lsp::{Asn, Iotp, IotpKey, Lsp, LspHop, LspKey};
-use crate::tunnel::RawTunnel;
+use crate::quarantine::validate_trace;
+use crate::trace::Trace;
+use crate::tunnel::{extract_tunnels_into, RawTunnel};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -81,8 +83,9 @@ impl FilterStage {
 #[derive(Clone, Debug)]
 pub struct FilterConfig {
     /// Persistence window `j`: an LSP of cycle X survives if re-observed
-    /// in X+1, …, X+j. `0` disables the Persistence filter. The paper
-    /// settles on `j = 2` (§4.2).
+    /// in X+1, …, X+j. `0` disables the Persistence filter, as does a
+    /// run given no follow-up snapshots. The paper settles on `j = 2`
+    /// (§4.2).
     pub persistence_window: usize,
     /// Fraction of an AS's LSPs that must disappear for the dynamic
     /// reinjection of §4.5 to trigger. The paper reinjects only when the
@@ -198,7 +201,6 @@ pub fn attribute_and_filter(
                 .iter()
                 .map(|(a, s)| LspHop::new(*a, s.clone()))
                 .collect(),
-            dst: t.dst,
             dst_asn,
         });
     }
@@ -263,22 +265,24 @@ pub fn persistence(
 }
 
 /// The per-LSP half of the Persistence filter: `flags[i]` is whether
-/// `lsps[i]` is re-observed inside the window. This is the expensive
-/// part — [`Lsp::key`] allocates the full signature — and is a pure
-/// per-item map, so the parallel pipeline shards it.
+/// `lsps[i]` is re-observed inside the window. A window of no snapshots
+/// keeps every LSP. Keys are probed as bytes from one reused buffer, so
+/// nothing is allocated per LSP; the map is pure per item, so the
+/// parallel pipeline shards it.
 pub fn persistent_flags(
     lsps: &[Lsp],
     future_keys: &[BTreeSet<LspKey>],
     config: &FilterConfig,
 ) -> Vec<bool> {
-    if config.persistence_window == 0 {
+    let window = &future_keys[..config.persistence_window.min(future_keys.len())];
+    if window.is_empty() {
         return vec![true; lsps.len()];
     }
-    let window = &future_keys[..config.persistence_window.min(future_keys.len())];
+    let mut key = Vec::new();
     lsps.iter()
         .map(|l| {
-            let key = l.key();
-            window.iter().any(|cycle| cycle.contains(&key))
+            l.encode_key(&mut key);
+            window.iter().any(|cycle| cycle.contains(key.as_slice()))
         })
         .collect()
 }
@@ -349,23 +353,39 @@ pub fn build_iotps(lsps: &[Lsp], keep: &[IotpKey]) -> Vec<Iotp> {
     map.into_values().collect()
 }
 
-/// Computes the LSP keys present in a set of traces: the per-snapshot
-/// sets the Persistence filter matches against. Only complete tunnels
-/// count (an incomplete re-observation cannot confirm an LSP).
-pub fn lsp_keys_of_tunnels(tunnels: &[RawTunnel]) -> BTreeSet<LspKey> {
-    tunnels
-        .iter()
-        .filter(|t| t.is_complete() && !t.lsrs.is_empty())
-        .map(|t| LspKey {
-            ingress: t.ingress.expect("complete"),
-            egress: t.egress.expect("complete"),
-            signature: t
-                .lsrs
-                .iter()
-                .map(|(a, s)| (*a, s.label_values()))
-                .collect(),
-        })
-        .collect()
+/// Builds one snapshot's LSP key set, the set the Persistence filter
+/// matches against, one trace at a time. Only complete tunnels of valid
+/// traces count: a quarantined trace or an incomplete re-observation
+/// cannot confirm an LSP. Tunnels and key bytes go into reused buffers,
+/// and a key is allocated only when it is new.
+#[derive(Debug, Default)]
+pub struct KeySetBuilder {
+    keys: BTreeSet<LspKey>,
+    tunnels: Vec<RawTunnel>,
+    key: Vec<u8>,
+}
+
+impl KeySetBuilder {
+    /// Adds the keys of one trace's complete tunnels.
+    pub fn push_trace(&mut self, trace: &Trace) {
+        if validate_trace(trace).is_err() {
+            return;
+        }
+        self.tunnels.clear();
+        extract_tunnels_into(trace, &mut self.tunnels);
+        for t in self.tunnels.iter().filter(|t| t.is_complete() && !t.lsrs.is_empty()) {
+            let (ingress, egress) = (t.ingress.expect("complete"), t.egress.expect("complete"));
+            LspKey::encode(ingress, egress, t.lsrs.iter().map(|(a, s)| (*a, s)), &mut self.key);
+            if !self.keys.contains(self.key.as_slice()) {
+                self.keys.insert(LspKey::from_encoded(&self.key));
+            }
+        }
+    }
+
+    /// The key set.
+    pub fn finish(self) -> BTreeSet<LspKey> {
+        self.keys
+    }
 }
 
 #[cfg(test)]
@@ -465,7 +485,6 @@ mod tests {
                     )
                 })
                 .collect(),
-            dst: Ipv4Addr::new(192, 0, 2, 1),
             dst_asn: Some(Asn(dst_asn)),
         }
     }

@@ -110,7 +110,6 @@ mod tests {
                     ip(2 + i as u8),
                     LabelStack::from_entries(&[Lse::transit(l, 255)]),
                 )],
-                dst: Ipv4Addr::new(192, 0, 2, 1),
                 dst_asn: Some(Asn(100 + i as u32)),
             });
         }

@@ -13,6 +13,7 @@
 //! labels), cf. Fig. 2 of the paper.
 
 use crate::label::{Label, LabelStack};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -56,7 +57,7 @@ impl LspHop {
     }
 
     /// Whether two observations agree on the part LPR compares: the
-    /// address and the label values (what [`LspKey`] holds), compared
+    /// address and the label values (what [`LspKey`] encodes), compared
     /// in place.
     pub(crate) fn same_signature(&self, other: &LspHop) -> bool {
         self.addr == other.addr && self.stack.same_labels(&other.stack)
@@ -75,14 +76,54 @@ impl fmt::Debug for LspHop {
 ///
 /// Two observations with the same key are the *same* LSP, regardless of
 /// which trace, destination, or monitor produced them.
+///
+/// The key is the byte string [`LspKey::encode`] writes, the one place
+/// the format is decided (the spill stores the same bytes). `Ord` is
+/// byte order; `Borrow<[u8]>` lets a key set answer `contains` for an
+/// encoding held in a reused buffer.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct LspKey {
-    /// Ingress LER address.
-    pub ingress: Ipv4Addr,
-    /// Egress LER address.
-    pub egress: Ipv4Addr,
-    /// Per-LSR (address, label values) signature.
-    pub signature: Vec<(Ipv4Addr, Vec<Label>)>,
+pub struct LspKey(Box<[u8]>);
+
+impl LspKey {
+    /// Writes the key of the LSP `ingress → hops → egress` into `out`
+    /// (cleared first): `ingress ‖ egress ‖ u32 hop count ‖ per hop:
+    /// addr ‖ u32 label count ‖ labels`, all big-endian. Fixed widths
+    /// and length prefixes make it injective: byte equality is key
+    /// equality. Of each hop's stack only the label values count.
+    pub fn encode<'a>(
+        ingress: Ipv4Addr,
+        egress: Ipv4Addr,
+        hops: impl ExactSizeIterator<Item = (Ipv4Addr, &'a LabelStack)>,
+        out: &mut Vec<u8>,
+    ) {
+        out.clear();
+        out.extend_from_slice(&ingress.octets());
+        out.extend_from_slice(&egress.octets());
+        out.extend_from_slice(&(hops.len() as u32).to_be_bytes());
+        for (addr, stack) in hops {
+            out.extend_from_slice(&addr.octets());
+            out.extend_from_slice(&(stack.depth() as u32).to_be_bytes());
+            for lse in stack.entries() {
+                out.extend_from_slice(&lse.label.value().to_be_bytes());
+            }
+        }
+    }
+
+    /// The key [`LspKey::encode`] wrote into `bytes`.
+    pub(crate) fn from_encoded(bytes: &[u8]) -> Self {
+        LspKey(bytes.into())
+    }
+
+    /// The key's bytes, as the spill stores them.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl Borrow<[u8]> for LspKey {
+    fn borrow(&self) -> &[u8] {
+        &self.0
+    }
 }
 
 /// A single observed Label Switched Path through one AS.
@@ -96,20 +137,23 @@ pub struct Lsp {
     pub egress: Ipv4Addr,
     /// Intermediate LSRs, in path order (LERs excluded).
     pub hops: Vec<LspHop>,
-    /// Destination of the traceroute that revealed this LSP.
-    pub dst: Ipv4Addr,
-    /// AS of that destination (`None` if unmapped).
+    /// AS of the destination of the traceroute that revealed this LSP
+    /// (`None` if unmapped).
     pub dst_asn: Option<Asn>,
 }
 
 impl Lsp {
+    /// Writes this LSP's key into a reused buffer (see [`LspKey::encode`]).
+    pub fn encode_key(&self, out: &mut Vec<u8>) {
+        let hops = self.hops.iter().map(|h| (h.addr, &h.stack));
+        LspKey::encode(self.ingress, self.egress, hops, out);
+    }
+
     /// The LSP's deduplication/persistence key.
     pub fn key(&self) -> LspKey {
-        LspKey {
-            ingress: self.ingress,
-            egress: self.egress,
-            signature: self.hops.iter().map(|h| (h.addr, h.labels())).collect(),
-        }
+        let mut bytes = Vec::new();
+        self.encode_key(&mut bytes);
+        LspKey(bytes.into())
     }
 
     /// The IOTP this LSP belongs to.
@@ -229,7 +273,6 @@ mod tests {
                     LspHop::new(ip(o), LabelStack::from_entries(&[Lse::transit(l, 255)]))
                 })
                 .collect(),
-            dst: Ipv4Addr::new(192, 0, 2, 1),
             dst_asn: Some(Asn(dst_asn)),
         }
     }
@@ -280,6 +323,26 @@ mod tests {
         assert_eq!(iotp.width(), 2);
         assert_eq!(iotp.branches[0].observations, 2);
         assert_eq!(iotp.branches[1].hops, c.hops);
+    }
+
+    #[test]
+    fn lsp_key_bytes_follow_the_documented_layout() {
+        let mut l = lsp(&[(2, 100)], 1);
+        l.hops.push(LspHop::new(ip(3), LabelStack::empty()));
+        let expect = [
+            &[10, 0, 0, 1][..],
+            &[10, 0, 0, 9],
+            &2u32.to_be_bytes(),
+            &[10, 0, 0, 2],
+            &1u32.to_be_bytes(),
+            &100u32.to_be_bytes(),
+            &[10, 0, 0, 3],
+            &0u32.to_be_bytes(),
+        ]
+        .concat();
+        assert_eq!(l.key().as_bytes(), expect);
+        let set: BTreeSet<LspKey> = [l.key()].into_iter().collect();
+        assert!(set.contains(expect.as_slice()));
     }
 
     #[test]

@@ -101,7 +101,6 @@ mod tests {
                         )
                     })
                     .collect(),
-                dst: Ipv4Addr::new(192, 0, 2, 1),
                 dst_asn: Some(Asn(100 + bi as u32)),
             };
             iotp.absorb(&lsp);

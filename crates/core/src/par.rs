@@ -20,13 +20,12 @@
 //! so [`Pipeline::run`] is this same path at one thread, not a separate
 //! sequential implementation.
 
-use crate::filter::{lsp_keys_of_tunnels, AsMapper};
+use crate::filter::{AsMapper, KeySetBuilder};
 use crate::lsp::LspKey;
 use crate::pipeline::{IngestState, Pipeline};
 use crate::quarantine::QuarantineReason;
 use crate::stream::CycleAccumulator;
 use crate::trace::Trace;
-use crate::tunnel::RawTunnel;
 use lpr_par::ShardOptions;
 use std::collections::BTreeSet;
 
@@ -97,20 +96,18 @@ impl IngestState {
 
 impl Pipeline {
     /// The per-snapshot LSP key set the Persistence filter matches
-    /// against, computed by sharding traces across `threads` workers
-    /// and unioning the per-shard key sets (a set union is
-    /// order-insensitive, so the result is identical at any thread
-    /// count). Quarantined traces contribute no keys, matching what an
-    /// ingest run over the same snapshot would keep.
+    /// against, built by one [`KeySetBuilder`] per shard of traces and
+    /// unioned (a set union is order-insensitive, so the result is
+    /// identical at any thread count). Quarantined traces contribute no
+    /// keys, matching what an ingest run over the same snapshot would
+    /// keep.
     pub fn snapshot_keys_par(traces: &[Trace], threads: usize) -> BTreeSet<LspKey> {
         let run = lpr_par::map_shards(traces, ShardOptions::new(threads), |_, shard| {
-            let mut tunnels: Vec<RawTunnel> = Vec::new();
+            let mut keys = KeySetBuilder::default();
             for trace in shard {
-                if crate::quarantine::validate_trace(trace).is_ok() {
-                    crate::tunnel::extract_tunnels_into(trace, &mut tunnels);
-                }
+                keys.push_trace(trace);
             }
-            lsp_keys_of_tunnels(&tunnels)
+            keys.finish()
         });
         let mut keys = BTreeSet::new();
         for shard in run.outputs {

@@ -378,8 +378,8 @@ impl Pipeline {
     ///
     /// `future_keys` carries, for each of the following snapshots of the
     /// same month (in order), the set of LSP keys observed there; it
-    /// feeds the Persistence filter. Pass `&[]` (with
-    /// `persistence_window = 0`) to skip persistence, as Fig. 16 does.
+    /// feeds the Persistence filter. Pass `&[]` to skip persistence, as
+    /// Fig. 16 does: a window of no snapshots keeps every LSP.
     /// For more threads or telemetry, compose
     /// [`IngestState::from_traces`] and [`Pipeline::finish_stages`]
     /// directly.
@@ -467,8 +467,8 @@ impl Pipeline {
         stage.finish_counts(input, lsps.len() as u64);
         report.remaining.insert(FilterStage::TransitDiversity, lsps.len());
 
-        // Persistence. The expensive per-LSP half (LspKey construction +
-        // window probes) shards across workers; the order-sensitive
+        // Persistence. The expensive per-LSP half (key encoding + window
+        // probes) shards across workers; the order-sensitive
         // partition and the per-AS dynamic reinjection stay sequential.
         let stage = StageGuard::open(recorder, FilterStage::Persistence.name());
         let flags: Vec<bool> = match window {
@@ -693,6 +693,31 @@ mod tests {
         assert_eq!(out.report.remaining[&FilterStage::Persistence], 0);
         assert!(out.dynamic_ases.contains(&Asn(1)));
         assert_eq!(out.iotps.len(), 1);
+    }
+
+    #[test]
+    fn a_window_of_no_snapshots_applies_no_persistence_filter() {
+        // What `lpr serve` runs: a state merged from two cycles, the
+        // default j = 2 and no follow-up key sets. Every LSP passes
+        // Persistence and no AS is tagged dynamic, exactly as at j = 0.
+        let one = lpr_par::ShardOptions::new(1);
+        let mut window = IngestState::default();
+        for (cycle, labels) in [[100, 200], [101, 201]].into_iter().enumerate() {
+            let traces = vec![
+                mpls_trace(Ipv4Addr::new(192, 0, 2, 7), labels, [2, 3]),
+                mpls_trace(Ipv4Addr::new(198, 51, 100, 7), labels, [2, 3]),
+            ];
+            let mut state = IngestState::from_traces(&traces, &mapper, None, one);
+            state.tag_cycle(cycle as u64);
+            window.merge(state);
+        }
+        let out = Pipeline::default().finish_stages(window.clone(), &[], None, one);
+        let diverse = out.report.remaining[&FilterStage::TransitDiversity];
+        assert_eq!(diverse, 4);
+        assert_eq!(out.report.remaining[&FilterStage::Persistence], diverse);
+        assert!(out.dynamic_ases.is_empty());
+        let j0 = Pipeline::new(FilterConfig { persistence_window: 0, ..Default::default() });
+        assert_eq!(out, j0.finish_stages(window, &[], None, one));
     }
 
     #[test]

@@ -3,23 +3,23 @@
 //! At paper scale a persistence window holds millions of [`LspKey`]s per
 //! future snapshot; keeping `j` such [`std::collections::BTreeSet`]s in
 //! memory defeats an out-of-core ingest. This module spills each
-//! snapshot's keys to a single **sorted** file of length-prefixed byte
-//! encodings and answers the Persistence filter's membership question
-//! with one sequential merge-join pass per snapshot:
+//! snapshot's keys to a single **sorted** file of length-prefixed key
+//! bytes ([`LspKey::as_bytes`]) and answers the Persistence filter's
+//! membership question with one sequential merge-join pass per
+//! snapshot:
 //!
-//! 1. [`KeySpiller`] buffers a bounded number of encoded keys, sorts and
-//!    dedups each full buffer into a run file, and k-way merges the runs
-//!    into one sorted `<label>.spill` file on
-//!    [`KeySpiller::finish`] — classic external sort, peak memory is the
-//!    run buffer.
-//! 2. [`persistent_flags_spilled`] encodes the cycle's surviving LSP
-//!    keys once, sorts them, and streams each snapshot's spill file with
-//!    a two-pointer walk — no per-probe seeks, O(L log L) CPU plus one
+//! 1. [`KeySpiller`] buffers a bounded number of keys, sorts and dedups
+//!    each full buffer into a run file, and k-way merges the runs into
+//!    one sorted `<label>.spill` file on [`KeySpiller::finish`] —
+//!    classic external sort, peak memory is the run buffer.
+//! 2. [`persistent_flags_spilled`] takes the cycle's surviving LSP keys
+//!    once, sorts them, and streams each snapshot's spill file with a
+//!    two-pointer walk — no per-probe seeks, O(L log L) CPU plus one
 //!    sequential read of the window.
 //!
-//! The byte encoding ([`encode_key`]) is injective, so spilled
-//! membership is *exactly* set membership: for any window,
-//! [`persistent_flags_spilled`] equals
+//! A key is its injective byte string and its `Ord` is byte order, so
+//! the file order is key order and spilled membership is *exactly* set
+//! membership: for any window, [`persistent_flags_spilled`] equals
 //! [`crate::filter::persistent_flags`] over the same key sets (see the
 //! equivalence test below).
 
@@ -29,28 +29,9 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Encoded keys buffered in memory before a sorted run is written
-/// (bounds the spiller's peak memory).
+/// Keys buffered in memory before a sorted run is written (bounds the
+/// spiller's peak memory).
 pub const RUN_CAPACITY: usize = 64 * 1024;
-
-/// Appends the injective byte encoding of `key` to `out` (cleared
-/// first): `ingress ‖ egress ‖ u32 hop count ‖ per hop: addr ‖ u32
-/// label count ‖ labels`, all big-endian. Fixed widths plus length
-/// prefixes make the encoding prefix-free per field, so byte equality
-/// is key equality.
-pub fn encode_key(key: &LspKey, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(&key.ingress.octets());
-    out.extend_from_slice(&key.egress.octets());
-    out.extend_from_slice(&(key.signature.len() as u32).to_be_bytes());
-    for (addr, labels) in &key.signature {
-        out.extend_from_slice(&addr.octets());
-        out.extend_from_slice(&(labels.len() as u32).to_be_bytes());
-        for l in labels {
-            out.extend_from_slice(&l.value().to_be_bytes());
-        }
-    }
-}
 
 /// One future snapshot's LSP keys, spilled to a sorted on-disk file.
 #[derive(Clone, Debug)]
@@ -64,25 +45,21 @@ pub struct SpilledKeys {
 }
 
 impl SpilledKeys {
-    /// Marks `flags[idx] = true` for every probe `(encoded, idx)` whose
-    /// encoding appears in this spill file. `probes` must be sorted by
-    /// encoded bytes (duplicates allowed); one sequential pass over the
-    /// file, no seeks.
-    pub fn mark_members(
-        &self,
-        probes: &[(Vec<u8>, usize)],
-        flags: &mut [bool],
-    ) -> io::Result<()> {
+    /// Marks `flags[idx] = true` for every probe `(key, idx)` whose key
+    /// appears in this spill file. `probes` must be sorted by key
+    /// (duplicates allowed); one sequential pass over the file, no
+    /// seeks.
+    pub fn mark_members(&self, probes: &[(LspKey, usize)], flags: &mut [bool]) -> io::Result<()> {
         if probes.is_empty() {
             return Ok(());
         }
         let mut reader = RunReader::open(&self.path)?;
         let mut i = 0usize;
         while let Some(key) = reader.next_key()? {
-            while i < probes.len() && probes[i].0.as_slice() < key.as_slice() {
+            while i < probes.len() && probes[i].0.as_bytes() < key.as_slice() {
                 i += 1;
             }
-            while i < probes.len() && probes[i].0.as_slice() == key.as_slice() {
+            while i < probes.len() && probes[i].0.as_bytes() == key.as_slice() {
                 flags[probes[i].1] = true;
                 i += 1;
             }
@@ -104,9 +81,8 @@ impl SpilledKeys {
 pub struct KeySpiller {
     dir: PathBuf,
     label: String,
-    buf: Vec<Vec<u8>>,
+    buf: Vec<LspKey>,
     runs: Vec<PathBuf>,
-    scratch: Vec<u8>,
     run_capacity: usize,
 }
 
@@ -120,7 +96,6 @@ impl KeySpiller {
             label: label.to_string(),
             buf: Vec::new(),
             runs: Vec::new(),
-            scratch: Vec::new(),
             run_capacity: RUN_CAPACITY,
         })
     }
@@ -134,11 +109,8 @@ impl KeySpiller {
 
     /// Adds one key (duplicates are welcome; the spill file stores each
     /// key once).
-    pub fn push(&mut self, key: &LspKey) -> io::Result<()> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        encode_key(key, &mut scratch);
-        self.buf.push(scratch.clone());
-        self.scratch = scratch;
+    pub fn push(&mut self, key: LspKey) -> io::Result<()> {
+        self.buf.push(key);
         if self.buf.len() >= self.run_capacity {
             self.flush_run()?;
         }
@@ -154,7 +126,7 @@ impl KeySpiller {
         let path = self.dir.join(format!("{}-run{}.spillrun", self.label, self.runs.len()));
         let mut w = BufWriter::new(File::create(&path)?);
         for key in &self.buf {
-            write_record(&mut w, key)?;
+            write_record(&mut w, key.as_bytes())?;
         }
         w.flush()?;
         self.buf.clear();
@@ -226,40 +198,33 @@ impl RunReader {
 /// The spilled counterpart of [`crate::filter::persistent_flags`]:
 /// `flags[i]` is whether `lsps[i]`'s key appears in at least one of the
 /// window's spill files. Identical semantics — window truncated to
-/// `config.persistence_window` snapshots, `persistence_window == 0`
+/// `config.persistence_window` snapshots, and a window of no snapshots
 /// keeps everything — via one merge-join pass per snapshot.
 pub fn persistent_flags_spilled(
     lsps: &[Lsp],
     window: &[SpilledKeys],
     config: &FilterConfig,
 ) -> io::Result<Vec<bool>> {
-    if config.persistence_window == 0 {
+    let window = &window[..config.persistence_window.min(window.len())];
+    if window.is_empty() {
         return Ok(vec![true; lsps.len()]);
     }
-    let window = &window[..config.persistence_window.min(window.len())];
-    let mut flags = vec![false; lsps.len()];
-    if window.is_empty() || lsps.is_empty() {
-        return Ok(flags);
+    let (mut key, mut probes) = (Vec::new(), Vec::with_capacity(lsps.len()));
+    for (i, l) in lsps.iter().enumerate() {
+        l.encode_key(&mut key);
+        probes.push((LspKey::from_encoded(&key), i));
     }
-    let mut probes: Vec<(Vec<u8>, usize)> = lsps
-        .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            let mut b = Vec::new();
-            encode_key(&l.key(), &mut b);
-            (b, i)
-        })
-        .collect();
     probes.sort_unstable();
+    let mut flags = vec![false; lsps.len()];
     for snapshot in window {
         snapshot.mark_members(&probes, &mut flags)?;
     }
     Ok(flags)
 }
 
-/// Spills an iterator of keys under `dir` as `<label>.spill`.
-pub fn spill_keys<'a>(
-    keys: impl IntoIterator<Item = &'a LspKey>,
+/// Spills keys under `dir` as `<label>.spill`.
+pub fn spill_keys(
+    keys: impl IntoIterator<Item = LspKey>,
     dir: &Path,
     label: &str,
 ) -> io::Result<SpilledKeys> {
@@ -298,7 +263,6 @@ mod tests {
                     )
                 })
                 .collect(),
-            dst: Ipv4Addr::new(192, 0, 2, 1),
             dst_asn: Some(Asn(100)),
         }
     }
@@ -309,21 +273,65 @@ mod tests {
         dir
     }
 
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// An LSP of `hops` LSRs, each quoting `depth` labels.
+    fn stacked(asn: u8, hops: usize, depth: usize) -> Lsp {
+        Lsp {
+            asn: Asn(asn as u32),
+            ingress: ip(asn, 1),
+            egress: ip(asn, 9),
+            hops: (0..hops)
+                .map(|h| {
+                    let label = |d: usize| 16 + 100 * asn as u32 + 10 * h as u32 + d as u32;
+                    let stack = (0..depth).map(|d| Lse::transit(label(d), 255)).collect();
+                    LspHop::new(ip(asn, 2 + h as u8), stack)
+                })
+                .collect(),
+            dst_asn: Some(Asn(100)),
+        }
+    }
+
+    /// The spill file format is the key format: these sums were taken
+    /// from the files written when the spill encoded keys itself, and
+    /// every later writer must reproduce them byte for byte.
+    #[test]
+    fn spill_bytes_are_pinned() {
+        let dir = tmp("pinned");
+        let two_label: BTreeSet<LspKey> =
+            (1..=30u8).map(|a| lsp(a, &[a as u32 * 10, a as u32 * 10 + 1]).key()).collect();
+        let mixed: BTreeSet<LspKey> = (1..=6u8)
+            .flat_map(|a| (1..=4).flat_map(move |h| (0..=3).map(move |d| stacked(a, h, d).key())))
+            .collect();
+        let bytes = |keys: &BTreeSet<LspKey>, label: &str| {
+            std::fs::read(spill_keys(keys.iter().cloned(), &dir, label).unwrap().path).unwrap()
+        };
+        let two = bytes(&two_label, "two");
+        let mix = bytes(&mixed, "mixed");
+        assert_eq!((two.len(), fnv1a(&two)), (1200, 0xef4d_28fb_336e_75ad));
+        assert_eq!((mix.len(), fnv1a(&mix)), (4896, 0xd635_fef3_6bfa_b5fd));
+        // A multi-run merge writes the same bytes as one sorted run.
+        let mut spiller = KeySpiller::new(&dir, "runs").unwrap().with_run_capacity(4);
+        for key in mixed.iter().rev() {
+            spiller.push(key.clone()).unwrap();
+        }
+        assert_eq!(std::fs::read(spiller.finish().unwrap().path).unwrap(), mix);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn encoding_is_injective_on_distinct_keys() {
         // Keys engineered so a naive (unprefixed) concatenation would
         // collide: hop boundaries move but the flat byte content cannot.
         let a = lsp(1, &[100, 200]).key();
         let b = lsp(1, &[100]).key();
-        let mut ea = Vec::new();
-        let mut eb = Vec::new();
-        encode_key(&a, &mut ea);
-        encode_key(&b, &mut eb);
-        assert_ne!(ea, eb);
+        assert_ne!(a.as_bytes(), b.as_bytes());
         // Same key encodes identically.
-        let mut ea2 = Vec::new();
-        encode_key(&lsp(1, &[100, 200]).key(), &mut ea2);
-        assert_eq!(ea, ea2);
+        assert_eq!(a.as_bytes(), lsp(1, &[100, 200]).key().as_bytes());
     }
 
     #[test]
@@ -340,7 +348,7 @@ mod tests {
         let spilled: Vec<SpilledKeys> = mem
             .iter()
             .enumerate()
-            .map(|(i, s)| spill_keys(s.iter(), &dir, &format!("snap{i}")).unwrap())
+            .map(|(i, s)| spill_keys(s.iter().cloned(), &dir, &format!("snap{i}")).unwrap())
             .collect();
 
         let config = FilterConfig::default();
@@ -349,12 +357,15 @@ mod tests {
         assert_eq!(got, expect);
         assert_eq!(got.iter().filter(|&&f| f).count(), 20);
 
-        // Window-0 keeps everything in both paths.
+        // Window-0, and a window of no snapshots, keep everything in
+        // both paths.
         let none = FilterConfig { persistence_window: 0, ..Default::default() };
         assert_eq!(
             persistent_flags_spilled(&lsps, &spilled, &none).unwrap(),
             persistent_flags(&lsps, &mem, &none),
         );
+        assert_eq!(persistent_flags_spilled(&lsps, &[], &config).unwrap(), vec![true; 30]);
+        assert_eq!(persistent_flags(&lsps, &[], &config), vec![true; 30]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -368,7 +379,7 @@ mod tests {
         for round in 0..2 {
             for a in 1..=25u8 {
                 let a = if round == 0 { a } else { 26 - a };
-                spiller.push(&lsp(a, &[7]).key()).unwrap();
+                spiller.push(lsp(a, &[7]).key()).unwrap();
             }
         }
         let spilled = spiller.finish().unwrap();
@@ -394,8 +405,8 @@ mod tests {
     fn window_truncation_matches_config() {
         let dir = tmp("window");
         let key = lsp(1, &[5]).key();
-        let empty = spill_keys([].iter(), &dir, "empty").unwrap();
-        let hit = spill_keys([key].iter(), &dir, "hit").unwrap();
+        let empty = spill_keys([], &dir, "empty").unwrap();
+        let hit = spill_keys([key], &dir, "hit").unwrap();
         let lsps = vec![lsp(1, &[5])];
         // j = 1 sees only the empty first snapshot.
         let j1 = FilterConfig { persistence_window: 1, ..Default::default() };

@@ -1,10 +1,11 @@
 //! Property tests for the LPR classification: random IOTPs are checked
 //! against a naive reference implementation of Algorithm 1, plus
-//! structural invariances (branch order, duplicate observations).
+//! structural invariances (branch order, duplicate observations). The
+//! LSP key's byte encoding is checked against a nested reference key.
 
 use lpr_core::classify::{classify_iotp, Class, MonoFecKind};
 use lpr_core::label::{Label, LabelStack, Lse};
-use lpr_core::lsp::{Asn, Iotp, IotpKey, Lsp, LspHop};
+use lpr_core::lsp::{Asn, Iotp, IotpKey, Lsp, LspHop, LspKey};
 use lpr_core::metrics::IotpMetrics;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,7 +26,6 @@ fn arb_lsp(dst_asn: u32) -> impl Strategy<Value = Lsp> {
             .into_iter()
             .map(|(o, l)| LspHop::new(ip(o), LabelStack::from_entries(&[Lse::transit(l, 255)])))
             .collect(),
-        dst: Ipv4Addr::new(192, 0, 2, 1),
         dst_asn: Some(Asn(dst_asn)),
     })
 }
@@ -77,6 +77,122 @@ fn reference_class(iotp: &Iotp) -> Class {
     }
 }
 
+/// The nested form `LspKey` had before it became its byte encoding: the
+/// reference that encoding's equality must agree with.
+#[derive(PartialEq, Eq, Debug)]
+struct NestedKey {
+    ingress: Ipv4Addr,
+    egress: Ipv4Addr,
+    signature: Vec<(Ipv4Addr, Vec<Label>)>,
+}
+
+fn nested_key(l: &Lsp) -> NestedKey {
+    NestedKey {
+        ingress: l.ingress,
+        egress: l.egress,
+        signature: l.hops.iter().map(|h| (h.addr, h.labels())).collect(),
+    }
+}
+
+/// A random LSP of 1–6 hops, each quoting 0–3 labels. LERs, addresses
+/// and labels share one small pool of 32-bit words, so an address and
+/// a label can be the same word and only the length prefixes tell hop
+/// boundaries apart.
+fn arb_keyed_lsp() -> impl Strategy<Value = Lsp> {
+    let stack = proptest::collection::vec((2u32..5, 250u8..255), 0..4);
+    let hops = proptest::collection::vec((2u32..5, stack), 1..7);
+    (2u32..5, 2u32..5, hops).prop_map(|(ingress, egress, hops)| Lsp {
+        asn: Asn(65000),
+        ingress: Ipv4Addr::from(ingress),
+        egress: Ipv4Addr::from(egress),
+        hops: hops
+            .into_iter()
+            .map(|(addr, stack)| {
+                let stack = stack.into_iter().map(|(l, ttl)| Lse::transit(l, ttl)).collect();
+                LspHop::new(Ipv4Addr::from(addr), stack)
+            })
+            .collect(),
+        dst_asn: None,
+    })
+}
+
+/// A second LSP near `a`: a copy that differs only in TTLs, or one
+/// small edit, or an independent draw (`fresh`).
+fn near(a: &Lsp, edit: u8, at: usize, fresh: Lsp) -> Lsp {
+    let mut b = a.clone();
+    let i = at % b.hops.len();
+    let last_label = |b: &Lsp| b.hops[i].stack.entries().last().copied();
+    match edit {
+        0 => {
+            let entries: Vec<Lse> = b.hops[i]
+                .stack
+                .entries()
+                .iter()
+                .map(|e| Lse::new(e.label, e.tc, e.bottom, e.ttl.wrapping_sub(7)))
+                .collect();
+            b.hops[i].stack = LabelStack::from_entries(&entries);
+        }
+        1 => match b.hops[i].stack.top().copied() {
+            Some(top) => b.hops[i].stack.swap_top(Label::new(top.label.value() ^ 1)),
+            None => b.hops[i].stack.push(Lse::transit(2, 255)),
+        },
+        // Move a label across a hop boundary: the flat label sequence
+        // stays the same, the key must not.
+        2 if i + 1 < b.hops.len() => {
+            if let Some(last) = last_label(&b) {
+                let depth = b.hops[i].stack.depth();
+                b.hops[i].stack = LabelStack::from_entries(&b.hops[i].stack.entries()[..depth - 1]);
+                let mut moved = vec![last];
+                moved.extend_from_slice(b.hops[i + 1].stack.entries());
+                b.hops[i + 1].stack = LabelStack::from_entries(&moved);
+            }
+        }
+        // Shift a hop boundary: hop i's last label becomes hop i+1's
+        // address, and that address its first label. The words stay
+        // the same; only the label counts tell the two apart.
+        3 if i + 1 < b.hops.len() => {
+            if let Some(last) = last_label(&b) {
+                let depth = b.hops[i].stack.depth();
+                b.hops[i].stack = LabelStack::from_entries(&b.hops[i].stack.entries()[..depth - 1]);
+                let next = &mut b.hops[i + 1];
+                let mut stack = vec![Lse::transit(u32::from(next.addr), 255)];
+                stack.extend_from_slice(next.stack.entries());
+                next.addr = Ipv4Addr::from(last.label.value());
+                next.stack = LabelStack::from_entries(&stack);
+            }
+        }
+        4 if b.hops.len() > 1 => {
+            b.hops.pop();
+        }
+        5 => b.hops[i].addr = Ipv4Addr::from(u32::from(b.hops[i].addr) % 3 + 2),
+        6 => std::mem::swap(&mut b.ingress, &mut b.egress),
+        _ => b = fresh,
+    }
+    b
+}
+
+proptest! {
+    #[test]
+    fn lsp_key_bytes_agree_with_the_nested_key(
+        a in arb_keyed_lsp(),
+        edit in 0u8..9,
+        at in 0usize..6,
+        fresh in arb_keyed_lsp(),
+    ) {
+        let b = near(&a, edit, at, fresh);
+        let same = nested_key(&a) == nested_key(&b);
+        prop_assert_eq!(a.key() == b.key(), same);
+        // The buffer encoding is the key's bytes, and a key set answers
+        // a borrowed probe exactly as it answers the owned key.
+        let mut buf = vec![0xAA; 3];
+        b.encode_key(&mut buf);
+        prop_assert_eq!(buf.as_slice(), b.key().as_bytes());
+        let set: BTreeSet<LspKey> = [a.key()].into_iter().collect();
+        prop_assert_eq!(set.contains(buf.as_slice()), set.contains(&b.key()));
+        prop_assert_eq!(set.contains(buf.as_slice()), same);
+    }
+}
+
 proptest! {
     #[test]
     fn classification_matches_reference(iotp in arb_iotp()) {
@@ -108,7 +224,6 @@ proptest! {
                 ingress: iotp.key.ingress,
                 egress: iotp.key.egress,
                 hops: b.hops.clone(),
-                dst: Ipv4Addr::new(192, 0, 2, 1),
                 dst_asn: Some(Asn(9999)),
             };
             doubled.absorb(&lsp);

@@ -19,13 +19,12 @@
 //! never the corpus, never the trace list.
 
 use crate::corpus::{Corpus, DecodeReport};
-use lpr_core::filter::{lsp_keys_of_tunnels, AsMapper};
+use lpr_core::filter::{AsMapper, KeySetBuilder};
 use lpr_core::lsp::LspKey;
 use lpr_core::pipeline::IngestState;
 use lpr_core::spill::{KeySpiller, SpilledKeys};
 use lpr_core::stream::CycleAccumulator;
 use lpr_core::trace::Trace;
-use lpr_core::tunnel::RawTunnel;
 use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
@@ -186,18 +185,6 @@ pub fn ingest_cycle(
     (ingest, report)
 }
 
-/// The per-task key extraction shared by both snapshot-key paths: the
-/// task's keys and its failed conversions.
-fn task_keys(corpus: &Corpus, task: &RangeTask) -> (BTreeSet<LspKey>, u64) {
-    let mut tunnels: Vec<RawTunnel> = Vec::new();
-    let (convert_failures, _) = decode_task(corpus, task, |trace| {
-        if lpr_core::quarantine::validate_trace(trace).is_ok() {
-            lpr_core::extract_tunnels_into(trace, &mut tunnels);
-        }
-    });
-    (lsp_keys_of_tunnels(&tunnels), convert_failures)
-}
-
 /// The keys of `tasks`, one set per shard in shard order, each with
 /// the conversions that failed in it.
 fn shard_keys(
@@ -206,27 +193,21 @@ fn shard_keys(
     threads: usize,
 ) -> Vec<(BTreeSet<LspKey>, u64)> {
     lpr_par::map_shards(tasks, shard_opts(threads), |_, shard| {
-        let mut keys = BTreeSet::new();
+        let mut keys = KeySetBuilder::default();
         let mut convert_failures = 0u64;
         for task in shard {
-            let (task_keys, failed) = task_keys(corpus, task);
-            keys.extend(task_keys);
-            convert_failures += failed;
+            convert_failures += decode_task(corpus, task, |trace| keys.push_trace(trace)).0;
         }
-        (keys, convert_failures)
+        (keys.finish(), convert_failures)
     })
     .outputs
 }
 
 /// The corpus's LSP key set (what [`lpr_core::Pipeline::snapshot_keys`]
-/// computes from an in-memory trace list), sharded. Set unions are
-/// order-insensitive, so the result matches the sequential one.
-pub fn snapshot_keys(corpus: &Corpus, threads: usize) -> BTreeSet<LspKey> {
-    snapshot_keys_reported(corpus, threads).0
-}
-
-/// [`snapshot_keys`] with the snapshot's [`DecodeReport`]: the index
-/// tallies plus the conversions that failed while extracting the keys.
+/// computes from an in-memory trace list), sharded, with the
+/// snapshot's [`DecodeReport`]: the index tallies plus the conversions
+/// that failed while extracting the keys. Set unions are
+/// order-insensitive, so the keys match the sequential ones.
 pub fn snapshot_keys_reported(
     corpus: &Corpus,
     threads: usize,
@@ -241,11 +222,11 @@ pub fn snapshot_keys_reported(
     (keys, DecodeReport { convert_failures, ..corpus.decode_report() })
 }
 
-/// Out-of-core [`snapshot_keys`]: the keys go to a sorted spill file
-/// under `dir` instead of an in-memory set. Tasks are processed in
-/// bounded batches (decode parallel, spill sequential), so peak memory
-/// is one batch's keys plus the spiller's run buffer — the future
-/// snapshots of a persistence window never coexist in RAM.
+/// Out-of-core [`snapshot_keys_reported`]: the keys go to a sorted
+/// spill file under `dir` instead of an in-memory set. Tasks are
+/// processed in bounded batches (decode parallel, spill sequential), so
+/// peak memory is one batch's keys plus the spiller's run buffer — the
+/// future snapshots of a persistence window never coexist in RAM.
 pub fn spill_snapshot_keys(
     corpus: &Corpus,
     dir: &Path,
@@ -272,7 +253,7 @@ pub fn spill_snapshot_keys_reported(
         // Each shard's set is freed once spilled, as the run buffer grows.
         for (keys, failed) in shard_keys(corpus, batch, threads) {
             convert_failures += failed;
-            for key in &keys {
+            for key in keys {
                 spiller.push(key)?;
             }
         }

@@ -43,8 +43,8 @@ pub use corpus::{Corpus, CorpusFile, DecodeReport, FileSkipReason, SkippedFile};
 pub use hygiene::{sweep_stale, STALE_SUFFIXES};
 pub use index::RecordIndex;
 pub use ingest::{
-    ingest_cycle, snapshot_keys, snapshot_keys_reported, spill_snapshot_keys,
-    spill_snapshot_keys_reported, IngestOptions,
+    ingest_cycle, snapshot_keys_reported, spill_snapshot_keys, spill_snapshot_keys_reported,
+    IngestOptions,
 };
 pub use mmap::MappedFile;
 pub use writer::write_corpus_files;

@@ -2,16 +2,28 @@
 //! every trace record of a generated corpus file, decoded into one
 //! reused `TraceBuf` the way `ingest_cycle` does, costs fewer than 0.05
 //! allocations after the first; the stream reader plus `trace_to_core`
-//! costs about 19. The test installs a counting global allocator, so it
-//! lives in a test binary of its own.
+//! costs about 19. Likewise the Persistence probe allocates nothing per
+//! LSP. The tests install a counting global allocator, so they live in
+//! a test binary of their own, and take turns so that neither counts
+//! the other's allocations.
 
-use ark_dataset::campaign::{generate_snapshot, CampaignOptions};
+use ark_dataset::campaign::{generate_cycle, generate_snapshot, CampaignOptions};
+use lpr_core::filter::{persistent_flags, FilterConfig};
+use lpr_core::pipeline::{IngestState, Pipeline};
 use lpr_corpus::Corpus;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use warts::{AddrTableReader, Conversion, RecordType, TraceBuf};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+static TURN: Mutex<()> = Mutex::new(());
+
+/// Runs the calling test alone among this binary's tests.
+fn take_turn() -> MutexGuard<'static, ()> {
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Forwards to [`System`], counting allocations and reallocations.
 struct CountingAlloc;
@@ -39,6 +51,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn reused_trace_decode_allocates_nothing_per_record() {
+    let _turn = take_turn();
     let world = ark_dataset::standard_world();
     let traces = generate_snapshot(&world, 40, 0, &CampaignOptions::default());
     let dir = std::env::temp_dir().join(format!("lpr-decode-allocs-{}", std::process::id()));
@@ -82,4 +95,32 @@ fn reused_trace_decode_allocates_nothing_per_record() {
         per_record < 0.05,
         "{allocs} allocations over {records} records ({per_record:.3} per record)"
     );
+}
+
+/// Allocations made by one call of `f`.
+fn allocs_of<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    std::hint::black_box(f());
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn persistence_probe_allocates_nothing_per_lsp() {
+    let _turn = take_turn();
+    let world = ark_dataset::standard_world();
+    let data = generate_cycle(&world, 40, &CampaignOptions::default());
+    let one = lpr_par::ShardOptions::new(1);
+    let lsps = IngestState::from_traces(&data.snapshots[0], world.rib(), None, one).lsps;
+    let window: Vec<_> = data.snapshots[1..3].iter().map(|s| Pipeline::snapshot_keys(s)).collect();
+    let config = FilterConfig::default();
+    assert!(lsps.len() > 1000, "a scale-1 cycle keeps thousands of LSPs: {}", lsps.len());
+
+    let warm = persistent_flags(&lsps, &window, &config);
+    assert!(warm.iter().any(|&f| f) && warm.iter().any(|&f| !f), "the window decides");
+    // The flag vector plus the key buffer's growth to the longest key:
+    // a constant, whatever the LSP count.
+    let all = allocs_of(|| persistent_flags(&lsps, &window, &config));
+    let half = allocs_of(|| persistent_flags(&lsps[..lsps.len() / 2], &window, &config));
+    let n = lsps.len();
+    assert!(all <= 16 && half <= 16, "{all} allocations over {n} LSPs, {half} over half");
 }

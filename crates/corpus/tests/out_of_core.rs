@@ -11,7 +11,9 @@ use lpr_core::lsp::Asn;
 use lpr_core::pipeline::PersistenceWindow;
 use lpr_core::prelude::*;
 use lpr_core::trace::{Hop, Trace};
-use lpr_corpus::{ingest_cycle, snapshot_keys, spill_snapshot_keys, Corpus, IngestOptions};
+use lpr_corpus::{
+    ingest_cycle, snapshot_keys_reported, spill_snapshot_keys, Corpus, IngestOptions,
+};
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
@@ -113,7 +115,7 @@ fn corpus_snapshot_keys_match_in_memory_and_spilled_window_agrees() {
     // Key sets agree between the corpus path and the in-memory path.
     let mem_keys = Pipeline::snapshot_keys(&loaded);
     for threads in [1usize, 4] {
-        assert_eq!(snapshot_keys(&corpus, threads), mem_keys, "threads={threads}");
+        assert_eq!(snapshot_keys_reported(&corpus, threads).0, mem_keys, "threads={threads}");
     }
 
     // A spilled persistence window produces the same PipelineOutput as

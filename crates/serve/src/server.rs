@@ -503,6 +503,9 @@ impl Reconciler {
                         ),
                     ),
                     ("next_cycle".into(), JsonValue::Int(self.next_cycle as i128)),
+                    // The rebuild passes no follow-up snapshots, and a
+                    // window of none applies no Persistence filter.
+                    ("persistence_window".into(), JsonValue::Int(0)),
                 ]),
             ),
             (

@@ -210,6 +210,17 @@ fn daemon_ingests_quarantines_and_serves_batch_identical_snapshots() {
     );
     assert_eq!(served.get("pipeline").unwrap().render(), reference);
 
+    // Two drops and no follow-up snapshots: no Persistence filter
+    // applies, so every LSP passes it and no AS is tagged dynamic.
+    let service = served.get("service").unwrap();
+    assert_eq!(service.get("persistence_window").and_then(|v| v.as_u64()), Some(0));
+    let pipeline = served.get("pipeline").unwrap();
+    let remaining = pipeline.get("filter_report").unwrap().get("remaining").unwrap();
+    let diverse = remaining.get("TransitDiversity").and_then(|v| v.as_u64()).unwrap();
+    assert!(diverse > 0, "the drops carry transit-diverse LSPs");
+    assert_eq!(remaining.get("Persistence").and_then(|v| v.as_u64()), Some(diverse));
+    assert_eq!(pipeline.get("dynamic_ases").and_then(|v| v.as_array()).map(|a| a.len()), Some(0));
+
     // Reconciliation is exact: kept + quarantined == processed.
     let files = served.get("files").unwrap();
     assert_eq!(files.get("kept").unwrap().as_u64(), Some(2));
