@@ -2,10 +2,9 @@
 //!
 //! This library holds the pieces of the `lpr-bench` binary that tests
 //! reach: the golden campaign fingerprint every default-shape `lpr-bench
-//! pipeline` run checks, the shared rate/speedup formatters behind the
-//! mda and revelation thread rows, the flag table every subcommand
-//! parses from ([`cli`]) and the exact report comparison behind
-//! `lpr-bench compare` ([`compare`]).
+//! pipeline` run checks, the flag table every subcommand parses from
+//! ([`cli`]) and the exact report comparison behind `lpr-bench compare`
+//! ([`compare`]).
 
 #![forbid(unsafe_code)]
 
@@ -23,47 +22,14 @@ pub const GOLDEN_CAMPAIGN_FNV: u64 = 0x814958413857ec30;
 pub fn campaign_fingerprint(snapshots: &[Vec<lpr_core::trace::Trace>]) -> u64 {
     let mut combined = 0u64;
     for (snap, traces) in snapshots.iter().enumerate() {
-        let mut w = warts::WartsWriter::new();
-        let list = w.list(1, "bench");
-        let cyc = w.cycle_start(list, 1, 0);
-        for t in traces {
-            w.trace(&warts::trace_to_record(t, list, cyc)).expect("encode");
-        }
-        w.cycle_stop(cyc, 1);
         let mut h: u64 = 0xcbf29ce484222325;
-        for &b in w.into_bytes().iter() {
+        for b in warts::encode_cycle(traces, "bench", 1, 0, 1).expect("encode") {
             h ^= b as u64;
             h = h.wrapping_mul(0x100000001b3);
         }
         combined ^= h.rotate_left(snap as u32 * 21);
     }
     combined
-}
-
-/// Items/second over a wall time, or `None` when the wall rounded to
-/// 0 µs — a 0-µs run has no measurable rate, and a fake `0.0` would
-/// read as "stalled".
-pub fn throughput_cell(wall_us: u64, items: u64) -> Option<f64> {
-    if wall_us == 0 {
-        None
-    } else {
-        Some(items as f64 / (wall_us as f64 / 1e6))
-    }
-}
-
-/// The JSON rendering of [`throughput_cell`]: `null` or a float.
-pub fn throughput_json(wall_us: u64, items: u64) -> JsonValue {
-    match throughput_cell(wall_us, items) {
-        None => JsonValue::Null,
-        Some(rate) => JsonValue::Float(rate),
-    }
-}
-
-/// Wall-time ratio `reference / wall`, saturating 0-µs measurements to
-/// 1 µs so a sweep over an immeasurably fast run reports a finite
-/// (and, for the reference row itself, exactly `1.0`) speedup.
-pub fn speedup(reference_wall_us: u64, wall_us: u64) -> f64 {
-    reference_wall_us.max(1) as f64 / wall_us.max(1) as f64
 }
 
 pub mod cli {
@@ -220,9 +186,10 @@ holds only values every run of the same command repeats.",
         Command {
             name: "mda",
             positional: None,
-            about: "MDA-Lite against the exhaustive oracle: the probes-vs-recall curve,
-then whole campaigns. Exits 1 unless IOTP recall reaches 0.95, the
-MDA-Lite campaign is identical at threads 1/2/4/8 and probes are saved.",
+            about: "MDA-Lite against the exhaustive oracle over whole campaigns. Exits 1
+unless IOTP recall reaches 0.95, the MDA-Lite campaign is identical at
+threads 1/2/4/8 and probes are saved. The probes-vs-recall curve is
+`experiments mda`'s results/fig_mda_recall.csv.",
             flags: &[
                 flag("--out", Text, Some("BENCH_mda.json"), "report path"),
                 flag("--cycle", Count { min: 0 }, Some("40"), "campaign cycle"),
@@ -299,7 +266,7 @@ and every /healthz probe answers within 1 s.",
         Command {
             name: "compare",
             positional: Some("current.json"),
-            about: "Exits 1 and prints each path if two pipeline reports differ anywhere.",
+            about: "Exits 1 and prints each path if two reports differ anywhere.",
             flags: &[flag("--against", Text, None, "baseline report (required)")],
         },
     ];
@@ -424,10 +391,10 @@ and every /healthz probe answers within 1 s.",
 
 pub mod compare {
     //! The `lpr-bench compare` engine: an exact structural comparison
-    //! of two `BENCH_pipeline.json` reports. Every value in the report
-    //! repeats on every run of the same command, so any difference — a
-    //! changed count, a missing stage row, counter or section — is a
-    //! failure, never noise.
+    //! of two `lpr-bench` reports. Every value in a report repeats on
+    //! every run of the same command, so any difference — a changed
+    //! count, a missing stage row, counter or section — is a failure,
+    //! never noise.
 
     use super::JsonValue;
 
@@ -520,27 +487,6 @@ mod tests {
                 "threads = {threads}"
             );
         }
-    }
-
-    #[test]
-    fn throughput_cells_agree_across_renderings() {
-        // 0-µs run: no measurable rate.
-        assert_eq!(throughput_cell(0, 1000), None);
-        assert_eq!(throughput_json(0, 1000), JsonValue::Null);
-        // A measurable run: 500 items in half a second.
-        assert_eq!(throughput_cell(500_000, 500), Some(1000.0));
-        assert_eq!(throughput_json(500_000, 500), JsonValue::Float(1000.0));
-    }
-
-    #[test]
-    fn speedup_handles_zero_and_reference_rows() {
-        // The single-thread reference row compares against itself.
-        assert_eq!(speedup(840, 840), 1.0);
-        // 0-µs walls saturate to 1 µs instead of dividing by zero.
-        assert_eq!(speedup(0, 0), 1.0);
-        assert_eq!(speedup(0, 4), 0.25);
-        assert_eq!(speedup(8, 0), 8.0);
-        assert_eq!(speedup(900, 300), 3.0);
     }
 
     fn sample_report() -> json::JsonValue {

@@ -158,6 +158,32 @@ fn tracer_for(args: &Args) -> lpr_obs::Tracer {
 /// revelation sweeps must give the same output at each.
 const THREADS_CHECKED: [usize; 4] = [1, 2, 4, 8];
 
+/// Runs `run` at each of `counts` threads and compares each result with
+/// `reference`, printing one `FAIL` line per divergence. Returns each
+/// count with whether its result matched.
+fn sweep_threads<T: PartialEq>(
+    what: &str,
+    counts: &[usize],
+    reference: &T,
+    mut run: impl FnMut(usize) -> T,
+) -> Vec<(usize, bool)> {
+    counts
+        .iter()
+        .map(|&n| {
+            let matches = run(n) == *reference;
+            if !matches {
+                eprintln!("FAIL: {what} at {n} thread(s) diverges from the reference run");
+            }
+            (n, matches)
+        })
+        .collect()
+}
+
+/// Whether every row of a [`sweep_threads`] matched.
+fn all_match(rows: &[(usize, bool)]) -> bool {
+    rows.iter().all(|&(_, matches)| matches)
+}
+
 /// This process's peak resident set size in bytes (Linux `VmHWM`), or
 /// `None` off Linux / when the parse fails.
 fn peak_rss_bytes() -> Option<u64> {
@@ -313,25 +339,14 @@ fn demo_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, Strin
     }
     // The shard-order merge in `Prober::campaign` makes the traces
     // byte-identical at any probing thread count.
-    for n in &THREADS_CHECKED[1..] {
-        if campaign(*n).snapshots != data.snapshots {
-            eprintln!(
-                "FAIL: campaign at {n} probing threads diverges from the sequential campaign"
-            );
-            diverged = true;
-        }
-    }
+    let rows = sweep_threads("campaign", &THREADS_CHECKED[1..], &data.snapshots, |n| {
+        campaign(n).snapshots
+    });
+    diverged |= !all_match(&rows);
 
     // Round-trip through the warts codec, tallied by the stream reader.
     let stage = StageGuard::open(Some(recorder), "WartsEncode");
-    let mut writer = warts::WartsWriter::new();
-    let list = writer.list(1, "bench");
-    let cyc = writer.cycle_start(list, 1, 0);
-    for t in traces {
-        writer.trace(&warts::trace_to_record(t, list, cyc)).expect("encode");
-    }
-    writer.cycle_stop(cyc, 1);
-    let bytes = writer.into_bytes();
+    let bytes = warts::encode_cycle(traces, "bench", 1, 0, 1).expect("encode");
     stage.finish_counts(traces.len() as u64, bytes.len() as u64);
 
     let stage = StageGuard::open(Some(recorder), "WartsDecode");
@@ -363,14 +378,7 @@ fn demo_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, Strin
         pl.finish_stages(ingest, &future, None, opts)
     };
     let out = run(threads);
-    for n in THREADS_CHECKED {
-        if run(n) != out {
-            eprintln!(
-                "FAIL: in-memory pipeline at {n} threads diverges from the --threads {threads} run"
-            );
-            diverged = true;
-        }
-    }
+    diverged |= !all_match(&sweep_threads("in-memory pipeline", &THREADS_CHECKED, &out, run));
 
     let stage = StageGuard::open(Some(recorder), "CorpusWrite");
     let paths =
@@ -479,27 +487,28 @@ fn pipeline_tail(args: &Args, head: Head, recorder: Recorder) -> Result<i32, Str
 
     // The instrumented run, spilled window and `--threads` workers,
     // records the `Ingest` stage and every funnel row.
-    let out = run(threads, PersistenceWindow::Spilled(&spilled), Some(&recorder))?;
+    let instrumented = run(threads, PersistenceWindow::Spilled(&spilled), Some(&recorder));
+    let out = instrumented.as_ref().map_err(String::clone)?;
 
-    // At scale 1 every out-of-core run, with either persistence window,
-    // must reproduce the in-memory pipeline; past it, the instrumented
-    // run.
-    let (reference, window) = match &in_memory {
-        Some((future, reference)) => (reference, PersistenceWindow::Mem(future)),
-        None => (&out, PersistenceWindow::Spilled(&spilled)),
-    };
-    if out != *reference {
-        eprintln!(
-            "FAIL: out-of-core ingest with the spilled window diverges from the in-memory pipeline"
-        );
-        diverged = true;
-    }
-    for n in THREADS_CHECKED {
-        if run(n, window, None)? != *reference {
-            eprintln!("FAIL: out-of-core ingest at {n} threads diverges from the reference run");
-            diverged = true;
+    // At scale 1 the instrumented run must reproduce the in-memory
+    // pipeline, and every out-of-core run uses the in-memory window.
+    let window = match &in_memory {
+        Some((future, reference)) => {
+            if out != reference {
+                eprintln!(
+                    "FAIL: out-of-core ingest with the spilled window diverges from the \
+                     in-memory pipeline"
+                );
+                diverged = true;
+            }
+            PersistenceWindow::Mem(future)
         }
-    }
+        None => PersistenceWindow::Spilled(&spilled),
+    };
+    let rows = sweep_threads("out-of-core ingest", &THREADS_CHECKED, &instrumented, |n| {
+        run(n, window, None).inspect_err(|e| eprintln!("FAIL: {e}"))
+    });
+    diverged |= !all_match(&rows);
     let peak_rss = if rss_reset { peak_rss_bytes() } else { None };
     let peak_heap = counting_alloc::heap_peak();
 
@@ -612,40 +621,20 @@ fn pipeline_tail(args: &Args, head: Head, recorder: Recorder) -> Result<i32, Str
     Ok(if diverged || breached { 1 } else { 0 })
 }
 
-/// The `mda` subcommand: benchmarks the stochastic prober against the
-/// exhaustive oracle — the per-pair probes-vs-recall curve, then a
-/// full-campaign cost/recall comparison with the thread-identity
-/// self-check (see `lpr-bench help` for the pass bar).
+/// The `mda` subcommand: the stochastic prober against the exhaustive
+/// oracle over whole campaigns, with the thread-identity check (see
+/// `lpr-bench help` for the pass bar). The per-pair probes-vs-recall
+/// curve is `experiments mda`'s `fig_mda_recall.csv`.
 fn mda_cmd(args: &Args) -> i32 {
     let out_path: String = args.value("--out");
     let cycle: usize = args.value("--cycle");
     let hosts: usize = args.value("--hosts");
     let max_probes_per_dst: Option<f64> = args.get("--max-probes-per-dst");
 
-    let world = ark_dataset::standard_world();
-
-    // Phase 1: the per-(vp, dst) recall curve — MDA-Lite flow caps vs
-    // the exhaustive oracle, the series behind fig_mda_recall.csv.
-    say!(
-        "recall curve: MDA-Lite caps {:?} vs the {}-flow exhaustive oracle …",
-        experiments::mda_recall::CAPS,
-        experiments::mda_recall::ORACLE_FLOWS,
-    );
-    let points = experiments::mda_recall::run(&world, cycle);
-    for p in &points {
-        say!(
-            "  {:<10} cap={:<3} {:>8.1} probes/dst  {:>6.2} flows/dst  recall {:.3}",
-            p.mode,
-            p.max_flows,
-            p.probes_per_dst,
-            p.flows_per_dst,
-            p.path_recall,
-        );
-    }
-
-    // Phase 2: whole campaigns at a host density where the /24 host
-    // groups give the stopping rule real flow variation to prune.
+    // Whole campaigns at a host density where the /24 host groups give
+    // the stopping rule real flow variation to prune.
     say!("campaign comparison at {hosts} hosts/prefix, cycle {cycle} …");
+    let world = ark_dataset::standard_world();
     let iotp_keys = |data: &ark_dataset::campaign::CycleData| -> BTreeSet<lpr_core::lsp::IotpKey> {
         ark_dataset::campaign::analyze_cycle(&world, data, 2)
             .output
@@ -661,61 +650,31 @@ fn mda_cmd(args: &Args) -> i32 {
             threads,
             ..Default::default()
         };
-        let started = std::time::Instant::now();
-        let data = ark_dataset::generate_cycle(&world, cycle, &opts);
-        (data, lpr_obs::time::duration_us(started.elapsed()).max(1))
+        ark_dataset::generate_cycle(&world, cycle, &opts)
     };
 
-    // The exhaustive oracle is distilled to its IOTP set, budget and
-    // trace count right away: at most one cycle's traces stay resident
-    // at a time, so no later wall pays page pressure for data a
-    // previous run only kept around to compare against.
-    let (exhaustive, ex_wall) = generate(netsim::ProbingStrategy::Exhaustive, 1);
-    let ex_traces = exhaustive.snapshots.iter().map(Vec::len).sum::<usize>();
+    // Each campaign is distilled to what the checks read right away, so
+    // at most one cycle's traces stay resident at a time.
+    let exhaustive = generate(netsim::ProbingStrategy::Exhaustive, 1);
     let ex_budget = exhaustive.budget;
-    say!("  exhaustive: {:>10} us  {ex_traces} traces", ex_wall);
+    say!("  exhaustive: {} traces", exhaustive.snapshots.iter().map(Vec::len).sum::<usize>());
     say_budget(netsim::ProbingStrategy::Exhaustive, &ex_budget);
     let ex_iotps = iotp_keys(&exhaustive);
     drop(exhaustive);
 
-    // MDA-Lite at every campaign thread count; the sequential run is
-    // the reference the others must reproduce byte-for-byte, checked
-    // through the warts-encoded campaign fingerprint plus the exact
-    // budget so each run's traces can be dropped immediately.
-    let mut lite_ref: Option<(u64, netsim::ProbeBudget)> = None;
-    let mut lite_wall = 0u64;
-    let mut lite_traces = 0usize;
-    let mut lite_iotps = BTreeSet::new();
-    let mut matches_all = true;
-    let mut sweep_rows: Vec<(usize, u64, bool)> = Vec::new();
-    for &n in &THREADS_CHECKED {
-        let (d, wall) = generate(netsim::ProbingStrategy::MdaLite, n);
-        let fp = campaign_fingerprint(&d.snapshots);
-        let matches = match lite_ref {
-            None => true,
-            Some((ref_fp, ref_budget)) => fp == ref_fp && d.budget == ref_budget,
-        };
-        if !matches {
-            eprintln!(
-                "FAIL: MDA-Lite campaign at {n} probing thread(s) diverges from \
-                 the sequential campaign"
-            );
-            matches_all = false;
-        }
-        sweep_rows.push((n, wall, matches));
-        say!(
-            "  mda-lite @{n} threads: {:>10} us  {}",
-            wall,
-            if matches { "bytes identical" } else { "BYTES DIVERGED" },
-        );
-        if lite_ref.is_none() {
-            lite_wall = wall;
-            lite_traces = d.snapshots.iter().map(Vec::len).sum::<usize>();
-            lite_iotps = iotp_keys(&d);
-            lite_ref = Some((fp, d.budget));
-        }
-    }
-    let (_, lite_budget) = lite_ref.expect("THREADS_CHECKED is non-empty");
+    // The sequential MDA-Lite campaign is the reference every probing
+    // thread count must reproduce byte for byte, compared through its
+    // warts-encoded fingerprint and its exact budget.
+    let lite = generate(netsim::ProbingStrategy::MdaLite, 1);
+    let lite_budget = lite.budget;
+    let lite_iotps = iotp_keys(&lite);
+    let reference = (campaign_fingerprint(&lite.snapshots), lite_budget);
+    drop(lite);
+    let sweep = sweep_threads("MDA-Lite campaign", &THREADS_CHECKED[1..], &reference, |n| {
+        let d = generate(netsim::ProbingStrategy::MdaLite, n);
+        (campaign_fingerprint(&d.snapshots), d.budget)
+    });
+    let matches_all = all_match(&sweep);
     say_budget(netsim::ProbingStrategy::MdaLite, &lite_budget);
 
     // Transit-diversity recall: the classified IOTP set of the pruned
@@ -726,74 +685,41 @@ fn mda_cmd(args: &Args) -> i32 {
         1.0 - lite_budget.probes_sent as f64 / ex_budget.probes_sent.max(1) as f64;
     let tripwire_ok = !probe_ceiling_breached(&lite_budget, max_probes_per_dst);
     say!(
-        "  IOTP recall {recovered}/{} = {iotp_recall:.3}; probes {} -> {} \
-         ({:.1}% saved); campaign speedup {:.2}x",
+        "  IOTP recall {recovered}/{} = {iotp_recall:.3}; probes {} -> {} ({:.1}% saved); \
+         identical at threads 1/2/4/8: {matches_all}",
         ex_iotps.len(),
         ex_budget.probes_sent,
         lite_budget.probes_sent,
         probe_reduction * 100.0,
-        lpr_bench::speedup(ex_wall, lite_wall),
     );
 
     let passed =
         iotp_recall >= 0.95 && matches_all && probe_reduction > 0.0 && tripwire_ok;
-    let curve = JsonValue::Array(
-        points
-            .iter()
-            .map(|p| {
-                JsonValue::Object(vec![
-                    ("mode".to_string(), JsonValue::Str(p.mode.to_string())),
-                    ("max_flows".to_string(), JsonValue::Int(p.max_flows as i128)),
-                    ("probes_per_dst".to_string(), JsonValue::Float(p.probes_per_dst)),
-                    ("flows_per_dst".to_string(), JsonValue::Float(p.flows_per_dst)),
-                    ("path_recall".to_string(), JsonValue::Float(p.path_recall)),
-                ])
-            })
-            .collect(),
-    );
-    let campaign_side = |wall: u64,
-                         strategy: netsim::ProbingStrategy,
-                         budget: &netsim::ProbeBudget,
-                         iotps: usize| {
-        JsonValue::Object(vec![
-            ("wall_us".to_string(), JsonValue::Int(wall as i128)),
-            ("iotps".to_string(), JsonValue::Int(iotps as i128)),
-            ("budget".to_string(), probing_json(strategy, budget)),
-        ])
-    };
+    let campaign_side =
+        |strategy: netsim::ProbingStrategy, budget: &netsim::ProbeBudget, iotps: usize| {
+            JsonValue::Object(vec![
+                ("iotps".to_string(), JsonValue::Int(iotps as i128)),
+                ("budget".to_string(), probing_json(strategy, budget)),
+            ])
+        };
     let report = JsonValue::Object(vec![
         ("bench".to_string(), JsonValue::Str("mda".to_string())),
         ("cycle".to_string(), JsonValue::Int(cycle as i128)),
         ("hosts_per_prefix".to_string(), JsonValue::Int(hosts as i128)),
-        ("recall_curve".to_string(), curve),
         (
             "campaign".to_string(),
             JsonValue::Object(vec![
                 (
                     "exhaustive".to_string(),
-                    campaign_side(
-                        ex_wall,
-                        netsim::ProbingStrategy::Exhaustive,
-                        &ex_budget,
-                        ex_iotps.len(),
-                    ),
+                    campaign_side(netsim::ProbingStrategy::Exhaustive, &ex_budget, ex_iotps.len()),
                 ),
                 (
                     "mda_lite".to_string(),
-                    campaign_side(
-                        lite_wall,
-                        netsim::ProbingStrategy::MdaLite,
-                        &lite_budget,
-                        lite_iotps.len(),
-                    ),
+                    campaign_side(netsim::ProbingStrategy::MdaLite, &lite_budget, lite_iotps.len()),
                 ),
-                ("thread_sweep".to_string(), thread_rows_json(&sweep_rows, lite_traces as u64)),
+                ("thread_sweep".to_string(), thread_rows_json(&sweep)),
                 ("iotp_recall".to_string(), JsonValue::Float(iotp_recall)),
                 ("probe_reduction".to_string(), JsonValue::Float(probe_reduction)),
-                (
-                    "speedup".to_string(),
-                    JsonValue::Float(lpr_bench::speedup(ex_wall, lite_wall)),
-                ),
                 ("matches_across_threads".to_string(), JsonValue::Bool(matches_all)),
             ]),
         ),
@@ -833,12 +759,13 @@ fn mda_cmd(args: &Args) -> i32 {
 /// `lpr-bench revelation`: the A/B gate for the TNT-style revelation
 /// phase. Renders one cycle under a tunnel-visibility mix that hides
 /// part of the MPLS deployment, runs the campaign with revelation at
-/// probing thread counts 1/2/4/8 (byte-identity required), and
-/// analyses the cycle twice — plain LPR vs LPR plus revealed evidence.
-/// Passes when revelation recovers diversity (IOTP count rises, the
-/// Unclassified share does not grow), at least one tunnel was actually
-/// revealed, the probe overhead is accounted, and every thread count
-/// reproduced the sequential run byte-for-byte.
+/// probing thread counts 1/2/4/8 (byte-identity required), and takes
+/// the A/B — plain LPR vs LPR plus revealed evidence — from
+/// [`experiments::revelation::ab`]. Passes when revelation recovers
+/// diversity (IOTP count rises, the Unclassified share does not grow),
+/// at least one tunnel was actually revealed, the probe overhead is
+/// accounted, and every thread count reproduced the sequential run
+/// byte-for-byte.
 fn revelation_cmd(args: &Args) -> i32 {
     let out_path: String = args.value("--out");
     let cycle: usize = args.value("--cycle");
@@ -853,74 +780,45 @@ fn revelation_cmd(args: &Args) -> i32 {
             threads,
             ..Default::default()
         };
-        let started = std::time::Instant::now();
-        let out =
-            ark_dataset::generate_cycle_with_revelation(&world, cycle, &opts, &reveal_opts);
-        (out, lpr_obs::time::duration_us(started.elapsed()).max(1))
+        ark_dataset::generate_cycle_with_revelation(&world, cycle, &opts, &reveal_opts)
     };
 
     say!("revelation campaign: cycle {cycle}, mix {} …", mix.render());
-    let ((data, evidence), seq_wall) = generate(1);
-    let ref_fp = campaign_fingerprint(&data.snapshots);
+    let (data, evidence) = generate(1);
     let traces = data.snapshots.iter().map(Vec::len).sum::<usize>();
-    say!("  sequential: {seq_wall:>10} us  {traces} traces  {} candidates", evidence.len());
+    say!("  sequential: {traces} traces  {} candidates", evidence.len());
+    let ab = experiments::revelation::ab(&world, &data, &evidence);
 
-    // Thread sweep: traces, budget and evidence must all reproduce the
-    // sequential run exactly at every probing thread count.
-    let mut matches_all = true;
-    let mut sweep_rows: Vec<(usize, u64, bool)> = vec![(1, seq_wall, true)];
-    for &n in &THREADS_CHECKED[1..] {
-        let ((d, ev), wall) = generate(n);
-        let matches = campaign_fingerprint(&d.snapshots) == ref_fp
-            && d.budget == data.budget
-            && ev == evidence;
-        if !matches {
-            eprintln!(
-                "FAIL: revelation campaign at {n} probing thread(s) diverges from \
-                 the sequential campaign"
-            );
-            matches_all = false;
-        }
-        sweep_rows.push((n, wall, matches));
-        say!(
-            "  revelation @{n} threads: {:>10} us  {}",
-            wall,
-            if matches { "bytes identical" } else { "BYTES DIVERGED" },
-        );
-    }
+    // Traces, budget and evidence must all reproduce the sequential run
+    // exactly at every probing thread count.
+    let reference = (campaign_fingerprint(&data.snapshots), data.budget, evidence);
+    drop(data);
+    let sweep = sweep_threads("revelation campaign", &THREADS_CHECKED[1..], &reference, |n| {
+        let (d, ev) = generate(n);
+        (campaign_fingerprint(&d.snapshots), d.budget, ev)
+    });
+    let matches_all = all_match(&sweep);
 
-    // A/B: the same traces analysed without and with the evidence.
-    let base = ark_dataset::analyze_cycle(&world, &data, 2);
-    let revealed = ark_dataset::analyze_cycle_revealed(&world, &data, 2, &evidence);
-    let base_counts = base.output.class_counts();
-    let rev_counts = revealed.output.class_counts();
-    let base_share =
-        base_counts.unclassified as f64 / base_counts.total().max(1) as f64;
-    let rev_share = rev_counts.unclassified as f64 / rev_counts.total().max(1) as f64;
-    let revealed_tunnels = evidence
-        .iter()
-        .filter(|e| e.status == lpr_core::reveal::RevelationStatus::Revealed)
-        .count() as u64;
-    let base_probes = (data.budget.probes_sent - data.budget.revelation_probes).max(1);
-    let overhead = data.budget.revelation_probes as f64 / base_probes as f64;
+    let base_share = ab.base.fractions()[3];
+    let rev_share = ab.revealed.fractions()[3];
     say!(
         "  A/B: IOTPs {} -> {}; unclassified share {:.3} -> {:.3}; \
-         {} of {} candidates revealed; {} DPR probes ({:.1}% overhead)",
-        base_counts.total(),
-        rev_counts.total(),
+         {} of {} candidates revealed; {} DPR probes ({:.1}% overhead); \
+         identical at threads 1/2/4/8: {matches_all}",
+        ab.base.total(),
+        ab.revealed.total(),
         base_share,
         rev_share,
-        revealed_tunnels,
-        data.budget.revelation_triggers,
-        data.budget.revelation_probes,
-        overhead * 100.0,
+        ab.revealed_tunnels,
+        ab.triggers,
+        ab.revelation_probes,
+        ab.probe_overhead * 100.0,
     );
 
-    let diversity_recovered =
-        rev_counts.total() > base_counts.total() && rev_share <= base_share;
+    let diversity_recovered = ab.revealed.total() > ab.base.total() && rev_share <= base_share;
     let passed = diversity_recovered
-        && revealed_tunnels > 0
-        && data.budget.revelation_probes > 0
+        && ab.revealed_tunnels > 0
+        && ab.revelation_probes > 0
         && matches_all;
 
     let side = |counts: &lpr_core::pipeline::ClassCounts| {
@@ -937,24 +835,18 @@ fn revelation_cmd(args: &Args) -> i32 {
         ("cycle".to_string(), JsonValue::Int(cycle as i128)),
         ("mix".to_string(), JsonValue::Str(mix.render())),
         ("traces".to_string(), JsonValue::Int(traces as i128)),
-        ("base".to_string(), side(&base_counts)),
-        ("revealed".to_string(), side(&rev_counts)),
+        ("base".to_string(), side(&ab.base)),
+        ("revealed".to_string(), side(&ab.revealed)),
         (
             "revelation".to_string(),
             JsonValue::Object(vec![
-                (
-                    "triggers".to_string(),
-                    JsonValue::Int(data.budget.revelation_triggers as i128),
-                ),
-                ("revealed".to_string(), JsonValue::Int(revealed_tunnels as i128)),
-                (
-                    "probes".to_string(),
-                    JsonValue::Int(data.budget.revelation_probes as i128),
-                ),
-                ("probe_overhead".to_string(), JsonValue::Float(overhead)),
+                ("triggers".to_string(), JsonValue::Int(ab.triggers as i128)),
+                ("revealed".to_string(), JsonValue::Int(ab.revealed_tunnels as i128)),
+                ("probes".to_string(), JsonValue::Int(ab.revelation_probes as i128)),
+                ("probe_overhead".to_string(), JsonValue::Float(ab.probe_overhead)),
             ]),
         ),
-        ("thread_sweep".to_string(), thread_rows_json(&sweep_rows, traces as u64)),
+        ("thread_sweep".to_string(), thread_rows_json(&sweep)),
         ("matches_across_threads".to_string(), JsonValue::Bool(matches_all)),
         ("diversity_recovered".to_string(), JsonValue::Bool(diversity_recovered)),
         ("passed".to_string(), JsonValue::Bool(passed)),
@@ -1090,18 +982,14 @@ fn chaos(args: &Args) -> i32 {
     // Runs the pipeline over `input` at every thread count in
     // `THREADS_CHECKED`, returning the sequential output and whether all
     // counts agreed byte-for-byte.
-    let run_all = |input: &[lpr_core::trace::Trace]| {
+    let run_all = |what: &str, input: &[lpr_core::trace::Trace]| {
         let reference = pipeline.run(input, world.rib(), &future);
-        let mut matches_all = true;
-        for &threads in &THREADS_CHECKED[1..] {
+        let rows = sweep_threads(what, &THREADS_CHECKED[1..], &reference, |threads| {
             let opts = lpr_par::ShardOptions::new(threads);
             let ingest = IngestState::from_traces(input, world.rib(), None, opts);
-            let out = pipeline.finish_stages(ingest, &future, None, opts);
-            if out != reference {
-                matches_all = false;
-            }
-        }
-        (reference, matches_all)
+            pipeline.finish_stages(ingest, &future, None, opts)
+        });
+        (reference, all_match(&rows))
     };
 
     let mut rows: Vec<JsonValue> = Vec::new();
@@ -1117,7 +1005,7 @@ fn chaos(args: &Args) -> i32 {
         // pipeline, so structural faults (duplicated/reordered replies)
         // reach the quarantine layer intact. Class-share drift is
         // measured here, uncontaminated by byte-level corruption.
-        let (direct, direct_matches) = run_all(&traces);
+        let (direct, direct_matches) = run_all(&format!("rate {rate}: direct pipeline"), &traces);
         let direct_reconciled = direct.degraded.ingested() == traces.len() as u64
             && direct.degraded.kept + direct.degraded.quarantined_total()
                 == traces.len() as u64;
@@ -1135,14 +1023,7 @@ fn chaos(args: &Args) -> i32 {
         // the lenient reader, then classify whatever survived. (The
         // warts→core conversion scrubs out-of-order TTLs, so this path
         // exercises skip-and-resync rather than the quarantine.)
-        let mut writer = warts::WartsWriter::new();
-        let list = writer.list(1, "chaos");
-        let cyc = writer.cycle_start(list, 1, 0);
-        for t in &traces {
-            writer.trace(&warts::trace_to_record(t, list, cyc)).expect("encode");
-        }
-        writer.cycle_stop(cyc, 1);
-        let bytes = writer.into_bytes();
+        let bytes = warts::encode_cycle(&traces, "chaos", 1, 0, 1).expect("encode");
         let (bytes, corruption) = lpr_chaos::corrupt_warts_bytes(&bytes, seed, plan.corruption);
 
         let mut reader = warts::WartsStreamReader::new(bytes.as_slice()).lenient();
@@ -1166,14 +1047,12 @@ fn chaos(args: &Args) -> i32 {
         let skips = reader.skip_counts().clone();
         let resync_bytes = reader.resync_bytes();
 
-        let (decoded_out, bytes_matches) = run_all(&decoded);
+        let (decoded_out, bytes_matches) =
+            run_all(&format!("rate {rate}: bytes pipeline"), &decoded);
         let bytes_reconciled = decoded_out.degraded.ingested() == decoded.len() as u64
             && decoded_out.degraded.kept + decoded_out.degraded.quarantined_total()
                 == decoded.len() as u64;
 
-        if !direct_matches || !bytes_matches {
-            eprintln!("FAIL: rate {rate}: output diverges across thread counts");
-        }
         if !direct_reconciled || !bytes_reconciled {
             eprintln!("FAIL: rate {rate}: kept + quarantined != traces ingested");
         }
@@ -1381,8 +1260,9 @@ fn chaos(args: &Args) -> i32 {
             prober.campaign(&reveal_vps, &reveal_dsts, threads, Some(&reveal_opts))
         };
         let campaign = run_at(1);
+        let what = format!("revelation rate {rate}: campaign");
         let reveal_matches =
-            THREADS_CHECKED[1..].iter().all(|&threads| run_at(threads) == campaign);
+            all_match(&sweep_threads(&what, &THREADS_CHECKED[1..], &campaign, run_at));
         let netsim::CampaignOutput { traces, budget, evidence, faults: injected } = campaign;
         let keys = Pipeline::snapshot_keys(&traces);
         let reveal_rib = reveal_net.topo.rib();
@@ -1401,9 +1281,6 @@ fn chaos(args: &Args) -> i32 {
         let drift_ok = drift <= drift_bound;
         let monotone = budget.revelation_revealed <= base_revealed
             && shares[3] >= base_shares[3];
-        if !reveal_matches {
-            eprintln!("FAIL: revelation rate {rate}: output diverges across thread counts");
-        }
         if !drift_ok {
             eprintln!(
                 "FAIL: revelation rate {rate}: class-share drift {drift:.3} exceeds \
@@ -1596,113 +1473,41 @@ fn probe_ceiling_breached(b: &netsim::ProbeBudget, ceiling: Option<f64>) -> bool
     }
 }
 
-/// The mda and revelation reports' per-thread-count rows. `speedup`
-/// stays relative to the sequential row; `speedup_vs_best` is relative
-/// to the fastest row. Each row carries the host's parallelism because
-/// a speedup below 1 is only a signal when cores were actually
-/// available.
-fn thread_rows_json(rows: &[(usize, u64, bool)], items: u64) -> JsonValue {
-    let seq_wall = rows[0].1;
-    let best_wall = rows.iter().map(|&(_, wall, _)| wall).min().unwrap_or(1);
-    let avail = lpr_par::available_threads();
-    JsonValue::Array(
-        rows.iter()
-            .map(|&(n, wall, matches)| {
-                JsonValue::Object(vec![
-                    ("threads".to_string(), JsonValue::Int(n as i128)),
-                    ("wall_us".to_string(), JsonValue::Int(wall as i128)),
-                    ("traces_per_s".to_string(), lpr_bench::throughput_json(wall, items)),
-                    (
-                        "speedup".to_string(),
-                        JsonValue::Float(lpr_bench::speedup(seq_wall, wall)),
-                    ),
-                    (
-                        "speedup_vs_best".to_string(),
-                        JsonValue::Float(lpr_bench::speedup(best_wall, wall)),
-                    ),
-                    (
-                        "available_parallelism".to_string(),
-                        JsonValue::Int(avail as i128),
-                    ),
-                    ("matches_sequential".to_string(), JsonValue::Bool(matches)),
-                ])
-            })
-            .collect(),
-    )
+/// The mda and revelation reports' per-thread-count rows: the
+/// sequential reference, then each count [`sweep_threads`] compared
+/// with it.
+fn thread_rows_json(sweep: &[(usize, bool)]) -> JsonValue {
+    let row = |&(n, matches): &(usize, bool)| {
+        JsonValue::Object(vec![
+            ("threads".to_string(), JsonValue::Int(n as i128)),
+            ("matches_sequential".to_string(), JsonValue::Bool(matches)),
+        ])
+    };
+    JsonValue::Array(std::iter::once(&(1, true)).chain(sweep).map(row).collect())
 }
 
-/// What the soak expects the daemon to do with one dropped file,
-/// decided with the daemon's own acceptance predicate (local decode).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Expect {
-    Kept,
-    Quarantined,
-}
-
-/// Runs the daemon's accept-or-quarantine predicate locally over
-/// `bytes` (via a scratch file), so the soak's expectations are exact
-/// rather than probabilistic: whatever the chaos walk produced, the
-/// soak and the daemon judge it with the same rules.
-fn predict_verdict(
+/// Whether the daemon will keep one dropped file, asked of the
+/// daemon's own judge ([`lpr_serve::attempt_ingest`]) on a staged copy,
+/// so the soak's expectations are exact rather than probabilistic. Only
+/// a clean ingest is kept: a deferred file never finishes growing and
+/// is quarantined after its grace scans, and every other answer ends in
+/// quarantine too. The copy and its index cache are removed.
+fn daemon_keeps(
     scratch_dir: &std::path::Path,
     name: &str,
     bytes: &[u8],
     rib: &ip2as::Ip2AsTrie,
     threads: usize,
-) -> Expect {
+) -> bool {
     let scratch = scratch_dir.join(name);
-    if std::fs::write(&scratch, bytes).is_err() {
-        return Expect::Quarantined;
-    }
-    let verdict = (|| {
-        let corpus =
-            lpr_corpus::Corpus::open_with(std::slice::from_ref(&scratch), false, None).ok()?;
-        if !corpus.skipped_files.is_empty() {
-            // Looks still-growing forever: the grace counter will
-            // quarantine it.
-            return Some(Expect::Quarantined);
-        }
-        let (_state, report) =
-            lpr_corpus::ingest_cycle(&corpus, rib, lpr_corpus::IngestOptions::new(threads), None);
-        Some(
-            if report.skipped_total() > 0
-                || report.convert_failures > 0
-                || report.resync_bytes > 0
-            {
-                Expect::Quarantined
-            } else {
-                Expect::Kept
-            },
-        )
-    })();
+    let kept = std::fs::write(&scratch, bytes).is_ok()
+        && matches!(
+            lpr_serve::attempt_ingest(&scratch, rib, threads),
+            lpr_serve::Attempt::Ingested(_)
+        );
+    let _ = std::fs::remove_file(lpr_corpus::RecordIndex::cache_path(&scratch));
     let _ = std::fs::remove_file(&scratch);
-    verdict.unwrap_or(Expect::Quarantined)
-}
-
-/// The batch half of the serve/batch identity check: ingest the kept
-/// files with their daemon-assigned cycle ids, run the pipeline back
-/// half, and render the same snapshot section the daemon serves.
-fn batch_pipeline_render(
-    kept: &[(u64, std::path::PathBuf)],
-    rib: &ip2as::Ip2AsTrie,
-    threads: usize,
-) -> String {
-    let mut window = IngestState::default();
-    for (cycle, path) in kept {
-        let corpus = lpr_corpus::Corpus::open_with(std::slice::from_ref(path), false, None)
-            .expect("batch reopen of a kept spool file");
-        let (mut state, _report) =
-            lpr_corpus::ingest_cycle(&corpus, rib, lpr_corpus::IngestOptions::new(threads), None);
-        state.tag_cycle(*cycle);
-        window.merge(state);
-    }
-    let out = Pipeline::default().finish_stages(
-        window,
-        &[],
-        None,
-        lpr_par::ShardOptions::new(threads),
-    );
-    lpr_serve::snapshot_pipeline_json(&out).render()
+    kept
 }
 
 /// Trickling connections `lpr-bench serve` holds open through its soak.
@@ -1857,25 +1662,17 @@ fn serve_soak(args: &Args) -> i32 {
             ..Default::default()
         };
         let data = ark_dataset::generate_cycle(&world, 40 + i, &opts);
-        let mut writer = warts::WartsWriter::new();
-        let list = writer.list(1, "soak");
-        let cyc = writer.cycle_start(list, 1, 0);
-        for t in &data.snapshots[0] {
-            writer.trace(&warts::trace_to_record(t, list, cyc)).expect("encode");
-        }
-        writer.cycle_stop(cyc, 1);
-        let clean = writer.into_bytes();
+        let clean = warts::encode_cycle(&data.snapshots[0], "soak", 1, 0, 1).expect("encode");
         let (corrupted, _counts) =
             lpr_chaos::corrupt_warts_bytes(&clean, seed.wrapping_add(i as u64), chaos_rate);
 
         for (tag, bytes) in [("clean", &clean), ("chaos", &corrupted)] {
             let name = format!("c{i:03}-{tag}.warts");
-            match predict_verdict(&staging, &name, bytes, rib, threads) {
-                Expect::Kept => {
-                    expected_kept.push((next_cycle, spool.join(&name)));
-                    next_cycle += 1;
-                }
-                Expect::Quarantined => expected_quarantined.push(name.clone()),
+            if daemon_keeps(&staging, &name, bytes, rib, threads) {
+                expected_kept.push((next_cycle, spool.join(&name)));
+                next_cycle += 1;
+            } else {
+                expected_quarantined.push(name.clone());
             }
             // Stage-then-rename: the daemon never sees a half-written
             // drop.
@@ -1986,7 +1783,10 @@ fn serve_soak(args: &Args) -> i32 {
     let batch_pipeline = if wait_failed {
         String::new()
     } else {
-        batch_pipeline_render(&expected_kept, rib, threads)
+        lpr_serve::batch_snapshot_pipeline(&expected_kept, rib, threads).unwrap_or_else(|e| {
+            eprintln!("FAIL: batch reopen of a kept spool file: {e}");
+            String::new()
+        })
     };
     let identical = !wait_failed && !serve_pipeline.is_empty() && serve_pipeline == batch_pipeline;
     if !identical && !wait_failed {

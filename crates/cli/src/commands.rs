@@ -449,14 +449,7 @@ pub mod demo {
         let dsts = net.topo.destinations(1);
         let traces = prober.campaign(&vps, &dsts, 1, None).traces;
 
-        let mut writer = warts::WartsWriter::new();
-        let list = writer.list(1, "demo");
-        let cycle = writer.cycle_start(list, 1, 0);
-        for t in &traces {
-            writer.trace(&warts::trace_to_record(t, list, cycle)).expect("encode");
-        }
-        writer.cycle_stop(cycle, 1);
-        (writer.into_bytes(), rib_text)
+        (warts::encode_cycle(&traces, "demo", 1, 0, 1).expect("encode"), rib_text)
     }
 
     /// Executes the subcommand.

@@ -141,21 +141,6 @@ impl CycleReport {
     }
 }
 
-/// Writes rows as CSV into a string: a tiny hand-rolled emitter — every
-/// value the harnesses output is numeric or a bare identifier, so no
-/// quoting is required.
-pub fn to_csv<S: AsRef<str>>(header: &[&str], rows: &[Vec<S>]) -> String {
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        let cells: Vec<&str> = row.iter().map(|c| c.as_ref()).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,11 +211,5 @@ mod tests {
         // AS2 appears with zero classes.
         assert_eq!(report.per_as[&Asn(2)].classes.total(), 0);
         assert_eq!(report.per_as[&Asn(2)].non_mpls_ips, 1);
-    }
-
-    #[test]
-    fn csv_emitter() {
-        let csv = to_csv(&["a", "b"], &[vec!["1", "2"], vec!["3", "4"]]);
-        assert_eq!(csv, "a,b\n1,2\n3,4\n");
     }
 }

@@ -99,7 +99,7 @@ fn nested_key(l: &Lsp) -> NestedKey {
 /// a label can be the same word and only the length prefixes tell hop
 /// boundaries apart.
 fn arb_keyed_lsp() -> impl Strategy<Value = Lsp> {
-    let stack = proptest::collection::vec((2u32..5, 250u8..255), 0..4);
+    let stack = proptest::collection::vec((2u32..5, 250u8..=255), 0..4);
     let hops = proptest::collection::vec((2u32..5, stack), 1..7);
     (2u32..5, 2u32..5, hops).prop_map(|(ingress, egress, hops)| Lsp {
         asn: Asn(65000),

@@ -12,7 +12,6 @@
 use lpr_core::trace::Trace;
 use std::io;
 use std::path::{Path, PathBuf};
-use warts::{trace_to_record, WartsWriter};
 
 /// Writes `traces` as `n_files` warts files under `dir`, named
 /// `<stem>.NNN.warts`; returns the paths in cycle order. `n_files` is
@@ -28,29 +27,15 @@ pub fn write_corpus_files(
     let n_files = n_files.max(1);
     let per_file = traces.len().div_ceil(n_files).max(1);
     let mut paths = Vec::new();
-    for (i, chunk) in traces.chunks(per_file).enumerate() {
-        let path = dir.join(format!("{stem}.{i:03}.warts"));
-        let mut writer = WartsWriter::new();
-        let list = writer.list(1, stem);
-        let cycle = writer.cycle_start(list, 1, 1_400_000_000);
-        for trace in chunk {
-            writer
-                .trace(&trace_to_record(trace, 1, 1))
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        }
-        writer.cycle_stop(cycle, 1_400_000_600);
-        std::fs::write(&path, writer.into_bytes())?;
-        paths.push(path);
-    }
     // An empty cycle still produces one (traceless) file so that a
     // corpus open always has something to map.
-    if paths.is_empty() {
-        let path = dir.join(format!("{stem}.000.warts"));
-        let mut writer = WartsWriter::new();
-        let list = writer.list(1, stem);
-        let cycle = writer.cycle_start(list, 1, 1_400_000_000);
-        writer.cycle_stop(cycle, 1_400_000_600);
-        std::fs::write(&path, writer.into_bytes())?;
+    let chunks: Vec<&[Trace]> =
+        if traces.is_empty() { vec![traces] } else { traces.chunks(per_file).collect() };
+    for (i, chunk) in chunks.into_iter().enumerate() {
+        let path = dir.join(format!("{stem}.{i:03}.warts"));
+        let bytes = warts::encode_cycle(chunk, stem, 1, 1_400_000_000, 1_400_000_600)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        std::fs::write(&path, bytes)?;
         paths.push(path);
     }
     Ok(paths)

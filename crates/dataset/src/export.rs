@@ -32,19 +32,13 @@ pub fn export_cycle(world: &World, data: &CycleData, dir: &Path) -> io::Result<E
 
     let mut snapshot_paths = Vec::with_capacity(data.snapshots.len());
     for (snap, traces) in data.snapshots.iter().enumerate() {
-        let mut writer = warts::WartsWriter::new();
-        let list = writer.list(1, &format!("cycle{:03}", data.cycle));
         // Synthetic timestamps: months since "cycle 0", days per snap.
         let start = (data.cycle as u32) * 2_592_000 + (snap as u32) * 86_400;
-        let cycle_id = writer.cycle_start(list, data.cycle as u32, start);
-        for t in traces {
-            writer
-                .trace(&warts::trace_to_record(t, list, cycle_id))
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        }
-        writer.cycle_stop(cycle_id, start + 86_000);
-        let path = dir.join(format!("cycle{:03}_snap{snap}.warts", data.cycle));
-        std::fs::write(&path, writer.into_bytes())?;
+        let name = format!("cycle{:03}", data.cycle);
+        let bytes = warts::encode_cycle(traces, &name, data.cycle as u32, start, start + 86_000)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let path = dir.join(format!("{name}_snap{snap}.warts"));
+        std::fs::write(&path, bytes)?;
         snapshot_paths.push(path);
     }
 

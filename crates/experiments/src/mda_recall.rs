@@ -29,10 +29,10 @@ pub struct RecallPoint {
 }
 
 /// Flow-budget caps swept for the MDA-Lite curve.
-pub const CAPS: &[usize] = &[2, 4, 6, 8, 11, 16, 24, 32];
+const CAPS: &[usize] = &[2, 4, 6, 8, 11, 16, 24, 32];
 
 /// The oracle's flow budget (and the cap for the full-MDA row).
-pub const ORACLE_FLOWS: usize = 32;
+const ORACLE_FLOWS: usize = 32;
 
 /// Sweeps MDA-Lite flow caps against the exhaustive oracle on one
 /// cycle's network.

@@ -9,32 +9,48 @@
 
 use crate::output::{announce, f3, print_table, write_csv};
 use ark_dataset::{
-    analyze_cycle, analyze_cycle_revealed, generate_cycle_with_revelation, CampaignOptions, World,
+    analyze_cycle, analyze_cycle_revealed, generate_cycle_with_revelation, CampaignOptions,
+    CycleData, World,
 };
-use lpr_core::reveal::RevelationStatus;
+use lpr_core::pipeline::ClassCounts;
+use lpr_core::reveal::{RevealedTunnel, RevelationStatus};
 use netsim::{RevelationOptions, VisibilityMix};
 
-/// One visibility-mix point of the A/B comparison.
+/// The A/B over one rendered cycle: its IOTPs classified without and
+/// with the revealed evidence, and what the revelation phase cost.
 #[derive(Clone, Debug)]
-pub struct RevelationPoint {
-    /// Mix label.
-    pub mix: &'static str,
-    /// Classified IOTPs without / with revelation.
-    pub iotps_base: usize,
-    /// Classified IOTPs after the revelation stage.
-    pub iotps_revealed: usize,
-    /// Unclassified share without revelation.
-    pub unclassified_base: f64,
-    /// Unclassified share with revelation.
-    pub unclassified_revealed: f64,
+pub struct RevelationAb {
+    /// Class tally of plain LPR.
+    pub base: ClassCounts,
+    /// Class tally after the revelation stage.
+    pub revealed: ClassCounts,
     /// Candidates the revelation phase considered.
     pub triggers: u64,
     /// Candidates it revealed at least one interior path for.
-    pub revealed: u64,
+    pub revealed_tunnels: u64,
     /// Probe packets the DPR walks spent.
     pub revelation_probes: u64,
     /// Revelation probes as a fraction of the base campaign's probes.
     pub probe_overhead: f64,
+}
+
+/// Analyses a cycle rendered with the revelation phase twice — plain,
+/// then with `evidence` applied (j = 2 both times).
+pub fn ab(world: &World, data: &CycleData, evidence: &[RevealedTunnel]) -> RevelationAb {
+    let base = analyze_cycle(world, data, 2);
+    let revealed = analyze_cycle_revealed(world, data, 2, evidence);
+    let base_probes = (data.budget.probes_sent - data.budget.revelation_probes).max(1);
+    RevelationAb {
+        base: base.output.class_counts(),
+        revealed: revealed.output.class_counts(),
+        triggers: data.budget.revelation_triggers,
+        revealed_tunnels: evidence
+            .iter()
+            .filter(|e| e.status == RevelationStatus::Revealed)
+            .count() as u64,
+        revelation_probes: data.budget.revelation_probes,
+        probe_overhead: data.budget.revelation_probes as f64 / base_probes as f64,
+    }
 }
 
 /// The visibility mixes swept, worst-case hidden shares bracketed by
@@ -47,8 +63,8 @@ pub const MIXES: &[(&str, VisibilityMix)] = &[
     ("mixed", VisibilityMix { explicit: 0.4, implicit: 0.2, invisible: 0.2, opaque: 0.2 }),
 ];
 
-/// Runs the A/B sweep on one cycle's network.
-pub fn run(world: &World, cycle: usize) -> Vec<RevelationPoint> {
+/// Runs the A/B sweep on one cycle's network, one point per mix.
+pub fn run(world: &World, cycle: usize) -> Vec<(&'static str, RevelationAb)> {
     MIXES
         .iter()
         .map(|&(name, mix)| {
@@ -59,34 +75,13 @@ pub fn run(world: &World, cycle: usize) -> Vec<RevelationPoint> {
                 &opts,
                 &RevelationOptions::default(),
             );
-            let base = analyze_cycle(world, &data, 2);
-            let revealed = analyze_cycle_revealed(world, &data, 2, &evidence);
-            let base_counts = base.output.class_counts();
-            let rev_counts = revealed.output.class_counts();
-            let base_probes =
-                (data.budget.probes_sent - data.budget.revelation_probes).max(1);
-            RevelationPoint {
-                mix: name,
-                iotps_base: base_counts.total(),
-                iotps_revealed: rev_counts.total(),
-                unclassified_base: base_counts.unclassified as f64
-                    / base_counts.total().max(1) as f64,
-                unclassified_revealed: rev_counts.unclassified as f64
-                    / rev_counts.total().max(1) as f64,
-                triggers: data.budget.revelation_triggers,
-                revealed: evidence
-                    .iter()
-                    .filter(|e| e.status == RevelationStatus::Revealed)
-                    .count() as u64,
-                revelation_probes: data.budget.revelation_probes,
-                probe_overhead: data.budget.revelation_probes as f64 / base_probes as f64,
-            }
+            (name, ab(world, &data, &evidence))
         })
         .collect()
 }
 
 /// Prints and writes `fig_revelation.csv`.
-pub fn emit(points: &[RevelationPoint]) {
+pub fn emit(points: &[(&str, RevelationAb)]) {
     let headers = [
         "mix",
         "iotps_base",
@@ -100,15 +95,15 @@ pub fn emit(points: &[RevelationPoint]) {
     ];
     let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|p| {
+        .map(|(mix, p)| {
             vec![
-                p.mix.to_string(),
-                p.iotps_base.to_string(),
-                p.iotps_revealed.to_string(),
-                f3(p.unclassified_base),
-                f3(p.unclassified_revealed),
+                mix.to_string(),
+                p.base.total().to_string(),
+                p.revealed.total().to_string(),
+                f3(p.base.fractions()[3]),
+                f3(p.revealed.fractions()[3]),
                 p.triggers.to_string(),
-                p.revealed.to_string(),
+                p.revealed_tunnels.to_string(),
                 p.revelation_probes.to_string(),
                 f3(p.probe_overhead),
             ]

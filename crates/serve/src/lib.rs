@@ -50,8 +50,8 @@ pub mod render;
 pub mod server;
 pub mod signal;
 
-pub use render::{fnv1a64, per_as_json, snapshot_pipeline_json};
-pub use server::{Server, ServerHandle};
+pub use render::{batch_snapshot_pipeline, fnv1a64, per_as_json, snapshot_pipeline_json};
+pub use server::{attempt_ingest, Attempt, Server, ServerHandle};
 
 use std::path::PathBuf;
 use std::time::Duration;

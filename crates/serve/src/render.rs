@@ -1,14 +1,17 @@
 //! Deterministic JSON views of a [`PipelineOutput`].
 //!
 //! The soak harness proves serve/batch equivalence by comparing
-//! rendered bytes: the daemon and `lpr-bench serve` both call
-//! [`snapshot_pipeline_json`] on their respective outputs, so equal
-//! pipeline results render to equal strings — including an FNV-1a
-//! fingerprint over the full structural `Debug` form, which makes the
-//! comparison sensitive to every field `PipelineOutput::eq` sees.
+//! rendered bytes: the daemon renders its window, and
+//! [`batch_snapshot_pipeline`] renders the batch pipeline over the kept
+//! files, both through [`snapshot_pipeline_json`], so equal pipeline
+//! results render to equal strings — including an FNV-1a fingerprint
+//! over the full structural `Debug` form, which makes the comparison
+//! sensitive to every field `PipelineOutput::eq` sees.
 
-use lpr_core::pipeline::PipelineOutput;
+use lpr_core::pipeline::{IngestState, Pipeline, PipelineOutput};
+use lpr_corpus::{ingest_cycle, Corpus, IngestOptions};
 use lpr_obs::json::JsonValue;
+use std::path::PathBuf;
 
 /// FNV-1a over `bytes` (the same construction the bench golden
 /// fingerprints use).
@@ -19,6 +22,27 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The batch reference for a served window: ingests each file as the
+/// cycle the daemon assigned it, merges them in order, runs the back
+/// half as the daemon's rebuild does, and renders the result through
+/// [`snapshot_pipeline_json`].
+pub fn batch_snapshot_pipeline(
+    files: &[(u64, PathBuf)],
+    rib: &ip2as::Ip2AsTrie,
+    threads: usize,
+) -> std::io::Result<String> {
+    let mut window = IngestState::default();
+    for (cycle, path) in files {
+        let corpus = Corpus::open_with(std::slice::from_ref(path), false, None)?;
+        let (mut state, _report) = ingest_cycle(&corpus, rib, IngestOptions::new(threads), None);
+        state.tag_cycle(*cycle);
+        window.merge(state);
+    }
+    let out =
+        Pipeline::default().finish_stages(window, &[], None, lpr_par::ShardOptions::new(threads));
+    Ok(snapshot_pipeline_json(&out).render())
 }
 
 /// The snapshot's `pipeline` section: classification tallies, filter

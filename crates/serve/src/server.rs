@@ -190,7 +190,7 @@ fn route(shared: &Shared, path: &str) -> Response {
 }
 
 /// What one ingest attempt concluded about a spool file.
-enum Attempt {
+pub enum Attempt {
     /// Clean decode: the cycle's ingest state, ready to merge.
     Ingested(Box<IngestState>),
     /// File is empty or still growing — look again next tick.
@@ -543,8 +543,12 @@ impl Reconciler {
     }
 }
 
-/// The body of one ingest attempt (runs on the worker thread).
-fn attempt_ingest(path: &Path, rib: &ip2as::Ip2AsTrie, threads: usize) -> Attempt {
+/// The daemon's judge of one spool file, the body of one ingest
+/// attempt (it runs on a worker thread): a file that decodes without
+/// damage is ingested, an empty or still-growing one is deferred, and
+/// decode damage makes it corrupt. The index cache it writes lands next
+/// to the file.
+pub fn attempt_ingest(path: &Path, rib: &ip2as::Ip2AsTrie, threads: usize) -> Attempt {
     let corpus = match Corpus::open_with(std::slice::from_ref(&path), true, None) {
         Ok(corpus) => corpus,
         Err(e) => return Attempt::Io(e.to_string()),

@@ -4,11 +4,9 @@
 //! drops are quarantined with structured reasons while the endpoint
 //! keeps answering (degraded, never 5xx).
 
-use lpr_core::pipeline::{IngestState, Pipeline};
 use lpr_core::prelude::*;
 use lpr_core::trace::Hop;
-use lpr_corpus::{ingest_cycle, Corpus, IngestOptions};
-use lpr_serve::{http, snapshot_pipeline_json, ServeConfig, Server};
+use lpr_serve::{http, ServeConfig, Server};
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -98,21 +96,6 @@ fn get_json(addr: std::net::SocketAddr, path: &str) -> lpr_obs::json::JsonValue 
     lpr_obs::json::parse(&body).unwrap_or(lpr_obs::json::JsonValue::Null)
 }
 
-/// The batch reference: ingest each clean file as its tagged cycle,
-/// merge, run the back half, render through the shared renderer.
-fn batch_pipeline_rendering(files: &[(u64, PathBuf)], rib: &ip2as::Ip2AsTrie) -> String {
-    let mut window = IngestState::default();
-    for (cycle, path) in files {
-        let corpus = Corpus::open(std::slice::from_ref(path)).unwrap();
-        let (mut state, report) = ingest_cycle(&corpus, rib, IngestOptions::new(1), None);
-        assert_eq!(report.skipped_total(), 0);
-        state.tag_cycle(*cycle);
-        window.merge(state);
-    }
-    let out = Pipeline::default().finish_stages(window, &[], None, lpr_par::ShardOptions::new(1));
-    snapshot_pipeline_json(&out).render()
-}
-
 #[test]
 fn daemon_ingests_quarantines_and_serves_batch_identical_snapshots() {
     let root = tmp("e2e");
@@ -155,7 +138,8 @@ fn daemon_ingests_quarantines_and_serves_batch_identical_snapshots() {
         .and_then(|v| v.as_u64())
         == Some(1)));
     let served = get_json(addr, "/snapshot");
-    let reference = batch_pipeline_rendering(&[(0, spool.join("c0.warts"))], &rib);
+    let reference =
+        lpr_serve::batch_snapshot_pipeline(&[(0, spool.join("c0.warts"))], &rib, 1).unwrap();
     assert_eq!(served.get("pipeline").unwrap().render(), reference);
 
     // Drop 2: corrupt (a mid-file record header is trashed — damage
@@ -204,10 +188,12 @@ fn daemon_ingests_quarantines_and_serves_batch_identical_snapshots() {
         .and_then(|v| v.as_u64())
         == Some(2)));
     let served = get_json(addr, "/snapshot");
-    let reference = batch_pipeline_rendering(
+    let reference = lpr_serve::batch_snapshot_pipeline(
         &[(0, spool.join("c0.warts")), (1, spool.join("c3.warts"))],
         &rib,
-    );
+        1,
+    )
+    .unwrap();
     assert_eq!(served.get("pipeline").unwrap().render(), reference);
 
     // Two drops and no follow-up snapshots: no Persistence filter
@@ -281,10 +267,12 @@ fn window_eviction_keeps_serving_the_recent_cycles() {
         .filter_map(|v| v.as_u64())
         .collect();
     assert_eq!(cycles, vec![2, 3]);
-    let reference = batch_pipeline_rendering(
+    let reference = lpr_serve::batch_snapshot_pipeline(
         &[(2, spool.join("w2.warts")), (3, spool.join("w3.warts"))],
         &rib,
-    );
+        1,
+    )
+    .unwrap();
     assert_eq!(served.get("pipeline").unwrap().render(), reference);
 
     handle.stop();

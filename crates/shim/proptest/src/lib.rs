@@ -170,23 +170,19 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 
 /// Types that can be drawn uniformly from a range strategy.
 pub trait RangeValue: Copy {
-    /// Uniform draw from `[low, high)`.
-    fn draw(rng: &mut TestRng, low: Self, high: Self) -> Self;
-    /// Successor, for inclusive upper bounds.
-    fn successor(self) -> Self;
+    /// Uniform draw from `[low, high)`, or from `[low, high]` when
+    /// `inclusive`.
+    fn draw(rng: &mut TestRng, low: Self, high: Self, inclusive: bool) -> Self;
 }
 
 macro_rules! impl_range_value {
     ($($t:ty),*) => {$(
         impl RangeValue for $t {
-            fn draw(rng: &mut TestRng, low: Self, high: Self) -> Self {
-                let span = (high as i128) - (low as i128);
+            fn draw(rng: &mut TestRng, low: Self, high: Self, inclusive: bool) -> Self {
+                let span = (high as i128) - (low as i128) + inclusive as i128;
                 assert!(span > 0, "empty range strategy");
                 let offset = (rng.next_u64() as u128 % span as u128) as i128;
                 (low as i128 + offset) as $t
-            }
-            fn successor(self) -> Self {
-                self + 1
             }
         }
     )*};
@@ -195,26 +191,19 @@ macro_rules! impl_range_value {
 impl_range_value!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl RangeValue for f64 {
-    fn draw(rng: &mut TestRng, low: Self, high: Self) -> Self {
+    /// `low..=high` over floats: the upper bound is dense enough that
+    /// including it uniformly is indistinguishable, so `inclusive` is
+    /// ignored.
+    fn draw(rng: &mut TestRng, low: Self, high: Self, _inclusive: bool) -> Self {
         assert!(high > low, "empty range strategy");
         let frac = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         low + frac * (high - low)
     }
-
-    fn successor(self) -> Self {
-        // `low..=high` over floats: the upper bound is dense enough
-        // that including it uniformly is indistinguishable.
-        self
-    }
 }
 
 impl RangeValue for f32 {
-    fn draw(rng: &mut TestRng, low: Self, high: Self) -> Self {
-        f64::draw(rng, low as f64, high as f64) as f32
-    }
-
-    fn successor(self) -> Self {
-        self
+    fn draw(rng: &mut TestRng, low: Self, high: Self, inclusive: bool) -> Self {
+        f64::draw(rng, low as f64, high as f64, inclusive) as f32
     }
 }
 
@@ -222,7 +211,7 @@ impl<T: RangeValue> Strategy for Range<T> {
     type Value = T;
 
     fn generate(&self, rng: &mut TestRng) -> T {
-        T::draw(rng, self.start, self.end)
+        T::draw(rng, self.start, self.end, false)
     }
 }
 
@@ -230,7 +219,7 @@ impl<T: RangeValue> Strategy for RangeInclusive<T> {
     type Value = T;
 
     fn generate(&self, rng: &mut TestRng) -> T {
-        T::draw(rng, *self.start(), self.end().successor())
+        T::draw(rng, *self.start(), *self.end(), true)
     }
 }
 
@@ -466,6 +455,21 @@ mod tests {
             assert!(a < 4);
             assert!((10..=20).contains(&b));
         }
+    }
+
+    #[test]
+    fn inclusive_ranges_reach_the_type_maximum() {
+        let mut rng = TestRng::deterministic("inclusive_ranges");
+        let (mut top_u8, mut top_u64) = (false, false);
+        for _ in 0..400 {
+            let a = (252u8..=255).generate(&mut rng);
+            let b = (u64::MAX - 2..=u64::MAX).generate(&mut rng);
+            assert!(a >= 252);
+            assert!(b >= u64::MAX - 2);
+            top_u8 |= a == u8::MAX;
+            top_u64 |= b == u64::MAX;
+        }
+        assert!(top_u8 && top_u64, "the upper bound is drawn");
     }
 
     #[test]

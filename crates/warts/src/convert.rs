@@ -14,7 +14,7 @@
 use crate::addr::{Addr, AddrTableReader};
 use crate::buf::Cursor;
 use crate::error::WartsError;
-use crate::file::RecordType;
+use crate::file::{RecordType, WartsWriter};
 use crate::icmpext::{ExtBlock, ExtObject, IcmpExt};
 use crate::trace::{walk_trace, HopRecord, StopReason, TraceRecord, TraceSink};
 use lpr_core::label::LabelStack;
@@ -228,6 +228,26 @@ pub fn trace_to_record(trace: &Trace, list_id: u32, cycle_id: u32) -> TraceRecor
         rec.hops.push(h);
     }
     rec
+}
+
+/// Encodes `traces` as one self-contained cycle: a list record named
+/// `list_name`, a cycle start for `cycle_id` at `start`, one trace
+/// record per trace and a cycle stop at `stop` (times in Unix seconds).
+pub fn encode_cycle(
+    traces: &[Trace],
+    list_name: &str,
+    cycle_id: u32,
+    start: u32,
+    stop: u32,
+) -> Result<Vec<u8>, WartsError> {
+    let mut writer = WartsWriter::new();
+    let list = writer.list(1, list_name);
+    let cycle = writer.cycle_start(list, cycle_id, start);
+    for trace in traces {
+        writer.trace(&trace_to_record(trace, list, cycle))?;
+    }
+    writer.cycle_stop(cycle, stop);
+    Ok(writer.into_bytes())
 }
 
 #[cfg(test)]

@@ -83,7 +83,7 @@ pub mod text;
 pub mod trace;
 
 pub use addr::{Addr, AddrTableReader};
-pub use convert::{trace_to_core, trace_to_record, Conversion, TraceBuf};
+pub use convert::{encode_cycle, trace_to_core, trace_to_record, Conversion, TraceBuf};
 pub use cycle::{CycleRecord, CycleStopRecord};
 pub use error::WartsError;
 pub use file::{read_path, write_path, Record, RecordType, WartsReader, WartsWriter, WARTS_MAGIC};

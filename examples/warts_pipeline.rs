@@ -51,14 +51,8 @@ fn main() {
     let dsts = net.topo.destinations(1);
     let traces = prober.campaign(&vps, &dsts, 1, None).traces;
 
-    let mut writer = warts::WartsWriter::new();
-    let list = writer.list(1, "team-1");
-    let cycle = writer.cycle_start(list, 1, 1_417_392_000);
-    for t in &traces {
-        writer.trace(&warts::trace_to_record(t, list, cycle)).expect("serialise trace");
-    }
-    writer.cycle_stop(cycle, 1_417_478_400);
-    let bytes = writer.into_bytes();
+    let bytes = warts::encode_cycle(&traces, "team-1", 1, 1_417_392_000, 1_417_478_400)
+        .expect("serialise trace");
     println!(
         "wrote {} traces into {} bytes of warts ({} bytes/trace)",
         traces.len(),
