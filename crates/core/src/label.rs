@@ -16,6 +16,7 @@
 //! * 8-bit **LSE-TTL** with the same semantics as the IP TTL.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A 20-bit MPLS label value.
 ///
@@ -141,67 +142,115 @@ impl fmt::Debug for Lse {
 /// entry; stacks deeper than one appear with e.g. VPN service labels or
 /// LDP-over-RSVP. The stack preserves every entry so such cases survive
 /// analysis unharmed.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct LabelStack(Vec<Lse>);
+///
+/// Up to [`LabelStack::INLINE`] entries live in the stack itself, so
+/// building, cloning or clearing such a stack never touches the heap;
+/// a deeper one holds its entries in one boxed slice. Either way the
+/// stack is as large as a `Vec<Lse>`, and equality, hashing and `Debug`
+/// see only the entries, exactly as a `Vec<Lse>` would.
+#[derive(Clone, Default)]
+pub struct LabelStack(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` entries are the stack.
+    Inline { len: u8, entries: [Lse; LabelStack::INLINE] },
+    /// More than [`LabelStack::INLINE`] entries.
+    Boxed(Box<[Lse]>),
+}
+
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Inline { len: 0, entries: [Lse::from_u32(0); LabelStack::INLINE] }
+    }
+}
+
+// Every `Hop` holds a stack: one larger than a `Vec` grows every hop of
+// every trace (an overflow `Vec` instead of the boxed slice makes it 32).
+const _: () = assert!(std::mem::size_of::<LabelStack>() == std::mem::size_of::<Vec<Lse>>());
 
 impl LabelStack {
+    /// Entries held without a heap allocation: netsim quotes at most a
+    /// transport label over a VPN service label, and measured campaigns
+    /// quote no deeper stack.
+    pub const INLINE: usize = 2;
+
     /// An empty stack (an unlabelled hop).
     pub fn empty() -> Self {
-        LabelStack(Vec::new())
+        LabelStack::default()
     }
 
     /// Builds a stack from entries, outermost first.
     pub fn from_entries(entries: &[Lse]) -> Self {
-        LabelStack(entries.to_vec())
+        entries.iter().copied().collect()
     }
 
     /// Number of entries.
     pub fn depth(&self) -> usize {
-        self.0.len()
+        self.entries().len()
     }
 
     /// True if the stack has no entries.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.depth() == 0
     }
 
     /// The outermost (top, forwarding) entry.
     pub fn top(&self) -> Option<&Lse> {
-        self.0.first()
+        self.entries().first()
     }
 
     /// All entries, outermost first.
     pub fn entries(&self) -> &[Lse] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, entries } => &entries[..*len as usize],
+            Repr::Boxed(entries) => entries,
+        }
     }
 
-    /// Removes every entry, keeping the allocation for reuse.
+    /// Removes every entry.
     pub fn clear(&mut self) {
-        self.0.clear();
-    }
-
-    /// Entries the stack holds without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.0.capacity()
+        self.0 = Repr::default();
     }
 
     /// Pushes a new outermost entry.
     pub fn push(&mut self, lse: Lse) {
-        self.0.insert(0, lse);
+        match &mut self.0 {
+            Repr::Inline { len, entries } if (*len as usize) < Self::INLINE => {
+                entries.copy_within(..*len as usize, 1);
+                entries[0] = lse;
+                *len += 1;
+            }
+            _ => {
+                let mut all = Vec::with_capacity(self.depth() + 1);
+                all.push(lse);
+                all.extend_from_slice(self.entries());
+                self.0 = Repr::Boxed(all.into_boxed_slice());
+            }
+        }
     }
 
     /// Pops the outermost entry.
     pub fn pop(&mut self) -> Option<Lse> {
-        if self.0.is_empty() {
-            None
-        } else {
-            Some(self.0.remove(0))
+        let top = *self.top()?;
+        match &mut self.0 {
+            Repr::Inline { len, entries } => {
+                entries.copy_within(1..*len as usize, 0);
+                *len -= 1;
+            }
+            Repr::Boxed(entries) => *self = LabelStack::from_entries(&entries[1..]),
         }
+        Some(top)
     }
 
     /// Swaps the outermost label in place, keeping TC/S/TTL.
     pub fn swap_top(&mut self, label: Label) {
-        if let Some(top) = self.0.first_mut() {
+        let top = match &mut self.0 {
+            Repr::Inline { len: 0, .. } => None,
+            Repr::Inline { entries, .. } => entries.first_mut(),
+            Repr::Boxed(entries) => entries.first_mut(),
+        };
+        if let Some(top) = top {
             top.label = label;
         }
     }
@@ -210,21 +259,35 @@ impl LabelStack {
     /// first. This is the signature LPR compares: TTLs obviously differ
     /// hop to hop and say nothing about the FEC.
     pub fn label_values(&self) -> Vec<Label> {
-        self.0.iter().map(|l| l.label).collect()
+        self.entries().iter().map(|l| l.label).collect()
     }
 
     /// Whether two stacks have equal [`LabelStack::label_values`],
     /// compared without allocating.
     pub fn same_labels(&self, other: &LabelStack) -> bool {
-        self.0.len() == other.0.len()
-            && self.0.iter().zip(&other.0).all(|(a, b)| a.label == b.label)
+        let (a, b) = (self.entries(), other.entries());
+        a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.label == b.label)
+    }
+}
+
+impl PartialEq for LabelStack {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
+}
+
+impl Eq for LabelStack {}
+
+impl Hash for LabelStack {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.entries().hash(state);
     }
 }
 
 impl fmt::Debug for LabelStack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, l) in self.0.iter().enumerate() {
+        for (i, l) in self.entries().iter().enumerate() {
             if i > 0 {
                 write!(f, "|")?;
             }
@@ -236,14 +299,28 @@ impl fmt::Debug for LabelStack {
 
 impl FromIterator<Lse> for LabelStack {
     fn from_iter<T: IntoIterator<Item = Lse>>(iter: T) -> Self {
-        LabelStack(iter.into_iter().collect())
+        let mut stack = LabelStack::empty();
+        stack.extend(iter);
+        stack
     }
 }
 
 /// Appends entries below the current bottom, in iteration order.
 impl Extend<Lse> for LabelStack {
     fn extend<T: IntoIterator<Item = Lse>>(&mut self, iter: T) {
-        self.0.extend(iter);
+        let mut iter = iter.into_iter();
+        while let Repr::Inline { len, entries } = &mut self.0 {
+            let Some(slot) = entries.get_mut(*len as usize) else { break };
+            let Some(lse) = iter.next() else { return };
+            *slot = lse;
+            *len += 1;
+        }
+        let mut iter = iter.peekable();
+        if iter.peek().is_some() {
+            let mut all = self.entries().to_vec();
+            all.extend(iter);
+            self.0 = Repr::Boxed(all.into_boxed_slice());
+        }
     }
 }
 
@@ -303,6 +380,71 @@ mod tests {
         assert_eq!(s.label_values(), vec![Label::new(77), Label::new(99)]);
         // TTL preserved by swap.
         assert_eq!(s.top().unwrap().ttl, 250);
+    }
+
+    /// `LabelStack`'s `Debug` when it held a `Vec<Lse>`.
+    fn vec_debug(entries: &[Lse]) -> String {
+        let labels: Vec<String> = entries.iter().map(|l| l.label.to_string()).collect();
+        format!("[{}]", labels.join("|"))
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    /// The stack holds what the `Vec` model holds, hashes like it and
+    /// prints as a `Vec`-backed stack printed it.
+    fn assert_models(stack: &LabelStack, model: &[Lse], what: &str) {
+        assert_eq!(stack.entries(), model, "{what}: entries");
+        assert_eq!(stack.depth(), model.len(), "{what}: depth");
+        assert_eq!(hash_of(stack), hash_of(&model.to_vec()), "{what}: hash");
+        assert_eq!(format!("{stack:?}"), vec_debug(model), "{what}: debug");
+        assert_eq!(*stack, LabelStack::from_entries(model), "{what}: equality");
+    }
+
+    #[test]
+    fn stack_ops_match_a_vec_across_the_inline_boundary() {
+        let pool: Vec<Lse> =
+            (0..6).map(|i| Lse::new(Label::new(100 + i), i as u8, i == 5, 9)).collect();
+        for depth in 0..=3 {
+            let start = &pool[..depth];
+            let stack = LabelStack::from_entries(start);
+            assert_models(&stack, start, &format!("from_entries {depth}"));
+            let collected: LabelStack = start.iter().copied().collect();
+            assert_models(&collected, start, &format!("collect {depth}"));
+
+            let (mut s, mut v) = (stack.clone(), start.to_vec());
+            s.push(pool[5]);
+            v.insert(0, pool[5]);
+            assert_models(&s, &v, &format!("push onto {depth}"));
+
+            let (mut s, mut v) = (stack.clone(), start.to_vec());
+            let popped = s.pop();
+            assert_eq!(popped, (!v.is_empty()).then(|| v.remove(0)), "pop from {depth}");
+            assert_models(&s, &v, &format!("pop from {depth}"));
+
+            let (mut s, mut v) = (stack.clone(), start.to_vec());
+            s.swap_top(Label::new(77));
+            if let Some(top) = v.first_mut() {
+                top.label = Label::new(77);
+            }
+            assert_models(&s, &v, &format!("swap_top of {depth}"));
+
+            for more in 0..=3 {
+                let (mut s, mut v) = (stack.clone(), start.to_vec());
+                s.extend(pool[3..3 + more].iter().copied());
+                v.extend_from_slice(&pool[3..3 + more]);
+                assert_models(&s, &v, &format!("extend {depth} by {more}"));
+            }
+
+            let mut s = stack.clone();
+            s.clear();
+            assert_models(&s, &[], &format!("clear {depth}"));
+            s.extend(start.iter().copied());
+            assert_models(&s, start, &format!("refill {depth}"));
+        }
     }
 
     #[test]

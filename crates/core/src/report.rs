@@ -9,35 +9,49 @@ pub use crate::filter::AsMapper;
 use crate::lsp::Asn;
 use crate::pipeline::{ClassCounts, PipelineOutput};
 use crate::trace::Trace;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
-/// Address usage split: addresses seen quoting MPLS labels vs the rest.
+/// One walk over raw traces (pre-filtering, as in Fig. 5b): every
+/// responsive address, with whether it was seen at a label-bearing hop,
+/// and the trace counts of Fig. 5a.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IpUsage {
-    /// Addresses observed at label-bearing hops.
-    pub mpls: BTreeSet<Ipv4Addr>,
-    /// Addresses observed only at unlabelled hops.
-    pub non_mpls: BTreeSet<Ipv4Addr>,
+    /// Every responsive address, and whether some hop it answered at
+    /// quoted labels.
+    pub addrs: HashMap<Ipv4Addr, bool>,
+    /// Traces walked.
+    pub traces: usize,
+    /// Traces crossing at least one explicit tunnel.
+    pub traces_with_mpls: usize,
 }
 
 impl IpUsage {
-    /// Collects address usage over raw traces (pre-filtering, as in
-    /// Fig. 5b).
+    /// Walks `traces` once.
     pub fn of_traces<'a>(traces: impl IntoIterator<Item = &'a Trace>) -> IpUsage {
-        let mut mpls = BTreeSet::new();
-        let mut all = BTreeSet::new();
+        let mut usage = IpUsage::default();
         for t in traces {
-            for h in t.responsive_hops() {
-                let addr = h.addr.expect("responsive");
-                all.insert(addr);
-                if h.is_labelled() {
-                    mpls.insert(addr);
+            let mut mpls = false;
+            for h in &t.hops {
+                mpls |= h.is_labelled();
+                if let Some(addr) = h.addr {
+                    *usage.addrs.entry(addr).or_default() |= h.is_labelled();
                 }
             }
+            usage.traces += 1;
+            usage.traces_with_mpls += usize::from(mpls);
         }
-        let non_mpls = all.difference(&mpls).copied().collect();
-        IpUsage { mpls, non_mpls }
+        usage
+    }
+
+    /// Addresses observed at label-bearing hops.
+    pub fn mpls(&self) -> usize {
+        self.addrs.values().filter(|&&labelled| labelled).count()
+    }
+
+    /// Addresses observed only at unlabelled hops.
+    pub fn non_mpls(&self) -> usize {
+        self.addrs.len() - self.mpls()
     }
 }
 
@@ -53,7 +67,7 @@ pub struct AsCycleStats {
 }
 
 /// Everything the evaluation needs from one cycle.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CycleReport {
     /// Total traces in the cycle.
     pub traces: usize,
@@ -76,55 +90,42 @@ impl CycleReport {
     /// Per-AS MPLS addresses are counted *after filtering* (as Table 2
     /// does): they are the LER/LSR addresses of the classified IOTPs.
     /// Per-AS non-MPLS addresses are every other address of the AS seen
-    /// in the cycle's traces.
+    /// in the cycle's traces. The traces are walked once, and each
+    /// distinct address is looked up once.
     pub fn build(traces: &[Trace], output: &PipelineOutput, mapper: &dyn AsMapper) -> Self {
-        let traces_with_mpls = traces.iter().filter(|t| t.has_mpls()).count();
-        let usage = IpUsage::of_traces(traces.iter());
+        let usage = IpUsage::of_traces(traces);
 
-        // Addresses of filtered MPLS tunnels, per AS.
-        let mut mpls_per_as: BTreeMap<Asn, BTreeSet<Ipv4Addr>> = BTreeMap::new();
-        for (iotp, _) in &output.iotps {
-            let set = mpls_per_as.entry(iotp.key.asn).or_default();
-            set.insert(iotp.key.ingress);
-            set.insert(iotp.key.egress);
-            set.extend(iotp.lsr_addrs());
+        // Class tallies and filtered-tunnel addresses, per AS.
+        let mut mpls_per_as: BTreeMap<Asn, (ClassCounts, BTreeSet<Ipv4Addr>)> = BTreeMap::new();
+        for (iotp, c) in &output.iotps {
+            let (classes, addrs) = mpls_per_as.entry(iotp.key.asn).or_default();
+            classes.add(c.class);
+            addrs.insert(iotp.key.ingress);
+            addrs.insert(iotp.key.egress);
+            addrs.extend(iotp.branches.iter().flat_map(|b| b.hops.iter().map(|h| h.addr)));
         }
-
-        // Every address of the cycle, per AS.
-        let mut seen_per_as: BTreeMap<Asn, BTreeSet<Ipv4Addr>> = BTreeMap::new();
-        for t in traces {
-            for h in t.responsive_hops() {
-                let addr = h.addr.expect("responsive");
-                if let Some(asn) = mapper.asn_of(addr) {
-                    seen_per_as.entry(asn).or_default().insert(addr);
-                }
-            }
-        }
-
-        let mut per_as: BTreeMap<Asn, AsCycleStats> = BTreeMap::new();
-        for asn in output.ases() {
-            let mpls = mpls_per_as.get(&asn).cloned().unwrap_or_default();
-            let seen = seen_per_as.get(&asn).cloned().unwrap_or_default();
-            let stats = per_as.entry(asn).or_default();
-            stats.classes = output.class_counts_for(asn);
-            stats.mpls_ips = mpls.len();
-            stats.non_mpls_ips = seen.difference(&mpls).count();
-        }
-        // ASes seen in traces but with no classified IOTP still get a
-        // row (all-zero classes) so longitudinal plots show the gaps.
-        for (asn, seen) in &seen_per_as {
-            per_as.entry(*asn).or_insert_with(|| AsCycleStats {
-                classes: ClassCounts::default(),
-                mpls_ips: 0,
-                non_mpls_ips: seen.len(),
-            });
+        let mut per_as: BTreeMap<Asn, AsCycleStats> = mpls_per_as
+            .iter()
+            .map(|(&asn, (classes, addrs))| {
+                let stats =
+                    AsCycleStats { classes: *classes, mpls_ips: addrs.len(), non_mpls_ips: 0 };
+                (asn, stats)
+            })
+            .collect();
+        // Every other address of the cycle counts for its AS. ASes seen
+        // in traces but with no classified IOTP still get a row
+        // (all-zero classes) so longitudinal plots show the gaps.
+        for &addr in usage.addrs.keys() {
+            let Some(asn) = mapper.asn_of(addr) else { continue };
+            let mpls = mpls_per_as.get(&asn).is_some_and(|(_, addrs)| addrs.contains(&addr));
+            per_as.entry(asn).or_default().non_mpls_ips += usize::from(!mpls);
         }
 
         CycleReport {
-            traces: traces.len(),
-            traces_with_mpls,
-            ip_usage_mpls: usage.mpls.len(),
-            ip_usage_non_mpls: usage.non_mpls.len(),
+            traces: usage.traces,
+            traces_with_mpls: usage.traces_with_mpls,
+            ip_usage_mpls: usage.mpls(),
+            ip_usage_non_mpls: usage.non_mpls(),
             per_as,
             dynamic_ases: output.dynamic_ases.clone(),
         }
@@ -186,9 +187,10 @@ mod tests {
         let traces =
             [mpls_trace(Ipv4Addr::new(192, 0, 2, 7), [100, 200]), plain_trace(ip(3, 7))];
         let usage = IpUsage::of_traces(traces.iter());
-        assert_eq!(usage.mpls.len(), 2);
+        assert_eq!(usage.mpls(), 2);
         // ingress, egress, dst of trace 1, two hops of trace 2
-        assert_eq!(usage.non_mpls.len(), 5);
+        assert_eq!(usage.non_mpls(), 5);
+        assert_eq!((usage.traces, usage.traces_with_mpls), (2, 1));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use warts::{Addr, Record, RecordSpan, SkipReason, WartsReader};
+use warts::{Addr, RecordSpan, RecordType, SkipReason, WartsReader};
 
 /// Magic prefix of a serialized index.
 pub const INDEX_MAGIC: [u8; 4] = *b"LPRX";
@@ -60,16 +60,17 @@ pub struct RecordIndex {
 
 impl RecordIndex {
     /// Indexes `bytes` with one sequential lenient scan, framed in place.
+    /// Each record is checked, not built ([`warts::Framer::next_span`]).
     /// Never panics: malformed content lands in the skip tallies, exactly
     /// as either lenient warts reader reports it.
     pub fn build(bytes: &[u8]) -> Self {
-        let mut reader = WartsReader::new(bytes).lenient().elide_unsupported_bodies();
+        let mut reader = WartsReader::new(bytes).lenient();
         let mut records = Vec::new();
         let mut traces = 0u64;
         // A lenient framer over a slice cannot fail.
-        while let Ok(Some(rec)) = reader.next_record() {
-            records.extend(reader.last_record_span());
-            traces += matches!(rec, Record::Trace(_)) as u64;
+        while let Ok(Some(span)) = reader.next_span() {
+            records.push(span);
+            traces += (span.record_type == RecordType::Trace as u16) as u64;
         }
         let skips = reader.skip_counts();
         let skip_counts = SkipReason::ALL.map(|r| skips.get(&r).copied().unwrap_or(0));

@@ -14,8 +14,8 @@
 //! merging the states in task order reproduces the sequential ingest
 //! exactly. The decode matches [`warts::decode_record_body`] +
 //! [`warts::trace_to_core`] record for record but builds no
-//! `TraceRecord`, and once the buffer is warm it allocates nothing per
-//! record. Peak memory is the surviving LSPs plus one trace per task —
+//! `TraceRecord`: it reads only the fields a core hop keeps, and once
+//! the buffer is warm it allocates nothing per record. Peak memory is the surviving LSPs plus one trace per task —
 //! never the corpus, never the trace list.
 
 use crate::corpus::{Corpus, DecodeReport};
@@ -84,6 +84,10 @@ fn shard_opts(threads: usize) -> lpr_par::ShardOptions {
 
 /// Decodes the trace records of one task and feeds each to `push`.
 /// Returns `(convert_failures, decode_errors)`.
+///
+/// Every record goes into one [`warts::TraceBuf`], whose walker keeps
+/// its hop layouts for the whole task, so the task allocates per record
+/// only while the buffer warms up.
 fn decode_task(
     corpus: &Corpus,
     task: &RangeTask,
@@ -95,8 +99,6 @@ fn decode_task(
     // decode equals sequential decode (embed-form occurrences append
     // duplicates past it, which nothing references).
     let mut addrs = warts::AddrTableReader::from_table(file.index.addr_table.clone());
-    // One scratch trace per task: each record is decoded into it in
-    // place, so a task allocates per record only while it warms up.
     let mut buf = warts::TraceBuf::default();
     let mut convert_failures = 0u64;
     let mut decode_errors = 0u64;

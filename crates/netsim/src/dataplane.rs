@@ -24,7 +24,7 @@
 use crate::internet::{splitmix64, Internet, TunnelVisibility};
 use crate::rsvp::TeLsp;
 use crate::topology::{AsId, RouterId, Topology};
-use lpr_core::label::{Label, Lse};
+use lpr_core::label::{Label, LabelStack, Lse};
 use std::net::Ipv4Addr;
 
 /// The outcome of one probe.
@@ -38,7 +38,7 @@ pub enum ProbeReply {
         addr: Ipv4Addr,
         /// RFC 4950 quoted label stack (empty when the packet carried
         /// no labels or the router does not implement the extension).
-        stack: Vec<Lse>,
+        stack: LabelStack,
         /// The reply detoured via the tunnel tail before returning
         /// (an interior LSR of an implicit tunnel cannot route the
         /// ICMP itself) — the probe layer inflates the hop's RTT by
@@ -104,24 +104,15 @@ impl Tunnel<'_> {
     /// copy of the remaining IP TTL (`ttl-propagate`) and both
     /// decrement once per visible hop, so the entry whose TTL runs out
     /// is received with TTL 1 — never 0, never more.
-    fn quoted_stack(&self) -> Vec<Lse> {
-        let mut stack = Vec::new();
-        match self.kind {
-            TunnelKind::Service => {
-                if let Some(svc) = self.service {
-                    stack.push(Lse::new(svc, 0, true, 1));
-                }
+    fn quoted_stack(&self) -> LabelStack {
+        let service = self.service.map(|svc| Lse::new(svc, 0, true, 1));
+        match (&self.kind, self.arriving) {
+            (TunnelKind::Service, _) => service.into_iter().collect(),
+            (_, Some(top)) => {
+                std::iter::once(Lse::new(top, 0, service.is_none(), 1)).chain(service).collect()
             }
-            _ => {
-                if let Some(top) = self.arriving {
-                    stack.push(Lse::new(top, 0, self.service.is_none(), 1));
-                    if let Some(svc) = self.service {
-                        stack.push(Lse::new(svc, 0, true, 1));
-                    }
-                }
-            }
+            (_, None) => LabelStack::empty(),
         }
-        stack
     }
 
     /// The quirky stack an opaque tunnel's tail LSR quotes: a single
@@ -130,11 +121,8 @@ impl Tunnel<'_> {
     /// entries always expire at exactly TTL 1. Quoted regardless of
     /// the AS's RFC 4950 knob: the implausible TTL *is* the artifact
     /// TNT keys its opaque trigger on.
-    fn opaque_stack(&self) -> Vec<Lse> {
-        match self.arriving {
-            Some(top) => vec![Lse::new(top, 0, true, 255)],
-            None => Vec::new(),
-        }
+    fn opaque_stack(&self) -> LabelStack {
+        self.arriving.map(|top| Lse::new(top, 0, true, 255)).into_iter().collect()
     }
 }
 
@@ -359,7 +347,7 @@ pub(crate) fn probe_ladder(
         let stack = match &tunnel {
             Some(t) if t.vis == TunnelVisibility::Opaque => t.opaque_stack(),
             Some(t) if cfg.rfc4950 && t.vis != TunnelVisibility::Implicit => t.quoted_stack(),
-            _ => Vec::new(),
+            _ => LabelStack::empty(),
         };
         let uturn = matches!(
             &tunnel,
@@ -554,7 +542,7 @@ pub(crate) fn probe_ladder(
                         out.push(ProbeReply::TimeExceeded {
                             router: target,
                             addr: loopback,
-                            stack: Vec::new(),
+                            stack: LabelStack::empty(),
                             uturn: false,
                         });
                         if out.len() >= max_events {
@@ -845,7 +833,7 @@ mod tests {
             .iter()
             .filter(|r| {
                 matches!(r, ProbeReply::TimeExceeded { stack, .. }
-                    if stack.first().map(|l| l.label) == Some(Label::IPV4_EXPLICIT_NULL))
+                    if stack.top().map(|l| l.label) == Some(Label::IPV4_EXPLICIT_NULL))
             })
             .count();
         assert_eq!(nulls, 1, "{replies:?}");
@@ -865,7 +853,7 @@ mod tests {
                 .iter()
                 .filter_map(|r| match r {
                     ProbeReply::TimeExceeded { stack, .. } if !stack.is_empty() => {
-                        Some(stack[0].label.value())
+                        Some(stack.entries()[0].label.value())
                     }
                     _ => None,
                 })

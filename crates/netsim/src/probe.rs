@@ -372,7 +372,7 @@ impl<'a> Prober<'a> {
                 m.sent.inc();
             }
             match events.next() {
-                Some(ProbeReply::TimeExceeded { router, addr, stack, uturn }) => {
+                Some(ProbeReply::TimeExceeded { router, addr, mut stack, uturn }) => {
                     let rate = self
                         .net
                         .config(self.net.topo.router(router).as_id)
@@ -398,8 +398,6 @@ impl<'a> Prober<'a> {
                         trace.push_hop(Hop::anonymous(ttl));
                         gap += 1;
                     } else {
-                        let mut stack: lpr_core::label::LabelStack =
-                            stack.into_iter().collect();
                         if let Some(plan) = faults {
                             if !stack.is_empty() && plan.php_silent(addr) {
                                 stack = lpr_core::label::LabelStack::empty();

@@ -15,9 +15,8 @@ use crate::addr::{Addr, AddrTableReader};
 use crate::buf::Cursor;
 use crate::error::WartsError;
 use crate::file::{RecordType, WartsWriter};
-use crate::icmpext::{ExtBlock, ExtObject, IcmpExt};
-use crate::trace::{walk_trace, HopRecord, StopReason, TraceRecord, TraceSink};
-use lpr_core::label::LabelStack;
+use crate::icmpext::{ExtObject, IcmpExt};
+use crate::trace::{walk_trace, HopLayouts, HopRecord, HopView, StopReason, TraceRecord, TraceSink};
 use lpr_core::trace::{Hop, Trace};
 use std::net::Ipv4Addr;
 
@@ -34,19 +33,19 @@ pub enum Conversion {
 }
 
 /// A core trace that [`TraceBuf::decode`] rewrites in place for each
-/// record, hop vector and label storage included, and the label storage
-/// of hops that a shorter record dropped, parked for the next one. Once
-/// warm, decoding into it allocates nothing.
+/// record, hop vector included, and the hop layouts its walker caches.
+/// A label stack of up to [`lpr_core::LabelStack::INLINE`] entries
+/// lives in its hop, so once warm, decoding into it allocates nothing.
 #[derive(Clone, Debug)]
 pub struct TraceBuf {
     trace: Trace,
-    spare: Vec<LabelStack>,
+    layouts: HopLayouts,
 }
 
 impl Default for TraceBuf {
     fn default() -> Self {
         let trace = Trace::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
-        TraceBuf { trace, spare: Vec::new() }
+        TraceBuf { trace, layouts: HopLayouts::default() }
     }
 }
 
@@ -69,17 +68,17 @@ impl TraceBuf {
         addrs: &mut AddrTableReader,
     ) -> Result<Conversion, WartsError> {
         let mut cur = Cursor::new(body);
-        let mut writer = CoreWriter::new(self);
-        walk_trace(&mut cur, addrs, &mut writer)?;
+        let mut writer = CoreWriter::new(&mut self.trace);
+        walk_trace(&mut cur, addrs, &mut self.layouts, &mut writer)?;
         cur.expect_consumed(RecordType::Trace as u16)?;
         Ok(writer.finish())
     }
 }
 
-/// Writes a record's replies into a [`TraceBuf`] as core hops,
-/// overwriting the hops an earlier record left.
+/// Writes a record's replies into a core trace, overwriting the hops an
+/// earlier record left.
 struct CoreWriter<'b> {
-    buf: &'b mut TraceBuf,
+    trace: &'b mut Trace,
     /// Hops written so far; those past it are stale.
     len: usize,
     expected_ttl: u8,
@@ -88,8 +87,8 @@ struct CoreWriter<'b> {
 }
 
 impl<'b> CoreWriter<'b> {
-    fn new(buf: &'b mut TraceBuf) -> Self {
-        CoreWriter { buf, len: 0, expected_ttl: 1, last_ttl: 0, outcome: Conversion::Ipv4 }
+    fn new(trace: &'b mut Trace) -> Self {
+        CoreWriter { trace, len: 0, expected_ttl: 1, last_ttl: 0, outcome: Conversion::Ipv4 }
     }
 
     /// Takes the endpoints and settings of `params` (its hops are not
@@ -99,10 +98,9 @@ impl<'b> CoreWriter<'b> {
             self.outcome = Conversion::NotIpv4;
             return;
         };
-        let trace = &mut self.buf.trace;
-        trace.src = src;
-        trace.dst = dst;
-        trace.reached = params.stop_reason == StopReason::Completed;
+        self.trace.src = src;
+        self.trace.dst = dst;
+        self.trace.reached = params.stop_reason == StopReason::Completed;
         self.expected_ttl = params.first_hop.unwrap_or(1);
     }
 
@@ -110,11 +108,17 @@ impl<'b> CoreWriter<'b> {
     /// hops are skipped, TTL gaps become anonymous hops, and the first
     /// RFC 4950 object is the hop's label stack. A malformed one fails
     /// the conversion, and later replies are ignored.
-    fn reply<'a>(&mut self, hop: &HopRecord, mut objects: impl Iterator<Item = ExtObject<'a>>) {
-        if self.outcome != Conversion::Ipv4 || hop.probe_ttl <= self.last_ttl {
+    fn reply<'a>(
+        &mut self,
+        probe_ttl: u8,
+        addr: Addr,
+        rtt_us: u32,
+        mut objects: impl Iterator<Item = ExtObject<'a>>,
+    ) {
+        if self.outcome != Conversion::Ipv4 || probe_ttl <= self.last_ttl {
             return;
         }
-        let Some(addr) = hop.addr.as_v4() else { return };
+        let Some(addr) = addr.as_v4() else { return };
         let entries = match objects.find(ExtObject::is_mpls).map(|o| o.mpls_entries()) {
             Some(Err(e)) => {
                 self.outcome = Conversion::Failed(e);
@@ -123,38 +127,26 @@ impl<'b> CoreWriter<'b> {
             Some(Ok(entries)) => Some(entries),
             None => None,
         };
-        while self.expected_ttl < hop.probe_ttl {
-            self.next_hop(self.expected_ttl, None, 0, false);
+        while self.expected_ttl < probe_ttl {
+            self.next_hop(self.expected_ttl, None, 0);
             self.expected_ttl += 1;
         }
-        self.last_ttl = hop.probe_ttl;
-        self.expected_ttl = hop.probe_ttl.saturating_add(1);
-        let next = self.next_hop(hop.probe_ttl, Some(addr), hop.rtt_us, entries.is_some());
+        self.last_ttl = probe_ttl;
+        self.expected_ttl = probe_ttl.saturating_add(1);
+        let next = self.next_hop(probe_ttl, Some(addr), rtt_us);
         if let Some(entries) = entries {
             next.stack.extend(entries);
         }
     }
 
-    /// Overwrites the next hop with an unlabelled one. A `labelled` hop
-    /// without label storage takes parked storage.
-    fn next_hop(
-        &mut self,
-        probe_ttl: u8,
-        addr: Option<Ipv4Addr>,
-        rtt_us: u32,
-        labelled: bool,
-    ) -> &mut Hop {
-        let hops = &mut self.buf.trace.hops;
+    /// Overwrites the next hop with an unlabelled one.
+    fn next_hop(&mut self, probe_ttl: u8, addr: Option<Ipv4Addr>, rtt_us: u32) -> &mut Hop {
+        let hops = &mut self.trace.hops;
         if self.len == hops.len() {
             hops.push(Hop::anonymous(probe_ttl));
         }
         let hop = &mut hops[self.len];
         self.len += 1;
-        if labelled && hop.stack.capacity() == 0 {
-            if let Some(stack) = self.buf.spare.pop() {
-                hop.stack = stack;
-            }
-        }
         hop.probe_ttl = probe_ttl;
         hop.addr = addr;
         hop.rtt_us = rtt_us;
@@ -162,12 +154,10 @@ impl<'b> CoreWriter<'b> {
         hop
     }
 
-    /// Drops the stale hops, parking their label storage, and reports
-    /// the outcome.
+    /// Drops the stale hops and reports the outcome.
     fn finish(self) -> Conversion {
         if self.outcome == Conversion::Ipv4 {
-            let stale = self.buf.trace.hops.drain(self.len..);
-            self.buf.spare.extend(stale.map(|h| h.stack).filter(|s| s.capacity() > 0));
+            self.trace.hops.truncate(self.len);
         }
         self.outcome
     }
@@ -178,8 +168,8 @@ impl TraceSink for CoreWriter<'_> {
         self.start(&params);
     }
 
-    fn hop(&mut self, hop: HopRecord, exts: ExtBlock<'_>) {
-        self.reply(&hop, exts.objects());
+    fn hop(&mut self, hop: &HopView<'_>) {
+        self.reply(hop.probe_ttl(), hop.addr, hop.rtt_us(), hop.exts.objects());
     }
 }
 
@@ -190,14 +180,15 @@ impl TraceSink for CoreWriter<'_> {
 /// the paper's single-path Paris traceroute data behaves. TTL gaps
 /// become anonymous hops.
 pub fn trace_to_core(rec: &TraceRecord) -> Result<Option<Trace>, WartsError> {
-    let mut buf = TraceBuf::default();
-    let mut writer = CoreWriter::new(&mut buf);
+    let mut trace = Trace::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
+    let mut writer = CoreWriter::new(&mut trace);
     writer.start(rec);
     for hop in &rec.hops {
-        writer.reply(hop, hop.icmp_exts.iter().map(IcmpExt::object));
+        let objects = hop.icmp_exts.iter().map(IcmpExt::object);
+        writer.reply(hop.probe_ttl, hop.addr, hop.rtt_us, objects);
     }
     match writer.finish() {
-        Conversion::Ipv4 => Ok(Some(buf.trace)),
+        Conversion::Ipv4 => Ok(Some(trace)),
         Conversion::NotIpv4 => Ok(None),
         Conversion::Failed(e) => Err(e),
     }

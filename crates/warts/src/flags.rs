@@ -124,7 +124,7 @@ impl ParamWriter {
 
 /// A flag bitfield borrowed from a record body, continuation bits and
 /// all: reading and iterating it allocates nothing.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Flags<'a>(&'a [u8]);
 
 impl<'a> Flags<'a> {
@@ -138,6 +138,11 @@ impl<'a> Flags<'a> {
     /// True when no flag is set.
     pub fn is_empty(&self) -> bool {
         self.0.iter().all(|&b| b & 0x7f == 0)
+    }
+
+    /// The raw flag bytes, continuation bits included.
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.0
     }
 
     /// Iterates over the set flag numbers in increasing order. A number

@@ -18,7 +18,7 @@ use crate::error::WartsError;
 use crate::file::{Record, RecordType, WARTS_MAGIC};
 use crate::list::ListRecord;
 use crate::ping::PingRecord;
-use crate::trace::TraceRecord;
+use crate::trace::{walk_trace, HopLayouts, HopView, TraceRecord, TraceSink};
 use lpr_obs::{Counter, Registry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -242,23 +242,55 @@ impl StreamMetrics {
         }
     }
 
-    fn observe(&self, wire_len: usize, record: &Record) {
+    fn observe(&self, wire_len: usize, tally: &Tally) {
         self.records.inc();
         self.bytes.add(wire_len as u64);
-        match record {
-            Record::Trace(t) => {
-                self.traces.inc();
-                for hop in &t.hops {
-                    for ext in &hop.icmp_exts {
-                        if !ext.is_mpls() {
-                            self.unknown_icmp_ext.inc();
-                        }
-                    }
-                }
-            }
-            Record::Unsupported { .. } => self.unsupported.inc(),
-            _ => {}
+        if tally.trace {
+            self.traces.inc();
+            self.unknown_icmp_ext.add(tally.unknown_icmp_ext);
         }
+        if tally.unsupported {
+            self.unsupported.inc();
+        }
+    }
+}
+
+/// What [`StreamMetrics`] counts of a record that decoded, besides its
+/// bytes. As a trace sink it keeps nothing else.
+#[derive(Default)]
+struct Tally {
+    trace: bool,
+    unsupported: bool,
+    /// ICMP extension objects that are not RFC 4950 MPLS stacks.
+    unknown_icmp_ext: u64,
+}
+
+impl Tally {
+    fn of(record: &Record) -> Self {
+        match record {
+            Record::Trace(t) => Tally {
+                trace: true,
+                unknown_icmp_ext: t
+                    .hops
+                    .iter()
+                    .flat_map(|hop| &hop.icmp_exts)
+                    .filter(|ext| !ext.is_mpls())
+                    .count() as u64,
+                ..Tally::default()
+            },
+            Record::Unsupported { .. } => Tally { unsupported: true, ..Tally::default() },
+            _ => Tally::default(),
+        }
+    }
+}
+
+impl TraceSink for Tally {
+    fn params(&mut self, _: TraceRecord, _: u16) {
+        self.trace = true;
+    }
+
+    fn hop(&mut self, hop: &HopView<'_>) {
+        self.unknown_icmp_ext += hop.exts.objects().filter(|o| !o.is_mpls()).count() as u64;
     }
 }
 
@@ -306,9 +338,9 @@ pub struct Framer<S> {
 }
 
 /// What one framing step did with its window.
-enum Step {
+enum Step<T> {
     /// The window's first `n` bytes held this record, or were skipped.
-    Consumed(usize, Option<Record>),
+    Consumed(usize, Option<T>),
     /// Framing needs a window this long (never asked at end of input).
     Need(usize),
     /// A clean end of input, or a poisoned framer.
@@ -322,6 +354,7 @@ enum Step {
 #[derive(Default)]
 struct FrameState {
     addrs: AddrTableReader,
+    layouts: HopLayouts,
     /// Bytes consumed so far (records plus skipped garbage).
     offset: usize,
     failed: bool,
@@ -337,7 +370,8 @@ struct FrameState {
 
 impl FrameState {
     /// The framing step over `window`; `at_end` says no input follows.
-    fn step(&mut self, window: &[u8], at_end: bool) -> Step {
+    /// `decode` reads a framed body of the given record type.
+    fn step<T>(&mut self, window: &[u8], at_end: bool, mut decode: impl Decode<T>) -> Step<T> {
         if self.failed {
             return Step::End;
         }
@@ -366,15 +400,10 @@ impl FrameState {
             };
         }
         let body = &window[HEADER_LEN..wire];
-        match decode_record_body(header.record_type, body, &mut self.addrs) {
-            Ok(mut record) => {
-                if let Record::Unsupported { body: kept, .. } = &mut record {
-                    if !self.elide_unsupported {
-                        *kept = body.to_vec();
-                    }
-                }
+        match decode(header.record_type, body, &mut self.addrs, &mut self.layouts) {
+            Ok((record, tally)) => {
                 if let Some(m) = &self.metrics {
-                    m.observe(wire, &record);
+                    m.observe(wire, &tally);
                 }
                 self.last_span = Some(RecordSpan {
                     offset: self.offset as u64,
@@ -401,7 +430,7 @@ impl FrameState {
     /// Header-level corruption. The strict policy refuses it; the
     /// lenient one counts one skip, steps a byte past the bad header and
     /// resynchronises.
-    fn reject(&mut self, reason: SkipReason, window: &[u8]) -> Step {
+    fn reject<T>(&mut self, reason: SkipReason, window: &[u8]) -> Step<T> {
         if self.lenient {
             self.skip(reason);
             self.resyncing = true;
@@ -422,7 +451,7 @@ impl FrameState {
     /// Discards bytes up to the next plausible record header, or the
     /// whole window at the end of input. Otherwise the last 7 bytes
     /// stay: a header may straddle the window's edge.
-    fn resync(&mut self, window: &[u8], at_end: bool) -> Step {
+    fn resync<T>(&mut self, window: &[u8], at_end: bool) -> Step<T> {
         // The first-byte test only spares the parse where it would fail.
         let first = WARTS_MAGIC.to_be_bytes()[0];
         let found = window
@@ -440,7 +469,7 @@ impl FrameState {
         self.discard(garbage)
     }
 
-    fn discard(&mut self, n: usize) -> Step {
+    fn discard<T>(&mut self, n: usize) -> Step<T> {
         self.offset += n;
         self.resync_bytes += n as u64;
         if let Some(m) = &self.metrics {
@@ -532,9 +561,44 @@ impl<S: Source> Framer<S> {
     /// any error the reader is poisoned and returns `Ok(None)` from
     /// then on.
     pub fn next_record(&mut self) -> Result<Option<Record>, S::Error> {
+        let keep_unsupported = !self.state.elide_unsupported;
+        self.next_with(|record_type, body, addrs, layouts| {
+            let mut record = decode_body(record_type, body, addrs, layouts)?;
+            if let Record::Unsupported { body: kept, .. } = &mut record {
+                if keep_unsupported {
+                    *kept = body.to_vec();
+                }
+            }
+            let tally = Tally::of(&record);
+            Ok((record, tally))
+        })
+    }
+
+    /// Frames and checks the next record as [`Framer::next_record`]
+    /// does, with the same errors, skips, tallies and address table,
+    /// but builds nothing: a trace body is walked into a sink that
+    /// keeps nothing. Returns the record's span, as
+    /// [`Framer::last_record_span`] then gives it.
+    pub fn next_span(&mut self) -> Result<Option<RecordSpan>, S::Error> {
+        let checked = self.next_with(|record_type, body, addrs, layouts| {
+            if record_type != RecordType::Trace as u16 {
+                let record = decode_body(record_type, body, addrs, layouts)?;
+                return Ok(((), Tally::of(&record)));
+            }
+            let mut cur = Cursor::new(body);
+            let mut tally = Tally::default();
+            walk_trace(&mut cur, addrs, layouts, &mut tally)?;
+            cur.expect_consumed(record_type)?;
+            Ok(((), tally))
+        })?;
+        Ok(checked.and(self.state.last_span))
+    }
+
+    /// Runs framing steps until one yields a record `decode` read.
+    fn next_with<T>(&mut self, mut decode: impl Decode<T>) -> Result<Option<T>, S::Error> {
         loop {
             let (window, at_end) = self.source.window();
-            match self.state.step(window, at_end) {
+            match self.state.step(window, at_end, &mut decode) {
                 Step::Consumed(n, record) => {
                     self.source.consume(n);
                     if record.is_some() {
@@ -573,6 +637,18 @@ impl<S: Source> Iterator for Framer<S> {
     }
 }
 
+/// Reads one framed body of a record type against the framer's address
+/// table and hop layouts: the record, and what the metrics count of it.
+trait Decode<T>:
+    FnMut(u16, &[u8], &mut AddrTableReader, &mut HopLayouts) -> Result<(T, Tally), WartsError>
+{
+}
+
+impl<T, F> Decode<T> for F where
+    F: FnMut(u16, &[u8], &mut AddrTableReader, &mut HopLayouts) -> Result<(T, Tally), WartsError>
+{
+}
+
 /// Decodes one record body against an address table: the one body
 /// dispatcher, for a [`Framer`] and for index-driven shard decoding
 /// (the file's full dictionary preloaded via
@@ -582,6 +658,16 @@ pub fn decode_record_body(
     record_type: u16,
     body: &[u8],
     addrs: &mut AddrTableReader,
+) -> Result<Record, WartsError> {
+    decode_body(record_type, body, addrs, &mut HopLayouts::default())
+}
+
+/// [`decode_record_body`] through a walker's layout cache.
+fn decode_body(
+    record_type: u16,
+    body: &[u8],
+    addrs: &mut AddrTableReader,
+    layouts: &mut HopLayouts,
 ) -> Result<Record, WartsError> {
     let mut cur = Cursor::new(body);
     let record = match record_type {
@@ -593,7 +679,7 @@ pub fn decode_record_body(
             Record::CycleStop(CycleStopRecord::read(&mut cur)?)
         }
         x if x == RecordType::Trace as u16 => {
-            Record::Trace(TraceRecord::read(&mut cur, addrs)?)
+            Record::Trace(TraceRecord::read_with(&mut cur, addrs, layouts)?)
         }
         x if x == RecordType::Ping as u16 => {
             Record::Ping(PingRecord::read(&mut cur, addrs)?)

@@ -7,9 +7,12 @@
 //! the ICMP-extension hop parameter ([`crate::icmpext`]).
 //!
 //! `walk_trace` is the one reader of the trace and hop parameter
-//! tables. It feeds one of two sinks: [`TraceRecord`] keeps every field, and
+//! tables. It reads each hop through a `HopLayout` cached per flag
+//! pattern (`HopLayouts`), and hands the hop to one of three sinks as
+//! a borrowed `HopView`: [`TraceRecord`] keeps every field,
 //! [`crate::TraceBuf::decode`] converts each hop into a core trace as it
-//! goes.
+//! goes, and the framer's record check (`Framer::next_span`) keeps
+//! nothing.
 //!
 //! Flag numbers follow scamper's `scamper_file_warts.c`. Deprecated
 //! global-address-id parameters (trace flags 3/4, hop flag 1) are
@@ -19,7 +22,7 @@
 use crate::addr::{Addr, AddrTableReader, AddrTableWriter};
 use crate::buf::{put_timeval, Cursor};
 use crate::error::WartsError;
-use crate::flags::{read_params, ParamWriter};
+use crate::flags::{read_params, Flags, ParamWriter};
 use crate::icmpext::{write_exts, ExtBlock, IcmpExt};
 use bytes::{BufMut, BytesMut};
 
@@ -196,67 +199,6 @@ impl HopRecord {
         addrs.write(p.param(H_ADDR), self.addr);
         p.finish_reset(out);
     }
-
-    /// Decodes one hop, leaving its extension objects in the body.
-    fn read<'a>(
-        cur: &mut Cursor<'a>,
-        addrs: &mut AddrTableReader,
-    ) -> Result<(Self, ExtBlock<'a>), WartsError> {
-        let (flags, mut params) = read_params(cur, "hop params")?;
-        let mut addr = None;
-        let mut exts = ExtBlock::default();
-        let mut hop = HopRecord {
-            addr: Addr::V4(std::net::Ipv4Addr::UNSPECIFIED),
-            probe_ttl: 0,
-            reply_ttl: None,
-            probe_id: None,
-            rtt_us: 0,
-            icmp_type_code: None,
-            probe_size: None,
-            reply_size: None,
-            reply_ipid: None,
-            reply_tos: None,
-            quoted_ttl: None,
-            icmp_exts: Vec::new(),
-        };
-        for flag in flags.iter() {
-            match flag {
-                H_ADDR_GID => {
-                    return Err(WartsError::Unsupported { feature: "hop global address id" })
-                }
-                H_PROBE_TTL => hop.probe_ttl = params.u8("hop probe ttl")?,
-                H_REPLY_TTL => hop.reply_ttl = Some(params.u8("hop reply ttl")?),
-                H_FLAGS => {
-                    params.u8("hop flags")?;
-                }
-                H_PROBE_ID => hop.probe_id = Some(params.u8("hop probe id")?),
-                H_RTT => hop.rtt_us = params.u32("hop rtt")?,
-                H_ICMP_TC => hop.icmp_type_code = Some(params.u16("hop icmp tc")?),
-                H_PROBE_SIZE => hop.probe_size = Some(params.u16("hop probe size")?),
-                H_REPLY_SIZE => hop.reply_size = Some(params.u16("hop reply size")?),
-                H_REPLY_IPID => hop.reply_ipid = Some(params.u16("hop reply ipid")?),
-                H_REPLY_TOS => hop.reply_tos = Some(params.u8("hop reply tos")?),
-                H_NHMTU => {
-                    params.u16("hop nhmtu")?;
-                }
-                H_Q_IPLEN => {
-                    params.u16("hop quoted iplen")?;
-                }
-                H_Q_IPTTL => hop.quoted_ttl = Some(params.u8("hop quoted ttl")?),
-                H_TCP_FLAGS => {
-                    params.u8("hop tcp flags")?;
-                }
-                H_Q_IPTOS => {
-                    params.u8("hop quoted tos")?;
-                }
-                H_ICMPEXT => exts = ExtBlock::read(&mut params)?,
-                H_ADDR => addr = Some(addrs.read(&mut params)?),
-                _ => return Err(WartsError::Unsupported { feature: "unknown hop flag" }),
-            }
-        }
-        hop.addr = addr.ok_or(WartsError::Unsupported { feature: "hop without address" })?;
-        Ok((hop, exts))
-    }
 }
 
 /// A full traceroute record.
@@ -341,9 +283,18 @@ impl TraceRecord {
 
     /// Decodes a record body, threading the file's address table.
     pub fn read(cur: &mut Cursor<'_>, addrs: &mut AddrTableReader) -> Result<Self, WartsError> {
+        Self::read_with(cur, addrs, &mut HopLayouts::default())
+    }
+
+    /// [`TraceRecord::read`] through a walker's layout cache.
+    pub(crate) fn read_with(
+        cur: &mut Cursor<'_>,
+        addrs: &mut AddrTableReader,
+        layouts: &mut HopLayouts,
+    ) -> Result<Self, WartsError> {
         let unspecified = Addr::V4(std::net::Ipv4Addr::UNSPECIFIED);
         let mut rec = TraceRecord::new(unspecified, unspecified);
-        walk_trace(cur, addrs, &mut rec)?;
+        walk_trace(cur, addrs, layouts, &mut rec)?;
         Ok(rec)
     }
 
@@ -442,29 +393,255 @@ impl TraceRecord {
     }
 }
 
+/// The fixed-width hop parameters, flags 2 to 16 in flag order: each
+/// one's flag, width and the context of the error when it overruns its
+/// block.
+const FIXED: [(u16, u8, &str); 15] = [
+    (H_PROBE_TTL, 1, "hop probe ttl"),
+    (H_REPLY_TTL, 1, "hop reply ttl"),
+    (H_FLAGS, 1, "hop flags"),
+    (H_PROBE_ID, 1, "hop probe id"),
+    (H_RTT, 4, "hop rtt"),
+    (H_ICMP_TC, 2, "hop icmp tc"),
+    (H_PROBE_SIZE, 2, "hop probe size"),
+    (H_REPLY_SIZE, 2, "hop reply size"),
+    (H_REPLY_IPID, 2, "hop reply ipid"),
+    (H_REPLY_TOS, 1, "hop reply tos"),
+    (H_NHMTU, 2, "hop nhmtu"),
+    (H_Q_IPLEN, 2, "hop quoted iplen"),
+    (H_Q_IPTTL, 1, "hop quoted ttl"),
+    (H_TCP_FLAGS, 1, "hop tcp flags"),
+    (H_Q_IPTOS, 1, "hop quoted tos"),
+];
+
+/// The offset of a fixed-width parameter the flags leave unset.
+const ABSENT: u8 = u8::MAX;
+
+/// Where a hop's parameters sit in its parameter block, as its flag
+/// bytes say. Every hop with the same flag bytes has the same layout.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct HopLayout {
+    /// Offset of each fixed-width parameter ([`FIXED`] order), or
+    /// [`ABSENT`].
+    offsets: [u8; FIXED.len()],
+    /// Bytes the fixed-width parameters take together.
+    fixed_len: u8,
+    /// Some flag is set, so a parameter length follows the flags.
+    any: bool,
+    /// Flag 1, the deprecated global address id.
+    deprecated: bool,
+    /// Flag 17: an ICMP extension block follows the fixed part.
+    exts: bool,
+    /// Flag 18: an address follows.
+    addr: bool,
+    /// A flag above 18.
+    unknown: bool,
+}
+
+impl HopLayout {
+    fn of(flags: Flags<'_>) -> Self {
+        let mut layout = HopLayout {
+            offsets: [ABSENT; FIXED.len()],
+            fixed_len: 0,
+            any: false,
+            deprecated: false,
+            exts: false,
+            addr: false,
+            unknown: false,
+        };
+        for flag in flags.iter() {
+            layout.any = true;
+            match flag {
+                H_ADDR_GID => layout.deprecated = true,
+                H_PROBE_TTL..=H_Q_IPTOS => {
+                    let i = (flag - H_PROBE_TTL) as usize;
+                    debug_assert_eq!(FIXED[i].0, flag);
+                    layout.offsets[i] = layout.fixed_len;
+                    layout.fixed_len += FIXED[i].1;
+                }
+                H_ICMPEXT => layout.exts = true,
+                H_ADDR => layout.addr = true,
+                _ => layout.unknown = true,
+            }
+        }
+        layout
+    }
+
+    /// The error for a parameter block of `len` bytes, too short for
+    /// the fixed-width part: the first parameter that overruns it.
+    fn overrun(&self, len: usize) -> WartsError {
+        let context = FIXED
+            .iter()
+            .zip(self.offsets)
+            .find(|&(&(_, width, _), offset)| offset != ABSENT && (offset + width) as usize > len)
+            .map_or("hop params", |(&(_, _, context), _)| context);
+        WartsError::Truncated { context }
+    }
+}
+
+/// Flag fields of at most this many bytes (flags 1 to 21, which hold
+/// every hop flag) have their layouts cached.
+const CACHED_FLAG_BYTES: usize = 3;
+
+/// A walker's cache of hop layouts, keyed on the raw flag bytes. The
+/// trace files [`crate::WartsWriter`] writes use two hop flag patterns
+/// (with and without an ICMP extension), so two slots miss only on each
+/// pattern's first hop.
+#[derive(Clone, Debug)]
+pub(crate) struct HopLayouts {
+    slots: [(u32, HopLayout); 2],
+    /// The slot the next miss replaces.
+    next: usize,
+}
+
+/// The key of an empty slot: no flag field of up to three bytes packs
+/// to it, since its third byte would say another byte follows.
+const NO_KEY: u32 = u32::MAX;
+
+impl Default for HopLayouts {
+    fn default() -> Self {
+        let empty = (NO_KEY, HopLayout::of(Flags::default()));
+        HopLayouts { slots: [empty; 2], next: 0 }
+    }
+}
+
+impl HopLayouts {
+    /// The layout of a hop with these flags. A flag field longer than
+    /// [`CACHED_FLAG_BYTES`] is laid out afresh each time.
+    fn layout(&mut self, flags: Flags<'_>) -> HopLayout {
+        let bytes = flags.bytes();
+        if bytes.len() > CACHED_FLAG_BYTES {
+            return HopLayout::of(flags);
+        }
+        // The continuation bits make the packing injective.
+        let key = bytes.iter().fold(0u32, |key, &b| key << 8 | b as u32);
+        if let Some((_, layout)) = self.slots.iter().find(|(k, _)| *k == key) {
+            return *layout;
+        }
+        let layout = HopLayout::of(flags);
+        self.slots[self.next] = (key, layout);
+        self.next = (self.next + 1) % self.slots.len();
+        layout
+    }
+
+    /// Reads one hop. Its errors and address-table updates are those of
+    /// reading each flag's parameter in flag order: the flags and the
+    /// parameter block, then flag 1, then the first fixed-width
+    /// parameter that overruns the block, then the extension block,
+    /// then the address, then a flag above 18, then a missing address.
+    /// Bytes after the last parameter are ignored.
+    fn read<'a>(
+        &mut self,
+        cur: &mut Cursor<'a>,
+        addrs: &mut AddrTableReader,
+    ) -> Result<HopView<'a>, WartsError> {
+        let flags = Flags::read(cur)?;
+        let layout = self.layout(flags);
+        let params = if layout.any {
+            let len = cur.u16("hop params")? as usize;
+            cur.bytes(len, "hop params")?
+        } else {
+            &[]
+        };
+        if layout.deprecated {
+            return Err(WartsError::Unsupported { feature: "hop global address id" });
+        }
+        let rest = params.get(layout.fixed_len as usize..);
+        let mut rest = Cursor::new(rest.ok_or_else(|| layout.overrun(params.len()))?);
+        let exts = if layout.exts { ExtBlock::read(&mut rest)? } else { ExtBlock::default() };
+        let addr = if layout.addr { Some(addrs.read(&mut rest)?) } else { None };
+        if layout.unknown {
+            return Err(WartsError::Unsupported { feature: "unknown hop flag" });
+        }
+        let addr = addr.ok_or(WartsError::Unsupported { feature: "hop without address" })?;
+        Ok(HopView { params, layout, addr, exts })
+    }
+}
+
+/// One hop as the walker read it, borrowed from the record body: its
+/// parameter block and layout, its address and its extension block.
+/// Each fixed-width field is read from its offset on demand.
+pub(crate) struct HopView<'a> {
+    params: &'a [u8],
+    layout: HopLayout,
+    /// Replying address.
+    pub addr: Addr,
+    /// ICMP extension objects, checked and left in the body.
+    pub exts: ExtBlock<'a>,
+}
+
+impl HopView<'_> {
+    /// The fixed-width parameter of `flag`, when set. The walker checked
+    /// that the block holds every set one.
+    fn field<const N: usize>(&self, flag: u16) -> Option<[u8; N]> {
+        let offset = self.layout.offsets[(flag - H_PROBE_TTL) as usize];
+        if offset == ABSENT {
+            return None;
+        }
+        let offset = offset as usize;
+        self.params.get(offset..offset + N)?.try_into().ok()
+    }
+
+    fn u8(&self, flag: u16) -> Option<u8> {
+        self.field(flag).map(|[b]| b)
+    }
+
+    fn u16(&self, flag: u16) -> Option<u16> {
+        self.field(flag).map(u16::from_be_bytes)
+    }
+
+    /// TTL of the probe that elicited the reply (0 when unset).
+    pub fn probe_ttl(&self) -> u8 {
+        self.u8(H_PROBE_TTL).unwrap_or(0)
+    }
+
+    /// Round-trip time in microseconds (0 when unset).
+    pub fn rtt_us(&self) -> u32 {
+        self.field(H_RTT).map_or(0, u32::from_be_bytes)
+    }
+
+    /// Every field, as an owned record.
+    fn record(&self) -> HopRecord {
+        HopRecord {
+            addr: self.addr,
+            probe_ttl: self.probe_ttl(),
+            reply_ttl: self.u8(H_REPLY_TTL),
+            probe_id: self.u8(H_PROBE_ID),
+            rtt_us: self.rtt_us(),
+            icmp_type_code: self.u16(H_ICMP_TC),
+            probe_size: self.u16(H_PROBE_SIZE),
+            reply_size: self.u16(H_REPLY_SIZE),
+            reply_ipid: self.u16(H_REPLY_IPID),
+            reply_tos: self.u8(H_REPLY_TOS),
+            quoted_ttl: self.u8(H_Q_IPTTL),
+            icmp_exts: self.exts.objects().map(IcmpExt::from).collect(),
+        }
+    }
+}
+
 /// Receives the parts of a trace record from [`walk_trace`], in wire
 /// order.
 pub(crate) trait TraceSink {
     /// The trace parameters (with no hops) and the declared hop count,
     /// before any hop.
     fn params(&mut self, params: TraceRecord, hop_count: u16);
-    /// One hop. Its extension objects stay in the record body as `exts`;
-    /// `hop.icmp_exts` is empty.
-    fn hop(&mut self, hop: HopRecord, exts: ExtBlock<'_>);
+    /// One hop.
+    fn hop(&mut self, hop: &HopView<'_>);
 }
 
 /// Walks one trace record body into `sink`: the parameter block, then
-/// every hop. Its decode errors are the record's, whatever the sink.
+/// every hop, each through `layouts`. Its decode errors are the
+/// record's, whatever the sink.
 pub(crate) fn walk_trace(
     cur: &mut Cursor<'_>,
     addrs: &mut AddrTableReader,
+    layouts: &mut HopLayouts,
     sink: &mut impl TraceSink,
 ) -> Result<(), WartsError> {
     let (params, hop_count) = TraceRecord::read_header(cur, addrs)?;
     sink.params(params, hop_count);
     for _ in 0..hop_count {
-        let (hop, exts) = HopRecord::read(cur, addrs)?;
-        sink.hop(hop, exts);
+        sink.hop(&layouts.read(cur, addrs)?);
     }
     Ok(())
 }
@@ -475,9 +652,8 @@ impl TraceSink for TraceRecord {
         self.hops.reserve(hop_count as usize);
     }
 
-    fn hop(&mut self, mut hop: HopRecord, exts: ExtBlock<'_>) {
-        hop.icmp_exts = exts.objects().map(IcmpExt::from).collect();
-        self.hops.push(hop);
+    fn hop(&mut self, hop: &HopView<'_>) {
+        self.hops.push(hop.record());
     }
 }
 
