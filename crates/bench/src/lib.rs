@@ -22,12 +22,8 @@ pub const GOLDEN_CAMPAIGN_FNV: u64 = 0x814958413857ec30;
 pub fn campaign_fingerprint(snapshots: &[Vec<lpr_core::trace::Trace>]) -> u64 {
     let mut combined = 0u64;
     for (snap, traces) in snapshots.iter().enumerate() {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in warts::encode_cycle(traces, "bench", 1, 0, 1).expect("encode") {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        combined ^= h.rotate_left(snap as u32 * 21);
+        let bytes = warts::encode_cycle(traces, "bench", 1, 0, 1).expect("encode");
+        combined ^= lpr_serve::fnv1a64(&bytes).rotate_left(snap as u32 * 21);
     }
     combined
 }
@@ -151,9 +147,9 @@ pub mod cli {
             about: "Generates a campaign (scale 1 holds the cycle in memory; larger scales
 write it snapshot by snapshot), runs the LPR pipeline in memory and out
 of core, and exits 1 unless every output is identical at threads
-1/2/4/8, the default-shape exhaustive campaign matches its golden
-fingerprint and the unsupported-body decode stays zero-copy. The report
-holds only values every run of the same command repeats.",
+1/2/4/8 and the default-shape exhaustive campaign matches its golden
+fingerprint. The report holds only values every run of the same command
+repeats.",
             flags: &[
                 flag("--out", Text, Some("BENCH_pipeline.json"), "report path"),
                 flag("--snapshots", Count { min: 1 }, Some("3"), "snapshots per cycle"),

@@ -13,7 +13,7 @@
 //! ([`lpr_bench::cli::COMMANDS`]); `lpr-bench help` prints it. A flag
 //! error exits 2.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 use lpr_bench::cli::{self, Args};
 use lpr_bench::{campaign_fingerprint, GOLDEN_CAMPAIGN_FNV};
@@ -29,72 +29,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A counting wrapper around the system allocator: relaxed atomics
-/// tracking requested and live heap bytes, read by the unsupported-body
-/// elide check and the ingest phase's live-heap peak.
-mod counting_alloc {
-    #![allow(unsafe_code)]
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-
-    static BYTES: AtomicU64 = AtomicU64::new(0);
-    /// Live heap bytes (allocated minus freed); signed because a
-    /// relaxed race can transiently observe a free before its alloc.
-    static LIVE: AtomicI64 = AtomicI64::new(0);
-    /// High-water mark of [`LIVE`] since the last [`heap_reset_peak`].
-    static PEAK: AtomicI64 = AtomicI64::new(0);
-
-    fn grow(delta: i64) {
-        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
-        PEAK.fetch_max(live, Ordering::Relaxed);
-    }
-
-    /// Forwards to [`System`], tallying requested bytes.
-    pub struct CountingAlloc;
-
-    // SAFETY: defers every allocation verbatim to `System`; the only
-    // additions are relaxed counter increments, which allocate nothing.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            grow(layout.size() as i64);
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-            grow(new_size as i64 - layout.size() as i64);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    /// Bytes requested since process start.
-    pub fn bytes_allocated() -> u64 {
-        BYTES.load(Ordering::Relaxed)
-    }
-
-    /// Live-heap high-water mark, bytes, since [`heap_reset_peak`] (or
-    /// process start).
-    pub fn heap_peak() -> u64 {
-        PEAK.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Restarts the high-water mark from the current live-heap size, so
-    /// the next [`heap_peak`] reading covers only the phase that follows.
-    pub fn heap_reset_peak() {
-        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-}
-
-#[global_allocator]
-static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 /// Prints to stdout, swallowing broken-pipe errors (`lpr-bench ... |
 /// head` must not panic).
@@ -200,39 +134,6 @@ fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
-/// Satellite self-check for the zero-copy decode of `Unsupported`
-/// record bodies: decodes one large unknown-type record with and
-/// without `elide_unsupported_bodies`, measuring allocated bytes via
-/// the counting allocator. Eliding must remove the body-sized copy —
-/// the kept-body pass has to allocate at least half a body more than
-/// the elided pass. Returns the JSON verdict and whether it held.
-fn unsupported_elide_check() -> (JsonValue, bool) {
-    const BODY: usize = 4 << 20;
-    let mut bytes = Vec::with_capacity(8 + BODY);
-    bytes.extend_from_slice(&0x1205u16.to_be_bytes()); // warts magic
-    bytes.extend_from_slice(&0x00F0u16.to_be_bytes()); // unknown type
-    bytes.extend_from_slice(&(BODY as u32).to_be_bytes());
-    bytes.resize(8 + BODY, 0x5a);
-
-    let decode = |elide: bool| -> u64 {
-        let mut reader = warts::WartsStreamReader::new(bytes.as_slice());
-        if elide {
-            reader = reader.elide_unsupported_bodies();
-        }
-        let before = counting_alloc::bytes_allocated();
-        while let Ok(Some(_)) = reader.next_record() {}
-        counting_alloc::bytes_allocated() - before
-    };
-    let kept = decode(false);
-    let elided = decode(true);
-    let ok = kept.saturating_sub(elided) >= BODY as u64 / 2;
-    let verdict = JsonValue::Object(vec![
-        ("body_bytes".to_string(), JsonValue::Int(BODY as i128)),
-        ("ok".to_string(), JsonValue::Bool(ok)),
-    ]);
-    (verdict, ok)
-}
-
 /// How many files a corpus cycle is split across: one per ~100K traces,
 /// at least 4 so multi-file sharding is always exercised.
 fn corpus_file_count(traces: usize) -> usize {
@@ -264,8 +165,8 @@ struct Head {
 /// `lpr-bench pipeline`. A head generates the campaign and persists
 /// it — [`demo_head`] at scale 1, [`scaled_head`] past it — and one
 /// tail ([`pipeline_tail`]) runs everything after: the out-of-core
-/// identity sweep, the elide check, the tripwires, the report and the
-/// summary. The tracer's journal is written last either way.
+/// identity sweep, the tripwires, the report and the summary. The
+/// tracer's journal is written last either way.
 fn pipeline(args: &Args) -> i32 {
     let tracer = tracer_for(args);
     let recorder = Recorder::new("lpr-bench pipeline").with_tracer(tracer.clone());
@@ -344,15 +245,15 @@ fn demo_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, Strin
     });
     diverged |= !all_match(&rows);
 
-    // Round-trip through the warts codec, tallied by the stream reader.
+    // Round-trip through the warts codec: the stream reader's traces are
+    // the reference the corpus decode must reproduce.
     let stage = StageGuard::open(Some(recorder), "WartsEncode");
     let bytes = warts::encode_cycle(traces, "bench", 1, 0, 1).expect("encode");
     stage.finish_counts(traces.len() as u64, bytes.len() as u64);
 
     let stage = StageGuard::open(Some(recorder), "WartsDecode");
-    let metrics = warts::StreamMetrics::from_recorder(recorder);
     let mut decoded = Vec::new();
-    let mut reader = warts::WartsStreamReader::new(bytes.as_slice()).with_metrics(metrics);
+    let mut reader = warts::WartsStreamReader::new(bytes.as_slice());
     loop {
         match reader.next_record() {
             Ok(Some(warts::Record::Trace(t))) => {
@@ -455,15 +356,13 @@ fn scaled_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, Str
 /// The shared tail of `lpr-bench pipeline`: index the corpus (cold,
 /// then cached), run the instrumented out-of-core pipeline, check every
 /// out-of-core run against the reference at every thread count, run
-/// the elide check and the tripwires, and write the report. Returns the
-/// exit code.
+/// the tripwires, and write the report. Returns the exit code.
 fn pipeline_tail(args: &Args, head: Head, recorder: Recorder) -> Result<i32, String> {
     let threads: usize = args.value("--threads");
     let Head { world, paths, spilled, budget, golden, in_memory, mut diverged } = head;
 
-    // The ingest phase starts here: both peak readings cover only what
+    // The ingest phase starts here: the peak reading covers only what
     // follows.
-    counting_alloc::heap_reset_peak();
     let rss_reset = reset_peak_rss();
 
     // Open twice: the first open builds and caches every `.lpridx`, the
@@ -479,14 +378,18 @@ fn pipeline_tail(args: &Args, head: Head, recorder: Recorder) -> Result<i32, Str
     let pl =
         Pipeline::new(FilterConfig { persistence_window: spilled.len(), ..Default::default() });
     let run = |n: usize, window: PersistenceWindow<'_>, rec: Option<&Recorder>| {
-        let (ingest, _report) =
+        let (ingest, report) =
             lpr_corpus::ingest_cycle(&corpus, world.rib(), lpr_corpus::IngestOptions::new(n), rec);
+        if let Some(rec) = rec {
+            report.record(rec);
+        }
         pl.finish_stages_windowed(ingest, window, rec, lpr_par::ShardOptions::new(n))
             .map_err(|e| format!("out-of-core pipeline at {n} threads: {e}"))
     };
 
     // The instrumented run, spilled window and `--threads` workers,
-    // records the `Ingest` stage and every funnel row.
+    // records the `Ingest` stage, every funnel row and the `warts.*`
+    // counters, as `lpr classify` does.
     let instrumented = run(threads, PersistenceWindow::Spilled(&spilled), Some(&recorder));
     let out = instrumented.as_ref().map_err(String::clone)?;
 
@@ -510,18 +413,6 @@ fn pipeline_tail(args: &Args, head: Head, recorder: Recorder) -> Result<i32, Str
     });
     diverged |= !all_match(&rows);
     let peak_rss = if rss_reset { peak_rss_bytes() } else { None };
-    let peak_heap = counting_alloc::heap_peak();
-
-    // Zero-copy Unsupported decode: eliding bodies must remove the
-    // body-sized allocation (run after the peak readings so the check's
-    // own buffers stay out of the ingest phase).
-    let (elide_verdict, elide_ok) = unsupported_elide_check();
-    if !elide_ok {
-        eprintln!(
-            "FAIL: eliding Unsupported bodies did not remove the body-sized decode allocation"
-        );
-        diverged = true;
-    }
 
     // GenerateCampaign's share of the top-level stage walls (summed over
     // its rows: one per snapshot past scale 1); per-worker rows
@@ -599,7 +490,6 @@ fn pipeline_tail(args: &Args, head: Head, recorder: Recorder) -> Result<i32, Str
     }
     report.push(("ingest".to_string(), ingest));
     report.push(("probing".to_string(), probing_json(strategy(args), &budget)));
-    report.push(("unsupported_elide".to_string(), elide_verdict));
     let out_path: String = args.value("--out");
     std::fs::write(&out_path, JsonValue::Object(report).render_pretty())
         .map_err(|e| format!("{out_path}: {e}"))?;
@@ -607,10 +497,10 @@ fn pipeline_tail(args: &Args, head: Head, recorder: Recorder) -> Result<i32, Str
     say!("GenerateCampaign share of stage wall time: {:.1}%", campaign_share * 100.0);
     match peak_rss {
         Some(b) => {
-            say!("ingest-phase peak: {b} resident bytes, {peak_heap} live-heap bytes");
+            say!("ingest-phase peak: {b} resident bytes");
         }
         None => {
-            say!("ingest-phase peak: resident bytes unavailable, {peak_heap} live-heap bytes");
+            say!("ingest-phase peak: resident bytes unavailable");
         }
     }
     say!("probes per destination: {:.2}", budget.probes_per_pair());

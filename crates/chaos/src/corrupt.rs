@@ -11,7 +11,7 @@ pub const WARTS_MAGIC_BE: [u8; 2] = [0x12, 0x05];
 const DECIDE_SALT: u64 = 0xC0DE_D00D_0000_0001;
 const KIND_SALT: u64 = 0xC0DE_D00D_0000_0002;
 
-/// Tally of corruptions applied to a stream.
+/// Counts of corruptions applied to a stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CorruptionCounts {
     /// Records with a bit flipped in their body.

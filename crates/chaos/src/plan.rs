@@ -251,7 +251,7 @@ impl FaultPlan {
     }
 }
 
-/// Tally of faults a plan actually injected into a set of traces.
+/// Counts of faults a plan actually injected into a set of traces.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounts {
     /// Replies lost in transit.

@@ -189,7 +189,7 @@ pub mod tunnels {
         let (traces, convert_failures) = lpr_corpus::ingest::load_traces(&corpus);
         let mut load = LoadReport::default();
         let report = lpr_corpus::DecodeReport { convert_failures, ..corpus.decode_report() };
-        load.admit(o.keep_going, &corpus, report)?;
+        load.admit(o.keep_going, &corpus, report, None)?;
         let mut total = 0usize;
         for trace in &traces {
             for t in extract_tunnels(trace) {

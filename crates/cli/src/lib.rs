@@ -112,16 +112,22 @@ impl LoadReport {
     }
 
     /// The batch verdict on one opened corpus (the cycle, or a `--next`
-    /// snapshot) and the `report` of decoding it. Without `keep_going`
-    /// a skipped record, a failed conversion or a set-aside file is
-    /// fatal and the error names the file; with it they are tallied
-    /// here.
+    /// snapshot) and the `report` of decoding it. The report lands in
+    /// `recorder` first, so a refused input is counted too. Without
+    /// `keep_going` a skipped record, a failed conversion or a
+    /// set-aside file is fatal and the error names the file; with it
+    /// they are tallied here.
     fn admit(
         &mut self,
         keep_going: bool,
         corpus: &Corpus,
         report: DecodeReport,
+        recorder: Option<&lpr_obs::Recorder>,
     ) -> Result<(), CliError> {
+        if let Some(rec) = recorder {
+            rec.counter(lpr_obs::names::CLI_CONVERT_FAILURES).add(report.convert_failures);
+            report.record(rec);
+        }
         let set_aside = corpus.skipped_files.iter().filter(|f| f.reason != FileSkipReason::Empty);
         if !keep_going {
             if let Some(f) = corpus.files.iter().find(|f| f.index.skipped_total() > 0) {
@@ -363,11 +369,9 @@ pub fn run_pipeline_recorded(
     if let Some(rec) = recorder {
         rec.counter(lpr_obs::names::CLI_INPUT_BYTES).add(corpus.total_bytes());
         rec.counter(lpr_obs::names::CLI_INPUT_FILES).add(o.inputs.len() as u64);
-        rec.counter(lpr_obs::names::CLI_CONVERT_FAILURES).add(report.convert_failures);
-        report.record(rec);
     }
     let mut load = LoadReport::default();
-    load.admit(o.keep_going, &corpus, report)?;
+    load.admit(o.keep_going, &corpus, report, recorder)?;
     // Unmap the cycle before the window's snapshots are mapped.
     drop(corpus);
     let trees =
@@ -406,7 +410,7 @@ pub fn run_pipeline_recorded(
                 report
             }
         };
-        load.admit(o.keep_going, &next, report)?;
+        load.admit(o.keep_going, &next, report, recorder)?;
     }
     if let Some(stage) = stage {
         stage.finish_counts(next_traces, next_keys);

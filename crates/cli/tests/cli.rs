@@ -230,12 +230,22 @@ fn warts_counters_come_from_the_index_cold_and_cached() {
 
     for (input, mode, raw) in [(&clean, None, &bytes), (&bad, Some("--keep-going"), &corrupted)] {
         // What a lenient reader counts over the same bytes.
-        let registry = lpr_obs::Registry::new();
-        let mut reader = warts::WartsReader::new(raw)
-            .lenient()
-            .with_metrics(warts::StreamMetrics::from_registry(&registry));
-        while reader.next_record().unwrap().is_some() {}
-        let counted = |name: &'static str| registry.counter(name).get();
+        let mut reader = warts::WartsReader::new(raw).lenient();
+        let mut traces = 0;
+        while let Some(record) = reader.next_record().unwrap() {
+            traces += matches!(record, warts::Record::Trace(_)) as u64;
+        }
+        let skipped = |reason: warts::SkipReason| {
+            (reason.counter_name(), reader.skip_counts().get(&reason).copied().unwrap_or(0))
+        };
+        let expected: Vec<(&str, u64)> = [
+            (lpr_obs::names::WARTS_TRACES, traces),
+            (lpr_obs::names::WARTS_MALFORMED_RECORDS, reader.skipped_total()),
+            (lpr_obs::names::WARTS_RESYNC_BYTES, reader.resync_bytes()),
+        ]
+        .into_iter()
+        .chain(warts::SkipReason::ALL.map(skipped))
+        .collect();
 
         let runs: Vec<_> = ["cold", "cached"]
             .into_iter()
@@ -256,17 +266,61 @@ fn warts_counters_come_from_the_index_cold_and_cached() {
             })
             .collect();
         assert_eq!(runs[0], runs[1], "{input}: a cached open reports what a cold one does");
-        let names = [
-            lpr_obs::names::WARTS_TRACES,
-            lpr_obs::names::WARTS_MALFORMED_RECORDS,
-            lpr_obs::names::WARTS_RESYNC_BYTES,
-        ];
-        let reasons = warts::SkipReason::ALL.map(|r| r.counter_name());
-        for name in names.into_iter().chain(reasons) {
+        for (name, count) in expected {
             let reported = runs[0].iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-            assert_eq!(reported, Some(counted(name)), "{input}: {name}");
+            assert_eq!(reported, Some(count), "{input}: {name}");
         }
     }
+}
+
+#[test]
+fn a_run_emits_every_warts_counter_in_the_vocabulary_and_no_other() {
+    let tmp = Tmp::new("warts-vocabulary");
+    let (warts, rib) = demo_files(&tmp);
+    let metrics = tmp.path("m.json");
+    run(&s(&["classify", "--rib", &rib, &warts, "--metrics", &metrics]), &mut Vec::new()).unwrap();
+    let emitted: Vec<String> = warts_counters(&metrics).into_iter().map(|(n, _)| n).collect();
+    let declared: Vec<&str> =
+        lpr_obs::names::ALL_COUNTERS.iter().copied().filter(|n| n.starts_with("warts.")).collect();
+    assert_eq!(emitted, declared);
+}
+
+#[test]
+fn damage_in_a_next_file_reaches_the_census() {
+    let tmp = Tmp::new("next-census");
+    let (clean, rib) = demo_files(&tmp);
+    let (corrupted, _) = lpr_chaos::corrupt_warts_bytes(&std::fs::read(&clean).unwrap(), 42, 0.3);
+    let bad = tmp.path("bad.warts");
+    std::fs::write(&bad, corrupted).unwrap();
+    let (metrics, trace) = (tmp.path("m.json"), tmp.path("t.json"));
+    let args = ["classify", "--rib", &rib, &clean, "--next", &bad, "--keep-going"];
+    let outputs = ["--metrics", &metrics, "--trace-out", &trace];
+    let mut out = Vec::new();
+    let status = run(&s(&[&args[..], &outputs].concat()), &mut out).unwrap();
+    assert_eq!(status.exit_code(), 3);
+
+    // The skip total the degradation summary prints.
+    let out = String::from_utf8(out).unwrap();
+    let printed: u64 = out
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("skipped records: "))
+        .and_then(|rest| rest.split_once(' '))
+        .and_then(|(n, _)| n.parse().ok())
+        .unwrap_or_else(|| panic!("no skip total in {out}"));
+    assert!(printed > 0);
+
+    let telemetry =
+        lpr_obs::RunTelemetry::from_json(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    assert_eq!(telemetry.counter("warts.malformed_records"), printed);
+    assert_eq!(telemetry.counter_sum("warts.skip."), printed);
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let events = lpr_obs::export::ChromeTrace::parse(&text).unwrap().events;
+    let journaled: u64 = events
+        .iter()
+        .filter(|e| e.ph == "i" && e.name == "warts-skip")
+        .map(|e| e.args.iter().find(|(k, _)| k == "n").and_then(|(_, v)| v.as_u64()).unwrap())
+        .sum();
+    assert_eq!(journaled, printed);
 }
 
 /// Runs the `lpr` binary in `dir`, feeding `stdin` when given; returns

@@ -27,7 +27,7 @@ pub enum InferredVendor {
     Mixed,
 }
 
-/// Tally of observed labels per vendor range.
+/// Counts of observed labels per vendor range.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VendorEvidence {
     /// Labels in `16..299_776`.

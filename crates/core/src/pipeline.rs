@@ -59,7 +59,7 @@ pub struct PipelineOutput {
 }
 
 impl PipelineOutput {
-    /// Tally of IOTPs per class, in the paper's display order
+    /// Counts of IOTPs per class, in the paper's display order
     /// (Mono-LSP, Multi-FEC, Mono-FEC, Unclassified).
     pub fn class_counts(&self) -> ClassCounts {
         let mut counts = ClassCounts::default();
@@ -69,7 +69,7 @@ impl PipelineOutput {
         counts
     }
 
-    /// Tally of IOTPs per class restricted to one AS.
+    /// Counts of IOTPs per class restricted to one AS.
     pub fn class_counts_for(&self, asn: Asn) -> ClassCounts {
         let mut counts = ClassCounts::default();
         for (iotp, c) in &self.iotps {

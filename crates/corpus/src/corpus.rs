@@ -123,18 +123,32 @@ impl DecodeReport {
         self.convert_failures += other.convert_failures;
     }
 
-    /// Adds the report's decode tallies to `recorder` under the names a
-    /// lenient [`warts::StreamMetrics`] reader counts them:
-    /// `warts.traces`, `warts.malformed_records`, `warts.resync_bytes`
-    /// and every `warts.skip.*` reason (zeros included). They come from
-    /// the index scans, so a cached open reports what a built one does.
+    /// Adds the report's decode tallies to `recorder`: the one writer of
+    /// the `warts.*` counters. They are `warts.traces`,
+    /// `warts.malformed_records`, `warts.resync_bytes` and every
+    /// `warts.skip.*` reason (zeros included). They come from the index
+    /// scans, so a cached open reports what a built one does. Each
+    /// reason skipped also journals one `warts-skip` warn event carrying
+    /// its count, so a trace reconciles with the counters.
     pub fn record(&self, recorder: &lpr_obs::Recorder) {
         recorder.counter(lpr_obs::names::WARTS_TRACES).add(self.traces);
         recorder.counter(lpr_obs::names::WARTS_MALFORMED_RECORDS).add(self.skipped_total());
         recorder.counter(lpr_obs::names::WARTS_RESYNC_BYTES).add(self.resync_bytes);
+        let tracer = recorder.tracer();
         for reason in SkipReason::ALL {
             let n = self.skipped.get(&reason).copied().unwrap_or(0);
             recorder.counter(reason.counter_name()).add(n);
+            if n > 0 {
+                tracer.event(
+                    tracer.default_parent(),
+                    lpr_obs::Level::Warn,
+                    "warts-skip",
+                    vec![
+                        ("reason".to_string(), lpr_obs::FieldValue::Str(reason.name().to_string())),
+                        ("n".to_string(), lpr_obs::FieldValue::U64(n)),
+                    ],
+                );
+            }
         }
     }
 }

@@ -284,11 +284,15 @@ fn index_bytes_are_pinned() {
 }
 
 /// Sequential lenient decode: the records plus the reader's final skip
-/// and resync accounting.
+/// and resync accounting. Unsupported bodies are cleared, as
+/// index-driven decode leaves them.
 fn sequential_decode(bytes: &[u8]) -> (Vec<Record>, Vec<(SkipReason, u64)>, u64) {
-    let mut r = WartsStreamReader::new(bytes).lenient().elide_unsupported_bodies();
+    let mut r = WartsStreamReader::new(bytes).lenient();
     let mut records = Vec::new();
-    while let Some(rec) = r.next_record().expect("lenient over bytes cannot error") {
+    while let Some(mut rec) = r.next_record().expect("lenient over bytes cannot error") {
+        if let Record::Unsupported { body, .. } = &mut rec {
+            body.clear();
+        }
         records.push(rec);
     }
     let skips = r.skip_counts().iter().map(|(&k, &v)| (k, v)).collect();

@@ -12,18 +12,6 @@ pub fn run(world: &World) -> Vec<LabelSample> {
     run_dynamics(world, &DynamicsOptions::default())
 }
 
-/// One flow-selection + probe round against an already-built network:
-/// the unit of work the Fig. 17 campaign repeats every two minutes
-/// (exposed for the bench harness).
-pub fn run_flow_probe(world: &World, net: &netsim::Internet) -> usize {
-    ark_dataset::dynamics::pick_te_flow(world, net)
-        .map(|(vp, dst)| {
-            let prober = netsim::Prober::new(net, netsim::ProbeOptions::default());
-            prober.trace(vp, dst).len()
-        })
-        .unwrap_or(0)
-}
-
 /// Prints and writes the per-LSR label series.
 pub fn emit(samples: &[LabelSample]) {
     // Column per LSR address, in first-appearance order.

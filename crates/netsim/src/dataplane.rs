@@ -177,13 +177,6 @@ pub fn ecmp_index(flow: u64, router: RouterId, n: usize) -> usize {
     pick(flow, router, n, ECMP_SALT)
 }
 
-/// The parallel-link member index a flow identifier selects at
-/// `router` across an `n`-wide bundle — the [`ecmp_index`] companion
-/// for the second balancing level.
-pub fn link_index(flow: u64, router: RouterId, n: usize) -> usize {
-    pick(flow, router, n, LINK_SALT)
-}
-
 /// Searches the flow space around `base` for identifiers covering every
 /// ECMP index at `router`: slot `i` of the result satisfies
 /// `ecmp_index(flow, router, n) == i`. The search is deterministic

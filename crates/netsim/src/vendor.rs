@@ -35,14 +35,6 @@ impl Vendor {
             Vendor::Juniper => 299_776..800_000,
         }
     }
-
-    /// Whether LDP advertises labels for every IGP prefix (Cisco
-    /// default) or only for loopbacks (Juniper default). Transit LSPs
-    /// are built towards loopbacks either way (§2.2.1), so this only
-    /// changes label-consumption rates.
-    pub fn ldp_advertises_all_prefixes(&self) -> bool {
-        matches!(self, Vendor::Cisco)
-    }
 }
 
 /// A per-router label allocator: hands out labels sequentially from the

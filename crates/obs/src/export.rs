@@ -395,7 +395,7 @@ mod tests {
     #[test]
     fn prometheus_text_exposes_the_registry() {
         let rec = Recorder::new("prom");
-        rec.counter("warts.records").add(15);
+        rec.counter("warts.traces").add(15);
         rec.gauge("pipeline.depth").set(-2);
         let h = rec.histogram("probe.stack_depth");
         h.observe(0);
@@ -403,7 +403,7 @@ mod tests {
         h.observe(2);
         h.observe(99);
         let text = prometheus_text(rec.registry());
-        assert!(text.contains("# TYPE warts_records counter\nwarts_records 15\n"));
+        assert!(text.contains("# TYPE warts_traces counter\nwarts_traces 15\n"));
         assert!(text.contains("# TYPE pipeline_depth gauge\npipeline_depth -2\n"));
         assert!(text.contains("probe_stack_depth_bucket{le=\"0\"} 1\n"));
         assert!(text.contains("probe_stack_depth_bucket{le=\"2\"} 3\n"));

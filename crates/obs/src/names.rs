@@ -7,18 +7,10 @@
 //! this vocabulary — so names cannot drift between code, README and
 //! dashboards without a test noticing.
 
-/// Warts records decoded successfully.
-pub const WARTS_RECORDS: &str = "warts.records";
-/// Warts bytes consumed, headers included.
-pub const WARTS_BYTES: &str = "warts.bytes";
 /// Trace records among the decoded warts records.
 pub const WARTS_TRACES: &str = "warts.traces";
 /// Malformed warts records skipped (sum of the `warts.skip.*` family).
 pub const WARTS_MALFORMED_RECORDS: &str = "warts.malformed_records";
-/// Well-formed warts records of unsupported types.
-pub const WARTS_UNSUPPORTED_RECORDS: &str = "warts.unsupported_records";
-/// ICMP extensions of unknown class/type.
-pub const WARTS_UNKNOWN_ICMP_EXT: &str = "warts.unknown_icmp_ext";
 /// Bytes discarded while resynchronizing after a bad record.
 pub const WARTS_RESYNC_BYTES: &str = "warts.resync_bytes";
 /// Skip reason: magic mismatch.
@@ -99,7 +91,7 @@ pub const PROBE_BUDGET_PRUNED: &str = "probe.budget.pruned";
 /// Host groups whose MDA stopping rule settled within the group.
 pub const PROBE_BUDGET_STOPPED: &str = "probe.budget.stopped";
 
-/// Input files that failed wholesale conversion.
+/// Decoded traces that failed warts→core conversion.
 pub const CLI_CONVERT_FAILURES: &str = "cli.convert_failures";
 /// Input bytes read across all files.
 pub const CLI_INPUT_BYTES: &str = "cli.input_bytes";
@@ -193,9 +185,7 @@ pub const ALL_COUNTERS: &[&str] = &[
     SERVE_FILES_RETRIED,
     SERVE_HTTP_REQUESTS,
     SERVE_RECONCILE_TICKS,
-    WARTS_BYTES,
     WARTS_MALFORMED_RECORDS,
-    WARTS_RECORDS,
     WARTS_RESYNC_BYTES,
     WARTS_SKIP_BAD_ADDRESS,
     WARTS_SKIP_BAD_ICMP_EXT,
@@ -208,8 +198,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     WARTS_SKIP_TRUNCATED_HEADER,
     WARTS_SKIP_UNSUPPORTED,
     WARTS_TRACES,
-    WARTS_UNKNOWN_ICMP_EXT,
-    WARTS_UNSUPPORTED_RECORDS,
 ];
 
 /// Every histogram name the workspace emits, sorted.

@@ -1,7 +1,7 @@
 //! Thread-safe metric primitives and the registry holding them.
 //!
 //! Metrics are keyed by `&'static str` names, dot-namespaced by
-//! convention (`warts.records`, `probe.sent`). Handles are `Arc`s so a
+//! convention (`warts.traces`, `probe.sent`). Handles are `Arc`s so a
 //! hot loop can increment without re-hitting the registry lock; the
 //! atomics themselves are lock-free.
 

@@ -9,7 +9,7 @@ use crate::error::WartsError;
 use crate::frame::{Framer, Source};
 use crate::list::ListRecord;
 use crate::ping::PingRecord;
-use crate::trace::{StopReason, TraceRecord};
+use crate::trace::TraceRecord;
 use bytes::{BufMut, BytesMut};
 
 /// The warts magic number.
@@ -204,11 +204,6 @@ fn to_owned(s: &str) -> String {
     s.to_string()
 }
 
-/// Checks whether a trace completed (destination replied).
-pub fn trace_completed(t: &TraceRecord) -> bool {
-    t.stop_reason == StopReason::Completed
-}
-
 /// Reads every record of a warts file on disk.
 pub fn read_path(path: impl AsRef<std::path::Path>) -> std::io::Result<Vec<Record>> {
     let bytes = std::fs::read(path)?;
@@ -229,7 +224,7 @@ pub fn write_path(
 mod tests {
     use super::*;
     use crate::addr::Addr;
-    use crate::trace::HopRecord;
+    use crate::trace::{HopRecord, StopReason};
     use std::net::Ipv4Addr;
 
     fn a(o: u8) -> Addr {
@@ -270,7 +265,7 @@ mod tests {
         let bytes = sample_file();
         let traces = WartsReader::new(&bytes).traces().unwrap();
         assert_eq!(traces.len(), 2);
-        assert!(trace_completed(&traces[0]));
+        assert_eq!(traces[0].stop_reason, StopReason::Completed);
     }
 
     #[test]

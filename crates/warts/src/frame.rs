@@ -18,10 +18,8 @@ use crate::error::WartsError;
 use crate::file::{Record, RecordType, WARTS_MAGIC};
 use crate::list::ListRecord;
 use crate::ping::PingRecord;
-use crate::trace::{walk_trace, HopLayouts, HopView, TraceRecord, TraceSink};
-use lpr_obs::{Counter, Registry};
+use crate::trace::{walk_trace, HopLayouts, TraceRecord};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Bytes in a record header.
 const HEADER_LEN: usize = 8;
@@ -130,8 +128,8 @@ impl SkipReason {
         }
     }
 
-    /// The registry counter this reason tallies under (a constant from
-    /// [`lpr_obs::names`], the workspace metric vocabulary).
+    /// The registry counter a run reports this reason under (a constant
+    /// from [`lpr_obs::names`], the workspace metric vocabulary).
     pub fn counter_name(self) -> &'static str {
         match self {
             SkipReason::BadMagic => lpr_obs::names::WARTS_SKIP_BAD_MAGIC,
@@ -162,135 +160,6 @@ impl SkipReason {
             WartsError::BadIcmpExt { .. } => SkipReason::BadIcmpExt,
             WartsError::Unsupported { .. } => SkipReason::Unsupported,
         }
-    }
-}
-
-/// Ingest counters for a warts stream, registered under `warts.*`.
-///
-/// Hand one to [`Framer::with_metrics`] and the reader tallies what it
-/// sees; the same counters can be read back later from the registry
-/// (or a `Recorder`) that created them.
-#[derive(Clone)]
-pub struct StreamMetrics {
-    /// Records decoded successfully (`warts.records`).
-    pub records: Arc<Counter>,
-    /// Bytes consumed, headers included (`warts.bytes`).
-    pub bytes: Arc<Counter>,
-    /// Trace records among them (`warts.traces`).
-    pub traces: Arc<Counter>,
-    /// Total skips in lenient mode, every reason included
-    /// (`warts.malformed_records`). Always equals the sum of the
-    /// per-reason counters in [`StreamMetrics::skips`].
-    pub malformed: Arc<Counter>,
-    /// Records of a type this crate does not parse
-    /// (`warts.unsupported_records`).
-    pub unsupported: Arc<Counter>,
-    /// ICMP extension objects that are not RFC 4950 MPLS stacks
-    /// (`warts.unknown_icmp_ext`).
-    pub unknown_icmp_ext: Arc<Counter>,
-    /// Per-reason skip counters (`warts.skip.<reason>`), indexed in
-    /// [`SkipReason::ALL`] order.
-    pub skips: [Arc<Counter>; SkipReason::ALL.len()],
-    /// Garbage bytes discarded while resynchronising
-    /// (`warts.resync_bytes`).
-    pub resync_bytes: Arc<Counter>,
-    /// Optional event journal: every lenient skip records a
-    /// `warts-skip` warn event alongside its counter (disabled by
-    /// default — counting costs nothing extra).
-    pub tracer: lpr_obs::Tracer,
-}
-
-impl StreamMetrics {
-    /// Binds the `warts.*` counters in `registry` (creating them at
-    /// zero on first use).
-    pub fn from_registry(registry: &Registry) -> Self {
-        StreamMetrics {
-            records: registry.counter(lpr_obs::names::WARTS_RECORDS),
-            bytes: registry.counter(lpr_obs::names::WARTS_BYTES),
-            traces: registry.counter(lpr_obs::names::WARTS_TRACES),
-            malformed: registry.counter(lpr_obs::names::WARTS_MALFORMED_RECORDS),
-            unsupported: registry.counter(lpr_obs::names::WARTS_UNSUPPORTED_RECORDS),
-            unknown_icmp_ext: registry.counter(lpr_obs::names::WARTS_UNKNOWN_ICMP_EXT),
-            skips: SkipReason::ALL.map(|r| registry.counter(r.counter_name())),
-            resync_bytes: registry.counter(lpr_obs::names::WARTS_RESYNC_BYTES),
-            tracer: lpr_obs::Tracer::disabled(),
-        }
-    }
-
-    /// [`StreamMetrics::from_registry`] over a recorder's registry,
-    /// inheriting its tracer so skips journal warn events too.
-    pub fn from_recorder(recorder: &lpr_obs::Recorder) -> Self {
-        Self::from_registry(recorder.registry()).with_tracer(recorder.tracer().clone())
-    }
-
-    /// Attaches an event journal (see the `tracer` field).
-    pub fn with_tracer(mut self, tracer: lpr_obs::Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    fn skip(&self, reason: SkipReason) {
-        self.malformed.inc();
-        self.skips[reason as usize].inc();
-        if self.tracer.would_log(lpr_obs::Level::Warn) {
-            self.tracer.event(
-                self.tracer.default_parent(),
-                lpr_obs::Level::Warn,
-                "warts-skip",
-                vec![("reason".to_string(), lpr_obs::FieldValue::Str(reason.name().to_string()))],
-            );
-        }
-    }
-
-    fn observe(&self, wire_len: usize, tally: &Tally) {
-        self.records.inc();
-        self.bytes.add(wire_len as u64);
-        if tally.trace {
-            self.traces.inc();
-            self.unknown_icmp_ext.add(tally.unknown_icmp_ext);
-        }
-        if tally.unsupported {
-            self.unsupported.inc();
-        }
-    }
-}
-
-/// What [`StreamMetrics`] counts of a record that decoded, besides its
-/// bytes. As a trace sink it keeps nothing else.
-#[derive(Default)]
-struct Tally {
-    trace: bool,
-    unsupported: bool,
-    /// ICMP extension objects that are not RFC 4950 MPLS stacks.
-    unknown_icmp_ext: u64,
-}
-
-impl Tally {
-    fn of(record: &Record) -> Self {
-        match record {
-            Record::Trace(t) => Tally {
-                trace: true,
-                unknown_icmp_ext: t
-                    .hops
-                    .iter()
-                    .flat_map(|hop| &hop.icmp_exts)
-                    .filter(|ext| !ext.is_mpls())
-                    .count() as u64,
-                ..Tally::default()
-            },
-            Record::Unsupported { .. } => Tally { unsupported: true, ..Tally::default() },
-            _ => Tally::default(),
-        }
-    }
-}
-
-impl TraceSink for Tally {
-    fn params(&mut self, _: TraceRecord, _: u16) {
-        self.trace = true;
-    }
-
-    fn hop(&mut self, hop: &HopView<'_>) {
-        self.unknown_icmp_ext += hop.exts.objects().filter(|o| !o.is_mpls()).count() as u64;
     }
 }
 
@@ -361,8 +230,6 @@ struct FrameState {
     /// Scanning for the next plausible header after a bad one.
     resyncing: bool,
     lenient: bool,
-    elide_unsupported: bool,
-    metrics: Option<StreamMetrics>,
     skips: BTreeMap<SkipReason, u64>,
     resync_bytes: u64,
     last_span: Option<RecordSpan>,
@@ -401,10 +268,7 @@ impl FrameState {
         }
         let body = &window[HEADER_LEN..wire];
         match decode(header.record_type, body, &mut self.addrs, &mut self.layouts) {
-            Ok((record, tally)) => {
-                if let Some(m) = &self.metrics {
-                    m.observe(wire, &tally);
-                }
+            Ok(record) => {
                 self.last_span = Some(RecordSpan {
                     offset: self.offset as u64,
                     body_len: header.body_len,
@@ -472,17 +336,11 @@ impl FrameState {
     fn discard<T>(&mut self, n: usize) -> Step<T> {
         self.offset += n;
         self.resync_bytes += n as u64;
-        if let Some(m) = &self.metrics {
-            m.resync_bytes.add(n as u64);
-        }
         Step::Consumed(n, None)
     }
 
     fn skip(&mut self, reason: SkipReason) {
         *self.skips.entry(reason).or_default() += 1;
-        if let Some(m) = &self.metrics {
-            m.skip(reason);
-        }
     }
 }
 
@@ -491,33 +349,25 @@ impl<S: Source> Framer<S> {
         Framer { source, state: FrameState::default() }
     }
 
-    /// Tallies everything read into `metrics` (see [`StreamMetrics`]).
-    pub fn with_metrics(mut self, metrics: StreamMetrics) -> Self {
-        self.state.metrics = Some(metrics);
-        self
-    }
-
     /// Survives corrupt input instead of refusing it. A record whose
     /// *body* fails to decode is skipped (its declared length keeps the
     /// reader aligned); header-level corruption (bad magic, insane
     /// length, a body cut short) makes it *resynchronise* on the next
     /// plausible header; input ending mid-record ends cleanly. Each
-    /// event counts one skip under its [`SkipReason`], in
-    /// [`Framer::skip_counts`] and any [`StreamMetrics`], and discarded
-    /// bytes count in `warts.resync_bytes`. A skipped trace/ping may have
-    /// carried dictionary entries; later references to them then fail
-    /// too (and are counted in turn).
+    /// event counts one skip under its [`SkipReason`] in
+    /// [`Framer::skip_counts`], and discarded bytes count in
+    /// [`Framer::resync_bytes`].
+    ///
+    /// A skipped trace/ping may have embedded addresses, each of which
+    /// implicitly took the next dictionary id, so the reader's table
+    /// falls behind the writer's ids. A later reference past the end of
+    /// the table then fails (`BadAddress`, counted in turn), but one
+    /// that lands inside it resolves, silently, to a *different*
+    /// address: a later record can decode cleanly with wrong hop
+    /// addresses. Input that needed a skip is therefore not trustworthy
+    /// past it.
     pub fn lenient(mut self) -> Self {
         self.state.lenient = true;
-        self
-    }
-
-    /// Yields [`Record::Unsupported`] with an *empty* body instead of a
-    /// copy of it: the ingest paths only count unsupported records, and
-    /// `Vec::new()` does not allocate. Leave it off when bodies must be
-    /// preserved (e.g. the `lpr dump` byte census).
-    pub fn elide_unsupported_bodies(mut self) -> Self {
-        self.state.elide_unsupported = true;
         self
     }
 
@@ -557,39 +407,32 @@ impl<S: Source> Framer<S> {
         self.state.resync_bytes
     }
 
-    /// Reads the next record, `Ok(None)` at a clean end of input. After
-    /// any error the reader is poisoned and returns `Ok(None)` from
-    /// then on.
+    /// Reads the next record, `Ok(None)` at a clean end of input. An
+    /// unsupported record keeps a copy of its body. After any error the
+    /// reader is poisoned and returns `Ok(None)` from then on.
     pub fn next_record(&mut self) -> Result<Option<Record>, S::Error> {
-        let keep_unsupported = !self.state.elide_unsupported;
         self.next_with(|record_type, body, addrs, layouts| {
             let mut record = decode_body(record_type, body, addrs, layouts)?;
             if let Record::Unsupported { body: kept, .. } = &mut record {
-                if keep_unsupported {
-                    *kept = body.to_vec();
-                }
+                *kept = body.to_vec();
             }
-            let tally = Tally::of(&record);
-            Ok((record, tally))
+            Ok(record)
         })
     }
 
     /// Frames and checks the next record as [`Framer::next_record`]
-    /// does, with the same errors, skips, tallies and address table,
-    /// but builds nothing: a trace body is walked into a sink that
-    /// keeps nothing. Returns the record's span, as
-    /// [`Framer::last_record_span`] then gives it.
+    /// does, with the same errors, skips and address table, but builds
+    /// nothing: a trace body is walked into a sink that keeps nothing.
+    /// Returns the record's span, as [`Framer::last_record_span`] then
+    /// gives it.
     pub fn next_span(&mut self) -> Result<Option<RecordSpan>, S::Error> {
         let checked = self.next_with(|record_type, body, addrs, layouts| {
             if record_type != RecordType::Trace as u16 {
-                let record = decode_body(record_type, body, addrs, layouts)?;
-                return Ok(((), Tally::of(&record)));
+                return decode_body(record_type, body, addrs, layouts).map(drop);
             }
             let mut cur = Cursor::new(body);
-            let mut tally = Tally::default();
-            walk_trace(&mut cur, addrs, layouts, &mut tally)?;
-            cur.expect_consumed(record_type)?;
-            Ok(((), tally))
+            walk_trace(&mut cur, addrs, layouts, &mut ())?;
+            cur.expect_consumed(record_type)
         })?;
         Ok(checked.and(self.state.last_span))
     }
@@ -638,14 +481,14 @@ impl<S: Source> Iterator for Framer<S> {
 }
 
 /// Reads one framed body of a record type against the framer's address
-/// table and hop layouts: the record, and what the metrics count of it.
+/// table and hop layouts.
 trait Decode<T>:
-    FnMut(u16, &[u8], &mut AddrTableReader, &mut HopLayouts) -> Result<(T, Tally), WartsError>
+    FnMut(u16, &[u8], &mut AddrTableReader, &mut HopLayouts) -> Result<T, WartsError>
 {
 }
 
 impl<T, F> Decode<T> for F where
-    F: FnMut(u16, &[u8], &mut AddrTableReader, &mut HopLayouts) -> Result<(T, Tally), WartsError>
+    F: FnMut(u16, &[u8], &mut AddrTableReader, &mut HopLayouts) -> Result<T, WartsError>
 {
 }
 
@@ -653,7 +496,7 @@ impl<T, F> Decode<T> for F where
 /// dispatcher, for a [`Framer`] and for index-driven shard decoding
 /// (the file's full dictionary preloaded via
 /// [`AddrTableReader::from_table`]). An unsupported record's body is
-/// left empty; a framer copies it in unless told to elide it.
+/// left empty; [`Framer::next_record`] copies it in.
 pub fn decode_record_body(
     record_type: u16,
     body: &[u8],

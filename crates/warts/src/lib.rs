@@ -88,8 +88,7 @@ pub use cycle::{CycleRecord, CycleStopRecord};
 pub use error::WartsError;
 pub use file::{read_path, write_path, Record, RecordType, WartsReader, WartsWriter, WARTS_MAGIC};
 pub use frame::{
-    decode_record_body, Framer, RecordHeader, RecordSpan, SkipReason, Source, StreamMetrics,
-    MAX_RECORD_LEN,
+    decode_record_body, Framer, RecordHeader, RecordSpan, SkipReason, Source, MAX_RECORD_LEN,
 };
 pub use icmpext::{IcmpExt, MPLS_EXT_CLASS, MPLS_EXT_TYPE};
 pub use list::ListRecord;

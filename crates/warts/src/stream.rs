@@ -122,9 +122,8 @@ mod tests {
     use super::*;
     use crate::addr::{Addr, AddrTableReader};
     use crate::file::{Record, RecordType, WartsWriter, WARTS_MAGIC};
-    use crate::frame::{decode_record_body, SkipReason, StreamMetrics};
+    use crate::frame::{decode_record_body, SkipReason};
     use crate::trace::{HopRecord, TraceRecord};
-    use lpr_obs::Registry;
     use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
 
@@ -257,52 +256,14 @@ mod tests {
             WartsStreamReader::new(bytes.as_slice()).collect();
         assert!(strict.is_err());
 
-        // Lenient mode counts the skip and keeps going.
-        let registry = Registry::new();
-        let metrics = StreamMetrics::from_registry(&registry);
-        let records: Vec<Record> = WartsStreamReader::new(bytes.as_slice())
-            .with_metrics(metrics.clone())
-            .lenient()
-            .collect::<Result<_, _>>()
-            .unwrap();
+        // Lenient mode counts the skip and keeps going; the declared
+        // length keeps it aligned, so nothing is resynchronised.
+        let (records, skips, resynced) = drain_lenient(&bytes);
         assert_eq!(records.len(), 5, "all valid records still stream");
-        assert_eq!(metrics.malformed.get(), 1);
-        assert_eq!(metrics.records.get(), 5);
-        assert_eq!(metrics.traces.get(), 2);
-        assert_eq!(registry.counter("warts.malformed_records").get(), 1);
-    }
-
-    #[test]
-    fn metrics_tally_records_bytes_and_unknown_extensions() {
-        let mut w = WartsWriter::new();
-        let list = w.list(1, "metrics");
-        let cycle = w.cycle_start(list, 1, 0);
-        let mut t = TraceRecord::new(a(1), a(9));
-        let mut hop = HopRecord::reply(1, a(2), 100);
-        // One MPLS object and one vendor-specific object: only the
-        // latter is "unknown".
-        hop.icmp_exts.push(crate::icmpext::IcmpExt {
-            class: crate::icmpext::MPLS_EXT_CLASS,
-            kind: crate::icmpext::MPLS_EXT_TYPE,
-            data: vec![0, 1, 2, 3],
-        });
-        hop.icmp_exts.push(crate::icmpext::IcmpExt { class: 9, kind: 9, data: vec![1] });
-        t.hops = vec![hop];
-        w.trace(&t).unwrap();
-        w.cycle_stop(cycle, 1);
-        let bytes = w.into_bytes();
-
-        let registry = Registry::new();
-        let metrics = StreamMetrics::from_registry(&registry);
-        let records: Vec<Record> = WartsStreamReader::new(bytes.as_slice())
-            .with_metrics(metrics.clone())
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(metrics.records.get(), records.len() as u64);
-        assert_eq!(metrics.bytes.get(), bytes.len() as u64);
-        assert_eq!(metrics.traces.get(), 1);
-        assert_eq!(metrics.unknown_icmp_ext.get(), 1);
-        assert_eq!(metrics.unsupported.get(), 0);
+        let traces = records.iter().filter(|r| matches!(r, Record::Trace(_))).count();
+        assert_eq!(traces, 2);
+        assert_eq!(skips, BTreeMap::from([(SkipReason::Truncated, 1)]));
+        assert_eq!(resynced, 0);
     }
 
     #[test]
@@ -425,29 +386,30 @@ mod tests {
         bytes.extend_from_slice(&[9; 5]);
         bytes.extend_from_slice(&sample_bytes());
 
-        let registry = Registry::new();
-        let metrics = StreamMetrics::from_registry(&registry);
         let kept: Vec<Record> = WartsStreamReader::new(bytes.as_slice())
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(
             kept[0],
             Record::Unsupported { record_type: 0x00F0, body: vec![9; 5] },
-            "default mode preserves the body"
+            "the framer preserves the body"
         );
-        let elided: Vec<Record> = WartsStreamReader::new(bytes.as_slice())
-            .with_metrics(metrics.clone())
-            .elide_unsupported_bodies()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(elided[0], Record::Unsupported { record_type: 0x00F0, body: Vec::new() });
-        assert_eq!(elided.len(), kept.len());
-        assert_eq!(metrics.unsupported.get(), 1, "still counted");
-        assert_eq!(metrics.bytes.get(), bytes.len() as u64, "wire bytes still tallied");
+        // Index-driven decode leaves the body empty, and the index
+        // build still frames the record.
+        let elided = decode_record_body(0x00F0, &[9; 5], &mut AddrTableReader::new()).unwrap();
+        assert_eq!(elided, Record::Unsupported { record_type: 0x00F0, body: Vec::new() });
+        let mut r = WartsStreamReader::new(bytes.as_slice());
+        let span = r.next_span().unwrap().unwrap();
+        assert_eq!((span.offset, span.body_len, span.record_type), (0, 5, 0x00F0));
+        let mut spans = 1;
+        while r.next_span().unwrap().is_some() {
+            spans += 1;
+        }
+        assert_eq!(spans, kept.len());
     }
 
     #[test]
-    fn skip_counts_reconcile_exactly_with_stream_metrics() {
+    fn skip_counts_reconcile_exactly() {
         // A stream with three distinct corruption events: leading
         // garbage, a bit-flipped body, and a truncated tail.
         let mut bytes = vec![0xFFu8; 5];
@@ -458,41 +420,27 @@ mod tests {
         bytes.extend_from_slice(&sample_bytes());
         bytes.truncate(bytes.len() - 3);
 
-        let registry = Registry::new();
-        let metrics = StreamMetrics::from_registry(&registry);
-        let mut r = WartsStreamReader::new(bytes.as_slice())
-            .with_metrics(metrics.clone())
-            .lenient();
+        let mut r = WartsStreamReader::new(bytes.as_slice()).lenient();
+        let mut decoded_bytes = 0u64;
         let mut decoded = 0u64;
         while r.next_record().unwrap().is_some() {
+            decoded_bytes += r.last_record_span().unwrap().wire_len();
             decoded += 1;
         }
-
-        // Reader-side and registry-side tallies agree per reason…
-        let mut total = 0u64;
-        for reason in SkipReason::ALL {
-            let reader_side = r.skip_counts().get(&reason).copied().unwrap_or(0);
-            assert_eq!(
-                metrics.skips[reason as usize].get(),
-                reader_side,
-                "{} counter",
-                reason.name()
-            );
-            assert_eq!(
-                registry.counter(reason.counter_name()).get(),
-                reader_side,
-                "{} registry row",
-                reason.name()
-            );
-            total += reader_side;
-        }
-        // …and the totals reconcile: malformed = Σ per-reason, records
-        // decoded + skipped covers every corruption event.
-        assert_eq!(metrics.malformed.get(), total);
-        assert_eq!(r.skipped_total(), total);
-        assert!(total >= 3, "garbage + bad body + truncated tail all counted");
-        assert_eq!(metrics.records.get(), decoded);
-        assert_eq!(registry.counter("warts.resync_bytes").get(), r.resync_bytes());
         assert_eq!(decoded, 4, "the valid records still stream");
+
+        // One skip per corruption event, under its reason, and the
+        // total is their sum.
+        let expected = BTreeMap::from([
+            (SkipReason::BadMagic, 1),
+            (SkipReason::TruncatedBody, 1),
+            (SkipReason::Truncated, 1),
+        ]);
+        assert_eq!(r.skip_counts(), &expected);
+        assert_eq!(r.skipped_total(), 3);
+        // Every byte is a decoded record, the skipped 12-byte record or
+        // resynchronisation garbage.
+        assert_eq!(r.offset(), bytes.len() as u64);
+        assert_eq!(decoded_bytes + 12 + r.resync_bytes(), bytes.len() as u64);
     }
 }

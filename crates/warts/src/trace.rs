@@ -646,6 +646,14 @@ pub(crate) fn walk_trace(
     Ok(())
 }
 
+/// Keeps nothing: walking a body into it checks the record and builds
+/// nothing.
+impl TraceSink for () {
+    fn params(&mut self, _: TraceRecord, _: u16) {}
+
+    fn hop(&mut self, _: &HopView<'_>) {}
+}
+
 impl TraceSink for TraceRecord {
     fn params(&mut self, params: TraceRecord, hop_count: u16) {
         *self = params;
