@@ -1,13 +1,14 @@
 //! # lpr-bench — check-runner support
 //!
 //! This library holds the pieces of the `lpr-bench` binary that tests
-//! reach: the golden campaign fingerprint every default-shape `lpr-bench
+//! reach: the golden campaign fingerprint every exhaustive `lpr-bench
 //! pipeline` run checks, the flag table every subcommand parses from
-//! ([`cli`]) and the exact report comparison behind `lpr-bench compare`
-//! ([`compare`]).
+//! ([`COMMANDS`], read by `lpr_cli::flags`) and the exact report
+//! comparison behind `lpr-bench compare` ([`compare`]).
 
 #![forbid(unsafe_code)]
 
+use lpr_cli::flags::{self, flag, Command, Kind, Positional};
 use lpr_obs::json::JsonValue;
 
 /// FNV-1a fingerprint of the default-shape campaign's warts encoding,
@@ -28,361 +29,117 @@ pub fn campaign_fingerprint(snapshots: &[Vec<lpr_core::trace::Trace>]) -> u64 {
     combined
 }
 
-pub mod cli {
-    //! The flag table: every subcommand declares each of its flags once
-    //! — name, value kind, default, bound and help line — and [`parse`]
-    //! reads any command line against it. [`usage`] renders the flag
-    //! lines of the help text from the same table.
-
-    use std::fmt::Write as _;
-    use Kind::*;
-
-    /// How a flag's value is read, and the range it must fall in.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum Kind {
-        /// Present or absent; takes no value.
-        Switch,
-        /// Any text (a path).
-        Text,
-        /// A whole number no smaller than `min`.
-        Count { min: u64 },
-        /// A number in [0, 1].
-        Fraction,
-        /// A number above 0.
-        Positive,
-        /// A comma-separated list of numbers in [0, 1].
-        Fractions,
-        /// A probing strategy (`netsim::ProbingStrategy::parse`).
-        Probing,
-        /// A trace event level (`lpr_obs::Level::parse`).
-        Level,
-        /// A tunnel-visibility mix (`netsim::VisibilityMix::parse`).
-        Mix,
-    }
-
-    impl Kind {
-        /// Whether `v` is a value of this kind, inside its bound.
-        fn accepts(self, v: &str) -> bool {
-            match self {
-                Kind::Switch | Kind::Text => true,
-                Kind::Count { min } => v.parse::<u64>().is_ok_and(|n| n >= min),
-                Kind::Fraction => fraction(v).is_some(),
-                Kind::Positive => v.parse::<f64>().is_ok_and(|f| f > 0.0),
-                Kind::Fractions => v.split(',').all(|p| fraction(p).is_some()),
-                Kind::Probing => netsim::ProbingStrategy::parse(v).is_some(),
-                Kind::Level => lpr_obs::Level::parse(v).is_some(),
-                Kind::Mix => netsim::VisibilityMix::parse(v).is_some(),
-            }
-        }
-
-        /// The value's shape as USAGE spells it (empty for a switch).
-        fn shape(self) -> &'static str {
-            match self {
-                Kind::Switch => "",
-                Kind::Text => "PATH",
-                Kind::Count { .. } => "N",
-                Kind::Fraction | Kind::Positive => "F",
-                Kind::Fractions => "F,F,...",
-                Kind::Probing => "exhaustive|mda|mda-lite",
-                Kind::Level => "debug|info|warn|error",
-                Kind::Mix => "explicit:F,implicit:F,invisible:F,opaque:F",
-            }
-        }
-
-        /// The bound as USAGE spells it, if the kind has one.
-        fn bound(self) -> Option<String> {
-            match self {
-                Kind::Count { min } if min > 0 => Some(format!("N >= {min}")),
-                Kind::Fraction => Some("F in [0, 1]".to_string()),
-                Kind::Positive => Some("F > 0".to_string()),
-                Kind::Fractions => Some("each in [0, 1]".to_string()),
-                _ => None,
-            }
-        }
-    }
-
-    /// `v` as a number in [0, 1]; `None` for anything else, NaN included.
-    pub fn fraction(v: &str) -> Option<f64> {
-        v.trim().parse::<f64>().ok().filter(|f| (0.0..=1.0).contains(f))
-    }
-
-    /// One flag of one subcommand.
-    #[derive(Debug)]
-    pub struct Flag {
-        /// The flag as typed, `--name`.
-        pub name: &'static str,
-        /// How its value is read and bounded.
-        pub kind: Kind,
-        /// The value used when the flag is not given; `None` leaves it
-        /// unset (an optional gate, or a value the command requires).
-        pub default: Option<&'static str>,
-        /// USAGE's one-line description.
-        pub help: &'static str,
-    }
-
-    const fn flag(
-        name: &'static str,
-        kind: Kind,
-        default: Option<&'static str>,
-        help: &'static str,
-    ) -> Flag {
-        Flag { name, kind, default, help }
-    }
-
-    /// One subcommand: its name, its positional argument (always
-    /// required when declared), a short description and its flags.
-    #[derive(Debug)]
-    pub struct Command {
-        pub name: &'static str,
-        pub positional: Option<&'static str>,
-        pub about: &'static str,
-        pub flags: &'static [Flag],
-    }
-
-    /// Every subcommand `lpr-bench` runs, in USAGE order.
-    pub const COMMANDS: &[Command] = &[
-        Command {
-            name: "pipeline",
-            positional: None,
-            about: "Generates a campaign (scale 1 holds the cycle in memory; larger scales
+/// Every subcommand `lpr-bench` runs, in help order. Each declares
+/// every flag it reads, once; what every use runs at one value is a
+/// constant of the binary, not a flag.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "pipeline",
+        positional: Positional::None,
+        about: "Generates cycle 40's campaign (scale 1 holds it in memory; larger scales
 write it snapshot by snapshot), runs the LPR pipeline in memory and out
 of core, and exits 1 unless every output is identical at threads
-1/2/4/8 and the default-shape exhaustive campaign matches its golden
-fingerprint. The report holds only values every run of the same command
-repeats.",
-            flags: &[
-                flag("--out", Text, Some("BENCH_pipeline.json"), "report path"),
-                flag("--snapshots", Count { min: 1 }, Some("3"), "snapshots per cycle"),
-                flag("--cycle", Count { min: 0 }, Some("40"), "campaign cycle"),
-                flag("--threads", Count { min: 1 }, Some("1"), "threads of the instrumented run"),
-                flag("--scale", Count { min: 1 }, Some("1"), "world size multiplier"),
-                flag("--probing", Probing, Some("exhaustive"), "campaign probing strategy"),
-                flag(
-                    "--max-campaign-share",
-                    Fraction,
-                    None,
-                    "fail if GenerateCampaign takes more of the stage wall time",
-                ),
-                flag(
-                    "--max-probes-per-dst",
-                    Positive,
-                    None,
-                    "fail if the campaign sends more probes per destination",
-                ),
-                flag(
-                    "--mem-ceiling-bytes",
-                    Count { min: 0 },
-                    None,
-                    "fail if the ingest phase's peak resident bytes exceed N",
-                ),
-                flag("--trace-out", Text, None, "write a Chrome trace of the run"),
-                flag("--trace-level", Level, Some("info"), "lowest traced event level"),
-            ],
-        },
-        Command {
-            name: "mda",
-            positional: None,
-            about: "MDA-Lite against the exhaustive oracle over whole campaigns. Exits 1
+1/2/4/8 and the exhaustive campaign matches its golden fingerprint.
+The report holds only values every run of the same command repeats.",
+        flags: &[
+            flag("--out", Kind::Text, Some("BENCH_pipeline.json"), "report path"),
+            flag("--threads", Kind::Count { min: 1 }, Some("1"), "threads of the instrumented run"),
+            flag("--scale", Kind::Count { min: 1 }, Some("1"), "world size multiplier"),
+            flag("--probing", Kind::Probing, Some("exhaustive"), "campaign probing strategy"),
+            flag(
+                "--max-campaign-share",
+                Kind::Fraction,
+                None,
+                "fail if GenerateCampaign takes more of the stage wall time",
+            ),
+            flag(
+                "--max-probes-per-dst",
+                Kind::Positive,
+                None,
+                "fail if the campaign sends more probes per destination",
+            ),
+            flag(
+                "--mem-ceiling-bytes",
+                Kind::Count { min: 0 },
+                None,
+                "fail if the ingest phase's peak resident bytes exceed N",
+            ),
+            flags::TRACE_OUT,
+            flags::TRACE_LEVEL,
+        ],
+    },
+    Command {
+        name: "mda",
+        positional: Positional::None,
+        about: "MDA-Lite against the exhaustive oracle over cycle 40's campaigns. Exits 1
 unless IOTP recall reaches 0.95, the MDA-Lite campaign is identical at
 threads 1/2/4/8 and probes are saved. The probes-vs-recall curve is
 `experiments mda`'s results/fig_mda_recall.csv.",
-            flags: &[
-                flag("--out", Text, Some("BENCH_mda.json"), "report path"),
-                flag("--cycle", Count { min: 0 }, Some("40"), "campaign cycle"),
-                flag("--hosts", Count { min: 1 }, Some("24"), "hosts per destination /24"),
-                flag(
-                    "--max-probes-per-dst",
-                    Positive,
-                    None,
-                    "fail if MDA-Lite sends more probes per destination",
-                ),
-            ],
-        },
-        Command {
-            name: "revelation",
-            positional: None,
-            about: "Plain LPR against LPR with revealed tunnels on one cycle. Exits 1
-unless IOTPs rise, the Unclassified share does not grow, a tunnel is
-revealed, DPR probes are counted and threads 1/2/4/8 agree.",
-            flags: &[
-                flag("--out", Text, Some("BENCH_revelation.json"), "report path"),
-                flag("--cycle", Count { min: 0 }, Some("40"), "campaign cycle"),
-                flag(
-                    "--mix",
-                    Mix,
-                    Some("explicit:0.4,implicit:0.2,invisible:0.2,opaque:0.2"),
-                    "tunnel-visibility mix",
-                ),
-            ],
-        },
-        Command {
-            name: "chaos",
-            positional: None,
-            about: "Seeded fault rates over the golden campaign. Exits 1 if threads
-1/2/4/8 disagree, kept + quarantined fails to reconcile, class-share
-drift passes the bound, or faults fabricate revelation evidence.",
-            flags: &[
-                flag("--out", Text, Some("BENCH_chaos.json"), "report path"),
-                flag("--seed", Count { min: 0 }, Some("42"), "fault seed"),
-                flag("--rates", Fractions, Some("0,0.02,0.05,0.1"), "fault rates (0 always runs)"),
-                flag("--snapshots", Count { min: 1 }, Some("3"), "snapshots per cycle"),
-                flag("--cycle", Count { min: 0 }, Some("40"), "campaign cycle"),
-                flag("--drift-bound", Fraction, Some("0.5"), "largest class-share drift"),
-                flag("--trace-out", Text, None, "write a Chrome trace of the run"),
-                flag("--trace-level", Level, Some("info"), "lowest traced event level"),
-            ],
-        },
-        Command {
-            name: "serve",
-            positional: None,
-            about: "Soaks a live `lpr serve` with clean and corrupted spool drops while 4
-trickling connections stay open. Exits 1 unless the served snapshot
-equals the batch pipeline over the clean files, every corrupted file is
-quarantined with a reason, the tallies reconcile, no response is a 5xx
-and every /healthz probe answers within 1 s.",
-            flags: &[
-                flag("--cycles", Count { min: 1 }, Some("5"), "campaign cycles dropped"),
-                flag("--chaos-rate", Fraction, Some("0.1"), "per-record corruption rate"),
-                flag("--seed", Count { min: 0 }, Some("1"), "campaign and corruption seed"),
-                flag("--threads", Count { min: 1 }, Some("1"), "daemon and batch threads"),
-                flag("--out", Text, Some("BENCH_serve.json"), "report path"),
-                flag("--keep-spool", Switch, None, "leave the spool on disk"),
-            ],
-        },
-        Command {
-            name: "corrupt",
-            positional: Some("in.warts"),
-            about: "Writes a copy of a warts file with seeded byte corruption.",
-            flags: &[
-                flag("--out", Text, None, "output path (required)"),
-                flag("--rate", Fraction, Some("0.1"), "per-record corruption rate"),
-                flag("--seed", Count { min: 0 }, Some("1"), "corruption seed"),
-            ],
-        },
-        Command {
-            name: "compare",
-            positional: Some("current.json"),
-            about: "Exits 1 and prints each path if two reports differ anywhere.",
-            flags: &[flag("--against", Text, None, "baseline report (required)")],
-        },
-    ];
+        flags: &[
+            flag("--out", Kind::Text, Some("BENCH_mda.json"), "report path"),
+            flag("--hosts", Kind::Count { min: 1 }, Some("24"), "hosts per destination /24"),
+            flag(
+                "--max-probes-per-dst",
+                Kind::Positive,
+                None,
+                "fail if MDA-Lite sends more probes per destination",
+            ),
+        ],
+    },
+    Command {
+        name: "revelation",
+        positional: Positional::None,
+        about: "Plain LPR against LPR with revealed tunnels on cycle 40, 60% of its
+tunnels hidden. Exits 1 unless IOTPs rise, the Unclassified share does
+not grow, a tunnel is revealed, DPR probes are counted and threads
+1/2/4/8 agree.",
+        flags: &[flag("--out", Kind::Text, Some("BENCH_revelation.json"), "report path")],
+    },
+    Command {
+        name: "chaos",
+        positional: Positional::None,
+        about: "Fault rates 0, 2, 5 and 10% (seed 42) over the golden campaign. Exits 1
+if threads 1/2/4/8 disagree, kept + quarantined fails to reconcile,
+class-share drift passes 0.5, or faults fabricate revelation evidence.",
+        flags: &[
+            flag("--out", Kind::Text, Some("BENCH_chaos.json"), "report path"),
+            flags::TRACE_OUT,
+            flags::TRACE_LEVEL,
+        ],
+    },
+    Command {
+        name: "serve",
+        positional: Positional::None,
+        about: "Soaks a live `lpr serve` with 5 cycles of clean and 10%-corrupted spool
+drops while 4 trickling connections stay open. Exits 1 unless the
+served snapshot equals the batch pipeline over the clean files, every
+corrupted file is quarantined with a reason, the tallies reconcile, no
+response is a 5xx and every /healthz probe answers within 1 s.",
+        flags: &[flag("--out", Kind::Text, Some("BENCH_serve.json"), "report path")],
+    },
+    Command {
+        name: "corrupt",
+        positional: Positional::One("in.warts"),
+        about: "Writes a copy of a warts file with seeded byte corruption.",
+        flags: &[
+            flag("--out", Kind::Text, None, "output path (required)"),
+            flag("--rate", Kind::Fraction, Some("0.1"), "per-record corruption rate"),
+            flag("--seed", Kind::Count { min: 0 }, Some("1"), "corruption seed"),
+        ],
+    },
+    Command {
+        name: "compare",
+        positional: Positional::One("current.json"),
+        about: "Exits 1 and prints each path if two reports differ anywhere.",
+        flags: &[flag("--against", Kind::Text, None, "baseline report (required)")],
+    },
+];
 
-    /// The command named `name`, if `lpr-bench` has one.
-    pub fn command(name: &str) -> Option<&'static Command> {
-        COMMANDS.iter().find(|c| c.name == name)
-    }
-
-    /// The help text: a header, then each command's description and
-    /// one line per flag, rendered from [`COMMANDS`].
-    pub fn usage() -> String {
-        let mut out = String::from(
-            "lpr-bench — deterministic checks of the LPR pipeline (wall-time \
-             benchmarks live in perfbench/)\n\nUSAGE:\n  lpr-bench <command> [flags]\n  \
-             lpr-bench help\n",
-        );
-        for c in COMMANDS {
-            let positional = c.positional.map(|p| format!(" <{p}>")).unwrap_or_default();
-            let _ = writeln!(out, "\nlpr-bench {}{positional}\n{}", c.name, c.about);
-            for f in c.flags {
-                let mut help = f.help.to_string();
-                if let Some(bound) = f.kind.bound() {
-                    let _ = write!(help, "; {bound}");
-                }
-                if let Some(default) = f.default {
-                    let _ = write!(help, "; default {default}");
-                }
-                let head = format!("{} {}", f.name, f.kind.shape());
-                let head = head.trim_end();
-                if head.len() > 28 {
-                    let _ = writeln!(out, "  {head}\n  {:<28} {help}", "");
-                } else {
-                    let _ = writeln!(out, "  {head:<28} {help}");
-                }
-            }
-        }
-        out
-    }
-
-    /// One command line, read against its command's flag table.
-    #[derive(Debug)]
-    pub struct Args {
-        command: &'static Command,
-        given: Vec<(&'static str, String)>,
-        positional: Option<String>,
-    }
-
-    /// Reads `argv` (the words after the subcommand) against
-    /// `command`'s table. An unknown flag, a flag without its value, a
-    /// value of the wrong kind or out of bound, and a missing or second
-    /// positional are errors.
-    pub fn parse(command: &'static Command, argv: &[String]) -> Result<Args, String> {
-        let mut args = Args { command, given: Vec::new(), positional: None };
-        let mut words = argv.iter();
-        while let Some(word) = words.next() {
-            if let Some(f) = command.flags.iter().find(|f| f.name == word) {
-                let value = match f.kind {
-                    Kind::Switch => String::new(),
-                    kind => {
-                        let v = words.next().ok_or_else(|| format!("{word} wants a value"))?;
-                        if !kind.accepts(v) {
-                            let bound = kind.bound().unwrap_or_else(|| kind.shape().to_string());
-                            return Err(format!("{word} `{v}`: wants {bound}"));
-                        }
-                        v.clone()
-                    }
-                };
-                args.given.push((f.name, value));
-            } else if command.positional.is_some()
-                && args.positional.is_none()
-                && !word.starts_with("--")
-            {
-                args.positional = Some(word.clone());
-            } else {
-                return Err(format!("unknown flag {word}"));
-            }
-        }
-        match (command.positional, &args.positional) {
-            (Some(name), None) => Err(format!("{} wants <{name}>", command.name)),
-            _ => Ok(args),
-        }
-    }
-
-    impl Args {
-        /// The flag's value as given (the last one wins), else its
-        /// default. Panics on a name the command does not declare.
-        fn raw(&self, name: &str) -> Option<&str> {
-            let Some(f) = self.command.flags.iter().find(|f| f.name == name) else {
-                panic!("{} declares no flag {name}", self.command.name);
-            };
-            let given = self.given.iter().rev().find(|(n, _)| *n == name);
-            given.map(|(_, v)| v.as_str()).or(f.default)
-        }
-
-        /// Whether a switch was given.
-        pub fn on(&self, name: &str) -> bool {
-            self.raw(name).is_some()
-        }
-
-        /// The flag's value as a `T`, or `None` when it was not given
-        /// and has no default.
-        pub fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-            self.raw(name).map(|v| match v.trim().parse() {
-                Ok(t) => t,
-                Err(_) => panic!("{name} `{v}` passed its kind check but does not parse"),
-            })
-        }
-
-        /// The value of a flag that has a default.
-        pub fn value<T: std::str::FromStr>(&self, name: &str) -> T {
-            self.get(name).unwrap_or_else(|| panic!("{name} has no default"))
-        }
-
-        /// The positional argument; always present when the command
-        /// declares one.
-        pub fn positional(&self) -> Option<&str> {
-            self.positional.as_deref()
-        }
-    }
+/// The help text, rendered from [`COMMANDS`].
+pub fn usage() -> String {
+    let header = "lpr-bench — deterministic checks of the LPR pipeline (wall-time \
+                  benchmarks live in perfbench/)";
+    flags::usage(header, "lpr-bench", COMMANDS)
 }
 
 pub mod compare {

@@ -10,13 +10,13 @@
 //! baseline. Wall-time measurement lives in `perfbench/`.
 //!
 //! Every subcommand parses its flags from one table
-//! ([`lpr_bench::cli::COMMANDS`]); `lpr-bench help` prints it. A flag
-//! error exits 2.
+//! ([`lpr_bench::COMMANDS`], read by `lpr_cli::flags`); `lpr-bench help`
+//! prints it. A flag error exits 2.
 
 #![forbid(unsafe_code)]
 
-use lpr_bench::cli::{self, Args};
-use lpr_bench::{campaign_fingerprint, GOLDEN_CAMPAIGN_FNV};
+use lpr_bench::{campaign_fingerprint, COMMANDS, GOLDEN_CAMPAIGN_FNV};
+use lpr_cli::flags::{self, Args, TraceOut};
 use lpr_core::pipeline::{IngestState, PersistenceWindow, Pipeline};
 use lpr_core::prelude::*;
 use lpr_core::spill::{spill_keys, SpilledKeys};
@@ -42,10 +42,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("help") | Some("--help") | Some("-h") | None => {
-            say!("{}", cli::usage());
+            say!("{}", lpr_bench::usage());
             0
         }
-        Some(name) => match cli::command(name).map(|c| cli::parse(c, &args[1..])) {
+        Some(name) => match flags::command(COMMANDS, name).map(|c| flags::parse(c, &args[1..])) {
             None => usage_error(&format!("unknown subcommand `{name}`")),
             Some(Err(e)) => usage_error(&e),
             Some(Ok(args)) => match name {
@@ -65,7 +65,7 @@ fn main() {
 
 /// Reports a command-line error with the usage text; exit code 2.
 fn usage_error(message: &str) -> i32 {
-    eprintln!("{message}\n{}", cli::usage());
+    eprintln!("{message}\n{}", lpr_bench::usage());
     2
 }
 
@@ -75,17 +75,45 @@ fn strategy(args: &Args) -> netsim::ProbingStrategy {
         .expect("the flag table checked --probing")
 }
 
-/// The tracer `--trace-out`/`--trace-level` ask for (disabled without
-/// `--trace-out`).
-fn tracer_for(args: &Args) -> lpr_obs::Tracer {
-    match args.get::<String>("--trace-out") {
-        Some(_) => lpr_obs::Tracer::new(
-            lpr_obs::Level::parse(&args.value::<String>("--trace-level"))
-                .expect("the flag table checked --trace-level"),
-        ),
-        None => lpr_obs::Tracer::disabled(),
+/// Writes `--trace-out`'s journal, saying where; `false` (and the
+/// error on stderr) when the write failed.
+fn write_trace(trace: &TraceOut) -> bool {
+    match trace.write() {
+        Ok(Some(path)) => {
+            say!("wrote {path}");
+            true
+        }
+        Ok(None) => true,
+        Err(e) => {
+            eprintln!("{e}");
+            false
+        }
     }
 }
+
+/// The campaign cycle every check generates.
+const CYCLE: usize = 40;
+/// Snapshots per cycle of `pipeline` and `chaos`: the cycle and a
+/// two-snapshot Persistence window.
+const SNAPSHOTS: usize = 3;
+/// `revelation`'s tunnel-visibility mix: 60% of LER pairs hide their
+/// tunnel.
+const REVELATION_MIX: netsim::VisibilityMix =
+    netsim::VisibilityMix { explicit: 0.4, implicit: 0.2, invisible: 0.2, opaque: 0.2 };
+/// `chaos`'s fault seed.
+const CHAOS_SEED: u64 = 42;
+/// `chaos`'s fault rates, the fault-free reference first.
+const CHAOS_RATES: [f64; 4] = [0.0, 0.02, 0.05, 0.1];
+/// The largest class-share drift `chaos` accepts at any rate.
+const DRIFT_BOUND: f64 = 0.5;
+/// Campaign cycles `serve` drops, one clean and one corrupted file each.
+const SOAK_CYCLES: usize = 5;
+/// `serve`'s per-record corruption rate.
+const SOAK_CHAOS_RATE: f64 = 0.1;
+/// `serve`'s campaign and corruption seed.
+const SOAK_SEED: u64 = 1;
+/// `serve`'s daemon and batch threads.
+const SOAK_THREADS: usize = 1;
 
 /// Thread counts every identity check runs at: the campaign, the
 /// in-memory and out-of-core pipelines, and the chaos, mda and
@@ -168,7 +196,8 @@ struct Head {
 /// identity sweep, the tripwires, the report and the summary. The
 /// tracer's journal is written last either way.
 fn pipeline(args: &Args) -> i32 {
-    let tracer = tracer_for(args);
+    let trace = TraceOut::new(args);
+    let tracer = trace.tracer();
     let recorder = Recorder::new("lpr-bench pipeline").with_tracer(tracer.clone());
     let run_span = tracer.span("run:bench-pipeline");
     tracer.set_default_parent(run_span.context());
@@ -185,10 +214,8 @@ fn pipeline(args: &Args) -> i32 {
     let _ = std::fs::remove_dir_all(&tmp);
     tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
     drop(run_span);
-    if let Some(path) = args.get::<String>("--trace-out") {
-        if !write_trace(&tracer, &path) {
-            return 1;
-        }
+    if !write_trace(&trace) {
+        return 1;
     }
     result.unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -197,15 +224,13 @@ fn pipeline(args: &Args) -> i32 {
 }
 
 /// The scale-1 head, which holds the whole cycle in memory. It
-/// generates the campaign (matching the golden fingerprint at the
-/// default shape, and itself at every probing thread count),
+/// generates the campaign (matching the golden fingerprint when
+/// exhaustive, and itself at every probing thread count),
 /// round-trips it through the warts codec, runs the in-memory pipeline
 /// (the out-of-core reference, identical at every thread count), and
 /// writes the cycle as corpus files and its persistence window as
 /// spill files.
 fn demo_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, String> {
-    let snapshots: usize = args.value("--snapshots");
-    let cycle: usize = args.value("--cycle");
     let threads: usize = args.value("--threads");
     let probing = strategy(args);
     let mut diverged = false;
@@ -214,24 +239,22 @@ fn demo_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, Strin
     let world = ark_dataset::standard_world();
     let campaign = |n: usize| {
         let opts = ark_dataset::CampaignOptions {
-            snapshots,
+            snapshots: SNAPSHOTS,
             probing,
             threads: n,
             ..Default::default()
         };
-        ark_dataset::generate_cycle(&world, cycle, &opts)
+        ark_dataset::generate_cycle(&world, CYCLE, &opts)
     };
     let data = campaign(1);
     let traces = &data.snapshots[0];
     stage.finish_counts(0, traces.len() as u64);
 
-    // At the default shape the encoded campaign must match the
-    // fingerprint captured before the dense-SPF / probe-ladder /
-    // parallel-probing rewrite: drift means those optimisations
-    // changed observable output.
-    let default_shape =
-        cycle == 40 && snapshots == 3 && probing == netsim::ProbingStrategy::Exhaustive;
-    let golden = default_shape.then(|| campaign_fingerprint(&data.snapshots));
+    // The exhaustive campaign must match the fingerprint captured
+    // before the dense-SPF / probe-ladder / parallel-probing rewrite:
+    // drift means those optimisations changed observable output.
+    let exhaustive = probing == netsim::ProbingStrategy::Exhaustive;
+    let golden = exhaustive.then(|| campaign_fingerprint(&data.snapshots));
     if let Some(fp) = golden.filter(|&fp| fp != GOLDEN_CAMPAIGN_FNV) {
         eprintln!(
             "FAIL: campaign fingerprint {fp:#018x} != pinned golden {GOLDEN_CAMPAIGN_FNV:#018x}"
@@ -309,13 +332,11 @@ fn demo_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, Strin
 /// its own `GenerateCampaign` row, then a `CorpusWrite` or
 /// `SpillFutureKeys` row.
 fn scaled_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, String> {
-    let snapshots: usize = args.value("--snapshots");
-    let cycle: usize = args.value("--cycle");
     let scale: usize = args.value("--scale");
     let threads: usize = args.value("--threads");
     let world = ark_dataset::scaled_world(scale);
     let copts = ark_dataset::CampaignOptions {
-        snapshots,
+        snapshots: SNAPSHOTS,
         hosts_per_prefix: ark_dataset::scale_hosts_per_prefix(scale),
         threads,
         probing: strategy(args),
@@ -324,10 +345,10 @@ fn scaled_head(args: &Args, recorder: &Recorder, tmp: &Path) -> Result<Head, Str
     let mut paths = Vec::new();
     let mut spilled = Vec::new();
     let mut budget = netsim::ProbeBudget::default();
-    for snap in 0..snapshots {
+    for snap in 0..SNAPSHOTS {
         let stage = StageGuard::open(Some(recorder), "GenerateCampaign");
         let (traces, snap_budget) =
-            ark_dataset::generate_snapshot_with_budget(&world, cycle, snap, &copts);
+            ark_dataset::generate_snapshot_with_budget(&world, CYCLE, snap, &copts);
         stage.finish_counts(0, traces.len() as u64);
         budget.merge(&snap_budget);
         let n = traces.len() as u64;
@@ -517,13 +538,12 @@ fn pipeline_tail(args: &Args, head: Head, recorder: Recorder) -> Result<i32, Str
 /// curve is `experiments mda`'s `fig_mda_recall.csv`.
 fn mda_cmd(args: &Args) -> i32 {
     let out_path: String = args.value("--out");
-    let cycle: usize = args.value("--cycle");
     let hosts: usize = args.value("--hosts");
     let max_probes_per_dst: Option<f64> = args.get("--max-probes-per-dst");
 
     // Whole campaigns at a host density where the /24 host groups give
     // the stopping rule real flow variation to prune.
-    say!("campaign comparison at {hosts} hosts/prefix, cycle {cycle} …");
+    say!("campaign comparison at {hosts} hosts/prefix, cycle {CYCLE} …");
     let world = ark_dataset::standard_world();
     let iotp_keys = |data: &ark_dataset::campaign::CycleData| -> BTreeSet<lpr_core::lsp::IotpKey> {
         ark_dataset::campaign::analyze_cycle(&world, data, 2)
@@ -540,7 +560,7 @@ fn mda_cmd(args: &Args) -> i32 {
             threads,
             ..Default::default()
         };
-        ark_dataset::generate_cycle(&world, cycle, &opts)
+        ark_dataset::generate_cycle(&world, CYCLE, &opts)
     };
 
     // Each campaign is distilled to what the checks read right away, so
@@ -594,7 +614,7 @@ fn mda_cmd(args: &Args) -> i32 {
         };
     let report = JsonValue::Object(vec![
         ("bench".to_string(), JsonValue::Str("mda".to_string())),
-        ("cycle".to_string(), JsonValue::Int(cycle as i128)),
+        ("cycle".to_string(), JsonValue::Int(CYCLE as i128)),
         ("hosts_per_prefix".to_string(), JsonValue::Int(hosts as i128)),
         (
             "campaign".to_string(),
@@ -658,9 +678,7 @@ fn mda_cmd(args: &Args) -> i32 {
 /// byte-for-byte.
 fn revelation_cmd(args: &Args) -> i32 {
     let out_path: String = args.value("--out");
-    let cycle: usize = args.value("--cycle");
-    let mix = netsim::VisibilityMix::parse(&args.value::<String>("--mix"))
-        .expect("the flag table checked --mix");
+    let mix = REVELATION_MIX;
 
     let world = ark_dataset::standard_world();
     let reveal_opts = netsim::RevelationOptions::default();
@@ -670,10 +688,10 @@ fn revelation_cmd(args: &Args) -> i32 {
             threads,
             ..Default::default()
         };
-        ark_dataset::generate_cycle_with_revelation(&world, cycle, &opts, &reveal_opts)
+        ark_dataset::generate_cycle_with_revelation(&world, CYCLE, &opts, &reveal_opts)
     };
 
-    say!("revelation campaign: cycle {cycle}, mix {} …", mix.render());
+    say!("revelation campaign: cycle {CYCLE}, mix {} …", mix.render());
     let (data, evidence) = generate(1);
     let traces = data.snapshots.iter().map(Vec::len).sum::<usize>();
     say!("  sequential: {traces} traces  {} candidates", evidence.len());
@@ -722,7 +740,7 @@ fn revelation_cmd(args: &Args) -> i32 {
     };
     let report = JsonValue::Object(vec![
         ("bench".to_string(), JsonValue::Str("revelation".to_string())),
-        ("cycle".to_string(), JsonValue::Int(cycle as i128)),
+        ("cycle".to_string(), JsonValue::Int(CYCLE as i128)),
         ("mix".to_string(), JsonValue::Str(mix.render())),
         ("traces".to_string(), JsonValue::Int(traces as i128)),
         ("base".to_string(), side(&ab.base)),
@@ -753,24 +771,6 @@ fn revelation_cmd(args: &Args) -> i32 {
         eprintln!("FAIL: the revelation acceptance bar was not met (see {out_path})");
         1
     }
-}
-
-/// Parses a comma-separated fault-rate list; the rate-0 baseline is
-/// always swept first so every row has a drift reference.
-fn parse_rates(spec: &str) -> Result<Vec<f64>, String> {
-    let mut rates = spec
-        .split(',')
-        .map(|part| {
-            let rate = cli::fraction(part);
-            rate.ok_or_else(|| format!("--rates `{part}`: fault rates live in [0, 1]"))
-        })
-        .collect::<Result<Vec<f64>, String>>()?;
-    rates.sort_by(|a, b| a.partial_cmp(b).expect("no NaN past the range check"));
-    rates.dedup();
-    if rates.first() != Some(&0.0) {
-        rates.insert(0, 0.0);
-    }
-    Ok(rates)
 }
 
 /// The fixed fixture for the chaos sweep's revelation leg: one Juniper
@@ -835,20 +835,14 @@ fn quarantine_fields(report: &lpr_core::quarantine::DegradedReport) -> Vec<(Stri
 
 fn chaos(args: &Args) -> i32 {
     let out_path: String = args.value("--out");
-    let seed: u64 = args.value("--seed");
-    let rates = parse_rates(&args.value::<String>("--rates"))
-        .expect("the flag table checked every --rates entry");
-    let snapshots: usize = args.value("--snapshots");
-    let cycle: usize = args.value("--cycle");
-    let drift_bound: f64 = args.value("--drift-bound");
-    let trace_out: Option<String> = args.get("--trace-out");
+    let (seed, rates, drift_bound) = (CHAOS_SEED, CHAOS_RATES, DRIFT_BOUND);
 
     // The golden campaign every rate degrades a fresh copy of. Future
     // snapshots stay clean: the Persistence reference is held fixed so a
     // row's drift isolates the effect of faults on the measured cycle.
     let world = ark_dataset::standard_world();
-    let opts = ark_dataset::CampaignOptions { snapshots, ..Default::default() };
-    let data = ark_dataset::generate_cycle(&world, cycle, &opts);
+    let opts = ark_dataset::CampaignOptions { snapshots: SNAPSHOTS, ..Default::default() };
+    let data = ark_dataset::generate_cycle(&world, CYCLE, &opts);
     let golden = &data.snapshots[0];
     let future: Vec<_> =
         data.snapshots[1..].iter().map(|t| Pipeline::snapshot_keys_par(t, 1)).collect();
@@ -865,7 +859,8 @@ fn chaos(args: &Args) -> i32 {
 
     // The trace journal is observational only: the chaos report itself
     // stays byte-reproducible (the trace file carries the wall times).
-    let tracer = tracer_for(args);
+    let trace = TraceOut::new(args);
+    let tracer = trace.tracer();
     let run_span = tracer.span("run:bench-chaos");
     tracer.set_default_parent(run_span.context());
 
@@ -1233,8 +1228,8 @@ fn chaos(args: &Args) -> i32 {
     let report = JsonValue::Object(vec![
         ("bench".to_string(), JsonValue::Str("chaos".to_string())),
         ("seed".to_string(), JsonValue::Int(seed as i128)),
-        ("cycle".to_string(), JsonValue::Int(cycle as i128)),
-        ("snapshots".to_string(), JsonValue::Int(snapshots as i128)),
+        ("cycle".to_string(), JsonValue::Int(CYCLE as i128)),
+        ("snapshots".to_string(), JsonValue::Int(SNAPSHOTS as i128)),
         ("drift_bound".to_string(), JsonValue::Float(drift_bound)),
         (
             "threads_checked".to_string(),
@@ -1255,38 +1250,14 @@ fn chaos(args: &Args) -> i32 {
     say!("wrote {out_path}");
     tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
     drop(run_span);
-    if let Some(path) = &trace_out {
-        if !write_trace(&tracer, path) {
-            return 1;
-        }
+    if !write_trace(&trace) {
+        return 1;
     }
     if failed {
         eprintln!("chaos sweep failed (determinism, reconciliation, or drift)");
         return 1;
     }
     0
-}
-
-/// Writes the tracer's journal as Chrome trace JSON, warning when the
-/// ring wrapped. Returns `false` on I/O failure.
-fn write_trace(tracer: &lpr_obs::Tracer, path: &str) -> bool {
-    let snapshot = tracer.snapshot();
-    if snapshot.dropped > 0 {
-        eprintln!(
-            "warning: trace journal wrapped, {} oldest events overwritten",
-            snapshot.dropped
-        );
-    }
-    match std::fs::write(path, lpr_obs::export::chrome_trace(&snapshot)) {
-        Ok(()) => {
-            say!("wrote {path}");
-            true
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            false
-        }
-    }
 }
 
 /// `lpr-bench compare`: every path at which the current report and the
@@ -1473,12 +1444,9 @@ impl SlowClients {
 /// [`SlowClients`] trickle beside it and every `/healthz` probe answers
 /// within [`HEALTHZ_DEADLINE`].
 fn serve_soak(args: &Args) -> i32 {
-    let cycles: usize = args.value("--cycles");
-    let chaos_rate: f64 = args.value("--chaos-rate");
-    let seed: u64 = args.value("--seed");
-    let threads: usize = args.value("--threads");
+    let (cycles, chaos_rate, seed, threads) =
+        (SOAK_CYCLES, SOAK_CHAOS_RATE, SOAK_SEED, SOAK_THREADS);
     let out_path: String = args.value("--out");
-    let keep_spool = args.on("--keep-spool");
 
     let world = ark_dataset::standard_world();
     let rib = world.rib();
@@ -1755,11 +1723,7 @@ fn serve_soak(args: &Args) -> i32 {
         if identical { "ok" } else { "DIVERGED" },
         if reconciled { "exact" } else { "BROKEN" },
     );
-    if keep_spool {
-        say!("spool kept at {}", root.display());
-    } else {
-        let _ = std::fs::remove_dir_all(&root);
-    }
+    let _ = std::fs::remove_dir_all(&root);
     if passed {
         0
     } else {
@@ -1797,23 +1761,4 @@ fn corrupt_cmd(args: &Args) -> i32 {
         counts.bad_magics,
     );
     0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_rates;
-
-    #[test]
-    fn rates_are_sorted_deduped_and_anchored_at_zero() {
-        assert_eq!(parse_rates("0.1,0.02,0.02").unwrap(), vec![0.0, 0.02, 0.1]);
-        assert_eq!(parse_rates("0,0.05").unwrap(), vec![0.0, 0.05]);
-    }
-
-    #[test]
-    fn rates_outside_the_unit_interval_are_rejected
-    () {
-        assert!(parse_rates("1.5").is_err());
-        assert!(parse_rates("-0.1").is_err());
-        assert!(parse_rates("nope").is_err());
-    }
 }

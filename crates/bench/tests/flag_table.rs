@@ -3,7 +3,8 @@
 //! an unknown or removed flag, a missing value, an out-of-range value —
 //! exits 2 before any work starts.
 
-use lpr_bench::cli::{usage, Kind, COMMANDS};
+use lpr_bench::{usage, COMMANDS};
+use lpr_cli::flags::{Kind, Positional};
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
 
@@ -28,7 +29,6 @@ fn out_of_range(kind: Kind) -> Option<String> {
         Kind::Count { min } => Some((min - 1).to_string()),
         Kind::Fraction => Some("1.5".to_string()),
         Kind::Positive => Some("0".to_string()),
-        Kind::Fractions => Some("0.1,1.5".to_string()),
         Kind::Probing | Kind::Level | Kind::Mix => Some("bogus".to_string()),
     }
 }
@@ -63,7 +63,8 @@ fn the_help_text_lists_exactly_the_table() {
 fn every_flag_error_exits_2() {
     for c in COMMANDS {
         // The positional is given, so each error below comes from the flag.
-        let lead: Vec<&str> = [c.name].into_iter().chain(c.positional.map(|_| "x")).collect();
+        let positional = (c.positional != Positional::None).then_some("x");
+        let lead: Vec<&str> = [c.name].into_iter().chain(positional).collect();
         rejects(&[&lead[..], &["--no-such-flag"]].concat(), "unknown flag --no-such-flag");
         for f in c.flags.iter().filter(|f| f.kind != Kind::Switch) {
             rejects(&[&lead[..], &[f.name]].concat(), "wants a value");
@@ -82,4 +83,24 @@ fn removed_flags_and_subcommands_exit_2() {
     rejects(&["compare", "--threshold", "0.5"], "unknown flag --threshold");
     rejects(&["compare", "x", "--diff-out", "diff.json"], "unknown flag --diff-out");
     rejects(&["baseline"], "unknown subcommand `baseline`");
+    // Values every use ran at one setting are constants of their command.
+    for line in [
+        &["pipeline", "--snapshots", "3"][..],
+        &["pipeline", "--cycle", "40"],
+        &["mda", "--cycle", "40"],
+        &["revelation", "--cycle", "40"],
+        &["revelation", "--mix", "explicit:0.4,implicit:0.2,invisible:0.2,opaque:0.2"],
+        &["chaos", "--seed", "42"],
+        &["chaos", "--rates", "0,0.02,0.05,0.1"],
+        &["chaos", "--snapshots", "3"],
+        &["chaos", "--cycle", "40"],
+        &["chaos", "--drift-bound", "0.5"],
+        &["serve", "--cycles", "5"],
+        &["serve", "--chaos-rate", "0.1"],
+        &["serve", "--seed", "1"],
+        &["serve", "--threads", "1"],
+        &["serve", "--keep-spool"],
+    ] {
+        rejects(line, &format!("unknown flag {}", line[1]));
+    }
 }

@@ -1,6 +1,7 @@
 //! The `lpr` subcommands.
 
-use crate::{CliError, Options};
+use crate::flags::Args;
+use crate::CliError;
 use std::io::Write;
 
 pub mod classify {
@@ -12,12 +13,12 @@ pub mod classify {
     use lpr_core::metrics::IotpMetrics;
 
     /// Executes the subcommand.
-    pub fn run(o: &Options, w: &mut dyn Write) -> Result<RunStatus, CliError> {
-        crate::analyse(o, "classify", |artifacts| report(o, artifacts, w))
+    pub fn run(args: &Args, w: &mut dyn Write) -> Result<RunStatus, CliError> {
+        crate::analyse(args, |artifacts| report(args, artifacts, w))
     }
 
     fn report(
-        o: &Options,
+        args: &Args,
         artifacts: &crate::PipelineArtifacts,
         w: &mut dyn Write,
     ) -> Result<(), CliError> {
@@ -56,7 +57,7 @@ pub mod classify {
             writeln!(w, "dynamic ASes (labels churn between snapshots): {}", names.join(" "))?;
         }
 
-        if o.per_as {
+        if args.on("--per-as") {
             writeln!(w, "\nper-AS classification:")?;
             for asn in out.ases() {
                 let c = out.class_counts_for(asn);
@@ -79,11 +80,11 @@ pub mod classify {
             }
         }
 
-        if o.router_level {
+        if args.on("--router-level") {
             run_router_level(out, w)?;
         }
 
-        if o.trees {
+        if args.on("--trees") {
             write_trees(&artifacts.trees, w)?;
         }
         crate::write_degradation_summary(&artifacts.load, &out.degraded, w)
@@ -146,8 +147,8 @@ pub mod stats {
     use lpr_core::prelude::*;
 
     /// Executes the subcommand.
-    pub fn run(o: &Options, w: &mut dyn Write) -> Result<RunStatus, CliError> {
-        crate::analyse(o, "stats", |artifacts| report(artifacts, w))
+    pub fn run(args: &Args, w: &mut dyn Write) -> Result<RunStatus, CliError> {
+        crate::analyse(args, |artifacts| report(artifacts, w))
     }
 
     fn report(artifacts: &crate::PipelineArtifacts, w: &mut dyn Write) -> Result<(), CliError> {
@@ -181,15 +182,12 @@ pub mod tunnels {
 
     /// Executes the subcommand. The inputs go through the same corpus
     /// and batch verdict as `classify`.
-    pub fn run(o: &Options, w: &mut dyn Write) -> Result<RunStatus, CliError> {
-        if o.inputs.is_empty() {
-            return Err(CliError("no input warts files".into()));
-        }
-        let corpus = crate::open_corpus(&o.inputs, None)?;
+    pub fn run(args: &Args, w: &mut dyn Write) -> Result<RunStatus, CliError> {
+        let corpus = crate::open_corpus(args.positionals(), None)?;
         let (traces, convert_failures) = lpr_corpus::ingest::load_traces(&corpus);
         let mut load = LoadReport::default();
         let report = lpr_corpus::DecodeReport { convert_failures, ..corpus.decode_report() };
-        load.admit(o.keep_going, &corpus, report, None)?;
+        load.admit(args.on("--keep-going"), &corpus, report, None)?;
         let mut total = 0usize;
         for trace in &traces {
             for t in extract_tunnels(trace) {
@@ -226,11 +224,8 @@ pub mod dump {
     use warts::Record;
 
     /// Executes the subcommand.
-    pub fn run(o: &Options, w: &mut dyn Write) -> Result<(), CliError> {
-        if o.inputs.is_empty() {
-            return Err(CliError("no input warts files".into()));
-        }
-        for path in &o.inputs {
+    pub fn run(args: &Args, w: &mut dyn Write) -> Result<(), CliError> {
+        for path in args.positionals() {
             for rec in warts::read_path(path)
                 .map_err(|e| CliError(format!("{path}: {e}")))?
             {
@@ -259,11 +254,8 @@ pub mod info {
     use warts::Record;
 
     /// Executes the subcommand.
-    pub fn run(o: &Options, w: &mut dyn Write) -> Result<(), CliError> {
-        if o.inputs.is_empty() {
-            return Err(CliError("no input warts files".into()));
-        }
-        for path in &o.inputs {
+    pub fn run(args: &Args, w: &mut dyn Write) -> Result<(), CliError> {
+        for path in args.positionals() {
             let bytes =
                 std::fs::read(path).map_err(|e| CliError(format!("{path}: {e}")))?;
             let mut lists = 0usize;
@@ -308,75 +300,36 @@ pub mod serve {
     use std::path::PathBuf;
     use std::time::Duration;
 
-    /// Parses the subcommand's own flags into a [`ServeConfig`].
-    /// Returns the config plus whether `--once` was given (run a
-    /// bounded number of ticks and exit — for smoke tests).
-    pub fn parse(args: &[String]) -> Result<(ServeConfig, Option<u64>), CliError> {
-        let mut spool = None;
-        let mut rib = None;
-        let mut cfg_overrides: Vec<(String, String)> = Vec::new();
-        let mut once = None;
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let mut take = |flag: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| CliError(format!("{flag} wants a value")))
-            };
-            match a.as_str() {
-                "--spool" => spool = Some(take("--spool")?),
-                "--rib" => rib = Some(take("--rib")?),
-                "--addr" | "--window" | "--threads" | "--tick-ms" | "--ingest-timeout-ms"
-                | "--retries" | "--backoff-ms" | "--backoff-cap-ms" | "--growing-grace" => {
-                    let v = take(a)?;
-                    cfg_overrides.push((a.clone(), v));
-                }
-                "--once" => {
-                    let v = take("--once")?;
-                    once = Some(v.parse().map_err(|_| {
-                        CliError(format!("--once wants a tick count, got `{v}`"))
-                    })?);
-                }
-                other => return Err(CliError(format!("unknown serve flag {other}"))),
-            }
-        }
-        let spool = spool.ok_or(CliError("--spool <dir> required".into()))?;
-        let rib = rib.ok_or(CliError("--rib <rib.txt> required".into()))?;
-        let mut cfg = ServeConfig::new(PathBuf::from(spool), PathBuf::from(rib));
-        for (flag, v) in cfg_overrides {
-            let num = || {
-                v.parse::<u64>()
-                    .map_err(|_| CliError(format!("{flag} wants a number, got `{v}`")))
-            };
-            match flag.as_str() {
-                "--addr" => cfg.addr = v.clone(),
-                "--window" => cfg.window = num()? as usize,
-                "--threads" => cfg.threads = num()? as usize,
-                "--tick-ms" => cfg.tick = Duration::from_millis(num()?),
-                "--ingest-timeout-ms" => cfg.ingest_timeout = Duration::from_millis(num()?),
-                "--retries" => cfg.retries = num()? as u32,
-                "--backoff-ms" => cfg.backoff_base = Duration::from_millis(num()?),
-                "--backoff-cap-ms" => cfg.backoff_cap = Duration::from_millis(num()?),
-                "--growing-grace" => cfg.growing_grace = num()? as u32,
-                _ => unreachable!("flag list is closed"),
-            }
-        }
-        if cfg.window == 0 {
-            return Err(CliError("--window must be at least 1".into()));
-        }
-        Ok((cfg, once))
+    /// The daemon configuration `args` asks for; every knob not given
+    /// keeps the table's default, which is [`ServeConfig::new`]'s.
+    pub fn config(args: &Args) -> Result<ServeConfig, CliError> {
+        let spool: String = args.get("--spool").ok_or(CliError("--spool <dir> required".into()))?;
+        let rib: String = args.get("--rib").ok_or(CliError("--rib <rib.txt> required".into()))?;
+        let ms = |name: &str| Duration::from_millis(args.value(name));
+        Ok(ServeConfig {
+            addr: args.value("--addr"),
+            window: args.value("--window"),
+            threads: args.value("--threads"),
+            tick: ms("--tick-ms"),
+            ingest_timeout: ms("--ingest-timeout-ms"),
+            retries: args.value("--retries"),
+            backoff_base: ms("--backoff-ms"),
+            backoff_cap: ms("--backoff-cap-ms"),
+            growing_grace: args.value("--growing-grace"),
+            ..ServeConfig::new(PathBuf::from(spool), PathBuf::from(rib))
+        })
     }
 
     /// Executes the subcommand: starts the daemon and blocks until
     /// SIGTERM/SIGINT (or, with `--once N`, until N reconcile ticks
     /// have completed). The returned code is the process exit code.
-    pub fn run(args: &[String], w: &mut dyn Write) -> Result<i32, CliError> {
-        let (cfg, once) = parse(args)?;
+    pub fn run(args: &Args, w: &mut dyn Write) -> Result<i32, CliError> {
+        let cfg = config(args)?;
         let spool = cfg.spool.display().to_string();
         let handle = Server::start(cfg).map_err(|e| CliError(format!("serve: {e}")))?;
         writeln!(w, "lpr serve: listening on http://{} (spool {spool})", handle.addr())?;
         w.flush().ok();
-        match once {
+        match args.get::<u64>("--once") {
             Some(ticks) => {
                 while handle.ticks() < ticks {
                     std::thread::sleep(std::time::Duration::from_millis(20));
@@ -453,30 +406,13 @@ pub mod demo {
     }
 
     /// Executes the subcommand.
-    pub fn run(args: &[String], w: &mut dyn Write) -> Result<(), CliError> {
-        let mut out_path = None;
-        let mut rib_path = None;
-        let mut visibility = None;
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--out" => out_path = it.next().cloned(),
-                "--rib-out" => rib_path = it.next().cloned(),
-                "--tunnel-visibility" => {
-                    let spec = it.next().ok_or(CliError(
-                        "--tunnel-visibility wants \
-                         explicit:F,implicit:F,invisible:F,opaque:F"
-                            .into(),
-                    ))?;
-                    visibility = Some(VisibilityMix::parse(spec).ok_or_else(|| {
-                        CliError(format!("--tunnel-visibility: cannot parse `{spec}`"))
-                    })?);
-                }
-                other => return Err(CliError(format!("unknown demo flag {other}"))),
-            }
-        }
-        let out_path = out_path.ok_or(CliError("--out <file> required".into()))?;
-        let rib_path = rib_path.ok_or(CliError("--rib-out <file> required".into()))?;
+    pub fn run(args: &Args, w: &mut dyn Write) -> Result<(), CliError> {
+        let out_path: String = args.get("--out").ok_or(CliError("--out <file> required".into()))?;
+        let rib_path: String =
+            args.get("--rib-out").ok_or(CliError("--rib-out <file> required".into()))?;
+        let visibility = args.get::<String>("--tunnel-visibility").map(|mix| {
+            VisibilityMix::parse(&mix).expect("the flag table checked --tunnel-visibility")
+        });
         let (bytes, rib) = write_demo_files_with(visibility);
         std::fs::write(&out_path, &bytes)?;
         std::fs::write(&rib_path, rib)?;

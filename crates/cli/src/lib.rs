@@ -1,29 +1,23 @@
 //! # lpr-cli — the `lpr` command-line tool
 //!
 //! Runs the LPR analysis on scamper **warts** dumps, the way the paper
-//! does on CAIDA Archipelago data:
-//!
-//! ```text
-//! lpr classify --rib rib.txt cycleX.warts [--next cycleX+1.warts]...
-//!              [--alias-rescue] [--trees] [--per-as]
-//! lpr stats    --rib rib.txt cycleX.warts [--next ...]   filter survival
-//! lpr tunnels  cycleX.warts                              dump explicit tunnels
-//! lpr dump     file.warts                                scamper-style text dump
-//! lpr info     file.warts                                record inventory
-//! lpr demo     --out demo.warts --rib-out rib.txt        generate sample data
-//! lpr help
-//! ```
+//! does on CAIDA Archipelago data: `lpr classify --rib rib.txt
+//! cycleX.warts --next cycleX+1.warts` classifies one cycle against a
+//! one-snapshot Persistence window. `lpr help` prints every command
+//! and flag, rendered from [`COMMANDS`].
 //!
 //! The RIB file is the plain `prefix asn` snapshot format of the
 //! `ip2as` crate (one routed prefix per line, `#` comments).
 //!
 //! The library entry point ([`run`]) takes the argument vector and a
 //! writer, so the whole CLI is unit-testable without spawning
-//! processes.
+//! processes. [`flags`] is the one command-line parser of `lpr`,
+//! `lpr-bench` and `experiments`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use flags::{flag, Args, Command, Flag, Kind, Positional};
 use lpr_core::prelude::*;
 use lpr_corpus::{Corpus, DecodeReport, FileSkipReason};
 use std::fmt;
@@ -31,6 +25,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 mod commands;
+pub mod flags;
 
 pub use commands::demo::{write_demo_files, write_demo_files_with};
 
@@ -194,110 +189,6 @@ impl PipelineArtifacts {
     }
 }
 
-/// Parsed command-line options shared by the analysis subcommands.
-#[derive(Debug, Default)]
-pub struct Options {
-    /// Input warts files (the cycle to classify).
-    pub inputs: Vec<String>,
-    /// Follow-up snapshot files for the Persistence filter; their
-    /// number is the persistence window.
-    pub next: Vec<String>,
-    /// RIB snapshot path.
-    pub rib: Option<String>,
-    /// Enable the §5 alias rescue.
-    pub alias_rescue: bool,
-    /// Also run the egress-rooted LSP-tree analysis.
-    pub trees: bool,
-    /// Print per-AS tallies.
-    pub per_as: bool,
-    /// Aggregate IOTPs at the router level via label-based alias
-    /// resolution (§5).
-    pub router_level: bool,
-    /// Write machine-readable run telemetry (stage timings, counters)
-    /// to this path as JSON.
-    pub metrics: Option<String>,
-    /// Write a Chrome `trace_event` JSON span trace of the run
-    /// (`run → cycle → stage → shard`) to this path; load it in
-    /// `chrome://tracing` or Perfetto.
-    pub trace_out: Option<String>,
-    /// Minimum level journaled by `--trace-out`
-    /// (debug/info/warn/error; default info).
-    pub trace_level: Option<lpr_obs::Level>,
-    /// Write a Prometheus-style text exposition of the run's
-    /// counter/gauge/histogram registry to this path.
-    pub prom_out: Option<String>,
-    /// Print per-stage progress lines to stderr as the run finishes.
-    pub progress: bool,
-    /// Worker threads for the parallel pipeline (`None` = the machine's
-    /// available parallelism; `1` forces the sequential path). The
-    /// output is byte-identical for every value.
-    pub threads: Option<usize>,
-    /// Accept degraded input: skip corrupt records (resyncing on the
-    /// magic), drop traces that fail conversion and set aside files
-    /// that end in a half-written record, instead of aborting. The run
-    /// then reports what was skipped and exits with the
-    /// success-with-quarantine code.
-    pub keep_going: bool,
-    /// Treat any degradation — skipped records, failed conversions,
-    /// quarantined traces — as fatal instead of quarantining it.
-    pub fail_fast: bool,
-    /// Spill the Persistence window's key sets to sorted files under
-    /// this directory instead of holding them in memory.
-    pub spill_dir: Option<String>,
-}
-
-impl Options {
-    /// Parses `args` after the subcommand name.
-    pub fn parse(args: &[String]) -> Result<Options, CliError> {
-        let mut o = Options::default();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--rib" => o.rib = Some(take(&mut it, "--rib")?),
-                "--next" => o.next.push(take(&mut it, "--next")?),
-                "--alias-rescue" => o.alias_rescue = true,
-                "--keep-going" => o.keep_going = true,
-                "--fail-fast" => o.fail_fast = true,
-                "--spill-dir" => o.spill_dir = Some(take(&mut it, "--spill-dir")?),
-                "--trees" => o.trees = true,
-                "--per-as" => o.per_as = true,
-                "--router-level" => o.router_level = true,
-                "--metrics" => o.metrics = Some(take(&mut it, "--metrics")?),
-                "--trace-out" => o.trace_out = Some(take(&mut it, "--trace-out")?),
-                "--trace-level" => {
-                    let level = take(&mut it, "--trace-level")?;
-                    o.trace_level = Some(lpr_obs::Level::parse(&level).ok_or_else(|| {
-                        err("--trace-level wants debug, info, warn or error")
-                    })?);
-                }
-                "--prom-out" => o.prom_out = Some(take(&mut it, "--prom-out")?),
-                "--progress" => o.progress = true,
-                "--threads" => {
-                    let n: usize = take(&mut it, "--threads")?
-                        .parse()
-                        .map_err(|_| err("--threads wants an integer"))?;
-                    if n == 0 {
-                        return Err(err("--threads wants at least 1"));
-                    }
-                    o.threads = Some(n);
-                }
-                flag if flag.starts_with("--") => {
-                    return Err(err(format!("unknown flag {flag}")))
-                }
-                path => o.inputs.push(path.to_string()),
-            }
-        }
-        if o.keep_going && o.fail_fast {
-            return Err(err("--keep-going and --fail-fast contradict each other"));
-        }
-        Ok(o)
-    }
-}
-
-fn take(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, CliError> {
-    it.next().cloned().ok_or_else(|| err(format!("{flag} wants a value")))
-}
-
 /// Loads the RIB snapshot into a longest-prefix-match trie.
 pub fn load_rib(path: &str) -> Result<ip2as::Ip2AsTrie, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| err(format!("{path}: {e}")))?;
@@ -322,9 +213,9 @@ fn open_corpus(
     Ok(Corpus::open_with(paths, true, recorder)?)
 }
 
-/// Runs the analysis pipeline an analysis subcommand needs.
-pub fn run_pipeline(o: &Options) -> Result<PipelineArtifacts, CliError> {
-    run_pipeline_recorded(o, None)
+/// Runs the analysis pipeline of `lpr classify` or `lpr stats`.
+pub fn run_pipeline(args: &Args) -> Result<PipelineArtifacts, CliError> {
+    run_pipeline_recorded(args, None)
 }
 
 /// [`run_pipeline`] with instrumentation: loading and every pipeline
@@ -339,19 +230,21 @@ pub fn run_pipeline(o: &Options) -> Result<PipelineArtifacts, CliError> {
 /// verdict of [`LoadReport`]: skipped records, failed conversions and
 /// files ending in a half-written record are fatal without
 /// `--keep-going`. An empty input contributes nothing and is clean.
+/// `--trees` and `--alias-rescue` apply only to a command that declares
+/// them (`classify`).
 pub fn run_pipeline_recorded(
-    o: &Options,
+    args: &Args,
     recorder: Option<&lpr_obs::Recorder>,
 ) -> Result<PipelineArtifacts, CliError> {
     use lpr_core::pipeline::PersistenceWindow;
     use lpr_obs::StageGuard;
-    if o.inputs.is_empty() {
-        return Err(err("no input warts files (see `lpr help`)"));
-    }
-    let rib_path = o.rib.as_ref().ok_or_else(|| err("--rib <file> is required"))?;
-    let rib = load_rib(rib_path)?;
-    let threads = o.threads.unwrap_or_else(lpr_par::available_threads);
-    if let Some(dir) = &o.spill_dir {
+    let (inputs, next) = (args.positionals(), args.all("--next"));
+    let rib_path: String = args.get("--rib").ok_or_else(|| err("--rib <file> is required"))?;
+    let rib = load_rib(&rib_path)?;
+    let threads = args.get("--threads").unwrap_or_else(lpr_par::available_threads);
+    let spill_dir: Option<String> = args.get("--spill-dir");
+    let keep_going = args.on("--keep-going");
+    if let Some(dir) = &spill_dir {
         // Spill files a killed run left behind are never valid input.
         let _ = lpr_corpus::sweep_stale(Path::new(dir), recorder);
     }
@@ -361,36 +254,39 @@ pub fn run_pipeline_recorded(
     let cycle_span = open_span(recorder, "cycle");
 
     let stage = StageGuard::open(recorder, "CorpusOpen");
-    let corpus = open_corpus(&o.inputs, recorder)?;
-    stage.finish_counts(o.inputs.len() as u64, corpus.total_records());
+    let corpus = open_corpus(inputs, recorder)?;
+    stage.finish_counts(inputs.len() as u64, corpus.total_records());
     let (ingest, report) =
         lpr_corpus::ingest_cycle(&corpus, &rib, lpr_corpus::IngestOptions::new(threads), recorder);
     let trace_count = ingest.traces_in;
     if let Some(rec) = recorder {
         rec.counter(lpr_obs::names::CLI_INPUT_BYTES).add(corpus.total_bytes());
-        rec.counter(lpr_obs::names::CLI_INPUT_FILES).add(o.inputs.len() as u64);
+        rec.counter(lpr_obs::names::CLI_INPUT_FILES).add(inputs.len() as u64);
     }
     let mut load = LoadReport::default();
-    load.admit(o.keep_going, &corpus, report, recorder)?;
+    load.admit(keep_going, &corpus, report, recorder)?;
     // Unmap the cycle before the window's snapshots are mapped.
     drop(corpus);
-    let trees =
-        if o.trees { lpr_core::tree::build_fec_trees(&ingest.lsps) } else { Vec::new() };
+    let trees = if args.on("--trees") {
+        lpr_core::tree::build_fec_trees(&ingest.lsps)
+    } else {
+        Vec::new()
+    };
 
     let mut pipeline =
-        Pipeline::new(FilterConfig { persistence_window: o.next.len(), ..Default::default() });
-    if o.alias_rescue {
+        Pipeline::new(FilterConfig { persistence_window: next.len(), ..Default::default() });
+    if args.on("--alias-rescue") {
         pipeline = pipeline.with_alias_rescue();
     }
     // The persistence window: every `--next` snapshot opened and keyed
     // (or spilled), as one stage from their traces to their keys.
-    let stage = (!o.next.is_empty()).then(|| StageGuard::open(recorder, "SnapshotKeys"));
+    let stage = (!next.is_empty()).then(|| StageGuard::open(recorder, "SnapshotKeys"));
     let (mut keys, mut spilled) = (Vec::new(), Vec::new());
     let (mut next_traces, mut next_keys) = (0u64, 0u64);
-    for (i, path) in o.next.iter().enumerate() {
+    for (i, path) in next.iter().enumerate() {
         let next = open_corpus(std::slice::from_ref(path), recorder)?;
         next_traces += next.total_traces();
-        let report = match &o.spill_dir {
+        let report = match &spill_dir {
             Some(dir) => {
                 let (snapshot, report) = lpr_corpus::spill_snapshot_keys_reported(
                     &next,
@@ -410,12 +306,12 @@ pub fn run_pipeline_recorded(
                 report
             }
         };
-        load.admit(o.keep_going, &next, report, recorder)?;
+        load.admit(keep_going, &next, report, recorder)?;
     }
     if let Some(stage) = stage {
         stage.finish_counts(next_traces, next_keys);
     }
-    let window = match o.spill_dir {
+    let window = match spill_dir {
         Some(_) => PersistenceWindow::Spilled(&spilled),
         None => PersistenceWindow::Mem(&keys),
     };
@@ -423,7 +319,7 @@ pub fn run_pipeline_recorded(
     let output = pipeline.finish_stages_windowed(ingest, window, recorder, shard)?;
     drop(cycle_span);
     let artifacts = PipelineArtifacts { trace_count, output, load, trees };
-    if o.fail_fast && artifacts.is_degraded() {
+    if args.on("--fail-fast") && artifacts.is_degraded() {
         return Err(err(format!(
             "--fail-fast: input degraded ({} records skipped, {} conversions failed, {} traces quarantined)",
             artifacts.load.decode.skipped_total(),
@@ -478,21 +374,16 @@ pub fn write_degradation_summary(
     Ok(())
 }
 
-/// Builds the recorder an analysis subcommand needs — `Some` only when
+/// The recorder an analysis subcommand needs: `Some` only when
 /// `--metrics`, `--progress`, `--trace-out` or `--prom-out` asked for
-/// one. With `--trace-out` the recorder carries an enabled tracer at
-/// the `--trace-level` threshold (default info).
-pub fn recorder_for(o: &Options, label: &str) -> Option<lpr_obs::Recorder> {
-    let wanted =
-        o.metrics.is_some() || o.progress || o.trace_out.is_some() || o.prom_out.is_some();
-    wanted.then(|| {
-        let mut rec = lpr_obs::Recorder::new(label);
-        if o.trace_out.is_some() {
-            let level = o.trace_level.unwrap_or(lpr_obs::Level::Info);
-            rec = rec.with_tracer(lpr_obs::Tracer::new(level));
-        }
-        rec
-    })
+/// one, carrying `trace`'s tracer.
+fn recorder_for(args: &Args, trace: &flags::TraceOut) -> Option<lpr_obs::Recorder> {
+    let wanted = ["--metrics", "--trace-out", "--prom-out"]
+        .iter()
+        .any(|name| args.get::<String>(name).is_some())
+        || args.on("--progress");
+    let label = format!("lpr {}", args.command().name);
+    wanted.then(|| lpr_obs::Recorder::new(label).with_tracer(trace.tracer().clone()))
 }
 
 /// Opens the span `name` (the root `run:<cmd>`, a `cycle`) under the
@@ -515,20 +406,20 @@ fn open_span(recorder: Option<&lpr_obs::Recorder>, name: &str) -> Option<lpr_obs
 /// with one `error` event carrying the message on the run span, and
 /// still fails with its own error.
 fn analyse(
-    o: &Options,
-    name: &str,
+    args: &Args,
     report: impl FnOnce(&PipelineArtifacts) -> Result<(), CliError>,
 ) -> Result<RunStatus, CliError> {
-    let recorder = recorder_for(o, &format!("lpr {name}"));
-    let run_span = open_span(recorder.as_ref(), &format!("run:{name}"));
-    let result = run_pipeline_recorded(o, recorder.as_ref())
+    let trace = flags::TraceOut::new(args);
+    let recorder = recorder_for(args, &trace);
+    let run_span = open_span(recorder.as_ref(), &format!("run:{}", args.command().name));
+    let result = run_pipeline_recorded(args, recorder.as_ref())
         .and_then(|artifacts| report(&artifacts).map(|()| artifacts.status()));
     if let (Err(e), Some(span)) = (&result, &run_span) {
         let message = ("message".to_string(), lpr_obs::FieldValue::Str(e.0.clone()));
         span.event(lpr_obs::Level::Error, "error", vec![message]);
     }
     drop(run_span);
-    let emitted = emit_telemetry(o, recorder);
+    let emitted = emit_telemetry(args, &trace, recorder);
     let status = result?;
     emitted.map(|()| status)
 }
@@ -536,12 +427,16 @@ fn analyse(
 /// Finalises telemetry: prints `--progress` stage lines to stderr and
 /// writes the `--metrics` JSON, `--trace-out` Chrome trace and
 /// `--prom-out` exposition files.
-pub fn emit_telemetry(o: &Options, recorder: Option<lpr_obs::Recorder>) -> Result<(), CliError> {
+fn emit_telemetry(
+    args: &Args,
+    trace: &flags::TraceOut,
+    recorder: Option<lpr_obs::Recorder>,
+) -> Result<(), CliError> {
     let Some(recorder) = recorder else { return Ok(()) };
-    let tracer = recorder.tracer().clone();
-    let prom = o.prom_out.as_ref().map(|_| lpr_obs::export::prometheus_text(recorder.registry()));
+    let prom_out: Option<String> = args.get("--prom-out");
+    let prom = prom_out.as_ref().map(|_| lpr_obs::export::prometheus_text(recorder.registry()));
     let telemetry = recorder.finish();
-    if o.progress {
+    if args.on("--progress") {
         for s in &telemetry.stages {
             eprintln!(
                 "[lpr] {:<18} {:>8} -> {:<8} {:>8} us",
@@ -550,23 +445,12 @@ pub fn emit_telemetry(o: &Options, recorder: Option<lpr_obs::Recorder>) -> Resul
         }
         eprintln!("[lpr] total {} us", telemetry.total_wall_us);
     }
-    if let Some(path) = &o.metrics {
-        std::fs::write(path, telemetry.to_json())
-            .map_err(|e| err(format!("{path}: {e}")))?;
+    if let Some(path) = args.get::<String>("--metrics") {
+        std::fs::write(&path, telemetry.to_json()).map_err(|e| err(format!("{path}: {e}")))?;
     }
-    if let Some(path) = &o.trace_out {
-        let snapshot = tracer.snapshot();
-        if snapshot.dropped > 0 {
-            eprintln!(
-                "[lpr] trace journal wrapped: {} oldest events overwritten",
-                snapshot.dropped
-            );
-        }
-        std::fs::write(path, lpr_obs::export::chrome_trace(&snapshot))
-            .map_err(|e| err(format!("{path}: {e}")))?;
-    }
-    if let (Some(path), Some(prom)) = (&o.prom_out, prom) {
-        std::fs::write(path, prom).map_err(|e| err(format!("{path}: {e}")))?;
+    trace.write().map_err(CliError)?;
+    if let (Some(path), Some(prom)) = (prom_out, prom) {
+        std::fs::write(&path, prom).map_err(|e| err(format!("{path}: {e}")))?;
     }
     Ok(())
 }
@@ -575,9 +459,6 @@ pub fn emit_telemetry(o: &Options, recorder: Option<lpr_obs::Recorder>) -> Resul
 /// `trace_event` document, checks the round trip is byte-identical,
 /// and prints an event census — the CI smoke test for trace emission.
 fn trace_check(paths: &[String], w: &mut dyn Write) -> Result<(), CliError> {
-    if paths.is_empty() {
-        return Err(err("trace-check wants at least one trace file"));
-    }
     for path in paths {
         let text = std::fs::read_to_string(path).map_err(|e| err(format!("{path}: {e}")))?;
         let trace = lpr_obs::export::ChromeTrace::parse(&text)
@@ -592,58 +473,166 @@ fn trace_check(paths: &[String], w: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Reads the words after `lpr <name>` against that command's flags: an
+/// unknown command, any flag error and `--keep-going` with
+/// `--fail-fast` are errors (exit code 1) before any work starts.
+pub fn parse_args(name: &str, argv: &[String]) -> Result<Args, CliError> {
+    let command = flags::command(COMMANDS, name)
+        .ok_or_else(|| err(format!("unknown command `{name}` (try `lpr help`)")))?;
+    let args = flags::parse(command, argv).map_err(CliError)?;
+    if args.on("--keep-going") && args.on("--fail-fast") {
+        return Err(err("--keep-going and --fail-fast contradict each other"));
+    }
+    Ok(args)
+}
+
 /// Entry point: dispatches a full argument vector. `Ok` carries the
 /// [`RunStatus`] whose [`RunStatus::exit_code`] the process should exit
 /// with; `Err` means exit code 1.
-pub fn run(args: &[String], w: &mut dyn Write) -> Result<RunStatus, CliError> {
-    let (cmd, rest) = match args.split_first() {
+pub fn run(argv: &[String], w: &mut dyn Write) -> Result<RunStatus, CliError> {
+    let (cmd, rest) = match argv.split_first() {
         Some((c, rest)) => (c.as_str(), rest),
         None => ("help", &[] as &[String]),
     };
+    if matches!(cmd, "help" | "--help" | "-h") {
+        writeln!(w, "{}", help())?;
+        return Ok(RunStatus::Clean);
+    }
+    let args = parse_args(cmd, rest)?;
+    let clean = |result: Result<(), CliError>| result.map(|()| RunStatus::Clean);
     match cmd {
-        "classify" => commands::classify::run(&Options::parse(rest)?, w),
-        "stats" => commands::stats::run(&Options::parse(rest)?, w),
-        "tunnels" => commands::tunnels::run(&Options::parse(rest)?, w),
-        "info" => commands::info::run(&Options::parse(rest)?, w).map(|()| RunStatus::Clean),
-        "dump" => commands::dump::run(&Options::parse(rest)?, w).map(|()| RunStatus::Clean),
-        "demo" => commands::demo::run(rest, w).map(|()| RunStatus::Clean),
-        "serve" => commands::serve::run(rest, w).map(|_code| RunStatus::Clean),
-        "trace-check" => trace_check(rest, w).map(|()| RunStatus::Clean),
-        "help" | "--help" | "-h" => {
-            writeln!(w, "{}", HELP)?;
-            Ok(RunStatus::Clean)
-        }
-        other => Err(err(format!("unknown command `{other}` (try `lpr help`)"))),
+        "classify" => commands::classify::run(&args, w),
+        "stats" => commands::stats::run(&args, w),
+        "tunnels" => commands::tunnels::run(&args, w),
+        "info" => clean(commands::info::run(&args, w)),
+        "dump" => clean(commands::dump::run(&args, w)),
+        "demo" => clean(commands::demo::run(&args, w)),
+        "serve" => commands::serve::run(&args, w).map(|_code| RunStatus::Clean),
+        "trace-check" => clean(trace_check(args.positionals(), w)),
+        other => unreachable!("`{other}` is in the flag table but has no runner"),
     }
 }
 
-const HELP: &str = "\
-lpr — MPLS transit path diversity classification (IMC'15 LPR algorithm)
+const RIB: Flag = flag("--rib", Kind::Text, None, "RIB snapshot, `prefix asn` per line (required)");
+const NEXT: Flag =
+    flag("--next", Kind::Text, None, "a follow-up snapshot for Persistence; once per snapshot");
+const METRICS: Flag = flag("--metrics", Kind::Text, None, "write run telemetry as JSON");
+const PROGRESS: Flag = flag("--progress", Kind::Switch, None, "print the stage lines to stderr");
+const THREADS: Flag =
+    flag("--threads", Kind::Count { min: 1 }, None, "pipeline threads (default: every core)");
+const PROM_OUT: Flag = flag("--prom-out", Kind::Text, None, "write the metrics as Prometheus text");
+const KEEP_GOING: Flag =
+    flag("--keep-going", Kind::Switch, None, "skip damaged input instead of failing (exit 3)");
+const FAIL_FAST: Flag = flag("--fail-fast", Kind::Switch, None, "make any degradation fatal");
+const SPILL_DIR: Flag =
+    flag("--spill-dir", Kind::Text, None, "spill the window's key sets to files in this directory");
 
-USAGE:
-  lpr classify --rib <rib.txt> <cycle.warts>... [--next <snap.warts>]...
-               [--alias-rescue] [--trees] [--per-as] [--router-level]
-               [--metrics <out.json>] [--progress] [--threads N]
-               [--trace-out <trace.json>] [--trace-level <level>]
-               [--prom-out <metrics.prom>] [--keep-going | --fail-fast]
-               [--spill-dir <dir>]
-  lpr stats    --rib <rib.txt> <cycle.warts>... [--next <snap.warts>]...
-               [--metrics <out.json>] [--progress] [--threads N]
-               [--trace-out <trace.json>] [--trace-level <level>]
-               [--prom-out <metrics.prom>] [--keep-going | --fail-fast]
-               [--spill-dir <dir>]
-  lpr tunnels  <cycle.warts>... [--keep-going]
-  lpr dump     <file.warts>...
-  lpr info     <file.warts>...
-  lpr demo     --out <demo.warts> --rib-out <rib.txt>
-               [--tunnel-visibility explicit:F,implicit:F,invisible:F,opaque:F]
-  lpr serve    --spool <dir> --rib <rib.txt> [--addr HOST:PORT] [--window N]
-               [--threads N] [--tick-ms MS] [--ingest-timeout-ms MS]
-               [--retries N] [--backoff-ms MS] [--backoff-cap-ms MS]
-               [--growing-grace N] [--once TICKS]
-  lpr trace-check <trace.json>...
-  lpr help
+/// Every command `lpr` runs, in help order; each declares exactly the
+/// flags it reads.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "classify",
+        positional: Positional::Many("cycle.warts"),
+        about: "Runs the LPR pipeline over one cycle and prints each IOTP's class.",
+        flags: &[
+            RIB,
+            NEXT,
+            flag("--alias-rescue", Kind::Switch, None, "rescue Unclassified IOTPs by alias (§5)"),
+            flag("--trees", Kind::Switch, None, "also print the egress-rooted LSP-trees"),
+            flag("--per-as", Kind::Switch, None, "also print per-AS tallies"),
+            flag("--router-level", Kind::Switch, None, "also merge IOTPs by inferred aliases"),
+            METRICS,
+            PROGRESS,
+            THREADS,
+            flags::TRACE_OUT,
+            flags::TRACE_LEVEL,
+            PROM_OUT,
+            KEEP_GOING,
+            FAIL_FAST,
+            SPILL_DIR,
+        ],
+    },
+    Command {
+        name: "stats",
+        positional: Positional::Many("cycle.warts"),
+        about: "Runs the same pipeline and prints the filter survival (Table 1).",
+        flags: &[
+            RIB,
+            NEXT,
+            METRICS,
+            PROGRESS,
+            THREADS,
+            flags::TRACE_OUT,
+            flags::TRACE_LEVEL,
+            PROM_OUT,
+            KEEP_GOING,
+            FAIL_FAST,
+            SPILL_DIR,
+        ],
+    },
+    Command {
+        name: "tunnels",
+        positional: Positional::Many("cycle.warts"),
+        about: "Prints every explicit tunnel in the input.",
+        flags: &[KEEP_GOING],
+    },
+    Command {
+        name: "dump",
+        positional: Positional::Many("file.warts"),
+        about: "Renders every record as scamper-style text; decodes strictly.",
+        flags: &[],
+    },
+    Command {
+        name: "info",
+        positional: Positional::Many("file.warts"),
+        about: "Prints each file's record inventory; decodes strictly.",
+        flags: &[],
+    },
+    Command {
+        name: "demo",
+        positional: Positional::None,
+        about: "Writes a simulated sample campaign and its RIB.",
+        flags: &[
+            flag("--out", Kind::Text, None, "warts output (required)"),
+            flag("--rib-out", Kind::Text, None, "RIB output (required)"),
+            flag("--tunnel-visibility", Kind::Mix, None, "hide part of the MPLS deployment"),
+        ],
+    },
+    Command {
+        name: "serve",
+        positional: Positional::None,
+        about: "Runs the continuous-measurement daemon (see below).",
+        flags: &[
+            flag("--spool", Kind::Text, None, "directory watched for *.warts drops (required)"),
+            flag("--rib", Kind::Text, None, "RIB snapshot (required)"),
+            flag("--addr", Kind::Text, Some("127.0.0.1:0"), "HTTP listen address, HOST:PORT"),
+            flag("--window", Kind::Count { min: 1 }, Some("4"), "cycles in the sliding window"),
+            flag("--threads", Kind::Count { min: 1 }, Some("1"), "ingest threads per file"),
+            flag("--tick-ms", Kind::Count { min: 0 }, Some("500"), "reconcile-loop interval"),
+            flag("--ingest-timeout-ms", Kind::Count { min: 0 }, Some("30000"), "ingest deadline"),
+            flag("--retries", Kind::Count { min: 0 }, Some("2"), "retries of a failed ingest"),
+            flag("--backoff-ms", Kind::Count { min: 0 }, Some("250"), "first retry backoff"),
+            flag("--backoff-cap-ms", Kind::Count { min: 0 }, Some("5000"), "longest retry backoff"),
+            flag("--growing-grace", Kind::Count { min: 0 }, Some("6"), "scans a file may grow"),
+            flag("--once", Kind::Count { min: 0 }, None, "exit after N reconcile ticks"),
+        ],
+    },
+    Command {
+        name: "trace-check",
+        positional: Positional::Many("trace.json"),
+        about: "Checks that each --trace-out file round-trips byte for byte.",
+        flags: &[],
+    },
+];
 
+/// `lpr help`: the flag lines rendered from [`COMMANDS`], then what
+/// they do not say.
+fn help() -> String {
+    let header = "lpr — MPLS transit path diversity classification (IMC'15 LPR algorithm)";
+    format!("{}\n{PROSE}", flags::usage(header, "lpr", COMMANDS))
+}
+
+const PROSE: &str = "\
 The RIB file maps prefixes to origin ASes, one `prefix asn` per line
 (Routeviews-style). `--next` snapshots feed the Persistence filter, and
 their number is its window j (the paper's j = 2 means two --next files).
@@ -709,9 +698,14 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    /// `lpr classify <argv>`, read against its flags.
+    fn classify(argv: &[&str]) -> Result<Args, CliError> {
+        parse_args("classify", &s(argv))
+    }
+
     #[test]
     fn parse_options() {
-        let o = Options::parse(&s(&[
+        let o = classify(&[
             "a.warts",
             "--rib",
             "rib.txt",
@@ -721,20 +715,29 @@ mod tests {
             "c.warts",
             "--alias-rescue",
             "--per-as",
-        ]))
+        ])
         .unwrap();
-        assert_eq!(o.inputs, vec!["a.warts"]);
-        assert_eq!(o.next.len(), 2, "two --next files: the paper's j = 2");
-        assert_eq!(o.rib.as_deref(), Some("rib.txt"));
-        assert!(o.alias_rescue && o.per_as && !o.trees && !o.router_level);
+        assert_eq!(o.positionals(), ["a.warts"]);
+        assert_eq!(o.all("--next").len(), 2, "two --next files: the paper's j = 2");
+        assert_eq!(o.get::<String>("--rib").as_deref(), Some("rib.txt"));
+        assert!(o.on("--alias-rescue") && o.on("--per-as"));
+        assert!(!o.on("--trees") && !o.on("--router-level"));
     }
 
     #[test]
     fn unknown_flag_is_an_error() {
-        assert!(Options::parse(&s(&["--bogus"])).is_err());
-        assert!(Options::parse(&s(&["--rib"])).is_err());
+        assert!(classify(&["a.warts", "--bogus"]).is_err());
+        assert!(classify(&["a.warts", "--rib"]).is_err());
         // The persistence window is the number of --next files.
-        assert!(Options::parse(&s(&["--j", "2"])).is_err());
+        assert!(classify(&["a.warts", "--j", "2"]).is_err());
+    }
+
+    #[test]
+    fn serve_defaults_are_the_daemon_defaults() {
+        let args = parse_args("serve", &s(&["--spool", "spool", "--rib", "rib.txt"])).unwrap();
+        let config = commands::serve::config(&args).unwrap();
+        let daemon = lpr_serve::ServeConfig::new("spool", "rib.txt");
+        assert_eq!(format!("{config:?}"), format!("{daemon:?}"));
     }
 
     #[test]
@@ -758,27 +761,28 @@ mod tests {
 
     #[test]
     fn parse_metrics_and_progress_flags() {
-        let o = Options::parse(&s(&["a.warts", "--metrics", "t.json", "--progress"])).unwrap();
-        assert_eq!(o.metrics.as_deref(), Some("t.json"));
-        assert!(o.progress);
-        assert!(Options::parse(&s(&["--metrics"])).is_err());
+        let o = classify(&["a.warts", "--metrics", "t.json", "--progress"]).unwrap();
+        assert_eq!(o.get::<String>("--metrics").as_deref(), Some("t.json"));
+        assert!(o.on("--progress"));
+        assert!(classify(&["a.warts", "--metrics"]).is_err());
     }
 
     #[test]
     fn parse_degradation_flags() {
-        let o = Options::parse(&s(&["a.warts", "--keep-going"])).unwrap();
-        assert!(o.keep_going && !o.fail_fast);
-        let o = Options::parse(&s(&["a.warts", "--fail-fast"])).unwrap();
-        assert!(o.fail_fast && !o.keep_going);
-        assert!(Options::parse(&s(&["a.warts", "--keep-going", "--fail-fast"])).is_err());
+        let o = classify(&["a.warts", "--keep-going"]).unwrap();
+        assert!(o.on("--keep-going") && !o.on("--fail-fast"));
+        let o = classify(&["a.warts", "--fail-fast"]).unwrap();
+        assert!(o.on("--fail-fast") && !o.on("--keep-going"));
+        let e = classify(&["a.warts", "--keep-going", "--fail-fast"]).unwrap_err();
+        assert!(e.0.contains("contradict"), "{e}");
     }
 
     #[test]
     fn parse_out_of_core_flags() {
-        let o = Options::parse(&s(&["a.warts", "--spill-dir", "/tmp/x"])).unwrap();
-        assert_eq!(o.spill_dir.as_deref(), Some("/tmp/x"));
-        assert!(Options::parse(&s(&["a.warts"])).unwrap().spill_dir.is_none());
-        assert!(Options::parse(&s(&["a.warts", "--spill-dir"])).is_err());
+        let o = classify(&["a.warts", "--spill-dir", "/tmp/x"]).unwrap();
+        assert_eq!(o.get::<String>("--spill-dir").as_deref(), Some("/tmp/x"));
+        assert!(classify(&["a.warts"]).unwrap().get::<String>("--spill-dir").is_none());
+        assert!(classify(&["a.warts", "--spill-dir"]).is_err());
     }
 
     #[test]
@@ -795,13 +799,10 @@ mod tests {
         let (reference, _) =
             crate::common::reference_run(&inputs, &inputs, &rib_path, false).unwrap();
 
-        let options = |spill_dir: Option<&str>| Options {
-            inputs: inputs.clone(),
-            next: inputs.clone(),
-            rib: Some(rib_path.clone()),
-            threads: Some(2),
-            spill_dir: spill_dir.map(str::to_string),
-            ..Default::default()
+        let options = |spill_dir: Option<&str>| {
+            let line = [&warts_path, "--next", &warts_path, "--rib", &rib_path, "--threads", "2"];
+            let spill = spill_dir.map(|dir| ["--spill-dir", dir]);
+            classify(&[&line[..], spill.as_ref().map_or(&[][..], |f| &f[..])].concat()).unwrap()
         };
         // Cold (builds the .lpridx), cached, and with a spilled window.
         for spill in [None, None, Some(spill_dir.as_str())] {
@@ -865,12 +866,12 @@ mod tests {
 
     #[test]
     fn parse_threads_flag() {
-        let o = Options::parse(&s(&["a.warts", "--threads", "4"])).unwrap();
-        assert_eq!(o.threads, Some(4));
-        assert_eq!(Options::parse(&s(&["a.warts"])).unwrap().threads, None);
-        assert!(Options::parse(&s(&["--threads"])).is_err());
-        assert!(Options::parse(&s(&["--threads", "0"])).is_err());
-        assert!(Options::parse(&s(&["--threads", "x"])).is_err());
+        let o = classify(&["a.warts", "--threads", "4"]).unwrap();
+        assert_eq!(o.get::<usize>("--threads"), Some(4));
+        assert_eq!(classify(&["a.warts"]).unwrap().get::<usize>("--threads"), None);
+        assert!(classify(&["a.warts", "--threads"]).is_err());
+        assert!(classify(&["a.warts", "--threads", "0"]).is_err());
+        assert!(classify(&["a.warts", "--threads", "x"]).is_err());
     }
 
     #[test]
@@ -922,11 +923,7 @@ mod tests {
 
         // The same run without telemetry is the reference: stage counts
         // in the JSON must chain exactly through the FilterReport.
-        let o = Options {
-            inputs: vec![warts_path],
-            rib: Some(rib_path),
-            ..Default::default()
-        };
+        let o = classify(&[&warts_path, "--rib", &rib_path]).unwrap();
         let reference = run_pipeline(&o).unwrap().output;
         let mut input = reference.report.input as u64;
         for stage in FilterStage::ALL {
@@ -964,13 +961,12 @@ mod tests {
         let recorder = lpr_obs::Recorder::new("lpr classify")
             .with_tracer(lpr_obs::Tracer::new(lpr_obs::Level::Debug));
         let run_span = open_span(Some(&recorder), "run:classify");
-        let o = Options {
-            inputs: warts_paths.to_vec(),
-            next: next.to_vec(),
-            rib: Some(rib_path.to_string()),
-            threads: Some(threads),
-            ..Default::default()
-        };
+        let mut line = s(&["--rib", rib_path, "--threads", &threads.to_string()]);
+        line.extend(warts_paths.iter().cloned());
+        for path in next {
+            line.extend(["--next".to_string(), path.clone()]);
+        }
+        let o = parse_args("classify", &line).unwrap();
         run_pipeline_recorded(&o, Some(&recorder)).unwrap();
         drop(run_span);
         let snapshot = recorder.tracer().snapshot();

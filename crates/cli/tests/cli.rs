@@ -202,12 +202,8 @@ fn metrics_report_the_thread_count_in_memory_and_out_of_core() {
         telemetry.worker_stages("Classification").len(),
         reference.worker_stages("Classification").len()
     );
-    let o = lpr_cli::Options {
-        inputs: vec![warts],
-        rib: Some(rib),
-        threads: Some(4),
-        ..Default::default()
-    };
+    let line = s(&[&warts, "--rib", &rib, "--threads", "4"]);
+    let o = lpr_cli::parse_args("classify", &line).unwrap();
     assert_eq!(lpr_cli::run_pipeline(&o).unwrap().output, output);
 }
 
@@ -403,13 +399,13 @@ fn a_failed_run_still_writes_the_telemetry_it_was_asked_for() {
 
         let telemetry =
             lpr_obs::RunTelemetry::from_json(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-        assert_eq!(telemetry.counter_sum("warts.skip."), 9, "{cmd}");
+        assert_eq!(telemetry.counter_sum("warts.skip."), 11, "{cmd}");
         let exposition = std::fs::read_to_string(&prom).unwrap();
         let skipped: u64 = exposition
             .lines()
             .filter_map(|l| l.strip_prefix("warts_skip_")?.split_once(' ')?.1.parse::<u64>().ok())
             .sum();
-        assert_eq!(skipped, 9, "{cmd}: {exposition}");
+        assert_eq!(skipped, 11, "{cmd}: {exposition}");
 
         let (code, out) = lpr_in(&tmp.0, &["trace-check", &trace], None);
         assert_eq!(code, 0, "{cmd}: {out}");
@@ -419,7 +415,7 @@ fn a_failed_run_still_writes_the_telemetry_it_was_asked_for() {
         assert_eq!(errors.len(), 1, "{cmd}: one error event");
         let message = errors[0].args.iter().find(|(k, _)| k == "message").unwrap();
         assert!(
-            message.1.as_str().unwrap().contains("bad.warts: 9 records skipped"),
+            message.1.as_str().unwrap().contains("bad.warts: 11 records skipped"),
             "{cmd}: {message:?}"
         );
         for path in [&metrics, &trace, &prom] {

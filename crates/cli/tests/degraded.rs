@@ -8,7 +8,7 @@
 
 mod common;
 
-use lpr_cli::{run, run_pipeline, write_demo_files, Options, RunStatus};
+use lpr_cli::{parse_args, run, run_pipeline, write_demo_files, RunStatus};
 
 struct Tmp(std::path::PathBuf);
 
@@ -197,15 +197,14 @@ fn assert_matches_reference(
     let owned = |paths: &[&str]| paths.iter().map(|p| p.to_string()).collect::<Vec<_>>();
     let (inputs, next) = (owned(inputs), owned(next));
     let reference = common::reference_run(&inputs, &next, rib, keep_going).unwrap();
-    let o = Options {
-        inputs,
-        next,
-        rib: Some(rib.to_string()),
-        threads: Some(2),
-        keep_going,
-        ..Default::default()
-    };
-    let artifacts = run_pipeline(&o).unwrap();
+    let mut line = [&inputs[..], &s(&["--rib", rib, "--threads", "2"])].concat();
+    for path in &next {
+        line.extend(s(&["--next", path]));
+    }
+    if keep_going {
+        line.extend(s(&["--keep-going"]));
+    }
+    let artifacts = run_pipeline(&parse_args("classify", &line).unwrap()).unwrap();
     assert_eq!(artifacts.output, reference.0, "pipeline output");
     assert_eq!(artifacts.load.decode.skipped, reference.1, "skip tallies");
     reference
@@ -321,13 +320,7 @@ fn keep_going_trees_come_from_the_ingested_lsps() {
     let one = lpr_par::ShardOptions::new(1);
     let ingest = lpr_core::IngestState::from_traces(&traces, &trie, None, one);
     let expected = lpr_core::tree::build_fec_trees(&ingest.lsps);
-    let o = Options {
-        inputs: vec![bad],
-        rib: Some(rib),
-        trees: true,
-        keep_going: true,
-        ..Default::default()
-    };
+    let o = parse_args("classify", &s(&[&bad, "--rib", &rib, "--trees", "--keep-going"])).unwrap();
     let artifacts = run_pipeline(&o).unwrap();
     assert!(!expected.is_empty());
     assert_eq!(format!("{:?}", artifacts.trees), format!("{expected:?}"));

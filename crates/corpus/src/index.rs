@@ -27,7 +27,7 @@ use warts::{Addr, RecordSpan, RecordType, SkipReason, WartsReader};
 /// Magic prefix of a serialized index.
 pub const INDEX_MAGIC: [u8; 4] = *b"LPRX";
 /// Serialization version; bump on any layout change.
-pub const INDEX_VERSION: u16 = 1;
+pub const INDEX_VERSION: u16 = 2;
 /// Cache file extension (full name: `<file name>.lpridx`).
 pub const INDEX_EXT: &str = "lpridx";
 

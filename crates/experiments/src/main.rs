@@ -2,7 +2,7 @@
 //! paper's evaluation.
 //!
 //! ```text
-//! experiments <command> [--cycles N] [--trace-out trace.json]
+//! experiments [<command>] [--trace-out trace.json]
 //!             [--trace-level debug|info|warn|error]
 //!
 //! commands:
@@ -19,8 +19,11 @@
 //!   mda       MDA-Lite probes-per-destination vs diversity recall
 //!   revelation TNT-style revelation A/B across visibility mixes
 //!   summary   the abstract's three headline outcomes, recomputed
-//!   all       everything above
+//!   all       everything above (the default)
 //! ```
+//!
+//! The command line is read by `lpr_cli::flags`: an unknown command or
+//! flag, or a bad `--trace-level`, exits 2 before any work starts.
 //!
 //! CSV outputs land under `results/` (override with
 //! `LPR_RESULTS_DIR`).
@@ -35,43 +38,50 @@ use experiments::{
     ablations, fig16, fig17, fig6, fig789, longitudinal, mda_recall, revelation, summary,
     validation,
 };
+use lpr_cli::flags::{self, Command, Positional, TraceOut};
 
-/// Runs one regenerator under an `exp:<name>` span so the trace shows
-/// where the wall time of an `all` run actually goes.
-fn with_span(tracer: &lpr_obs::Tracer, name: &str, f: impl FnOnce()) {
-    let _span = tracer.span(format!("exp:{name}"));
-    f();
+/// Every regenerator, in the order `all` runs them.
+const REGENERATORS: [&str; 13] = [
+    "fig5",
+    "table1",
+    "peras",
+    "table2",
+    "fig6",
+    "fig789",
+    "fig16",
+    "fig17",
+    "ablations",
+    "validation",
+    "mda",
+    "revelation",
+    "summary",
+];
+
+/// The one command line `experiments` reads.
+static EXPERIMENTS: Command = Command {
+    name: "experiments",
+    positional: Positional::One("command"),
+    about: "Regenerates one table or figure of the paper's evaluation, or all of them.",
+    flags: &[flags::TRACE_OUT, flags::TRACE_LEVEL],
+};
+
+/// Reports a command-line error; exit code 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("experiments: {message}\ncommands: {} all", REGENERATORS.join(" "));
+    std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let cycles = args
-        .iter()
-        .position(|a| a == "--cycles")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(ark_dataset::CYCLES);
-    let trace_out = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let trace_level = match args
-        .iter()
-        .position(|a| a == "--trace-level")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(v) => lpr_obs::Level::parse(v).unwrap_or_else(|| {
-            eprintln!("--trace-level `{v}` is not a level (debug|info|warn|error)");
-            std::process::exit(2);
-        }),
-        None => lpr_obs::Level::Info,
-    };
-    let tracer = match &trace_out {
-        Some(_) => lpr_obs::Tracer::new(trace_level),
-        None => lpr_obs::Tracer::disabled(),
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv = if argv.is_empty() { vec!["all".to_string()] } else { argv };
+    let args = flags::parse(&EXPERIMENTS, &argv).unwrap_or_else(|e| usage_error(&e));
+    let cmd = args.positional().expect("experiments declares a positional");
+    if cmd != "all" && !REGENERATORS.contains(&cmd) {
+        usage_error(&format!("unknown command `{cmd}`"));
+    }
+    let cycles = ark_dataset::CYCLES;
+    let trace = TraceOut::new(&args);
+    let tracer = trace.tracer();
     let run_span = tracer.span("run:experiments");
     tracer.set_default_parent(run_span.context());
 
@@ -109,71 +119,42 @@ fn main() {
                 ("rows".to_string(), lpr_obs::FieldValue::U64(rows.len() as u64)),
             ],
         );
-        Some(rows)
+        rows
     } else {
-        None
+        Vec::new()
     };
 
-    match cmd {
-        "fig5" => with_span(&tracer, "fig5", || longitudinal::emit_fig5(rows.as_ref().unwrap())),
-        "table1" => {
-            with_span(&tracer, "table1", || longitudinal::emit_table1(rows.as_ref().unwrap()))
-        }
-        "peras" => with_span(&tracer, "peras", || longitudinal::emit_per_as(rows.as_ref().unwrap())),
-        "table2" => {
-            with_span(&tracer, "table2", || longitudinal::emit_table2(rows.as_ref().unwrap(), &world))
-        }
-        "fig6" => with_span(&tracer, "fig6", || fig6::emit(&fig6::run(&world, 29))),
-        "fig789" => with_span(&tracer, "fig789", || fig789::emit(&fig789::run(&world, 60))),
-        "fig16" => with_span(&tracer, "fig16", || fig16::emit(&fig16::run(&world))),
-        "fig17" => with_span(&tracer, "fig17", || fig17::emit(&fig17::run(&world))),
-        "ablations" => with_span(&tracer, "ablations", || ablations::emit(&ablations::run(&world, 45))),
-        "validation" => {
-            with_span(&tracer, "validation", || validation::emit(&validation::run(&world, 45, 24)))
-        }
-        "mda" => with_span(&tracer, "mda", || mda_recall::emit(&mda_recall::run(&world, 40))),
-        "revelation" => {
-            with_span(&tracer, "revelation", || revelation::emit(&revelation::run(&world, 40)))
-        }
-        "summary" => {
-            with_span(&tracer, "summary", || summary::emit(&summary::run(rows.as_ref().unwrap())))
-        }
-        "all" => {
-            let rows = rows.as_ref().unwrap();
-            with_span(&tracer, "fig5", || longitudinal::emit_fig5(rows));
-            with_span(&tracer, "table1", || longitudinal::emit_table1(rows));
-            with_span(&tracer, "peras", || longitudinal::emit_per_as(rows));
-            with_span(&tracer, "table2", || longitudinal::emit_table2(rows, &world));
-            with_span(&tracer, "fig6", || fig6::emit(&fig6::run(&world, 29)));
-            with_span(&tracer, "fig789", || fig789::emit(&fig789::run(&world, 60)));
-            with_span(&tracer, "fig16", || fig16::emit(&fig16::run(&world)));
-            with_span(&tracer, "fig17", || fig17::emit(&fig17::run(&world)));
-            with_span(&tracer, "ablations", || ablations::emit(&ablations::run(&world, 45)));
-            with_span(&tracer, "validation", || validation::emit(&validation::run(&world, 45, 24)));
-            with_span(&tracer, "mda", || mda_recall::emit(&mda_recall::run(&world, 40)));
-            with_span(&tracer, "revelation", || revelation::emit(&revelation::run(&world, 40)));
-            with_span(&tracer, "summary", || summary::emit(&summary::run(rows)));
-        }
-        other => {
-            eprintln!("unknown command `{other}`; see --help in the crate docs");
-            std::process::exit(2);
+    // Each regenerator runs under an `exp:<name>` span, so the trace
+    // shows where the wall time of an `all` run goes.
+    let names = if cmd == "all" { &REGENERATORS[..] } else { std::slice::from_ref(&cmd) };
+    for &name in names {
+        let _span = tracer.span(format!("exp:{name}"));
+        match name {
+            "fig5" => longitudinal::emit_fig5(&rows),
+            "table1" => longitudinal::emit_table1(&rows),
+            "peras" => longitudinal::emit_per_as(&rows),
+            "table2" => longitudinal::emit_table2(&rows, &world),
+            "fig6" => fig6::emit(&fig6::run(&world, 29)),
+            "fig789" => fig789::emit(&fig789::run(&world, 60)),
+            "fig16" => fig16::emit(&fig16::run(&world)),
+            "fig17" => fig17::emit(&fig17::run(&world)),
+            "ablations" => ablations::emit(&ablations::run(&world, 45)),
+            "validation" => validation::emit(&validation::run(&world, 45, 24)),
+            "mda" => mda_recall::emit(&mda_recall::run(&world, 40)),
+            "revelation" => revelation::emit(&revelation::run(&world, 40)),
+            "summary" => summary::emit(&summary::run(&rows)),
+            other => unreachable!("`{other}` is not a regenerator"),
         }
     }
 
     tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
     drop(run_span);
-    if let Some(path) = &trace_out {
-        let snapshot = tracer.snapshot();
-        if snapshot.dropped > 0 {
-            eprintln!(
-                "warning: trace journal wrapped, {} oldest events overwritten",
-                snapshot.dropped
-            );
-        }
-        if let Err(e) = std::fs::write(path, lpr_obs::export::chrome_trace(&snapshot)) {
-            eprintln!("{path}: {e}");
+    match trace.write() {
+        Ok(Some(path)) => eprintln!("[trace] wrote {path}"),
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("{e}");
             std::process::exit(1);
         }
-        eprintln!("[trace] wrote {path}");
     }
 }

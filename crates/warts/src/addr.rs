@@ -54,6 +54,9 @@ impl From<Ipv6Addr> for Addr {
 #[derive(Clone, Debug, Default)]
 pub struct AddrTableReader {
     table: Vec<Addr>,
+    /// Reference ids at or past this fail: set once a lenient reader
+    /// has lost a record, past which its ids and the writer's part.
+    limit: Option<usize>,
 }
 
 impl AddrTableReader {
@@ -72,7 +75,7 @@ impl AddrTableReader {
     /// prefix), and embed-form occurrences append duplicates past the
     /// preload, which nothing references.
     pub fn from_table(table: Vec<Addr>) -> Self {
-        AddrTableReader { table }
+        AddrTableReader { table, limit: None }
     }
 
     /// The dictionary learned so far, in table-id order.
@@ -90,15 +93,24 @@ impl AddrTableReader {
         self.table.is_empty()
     }
 
+    /// Refuses every later reference to an id at or past `len`, as
+    /// [`WartsError::UnknownAddrId`]; embedded addresses still decode.
+    /// Only the first call sets the limit.
+    pub(crate) fn limit_references(&mut self, len: usize) {
+        self.limit.get_or_insert(len);
+    }
+
     /// Decodes one address parameter, updating the table on first
     /// occurrences.
     pub fn read(&mut self, cur: &mut Cursor<'_>) -> Result<Addr, WartsError> {
         let len = cur.u8("address length")?;
         if len == 0 {
             let id = cur.u32("address id")?;
+            let usable = self.limit.is_none_or(|limit| (id as usize) < limit);
             return self
                 .table
                 .get(id as usize)
+                .filter(|_| usable)
                 .copied()
                 .ok_or(WartsError::UnknownAddrId { id });
         }

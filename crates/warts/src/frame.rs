@@ -267,6 +267,7 @@ impl FrameState {
             };
         }
         let body = &window[HEADER_LEN..wire];
+        let learned = self.addrs.len();
         match decode(header.record_type, body, &mut self.addrs, &mut self.layouts) {
             Ok(record) => {
                 self.last_span = Some(RecordSpan {
@@ -280,7 +281,7 @@ impl FrameState {
             // The declared length keeps a lenient framer aligned on the
             // next header.
             Err(e) if self.lenient => {
-                self.skip(SkipReason::of(&e));
+                self.skip(SkipReason::of(&e), learned);
                 self.offset += wire;
                 Step::Consumed(wire, None)
             }
@@ -296,7 +297,7 @@ impl FrameState {
     /// resynchronises.
     fn reject<T>(&mut self, reason: SkipReason, window: &[u8]) -> Step<T> {
         if self.lenient {
-            self.skip(reason);
+            self.skip(reason, self.addrs.len());
             self.resyncing = true;
             return self.discard(1);
         }
@@ -339,7 +340,13 @@ impl FrameState {
         Step::Consumed(n, None)
     }
 
-    fn skip(&mut self, reason: SkipReason) {
+    /// Counts one skip. The first one limits address references to the
+    /// `learned` ids the records decoded before it took: the skipped
+    /// bytes may have embedded addresses, each of which implicitly took
+    /// the writer's next id, so past `learned` the reader's ids and the
+    /// writer's may differ.
+    fn skip(&mut self, reason: SkipReason, learned: usize) {
+        self.addrs.limit_references(learned);
         *self.skips.entry(reason).or_default() += 1;
     }
 }
@@ -359,13 +366,14 @@ impl<S: Source> Framer<S> {
     /// [`Framer::resync_bytes`].
     ///
     /// A skipped trace/ping may have embedded addresses, each of which
-    /// implicitly took the next dictionary id, so the reader's table
-    /// falls behind the writer's ids. A later reference past the end of
-    /// the table then fails (`BadAddress`, counted in turn), but one
-    /// that lands inside it resolves, silently, to a *different*
-    /// address: a later record can decode cleanly with wrong hop
-    /// addresses. Input that needed a skip is therefore not trustworthy
-    /// past it.
+    /// implicitly took the next dictionary id, so past a skip the
+    /// reader's table may fall behind the writer's ids. So the first
+    /// skip sets a reference limit at the ids learned before it: a later
+    /// reference at or past it fails as `UnknownAddrId` (a `BadAddress`
+    /// skip) rather than resolve to another record's address. Embedded
+    /// addresses still decode, and strict mode never skips. Damage
+    /// therefore only loses records; it never gives a clean one wrong
+    /// hop addresses.
     pub fn lenient(mut self) -> Self {
         self.state.lenient = true;
         self

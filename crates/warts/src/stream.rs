@@ -257,12 +257,15 @@ mod tests {
         assert!(strict.is_err());
 
         // Lenient mode counts the skip and keeps going; the declared
-        // length keeps it aligned, so nothing is resynchronised.
+        // length keeps it aligned, so nothing is resynchronised. The
+        // skipped body may have embedded addresses, so the second trace's
+        // reference to an id learned after the skip is refused too.
         let (records, skips, resynced) = drain_lenient(&bytes);
-        assert_eq!(records.len(), 5, "all valid records still stream");
+        assert_eq!(records.len(), 4, "every record that refers to no lost id still streams");
         let traces = records.iter().filter(|r| matches!(r, Record::Trace(_))).count();
-        assert_eq!(traces, 2);
-        assert_eq!(skips, BTreeMap::from([(SkipReason::Truncated, 1)]));
+        assert_eq!(traces, 1);
+        let expected = [(SkipReason::Truncated, 1), (SkipReason::BadAddress, 1)];
+        assert_eq!(skips, BTreeMap::from(expected));
         assert_eq!(resynced, 0);
     }
 
@@ -291,8 +294,11 @@ mod tests {
         let mut bytes = vec![0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03];
         bytes.extend_from_slice(&sample_bytes());
         let (records, skips, resynced) = drain_lenient(&bytes);
-        assert_eq!(records.len(), 5, "every real record survives the garbage prefix");
+        // The garbage may have held a record that embedded addresses, so
+        // the second trace's reference past the limit is refused.
+        assert_eq!(records.len(), 4, "every record but the referring trace survives");
         assert_eq!(skips[&SkipReason::BadMagic], 1, "one skip per garbage run");
+        assert_eq!(skips[&SkipReason::BadAddress], 1);
         assert_eq!(resynced, 7);
     }
 
@@ -302,8 +308,10 @@ mod tests {
         bytes[0] ^= 0xFF; // first record's magic
         let (records, skips, _) = drain_lenient(&bytes);
         // The first record (the list) is lost; resync lands on the next.
-        assert_eq!(records.len(), 4);
+        // The second trace refers to an id past the reference limit.
+        assert_eq!(records.len(), 3);
         assert!(skips[&SkipReason::BadMagic] >= 1);
+        assert_eq!(skips[&SkipReason::BadAddress], 1);
     }
 
     #[test]
@@ -314,8 +322,9 @@ mod tests {
         bytes.extend_from_slice(&(u32::MAX).to_be_bytes());
         bytes.extend_from_slice(&sample_bytes());
         let (records, skips, _) = drain_lenient(&bytes);
-        assert_eq!(records.len(), 5, "records after the insane header still stream");
+        assert_eq!(records.len(), 4, "records after the insane header still stream");
         assert_eq!(skips[&SkipReason::InsaneLength], 1);
+        assert_eq!(skips[&SkipReason::BadAddress], 1, "but none refers to a lost id");
     }
 
     #[test]
@@ -340,7 +349,7 @@ mod tests {
         let len = u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
         bytes[4..8].copy_from_slice(&(len + 9999).to_be_bytes());
         let (records, skips, _) = drain_lenient(&bytes);
-        assert!(records.len() >= 4, "records after the bad length stream again");
+        assert!(records.len() >= 3, "records after the bad length stream again");
         assert!(skips[&SkipReason::TruncatedBody] >= 1);
     }
 
@@ -427,20 +436,29 @@ mod tests {
             decoded_bytes += r.last_record_span().unwrap().wire_len();
             decoded += 1;
         }
-        assert_eq!(decoded, 4, "the valid records still stream");
+        assert_eq!(decoded, 3, "the valid records still stream");
 
         // One skip per corruption event, under its reason, and the
-        // total is their sum.
+        // total is their sum. The second trace refers to an id past the
+        // reference limit the first skip set.
         let expected = BTreeMap::from([
             (SkipReason::BadMagic, 1),
             (SkipReason::TruncatedBody, 1),
             (SkipReason::Truncated, 1),
+            (SkipReason::BadAddress, 1),
         ]);
         assert_eq!(r.skip_counts(), &expected);
-        assert_eq!(r.skipped_total(), 3);
-        // Every byte is a decoded record, the skipped 12-byte record or
-        // resynchronisation garbage.
+        assert_eq!(r.skipped_total(), 4);
+        // Every byte is a decoded record, the skipped 12-byte record,
+        // the skipped second trace or resynchronisation garbage.
+        let sample = sample_bytes();
+        let mut pristine = WartsStreamReader::new(sample.as_slice());
+        let mut spans = Vec::new();
+        while pristine.next_record().unwrap().is_some() {
+            spans.push(pristine.last_record_span().unwrap());
+        }
+        let second_trace = spans[3].wire_len();
         assert_eq!(r.offset(), bytes.len() as u64);
-        assert_eq!(decoded_bytes + 12 + r.resync_bytes(), bytes.len() as u64);
+        assert_eq!(decoded_bytes + 12 + second_trace + r.resync_bytes(), bytes.len() as u64);
     }
 }
